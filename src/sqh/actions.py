@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, Subdivision, barycentric_subdivision, full_subcomplex
+from .complexes import (
+    SimplicialComplex,
+    Subdivision,
+    barycentric_subdivision,
+    chain_complex,
+    full_subcomplex,
+)
 from .errors import (
     ActionInvalid,
     GroupTooLarge,
@@ -18,7 +24,7 @@ from .errors import (
     NeedsSubdivision,
     ResourceCapExceeded,
 )
-from .homology import is_prime
+from .homology import BettiTable, FieldSpec, betti, is_prime
 
 DEFAULT_ELEMENT_CAP = 20000
 
@@ -56,8 +62,15 @@ class SubgroupHandle:
 class VertexAction:
     """A finite group realized as simplicial vertex permutations.
 
-    elements[0] is the identity.  Instances are immutable; derived data
-    (orbit structure, multiplication) is cached.
+    elements[0] is the identity.  Instances are immutable; derived data is
+    cached on the instance and freed with it:
+
+    - multiplication, inverses and element orders
+    - vertex and simplex orbits, and the admissibility verdict
+    - the restricted action of each subgroup, keyed by its sorted element
+      indices (`restrict`)
+    - the default-depth admissible quotient (`admissible_quotient`)
+    - that quotient's Betti numbers per field (`quotient_betti`)
     """
 
     __slots__ = (
@@ -71,6 +84,9 @@ class VertexAction:
         "_vertex_orbits",
         "_simplex_orbits",
         "_admissible",
+        "_restrictions",
+        "_quotient",
+        "_quotient_betti",
     )
 
     def __init__(self, complex: SimplicialComplex, elements, generator_indices) -> None:
@@ -84,6 +100,9 @@ class VertexAction:
         self._vertex_orbits = None
         self._simplex_orbits = None
         self._admissible = None
+        self._restrictions: dict = {}
+        self._quotient = None
+        self._quotient_betti: dict = {}
 
     @property
     def order(self) -> int:
@@ -161,8 +180,19 @@ class VertexAction:
         return self.subgroup(range(self.order))
 
     def restrict(self, handle: SubgroupHandle) -> "VertexAction":
-        elems = [self.elements[i] for i in handle.indices]
-        return VertexAction(self.complex, elems, tuple(range(1, len(elems))))
+        """The subgroup acting on the same complex, built once per subgroup.
+
+        The full group restricts to this action itself.
+        """
+        key = tuple(sorted(set(handle.indices)))
+        if len(key) == self.order:
+            return self
+        got = self._restrictions.get(key)
+        if got is None:
+            elems = [self.elements[i] for i in key]
+            got = VertexAction(self.complex, elems, tuple(range(1, len(elems))))
+            self._restrictions[key] = got
+        return got
 
     def vertex_orbits(self):
         """(projection, orbits): orbit indices ordered by minimal vertex."""
@@ -355,6 +385,37 @@ def make_admissible_and_quotient(
             sd = barycentric_subdivision(current.complex)
             current = induced_action_on_subdivision(current, sd)
             count += 1
+
+
+def admissible_quotient(action: VertexAction, simplex_cap: int | None = None) -> QuotientResult:
+    """make_admissible_and_quotient(action) at the default depth, computed once per action.
+
+    The cap only bounds a computation still to be done; a cached result is
+    returned as it is.
+    """
+    if action._quotient is None:
+        action._quotient = make_admissible_and_quotient(action, simplex_cap=simplex_cap)
+    return action._quotient
+
+
+def quotient_betti(action: VertexAction, field: FieldSpec) -> tuple:
+    """Betti numbers of admissible_quotient(action) over one field, computed once."""
+    got = action._quotient_betti.get(field)
+    if got is None:
+        quotient = admissible_quotient(action).complex
+        got = betti(chain_complex(quotient), [field], with_torsion=False).betti(field)
+        action._quotient_betti[field] = got
+    return got
+
+
+def record_quotient_betti(action: VertexAction, table: BettiTable) -> None:
+    """Keep the exact rows of a table computed on admissible_quotient(action).
+
+    Rows over F_p are always exact; a Q row only when its ranks were certified.
+    """
+    for field in table.fields():
+        if not field.is_rationals or table.certified:
+            action._quotient_betti.setdefault(field, table.betti(field))
 
 
 def fixed_subcomplex(action: VertexAction, handle: SubgroupHandle) -> SimplicialComplex:

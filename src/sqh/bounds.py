@@ -1,9 +1,14 @@
 """Evaluate the uniform homology bounds and verify each inequality.
 
-Every check computes both sides of an inequality from scratch on the
-given action and records the inputs, so a verdict can be recomputed from
-the stored report.  A failed hard verdict means either an engine bug or a
-genuine counterexample, and aborts the run with a diagnostic dump.
+Every check computes both sides of an inequality on the given action and
+records the inputs, so a verdict can be recomputed from the stored report.
+The quotient of each subgroup and its Betti numbers per field are cached
+on the action (see `VertexAction`): the cyclic-chain and transfer checks
+and the scenario run share them for as long as the action lives, which in
+`run_scenario` is one scenario.  Everything else a check needs (fixed
+sets, relative homology, Smith-Floyd's subdivisions) is computed inside
+the check.  A failed hard verdict means either an engine bug or a genuine
+counterexample, and aborts the run with a diagnostic dump.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ from dataclasses import dataclass, field
 from .actions import (
     VertexAction,
     SubgroupHandle,
-    best_abelian_normal_subgroup,
+    admissible_quotient,
     fixed_subcomplex,
     induced_action_on_subdivision,
     is_admissible,
-    make_admissible_and_quotient,
+    quotient_betti,
     sylow,
 )
 from .complexes import SimplicialComplex, barycentric_subdivision, chain_complex
@@ -144,6 +149,15 @@ def _image_subcomplex(fixed: SimplicialComplex, projection, quotient: Simplicial
     return SimplicialComplex(quotient.vertex_count, sorted(facets))
 
 
+def _relative_betti_or(
+    k: SimplicialComplex, sub: SimplicialComplex, fieldspec: FieldSpec, length: int, absolute
+) -> list:
+    """b(K, sub) over the field; relative to an empty sub it is `absolute`, K's own numbers."""
+    if not sub.facets:
+        return absolute
+    return _pad(relative_betti(chain_complex(k), sub, [fieldspec]).betti(fieldspec), length)
+
+
 def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) -> CheckResult:
     """The three inequality families behind the cyclic orbit bound.
 
@@ -160,20 +174,19 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
         raise InvalidParameter("subgroup must be trivial or cyclic of order p")
     fp = FieldSpec(p)
     restricted = action.restrict(cp_handle)
-    res = make_admissible_and_quotient(restricted)
+    res = admissible_quotient(restricted)
     y = res.action.complex
     d = y.dimension
     length = d + 1
     fixed = fixed_subcomplex(res.action, res.action.full_subgroup())
-    fixed_image = _image_subcomplex(fixed, res.projection, res.complex)
 
-    cc_y = chain_complex(y)
-    b_y = _pad(betti(cc_y, [fp], with_torsion=False).betti(fp), length)
+    # Betti numbers do not change under subdivision: b(Y) is the model's
+    b_y = _betti_or_zero(action.complex, fp, length)
     b_f = _betti_or_zero(fixed, fp, length)
-    b_rel_yf = _pad(relative_betti(cc_y, fixed, [fp]).betti(fp), length)
-    cc_q = chain_complex(res.complex)
-    b_q = _pad(betti(cc_q, [fp], with_torsion=False).betti(fp), length)
-    b_rel_qf = _pad(relative_betti(cc_q, fixed_image, [fp]).betti(fp), length)
+    b_rel_yf = _relative_betti_or(y, fixed, fp, length, b_y)
+    b_q = _pad(quotient_betti(restricted, fp), length)
+    fixed_image = _image_subcomplex(fixed, res.projection, res.complex)
+    b_rel_qf = _relative_betti_or(res.complex, fixed_image, fp, length, b_q)
 
     k = max(b_y)
     headline = cyclic_bound(d, k)
@@ -217,11 +230,12 @@ def transfer_check(action: VertexAction, p: int) -> CheckResult:
     fp = FieldSpec(p)
     full = action.full_subgroup()
     syl = sylow(action, full, p)
-    res_g = make_admissible_and_quotient(action)
-    res_p = make_admissible_and_quotient(action.restrict(syl))
+    syl_action = action.restrict(syl)
+    res_g = admissible_quotient(action)
+    res_p = admissible_quotient(syl_action)
     length = max(res_g.complex.dimension, res_p.complex.dimension, action.complex.dimension) + 1
-    b_g = _betti_or_zero(res_g.complex, fp, length)
-    b_p = _betti_or_zero(res_p.complex, fp, length)
+    b_g = _pad(quotient_betti(action, fp), length)
+    b_p = _pad(quotient_betti(syl_action, fp), length)
     ok = all(x <= y for x, y in zip(b_g, b_p))
     return CheckResult(
         name="transfer",

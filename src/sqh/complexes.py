@@ -10,9 +10,9 @@ cached on the instance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import InvalidParameter
+from .errors import CorruptComplex, InvalidParameter
 from .homology import SparseIntMatrix
 
 
@@ -133,14 +133,19 @@ class OrientedChainComplex:
     ranks: tuple
     boundaries: tuple
     basis_labels: tuple
+    _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def verify(self) -> None:
+        """Check the shapes and dd = 0; a complex that passed is not checked again."""
+        if self._verified:
+            return
         for k in range(1, len(self.boundaries)):
             a, b = self.boundaries[k - 1], self.boundaries[k]
             if b.cols != self.ranks[k] or b.rows != (self.ranks[k - 1] if k >= 1 else 0):
                 raise InvalidParameter("boundary matrix shape mismatch")
             if k >= 1 and not a.compose_is_zero(b):
-                raise InvalidParameter(f"d_{k-1} d_{k} != 0")
+                raise CorruptComplex(f"boundary composition d_{k-1} d_{k} is nonzero")
+        object.__setattr__(self, "_verified", True)
 
 
 EMPTY_COMPLEX = SimplicialComplex(0, [])

@@ -484,12 +484,6 @@ class BettiTable:
         return out
 
 
-def _verify_chain(ranks, boundaries) -> None:
-    for k in range(1, len(boundaries)):
-        if not boundaries[k - 1].compose_is_zero(boundaries[k]):
-            raise CorruptComplex(f"boundary composition d_{k-1} d_{k} is nonzero")
-
-
 def betti(
     chain: "OrientedChainComplex",
     fields,
@@ -509,9 +503,9 @@ def betti(
     fields = tuple(fields)
     if not fields:
         raise InvalidParameter("need at least one field")
+    chain.verify()
     ranks = tuple(chain.ranks)
     boundaries = tuple(chain.boundaries)
-    _verify_chain(ranks, boundaries)
     d = len(ranks) - 1
     rng = random.Random(seed)
 
@@ -583,19 +577,35 @@ def relative_betti(
     `chain` must be the chain complex of K and `sub` a subcomplex of K
     (simplices of `sub` must all be simplices of K, with the same labels).
     """
+    return betti(
+        _relative_chain(chain, sub),
+        fields,
+        certified=certified,
+        with_torsion=with_torsion,
+        snf_cap=snf_cap,
+        seed=seed,
+    )
+
+
+def _relative_chain(
+    chain: "OrientedChainComplex", sub: "SimplicialComplex"
+) -> "OrientedChainComplex":
+    """C_*(K)/C_*(L); the index maps it builds are freed before ranks are taken."""
     from .complexes import OrientedChainComplex  # local import to avoid a cycle
 
     sub_simplices = sub.simplex_set()
-    for s in sub_simplices:
-        k = len(s) - 1
-        if k >= len(chain.basis_labels) or s not in set(chain.basis_labels[k]):
-            raise InvalidParameter(f"{s} is not a simplex of the ambient complex")
     keep: list[list[int]] = []
     index_maps: list[dict] = []
     for k, labels in enumerate(chain.basis_labels):
         kept = [j for j, s in enumerate(labels) if s not in sub_simplices]
         keep.append(kept)
         index_maps.append({j: i for i, j in enumerate(kept)})
+    # labels are distinct, so every simplex of `sub` must have dropped exactly one
+    dropped = sum(len(labels) - len(kept) for labels, kept in zip(chain.basis_labels, keep))
+    if dropped != len(sub_simplices):
+        known = {s for labels in chain.basis_labels for s in labels}
+        stray = min(sub_simplices - known)
+        raise InvalidParameter(f"{stray} is not a simplex of the ambient complex")
     new_ranks = tuple(len(kept) for kept in keep)
     new_boundaries = []
     for k in range(len(chain.boundaries)):
@@ -612,16 +622,8 @@ def relative_betti(
                 if col:
                     cols_out[new_j] = col
         new_boundaries.append(SparseIntMatrix.from_columns(rows, new_ranks[k], cols_out))
-    quotient = OrientedChainComplex(
+    return OrientedChainComplex(
         new_ranks,
         tuple(new_boundaries),
         tuple(tuple(chain.basis_labels[k][j] for j in keep[k]) for k in range(len(keep))),
-    )
-    return betti(
-        quotient,
-        fields,
-        certified=certified,
-        with_torsion=with_torsion,
-        snf_cap=snf_cap,
-        seed=seed,
     )

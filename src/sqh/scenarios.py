@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from . import __version__
 from .actions import (
     VertexAction,
+    admissible_quotient,
     best_abelian_normal_subgroup,
     close_generators,
     induced_action_on_subdivision,
-    make_admissible_and_quotient,
     quotient_complex,
+    record_quotient_betti,
     sylow,
     QuotientResult,
     _predicted_sd_size,
@@ -157,7 +158,7 @@ def build_model(scenario: Scenario, cap: int | None = None) -> ModelBundle:
 
 def _quotient_for(scenario: Scenario, action: VertexAction, cap: int) -> QuotientResult:
     if scenario.subdivisions == "auto":
-        return make_admissible_and_quotient(action, max_subdivisions=3, simplex_cap=cap)
+        return admissible_quotient(action, simplex_cap=cap)
     current = action
     for _ in range(scenario.subdivisions):
         predicted = _predicted_sd_size(current.complex.f_vector())
@@ -221,6 +222,8 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
         snf_cap=scenario.snf_cap,
         seed=scenario.seed,
     )
+    if scenario.subdivisions == "auto":
+        record_quotient_betti(action, quotient_table)
     stage("quotient_betti", t0)
 
     t0 = time.perf_counter()
@@ -268,6 +271,10 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
         if cover is None:
             raise InvalidParameter("cover_e1 check needs a character_join scenario")
         cap_3n = 3 ** bundle.char_data.block_count - 1
+        per_j = [
+            {"J": list(j), "a": a, "b": b, "betti": list(bs), "total": sub}
+            for j, a, b, bs, sub in cover.per_j
+        ]
         for f in fields:
             total = quotient_table.total(f)
             check_results.append(
@@ -279,10 +286,7 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
                         "observed_total": total,
                         "cover_e1_total": cover.total,
                         "cap": cap_3n,
-                        "per_J": [
-                            {"J": list(j), "a": a, "b": b, "betti": list(bs), "total": sub}
-                            for j, a, b, bs, sub in cover.per_j
-                        ],
+                        "per_J": per_j,
                     },
                 )
             )
@@ -352,11 +356,36 @@ def report_bytes(report: dict) -> bytes:
 # ---------------------------------------------------------------------------
 # builtin catalog
 
+# name -> (parameter names, defaults of the trailing optional ones)
+BUILTIN_PARAMS = {
+    "rp": (("n",), (2,)),
+    "lens": (("p", "q"), (1,)),
+    "quaternion_q8": ((), ()),
+    "sym3_on_s2": ((), ()),
+    "dihedral_on_s1": (("m",), (5,)),
+    "trivial_sphere": (("n",), (3,)),
+}
+BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
+
+
+def _builtin_params(name: str, params) -> tuple:
+    """The builtin's parameters with defaults filled in; a wrong count is invalid input."""
+    if name not in BUILTIN_PARAMS:
+        raise InvalidParameter(f"unknown builtin {name!r}")
+    names, defaults = BUILTIN_PARAMS[name]
+    least = len(names) - len(defaults)
+    params = tuple(int(p) for p in params)
+    if not least <= len(params) <= len(names):
+        usage = " ".join([name, *names[:least], *(f"[{n}]" for n in names[least:])])
+        raise InvalidParameter(f"builtin {name} expects `{usage}`, got {len(params)} parameters")
+    return params + defaults[len(params) - least:]
+
+
 def builtin(name: str, *params) -> Scenario:
     """Resolve a named scenario from the builtin catalog."""
-    params = tuple(int(p) for p in params)
+    params = _builtin_params(name, params)
     if name == "rp":
-        (n,) = params or (2,)
+        (n,) = params
         if not 1 <= n <= 4:
             raise InvalidParameter("rp(n) supports 1 <= n <= 4")
         anti = SignedPermutation(tuple(range(1, n + 2)), (-1,) * (n + 1))
@@ -368,10 +397,7 @@ def builtin(name: str, *params) -> Scenario:
             snf_cap=16384,
         )
     if name == "lens":
-        if len(params) == 1:
-            p, q = params[0], 1
-        else:
-            p, q = params
+        p, q = params
         if not 2 <= p <= 13:
             raise InvalidParameter("lens(p,q) supports 2 <= p <= 13")
         if math.gcd(p, q) != 1:
@@ -421,7 +447,7 @@ def builtin(name: str, *params) -> Scenario:
             snf_cap=16384,
         )
     if name == "dihedral_on_s1":
-        (m,) = params or (5,)
+        (m,) = params
         if m < 3:
             raise InvalidParameter("dihedral_on_s1(m) needs m >= 3")
         rotation = tuple((i + 1) % m for i in range(m))
@@ -440,7 +466,7 @@ def builtin(name: str, *params) -> Scenario:
             checks=("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "evaluate_all"),
         )
     if name == "trivial_sphere":
-        (n,) = params or (3,)
+        (n,) = params
         if n < 1:
             raise InvalidParameter("trivial_sphere(n) needs n >= 1")
         return Scenario(
@@ -450,10 +476,6 @@ def builtin(name: str, *params) -> Scenario:
             checks=("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "evaluate_all"),
             snf_cap=16384,
         )
-    raise InvalidParameter(f"unknown builtin {name!r}")
-
-
-BUILTIN_NAMES = ("rp", "lens", "quaternion_q8", "sym3_on_s2", "dihedral_on_s1", "trivial_sphere")
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,25 @@ def test_cli_unknown_builtin(capsys):
     assert main(["builtin", "binary_icosahedral"]) == 2
 
 
+def test_cli_builtin_wrong_parameter_count(capsys):
+    assert main(["builtin", "rp", "2", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "builtin rp expects `rp [n]`, got 2 parameters" in err
+    assert main(["builtin", "lens"]) == 2
+    assert "`lens p [q]`" in capsys.readouterr().err
+    assert main(["builtin", "quaternion_q8", "1"]) == 2
+    assert "`quaternion_q8`" in capsys.readouterr().err
+
+
+def test_builtin_parameter_defaults():
+    assert builtin("rp").name == "rp(2)"
+    assert builtin("lens", 5).name == "lens(5,1)"
+    assert builtin("dihedral_on_s1").name == "dihedral_on_s1(5)"
+    assert builtin("trivial_sphere").name == "trivial_sphere(3)"
+    with pytest.raises(InvalidParameter):
+        builtin("lens", 5, 2, 1)
+
+
 def test_cli_emit_scenario(capsys):
     assert main(["builtin", "lens", "7", "2", "--emit-scenario"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,0 +1,152 @@
+"""Each subgroup's quotient and Betti numbers are computed once per scenario.
+
+run_scenario, cyclic_chain_check and transfer_check share the quotient
+cached on the action; these tests count the quotient constructions and
+check that results read from the caches equal those of a fresh action.
+"""
+
+import sys
+
+import pytest
+
+from conftest import octahedron
+from sqh.actions import close_generators, sylow
+from sqh.bounds import cyclic_chain_check, smith_floyd_check, transfer_check
+from sqh.complexes import chain_complex
+from sqh.homology import F2, SparseIntMatrix, betti
+from sqh.models import SignedPermutation
+from sqh.scenarios import Scenario, build_model, builtin, run_scenario
+
+
+@pytest.fixture
+def quotient_calls(monkeypatch):
+    """Arguments of every make_admissible_and_quotient call, wherever it is imported."""
+    import sqh.actions
+
+    calls = []
+    orig = sqh.actions.make_admissible_and_quotient
+
+    def counting(action, *args, **kwargs):
+        calls.append((action.complex, action.elements))
+        return orig(action, *args, **kwargs)
+
+    for name in ("sqh.actions", "sqh.bounds", "sqh.scenarios"):
+        module = sys.modules[name]
+        if vars(module).get("make_admissible_and_quotient") is orig:
+            monkeypatch.setattr(module, "make_admissible_and_quotient", counting)
+    return calls
+
+
+@pytest.fixture
+def used_actions(monkeypatch):
+    """The actions run_scenario builds, kept so checks can run on them afterwards."""
+    import sqh.scenarios
+
+    built = []
+    orig = sqh.scenarios.build_model
+
+    def keeping(*args, **kwargs):
+        bundle = orig(*args, **kwargs)
+        built.append(bundle.action)
+        return bundle
+
+    monkeypatch.setattr(sqh.scenarios, "build_model", keeping)
+    return built
+
+
+def test_lens72_one_quotient_per_subgroup(quotient_calls):
+    run_scenario(builtin("lens", 7, 2))
+    # C_7 = G for cyclic_chain and Syl_7 = G for transfer: one subgroup
+    assert len(quotient_calls) == len(set(quotient_calls)) == 1
+
+
+def test_q8_quotients_for_group_and_center(quotient_calls):
+    run_scenario(builtin("quaternion_q8"))
+    assert len(quotient_calls) == len(set(quotient_calls)) == 2
+    orders = sorted(len(elements) for _, elements in quotient_calls)
+    assert orders == [2, 8]
+
+
+def test_restrict_is_cached_and_full_group_is_self():
+    action = close_generators(octahedron(), [(3, 4, 5, 0, 1, 2), (1, 0, 2, 4, 3, 5)])
+    assert action.restrict(action.full_subgroup()) is action
+    sub = action.subgroup(action.closure_indices({1}))
+    assert action.restrict(sub) is action.restrict(action.subgroup(sub.indices))
+    assert action.restrict(sub).order == sub.order
+
+
+B3_ON_S2 = Scenario(
+    name="b3_on_s2",
+    space={
+        "signed_permutation": {
+            "n": 3,
+            "generators": [
+                SignedPermutation((2, 1, 3), (-1, 1, 1)).to_json_dict(),
+                SignedPermutation((2, 3, 1), (1, 1, 1)).to_json_dict(),
+                SignedPermutation((1, 2, 3), (-1, 1, 1)).to_json_dict(),
+            ],
+        }
+    },
+    fields=("Q", "Fp:2", "Fp:3"),
+    checks=("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "evaluate_all"),
+    snf_cap=16384,
+)
+
+
+def _all_checks(action_for, p):
+    """Every check at p, the cyclic chain on each subgroup of order p in index order.
+
+    Each check runs on `action_for()`, so a fresh action per check shares nothing.
+    """
+    action = action_for()
+    out = [
+        smith_floyd_check(action, sylow(action, action.full_subgroup(), p), p),
+        transfer_check(action_for(), p),
+    ]
+    seen = set()
+    for i in range(1, action.order):
+        if action.element_order(i) == p:
+            indices = action.closure_indices({i})
+            if indices not in seen:
+                seen.add(indices)
+                fresh = action_for()
+                out.append(cyclic_chain_check(fresh, fresh.subgroup(indices), p))
+    return out
+
+
+def test_cached_checks_equal_fresh_on_nonfree_b3(used_actions):
+    """Stale-key guard: caches filled by a run give the results of fresh actions."""
+    run_scenario(B3_ON_S2)
+    (used,) = used_actions
+    assert used.order == 48
+    nonempty_fixed = 0
+    for p in (2, 3):
+        cached = _all_checks(lambda: used, p)
+        fresh = _all_checks(lambda: build_model(B3_ON_S2).action, p)
+        assert cached == fresh
+        nonempty_fixed += sum(
+            1 for c in cached if c.name == "cyclic_chain" and any(c.detail["b_F"])
+        )
+    assert nonempty_fixed > 0  # the relative-homology path ran
+
+
+def test_cover_e1_details_share_one_per_j_list():
+    report = run_scenario(builtin("lens", 5, 1))
+    details = [c["detail"] for c in report["checks"] if c["name"] == "cover_e1"]
+    assert len(details) == len(builtin("lens", 5, 1).fields) > 1
+    assert all(d["per_J"] is details[0]["per_J"] for d in details)
+
+
+def test_chain_complex_verified_once(monkeypatch):
+    calls = []
+    orig = SparseIntMatrix.compose_is_zero
+
+    def counting(self, other):
+        calls.append(1)
+        return orig(self, other)
+
+    monkeypatch.setattr(SparseIntMatrix, "compose_is_zero", counting)
+    cc = chain_complex(octahedron())
+    betti(cc, [F2])
+    betti(cc, [F2], with_torsion=False)
+    assert len(calls) == len(cc.boundaries) - 1
