@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (
+    OrientedChainComplex,
     SimplicialComplex,
     Subdivision,
     barycentric_subdivision,
-    chain_complex,
     full_subcomplex,
 )
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     NeedsSubdivision,
     ResourceCapExceeded,
 )
-from .homology import BettiTable, FieldSpec, betti, is_prime
+from .homology import FieldSpec, SparseIntMatrix, betti, is_prime
 
 DEFAULT_ELEMENT_CAP = 20000
 
@@ -36,6 +36,11 @@ def apply_perm(perm, simplex) -> tuple:
 def _compose(a, b) -> tuple:
     """Permutation a after b: x -> a[b[x]]."""
     return tuple(a[x] for x in b)
+
+
+def _is_odd(seq) -> bool:
+    """Parity of the permutation that sorts `seq`, whose entries are distinct."""
+    return sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:]) % 2 == 1
 
 
 def _inverse(p) -> tuple:
@@ -66,11 +71,16 @@ class VertexAction:
     cached on the instance and freed with it:
 
     - multiplication, inverses and element orders
-    - vertex and simplex orbits, and the admissibility verdict
+    - vertex and simplex orbits, the admissibility verdict and, once asked
+      for, the orientation signs of the simplex orbits (`simplex_orbit_data`)
     - the restricted action of each subgroup, keyed by its sorted element
       indices (`restrict`)
-    - the default-depth admissible quotient (`admissible_quotient`)
-    - that quotient's Betti numbers per field (`quotient_betti`)
+    - the first barycentric subdivision, when the action is not admissible
+      (`admissible_subdivision`); an admissible action is its own and
+      stores nothing, so no cache refers back to its owner
+    - for an admissible action, its orbit chain complex
+      (`orbit_chain_complex`) and that complex's Betti numbers per field
+      (`orbit_betti`)
     """
 
     __slots__ = (
@@ -83,10 +93,10 @@ class VertexAction:
         "_orders",
         "_vertex_orbits",
         "_simplex_orbits",
-        "_admissible",
         "_restrictions",
-        "_quotient",
-        "_quotient_betti",
+        "_admissible_subdivision",
+        "_orbit_complex",
+        "_orbit_betti",
     )
 
     def __init__(self, complex: SimplicialComplex, elements, generator_indices) -> None:
@@ -99,10 +109,10 @@ class VertexAction:
         self._orders: dict = {}
         self._vertex_orbits = None
         self._simplex_orbits = None
-        self._admissible = None
         self._restrictions: dict = {}
-        self._quotient = None
-        self._quotient_betti: dict = {}
+        self._admissible_subdivision = None
+        self._orbit_complex = None
+        self._orbit_betti: dict = {}
 
     @property
     def order(self) -> int:
@@ -177,7 +187,10 @@ class VertexAction:
         return self.subgroup([0])
 
     def full_subgroup(self) -> SubgroupHandle:
-        return self.subgroup(range(self.order))
+        """The whole group: closed and normal by construction, abelian iff its generators commute."""
+        gens = self.generator_indices
+        abelian = all(self.mult(a, b) == self.mult(b, a) for a in gens for b in gens)
+        return SubgroupHandle(tuple(range(self.order)), self.order, True, abelian)
 
     def restrict(self, handle: SubgroupHandle) -> "VertexAction":
         """The subgroup acting on the same complex, built once per subgroup.
@@ -211,15 +224,26 @@ class VertexAction:
             self._vertex_orbits = (tuple(proj), tuple(orbits))
         return self._vertex_orbits
 
-    def simplex_orbit_data(self):
-        """Orbit id per simplex plus the admissibility verdict.
+    def simplex_orbit_data(self, signs: bool = False):
+        """(orbit id per simplex, orbit count, admissibility verdict, reversed simplices).
 
-        Admissibility is checked on orbit representatives only: if g
-        preserves a simplex setwise but moves a vertex, the same is true
+        Orbit ids are numbered in the order of `complex.simplices()`, so the
+        first simplex of each id is its orbit's least simplex, the
+        representative.  Admissibility is checked on representatives only:
+        if g preserves a simplex setwise but moves a vertex, the same is true
         of every conjugate on the rest of the orbit.
+
+        With `signs`, the same pass also collects the set of simplices t
+        whose orientation is reversed against their representative s: the
+        g with g(s) = t lists t's vertices in an odd order.  For an
+        admissible action the sign does not depend on the choice of g.
+        Signs make the pass about a quarter slower and the simplicial
+        quotient does not use them, so they are computed on request; without
+        them the last entry is None, unless an earlier call computed them.
         """
-        if self._simplex_orbits is None:
+        if self._simplex_orbits is None or (signs and self._simplex_orbits[3] is None):
             orbit_of: dict = {}
+            reversed_simplices = set() if signs else None
             n_orbits = 0
             admissible = True
             for level in self.complex.simplices():
@@ -232,9 +256,11 @@ class VertexAction:
                         img = apply_perm(e, s)
                         if img not in orbit_of:
                             orbit_of[img] = oid
+                            if signs and _is_odd([e[v] for v in s]):
+                                reversed_simplices.add(img)
                         if admissible and img == s and any(e[v] != v for v in s):
                             admissible = False
-            self._simplex_orbits = (orbit_of, n_orbits, admissible)
+            self._simplex_orbits = (orbit_of, n_orbits, admissible, reversed_simplices)
         return self._simplex_orbits
 
     def to_json_dict(self) -> dict:
@@ -288,10 +314,12 @@ def close_generators(
 
 
 def is_admissible(action: VertexAction) -> bool:
-    """True iff every element preserving a simplex setwise fixes it pointwise."""
-    if action._admissible is None:
-        action._admissible = action.simplex_orbit_data()[2]
-    return action._admissible
+    """True iff every element preserving a simplex setwise fixes it pointwise.
+
+    Decided by the signed orbit pass, so an admissible action's orbit chain
+    complex needs no second pass over the group.
+    """
+    return action.simplex_orbit_data(signs=True)[2]
 
 
 def induced_action_on_subdivision(action: VertexAction, sd: Subdivision) -> VertexAction:
@@ -313,7 +341,7 @@ def quotient_complex(action: VertexAction):
     orbit-set of vertices lie in the same orbit.  Either failure raises
     NeedsSubdivision.
     """
-    orbit_of, _, admissible = action.simplex_orbit_data()
+    orbit_of, _, admissible, _ = action.simplex_orbit_data()
     if not admissible:
         raise NeedsSubdivision("action is not admissible")
     proj, orbits = action.vertex_orbits()
@@ -337,7 +365,6 @@ def quotient_complex(action: VertexAction):
 @dataclass(frozen=True)
 class QuotientResult:
     complex: SimplicialComplex
-    projection: tuple
     subdivisions: int
     action: VertexAction
 
@@ -371,8 +398,8 @@ def make_admissible_and_quotient(
     count = 0
     while True:
         try:
-            quotient, proj = quotient_complex(current)
-            return QuotientResult(quotient, proj, count, current)
+            quotient, _ = quotient_complex(current)
+            return QuotientResult(quotient, count, current)
         except NeedsSubdivision:
             if count >= max_subdivisions:
                 raise
@@ -387,35 +414,74 @@ def make_admissible_and_quotient(
             count += 1
 
 
-def admissible_quotient(action: VertexAction, simplex_cap: int | None = None) -> QuotientResult:
-    """make_admissible_and_quotient(action) at the default depth, computed once per action.
+def admissible_subdivision(action: VertexAction) -> VertexAction:
+    """The action itself when admissible, else the action on its first barycentric subdivision.
 
-    The cap only bounds a computation still to be done; a cached result is
-    returned as it is.
+    One subdivision always suffices: a simplex of the subdivision is a flag
+    of faces of distinct dimensions, so an element preserving the flag fixes
+    each of its faces, which are its vertices.  Computed once per action.
     """
-    if action._quotient is None:
-        action._quotient = make_admissible_and_quotient(action, simplex_cap=simplex_cap)
-    return action._quotient
+    if is_admissible(action):
+        return action
+    if action._admissible_subdivision is None:
+        sd = barycentric_subdivision(action.complex)
+        action._admissible_subdivision = induced_action_on_subdivision(action, sd)
+    return action._admissible_subdivision
 
 
-def quotient_betti(action: VertexAction, field: FieldSpec) -> tuple:
-    """Betti numbers of admissible_quotient(action) over one field, computed once."""
-    got = action._quotient_betti.get(field)
+def orbit_chain_complex(action: VertexAction) -> OrientedChainComplex:
+    """Cellular chains of X/G for an admissible action: the coinvariants C_*(X)_G.
+
+    For an admissible action X/G is a CW complex with one cell per simplex
+    orbit, and its cellular chains are the coinvariants (Bredon,
+    Introduction to Compact Transformation Groups; Brown, Cohomology of
+    Groups).  The basis in each degree is the least simplex of each orbit,
+    in lexicographic order.  Face i of a representative enters its boundary
+    with (-1)^i times the sign of the vertex permutation carrying the face
+    onto its own orbit's representative.  A subcomplex fixed pointwise by
+    the group keeps its simplices as labels, since each is a singleton
+    orbit.  Built and checked for dd = 0 once per action.
+    """
+    if action._orbit_complex is None:
+        orbit_of, _, admissible, reversed_simplices = action.simplex_orbit_data(signs=True)
+        if not admissible:
+            raise NeedsSubdivision("action is not admissible")
+        # ids were handed out in this order, so each id first appears at its representative
+        reps: list = []
+        offsets: list = []
+        for level in action.complex.simplices():
+            offsets.append(len(reps))
+            for s in level:
+                if orbit_of[s] == len(reps):
+                    reps.append(s)
+        offsets.append(len(reps))
+        labels = tuple(tuple(reps[offsets[k]:offsets[k + 1]]) for k in range(len(offsets) - 1))
+        ranks = tuple(len(level) for level in labels)
+        boundaries = [SparseIntMatrix(0, ranks[0])] if ranks else []
+        for k in range(1, len(labels)):
+            cols = {}
+            for j, s in enumerate(labels[k]):
+                col: dict = {}
+                for i in range(len(s)):
+                    face = s[:i] + s[i + 1:]
+                    row = orbit_of[face] - offsets[k - 1]
+                    sign = -1 if face in reversed_simplices else 1
+                    col[row] = col.get(row, 0) + (-sign if i % 2 else sign)
+                cols[j] = col
+            boundaries.append(SparseIntMatrix.from_columns(ranks[k - 1], ranks[k], cols))
+        cc = OrientedChainComplex(ranks, tuple(boundaries), labels)
+        cc.verify()
+        action._orbit_complex = cc
+    return action._orbit_complex
+
+
+def orbit_betti(action: VertexAction, field: FieldSpec) -> tuple:
+    """Betti numbers of orbit_chain_complex(action) over one field, computed once per field."""
+    got = action._orbit_betti.get(field)
     if got is None:
-        quotient = admissible_quotient(action).complex
-        got = betti(chain_complex(quotient), [field], with_torsion=False).betti(field)
-        action._quotient_betti[field] = got
+        got = betti(orbit_chain_complex(action), [field], with_torsion=False).betti(field)
+        action._orbit_betti[field] = got
     return got
-
-
-def record_quotient_betti(action: VertexAction, table: BettiTable) -> None:
-    """Keep the exact rows of a table computed on admissible_quotient(action).
-
-    Rows over F_p are always exact; a Q row only when its ranks were certified.
-    """
-    for field in table.fields():
-        if not field.is_rationals or table.certified:
-            action._quotient_betti.setdefault(field, table.betti(field))
 
 
 def fixed_subcomplex(action: VertexAction, handle: SubgroupHandle) -> SimplicialComplex:

@@ -2,12 +2,17 @@
 
 Every check computes both sides of an inequality on the given action and
 records the inputs, so a verdict can be recomputed from the stored report.
-The quotient of each subgroup and its Betti numbers per field are cached
-on the action (see `VertexAction`): the cyclic-chain and transfer checks
-and the scenario run share them for as long as the action lives, which in
-`run_scenario` is one scenario.  Everything else a check needs (fixed
-sets, relative homology, Smith-Floyd's subdivisions) is computed inside
-the check.  A failed hard verdict means either an engine bug or a genuine
+A check works on the subgroup's action at its admissible subdivision (the
+action itself, or its first barycentric subdivision; see
+`admissible_subdivision`).  Quotient homology comes from the orbit chain
+complex there, and relative homology of the quotient pair from that complex
+with the fixed cells removed.  The restricted actions, their admissible
+subdivisions, orbit complexes and orbit Betti numbers are cached on the
+action (see `VertexAction`), so the checks share them for as long as the
+action lives, which in `run_scenario` is one scenario.  Fixed sets and
+relative homology are computed inside each check.  The simplicial quotient
+that `run_scenario` reports is built on its own route, not shared with the
+checks.  A failed hard verdict means either an engine bug or a genuine
 counterexample, and aborts the run with a diagnostic dump.
 """
 
@@ -19,14 +24,13 @@ from dataclasses import dataclass, field
 from .actions import (
     VertexAction,
     SubgroupHandle,
-    admissible_quotient,
+    admissible_subdivision,
     fixed_subcomplex,
-    induced_action_on_subdivision,
-    is_admissible,
-    quotient_betti,
+    orbit_betti,
+    orbit_chain_complex,
     sylow,
 )
-from .complexes import SimplicialComplex, barycentric_subdivision, chain_complex
+from .complexes import SimplicialComplex, chain_complex
 from .errors import BoundViolation, InvalidParameter
 from .homology import BettiTable, FieldSpec, betti, is_prime, relative_betti
 
@@ -123,17 +127,12 @@ def smith_floyd_check(action: VertexAction, p_subgroup: SubgroupHandle, p: int) 
     if n != 1:
         raise InvalidParameter(f"subgroup of order {p_subgroup.order} is not a {p}-group")
     fp = FieldSpec(p)
-    # only admissibility is needed for the fixed set; one subdivision always suffices
+    # only admissibility is needed for the fixed set
     restricted = action.restrict(p_subgroup)
-    subdivisions = 0
-    while not is_admissible(restricted):
-        sd = barycentric_subdivision(restricted.complex)
-        restricted = induced_action_on_subdivision(restricted, sd)
-        subdivisions += 1
-        if subdivisions > 3:
-            raise InvalidParameter("admissibility not reached after 3 subdivisions")
-    fixed = fixed_subcomplex(restricted, restricted.full_subgroup())
-    length = restricted.complex.dimension + 1
+    y_action = admissible_subdivision(restricted)
+    subdivisions = int(y_action is not restricted)
+    fixed = fixed_subcomplex(y_action, y_action.full_subgroup())
+    length = y_action.complex.dimension + 1
     lhs = sum(_betti_or_zero(fixed, fp, length))
     rhs = sum(_betti_or_zero(action.complex, fp, action.complex.dimension + 1))
     return CheckResult(
@@ -144,25 +143,12 @@ def smith_floyd_check(action: VertexAction, p_subgroup: SubgroupHandle, p: int) 
     )
 
 
-def _image_subcomplex(fixed: SimplicialComplex, projection, quotient: SimplicialComplex) -> SimplicialComplex:
-    facets = {tuple(sorted(projection[v] for v in f)) for f in fixed.facets}
-    return SimplicialComplex(quotient.vertex_count, sorted(facets))
-
-
-def _relative_betti_or(
-    k: SimplicialComplex, sub: SimplicialComplex, fieldspec: FieldSpec, length: int, absolute
-) -> list:
-    """b(K, sub) over the field; relative to an empty sub it is `absolute`, K's own numbers."""
-    if not sub.facets:
-        return absolute
-    return _pad(relative_betti(chain_complex(k), sub, [fieldspec]).betti(fieldspec), length)
-
-
 def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) -> CheckResult:
     """The three inequality families behind the cyclic orbit bound.
 
-    Over F_p, with Y the (subdivided) space, F its fixed subcomplex and
-    Q = Y/C_p:
+    Over F_p, with Y the space at the admissible subdivision of the C_p
+    action, F its fixed subcomplex and Q = Y/C_p, whose chains are the
+    orbit chain complex:
       (1) b_t(Y, F) <= b_t(Y) + b_{t-1}(F)           (pair sequence)
       (2) b_n(Q, F) <= sum_{t<=n} b_t(Y, F)           (Cartan-Leray)
       (3) b_n(Q)    <= b_n(F) + b_n(Q, F)             (pair sequence)
@@ -174,19 +160,22 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
         raise InvalidParameter("subgroup must be trivial or cyclic of order p")
     fp = FieldSpec(p)
     restricted = action.restrict(cp_handle)
-    res = admissible_quotient(restricted)
-    y = res.action.complex
+    y_action = admissible_subdivision(restricted)
+    y = y_action.complex
     d = y.dimension
     length = d + 1
-    fixed = fixed_subcomplex(res.action, res.action.full_subgroup())
+    fixed = fixed_subcomplex(y_action, y_action.full_subgroup())
 
     # Betti numbers do not change under subdivision: b(Y) is the model's
     b_y = _betti_or_zero(action.complex, fp, length)
     b_f = _betti_or_zero(fixed, fp, length)
-    b_rel_yf = _relative_betti_or(y, fixed, fp, length, b_y)
-    b_q = _pad(quotient_betti(restricted, fp), length)
-    fixed_image = _image_subcomplex(fixed, res.projection, res.complex)
-    b_rel_qf = _relative_betti_or(res.complex, fixed_image, fp, length, b_q)
+    b_q = _pad(orbit_betti(y_action, fp), length)
+    if fixed.facets:
+        # F's simplices are singleton orbits, so they label cells of Q as well
+        b_rel_yf = _pad(relative_betti(chain_complex(y), fixed, [fp]).betti(fp), length)
+        b_rel_qf = _pad(relative_betti(orbit_chain_complex(y_action), fixed, [fp]).betti(fp), length)
+    else:  # relative to an empty F, the pairs are the spaces themselves
+        b_rel_yf, b_rel_qf = b_y, b_q
 
     k = max(b_y)
     headline = cyclic_bound(d, k)
@@ -206,7 +195,7 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
             "subgroup_order": cp_handle.order,
             "d": d,
             "k": k,
-            "subdivisions": res.subdivisions,
+            "subdivisions": int(y_action is not restricted),
         },
         detail={
             "b_Y": b_y,
@@ -230,12 +219,9 @@ def transfer_check(action: VertexAction, p: int) -> CheckResult:
     fp = FieldSpec(p)
     full = action.full_subgroup()
     syl = sylow(action, full, p)
-    syl_action = action.restrict(syl)
-    res_g = admissible_quotient(action)
-    res_p = admissible_quotient(syl_action)
-    length = max(res_g.complex.dimension, res_p.complex.dimension, action.complex.dimension) + 1
-    b_g = _pad(quotient_betti(action, fp), length)
-    b_p = _pad(quotient_betti(syl_action, fp), length)
+    length = action.complex.dimension + 1
+    b_g = _pad(orbit_betti(admissible_subdivision(action), fp), length)
+    b_p = _pad(orbit_betti(admissible_subdivision(action.restrict(syl)), fp), length)
     ok = all(x <= y for x, y in zip(b_g, b_p))
     return CheckResult(
         name="transfer",

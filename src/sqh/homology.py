@@ -69,7 +69,7 @@ class FieldSpec:
     def parse(cls, label: str) -> "FieldSpec":
         if label == "Q":
             return cls(None)
-        if label.startswith("Fp:"):
+        if label.startswith("Fp:") and label[3:].isdecimal():
             return cls(int(label[3:]))
         raise InvalidParameter(f"unknown field label {label!r}")
 
@@ -576,6 +576,8 @@ def relative_betti(
 
     `chain` must be the chain complex of K and `sub` a subcomplex of K
     (simplices of `sub` must all be simplices of K, with the same labels).
+    K may also be an orbit chain complex, whose labels are the orbits'
+    least simplices, and L a subcomplex fixed pointwise by the group.
     """
     return betti(
         _relative_chain(chain, sub),

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from . import __version__
 from .actions import (
     VertexAction,
-    admissible_quotient,
     best_abelian_normal_subgroup,
     close_generators,
     induced_action_on_subdivision,
+    make_admissible_and_quotient,
     quotient_complex,
-    record_quotient_betti,
     sylow,
     QuotientResult,
     _predicted_sd_size,
@@ -80,7 +79,10 @@ class Scenario:
         if not self.fields:
             raise InvalidParameter("fields must be nonempty")
         for label in self.fields:
-            FieldSpec.parse(label)
+            try:
+                FieldSpec.parse(label)
+            except InvalidParameter as e:
+                raise InvalidParameter(f"field 'fields': {e} (expected Q or Fp:<prime>)") from None
         variants = [k for k in ("character_join", "signed_permutation", "explicit") if k in self.space]
         if len(variants) != 1 or len(self.space) != 1:
             raise InvalidParameter("space must contain exactly one variant")
@@ -116,6 +118,11 @@ class Scenario:
     def from_json_dict(cls, data: dict) -> "Scenario":
         if not isinstance(data, dict):
             raise InvalidParameter("scenario must be a JSON object")
+        fields = data.get("fields")
+        if fields is not None and (
+            not isinstance(fields, list) or not all(isinstance(f, str) for f in fields)
+        ):
+            raise InvalidParameter("field 'fields' must be a list of labels such as \"Q\" or \"Fp:2\"")
         try:
             return cls(
                 name=data["name"],
@@ -158,7 +165,7 @@ def build_model(scenario: Scenario, cap: int | None = None) -> ModelBundle:
 
 def _quotient_for(scenario: Scenario, action: VertexAction, cap: int) -> QuotientResult:
     if scenario.subdivisions == "auto":
-        return admissible_quotient(action, simplex_cap=cap)
+        return make_admissible_and_quotient(action, simplex_cap=cap)
     current = action
     for _ in range(scenario.subdivisions):
         predicted = _predicted_sd_size(current.complex.f_vector())
@@ -168,8 +175,8 @@ def _quotient_for(scenario: Scenario, action: VertexAction, cap: int) -> Quotien
             )
         sd = barycentric_subdivision(current.complex)
         current = induced_action_on_subdivision(current, sd)
-    quotient, proj = quotient_complex(current)
-    return QuotientResult(quotient, proj, scenario.subdivisions, current)
+    quotient, _ = quotient_complex(current)
+    return QuotientResult(quotient, scenario.subdivisions, current)
 
 
 def _primes_dividing(n: int) -> list:
@@ -222,8 +229,6 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
         snf_cap=scenario.snf_cap,
         seed=scenario.seed,
     )
-    if scenario.subdivisions == "auto":
-        record_quotient_betti(action, quotient_table)
     stage("quotient_betti", t0)
 
     t0 = time.perf_counter()

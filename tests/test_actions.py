@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import octahedron
+from test_acceptance import CORPUS_SCENARIOS
 from sqh.actions import (
     VertexAction,
     all_subgroups,
@@ -25,6 +26,8 @@ from sqh.complexes import (
 )
 from sqh.errors import ActionInvalid, GroupTooLarge, InvalidParameter, NeedsSubdivision
 from sqh.homology import F2, F3, F5, RATIONALS, betti
+from sqh.models import SignedPermutation, signed_permutation_action
+from sqh.scenarios import build_model
 
 
 def cross4():
@@ -308,3 +311,28 @@ def test_action_serialization_round_trip():
     b = close_generators(SimplicialComplex.from_json_dict(blob["complex"]), blob["generators"])
     assert b.order == a.order
     assert set(b.elements) == set(a.elements)
+
+
+def b4_action():
+    """The full signed permutation group B_4 (order 384) on the 4-cross-polytope."""
+    gens = [
+        SignedPermutation((2, 1, 3, 4), (1, 1, 1, 1)),
+        SignedPermutation((2, 3, 4, 1), (1, 1, 1, 1)),
+        SignedPermutation((1, 2, 3, 4), (-1, 1, 1, 1)),
+    ]
+    return signed_permutation_action(4, gens)
+
+
+@pytest.mark.parametrize("scenario", CORPUS_SCENARIOS, ids=lambda sc: sc.name)
+def test_full_subgroup_equals_checked_subgroup(scenario):
+    action = build_model(scenario).action
+    assert action.full_subgroup() == action.subgroup(range(action.order))
+
+
+def test_full_subgroup_b4_is_nonabelian_and_normal():
+    action = b4_action()
+    full = action.full_subgroup()
+    assert (full.order, full.is_normal, full.is_abelian) == (384, True, False)
+    # only the generator pairs were multiplied, not |G|^2 products
+    assert len(action._mult) <= 2 * len(action.generator_indices) ** 2
+    assert full == action.subgroup(range(action.order))

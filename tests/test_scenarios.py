@@ -263,3 +263,29 @@ def test_cli_timings_flag(tmp_path, capsys):
     assert main(["run", str(sc_path)]) == 0
     without = json.loads(capsys.readouterr().out)
     assert without["timing"] is None
+
+
+def _run_scenario_file(tmp_path, data) -> int:
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    return main(["run", str(path)])
+
+
+def test_cli_fields_not_a_list_names_the_field(tmp_path, capsys):
+    data = {**builtin("rp", 2).to_json_dict(), "fields": 5}
+    assert _run_scenario_file(tmp_path, data) == 2
+    assert "field 'fields'" in capsys.readouterr().err
+
+
+def test_cli_bad_field_label_names_the_field(tmp_path, capsys):
+    data = {**builtin("rp", 2).to_json_dict(), "fields": ["Fp:x"]}
+    assert _run_scenario_file(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert "field 'fields'" in err and "'Fp:x'" in err
+
+
+def test_cli_character_join_without_sign_characters_names_the_field(tmp_path, capsys):
+    data = builtin("lens", 5, 1).to_json_dict()
+    del data["space"]["character_join"]["sign_characters"]
+    assert _run_scenario_file(tmp_path, data) == 2
+    assert "'sign_characters'" in capsys.readouterr().err

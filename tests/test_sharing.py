@@ -1,16 +1,18 @@
 """Each subgroup's quotient and Betti numbers are computed once per scenario.
 
-run_scenario, cyclic_chain_check and transfer_check share the quotient
-cached on the action; these tests count the quotient constructions and
-check that results read from the caches equal those of a fresh action.
+run_scenario builds the simplicial quotient of the whole group once;
+cyclic_chain_check and transfer_check share the orbit chain complexes
+cached on the action.  These tests count both constructions and check
+that results read from the caches equal those of a fresh action.
 """
 
+import gc
 import sys
 
 import pytest
 
 from conftest import octahedron
-from sqh.actions import close_generators, sylow
+from sqh.actions import VertexAction, close_generators, sylow
 from sqh.bounds import cyclic_chain_check, smith_floyd_check, transfer_check
 from sqh.complexes import chain_complex
 from sqh.homology import F2, SparseIntMatrix, betti
@@ -18,13 +20,12 @@ from sqh.models import SignedPermutation
 from sqh.scenarios import Scenario, build_model, builtin, run_scenario
 
 
-@pytest.fixture
-def quotient_calls(monkeypatch):
-    """Arguments of every make_admissible_and_quotient call, wherever it is imported."""
+def _record_calls(monkeypatch, attr):
+    """Actions passed to every call of sqh.actions.<attr>, wherever it is imported."""
     import sqh.actions
 
     calls = []
-    orig = sqh.actions.make_admissible_and_quotient
+    orig = getattr(sqh.actions, attr)
 
     def counting(action, *args, **kwargs):
         calls.append((action.complex, action.elements))
@@ -32,9 +33,19 @@ def quotient_calls(monkeypatch):
 
     for name in ("sqh.actions", "sqh.bounds", "sqh.scenarios"):
         module = sys.modules[name]
-        if vars(module).get("make_admissible_and_quotient") is orig:
-            monkeypatch.setattr(module, "make_admissible_and_quotient", counting)
+        if vars(module).get(attr) is orig:
+            monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture
+def quotient_calls(monkeypatch):
+    return _record_calls(monkeypatch, "make_admissible_and_quotient")
+
+
+@pytest.fixture
+def orbit_complex_calls(monkeypatch):
+    return _record_calls(monkeypatch, "orbit_chain_complex")
 
 
 @pytest.fixture
@@ -56,14 +67,17 @@ def used_actions(monkeypatch):
 
 def test_lens72_one_quotient_per_subgroup(quotient_calls):
     run_scenario(builtin("lens", 7, 2))
-    # C_7 = G for cyclic_chain and Syl_7 = G for transfer: one subgroup
+    # the reported quotient of G; the checks on C_7 = Syl_7 = G use the orbit complex
     assert len(quotient_calls) == len(set(quotient_calls)) == 1
 
 
-def test_q8_quotients_for_group_and_center(quotient_calls):
+def test_q8_quotients_for_group_and_center(quotient_calls, orbit_complex_calls):
     run_scenario(builtin("quaternion_q8"))
-    assert len(quotient_calls) == len(set(quotient_calls)) == 2
-    orders = sorted(len(elements) for _, elements in quotient_calls)
+    # the reported quotient row: one simplicial quotient, of G
+    assert [len(elements) for _, elements in quotient_calls] == [8]
+    # the checks: one orbit complex each for G (transfer) and its centre C_2 (cyclic chain)
+    assert len(orbit_complex_calls) == len(set(orbit_complex_calls)) == 2
+    orders = sorted(len(elements) for _, elements in orbit_complex_calls)
     assert orders == [2, 8]
 
 
@@ -150,3 +164,19 @@ def test_chain_complex_verified_once(monkeypatch):
     betti(cc, [F2])
     betti(cc, [F2], with_torsion=False)
     assert len(calls) == len(cc.boundaries) - 1
+
+
+def test_finished_scenarios_leave_no_action_in_a_reference_cycle():
+    """Caches must not refer back to their action, or it outlives its scenario."""
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(builtin("lens", 5, 2))
+        run_scenario(builtin("quaternion_q8"))
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        assert not [o for o in gc.garbage if isinstance(o, VertexAction)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
