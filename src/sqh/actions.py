@@ -24,7 +24,7 @@ from .errors import (
     NeedsSubdivision,
     ResourceCapExceeded,
 )
-from .homology import FieldSpec, SparseIntMatrix, betti, is_prime
+from .homology import FieldSpec, SparseIntMatrix, betti, is_prime, prime_factors
 
 DEFAULT_ELEMENT_CAP = 20000
 
@@ -530,11 +530,7 @@ def sylow(action: VertexAction, handle: SubgroupHandle, p: int) -> SubgroupHandl
     """
     if not is_prime(p):
         raise InvalidParameter(f"{p} is not prime")
-    target = 1
-    n = handle.order
-    while n % p == 0:
-        target *= p
-        n //= p
+    target = p ** prime_factors(handle.order).get(p, 0)
     current = action.subgroup([0])
     while current.order < target:
         norm = normalizer(action, handle, current)
@@ -543,16 +539,10 @@ def sylow(action: VertexAction, handle: SubgroupHandle, p: int) -> SubgroupHandl
         for g in norm:
             if g in cset:
                 continue
-            o = action.element_order(g)
-            while o % p == 0:
-                o //= p
-            if o != 1:
+            if prime_factors(action.element_order(g)).keys() - {p}:
                 continue
             new_idx = action.closure_indices(set(current.indices) | {g})
-            m = len(new_idx)
-            while m % p == 0:
-                m //= p
-            if m == 1:
+            if not prime_factors(len(new_idx)).keys() - {p}:
                 current = action.subgroup(new_idx)
                 progressed = True
                 break
@@ -579,16 +569,10 @@ def central_series_cp(action: VertexAction, handle: SubgroupHandle):
     order = handle.order
     if order == 1:
         return [action.subgroup([0])]
-    p = None
-    for cand in range(2, order + 1):
-        if order % cand == 0:
-            p = cand
-            break
-    n = order
-    while n % p == 0:
-        n //= p
-    if n != 1 or not is_prime(p):
+    factors = prime_factors(order)
+    if len(factors) != 1:
         raise InvalidParameter(f"subgroup of order {order} is not a p-group")
+    (p,) = factors
     series = [action.subgroup([0])]
     current = series[0]
     hset = set(handle.indices)

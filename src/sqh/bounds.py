@@ -32,7 +32,7 @@ from .actions import (
 )
 from .complexes import SimplicialComplex, chain_complex
 from .errors import BoundViolation, InvalidParameter
-from .homology import BettiTable, FieldSpec, betti, is_prime, relative_betti
+from .homology import BettiTable, FieldSpec, betti, is_prime, prime_factors, relative_betti
 
 
 def jordan_constant(n: int) -> int:
@@ -121,10 +121,7 @@ def smith_floyd_check(action: VertexAction, p_subgroup: SubgroupHandle, p: int) 
     """Total mod-p Betti of the fixed set is at most that of the space."""
     if not is_prime(p):
         raise InvalidParameter(f"{p} is not prime")
-    n = p_subgroup.order
-    while n % p == 0:
-        n //= p
-    if n != 1:
+    if prime_factors(p_subgroup.order).keys() - {p}:
         raise InvalidParameter(f"subgroup of order {p_subgroup.order} is not a {p}-group")
     fp = FieldSpec(p)
     # only admissibility is needed for the fixed set
@@ -304,23 +301,6 @@ class BoundReport:
         }
 
 
-def _prime_power_exponent(order: int):
-    """(p, r) if order = p^r with r >= 1, else None."""
-    if order < 2:
-        return None
-    p = None
-    for cand in range(2, order + 1):
-        if order % cand == 0:
-            p = cand
-            break
-    r = 0
-    n = order
-    while n % p == 0:
-        n //= p
-        r += 1
-    return (p, r) if n == 1 else None
-
-
 def evaluate_all(obs: ScenarioObservation, checks=(), strict: bool = True) -> BoundReport:
     """Evaluate every applicable bound for the observation, per field.
 
@@ -331,7 +311,8 @@ def evaluate_all(obs: ScenarioObservation, checks=(), strict: bool = True) -> Bo
     n = obs.ambient_n
     d = n - 1
     q_order = obs.group_order // obs.abelian_normal_order
-    pp = _prime_power_exponent(obs.group_order)
+    factors = prime_factors(obs.group_order)
+    pp = next(iter(factors.items())) if len(factors) == 1 else None  # (p, r): order = p^r
     rows = []
     for f in obs.quotient_table.fields():
         label = f.label()

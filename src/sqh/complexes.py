@@ -24,7 +24,7 @@ class SimplicialComplex:
     none contained in another.
     """
 
-    __slots__ = ("vertex_count", "facets", "_simplices", "_simplex_set")
+    __slots__ = ("vertex_count", "facets", "_simplices", "_simplex_set", "_chain")
 
     def __init__(self, vertex_count: int, facets) -> None:
         if vertex_count < 0:
@@ -41,6 +41,7 @@ class SimplicialComplex:
         self.facets = _maximal(canon)
         self._simplices = None
         self._simplex_set = None
+        self._chain = None
 
     @property
     def dimension(self) -> int:
@@ -221,7 +222,14 @@ def full_subcomplex(k: SimplicialComplex, vertices) -> SimplicialComplex:
 
 
 def chain_complex(k: SimplicialComplex) -> OrientedChainComplex:
-    """Oriented simplicial chains of k; verifies dd = 0 before returning."""
+    """Oriented simplicial chains of k, built and checked (dd = 0) once per complex.
+
+    The complex keeps the result, so its matrices, their check and their
+    unit reductions (see `SparseIntMatrix.unit_reduction`) are shared by
+    every caller for as long as the complex lives.
+    """
+    if k._chain is not None:
+        return k._chain
     levels = k.simplices()
     ranks = tuple(len(level) for level in levels)
     boundaries = []
@@ -241,4 +249,5 @@ def chain_complex(k: SimplicialComplex) -> OrientedChainComplex:
         boundaries.append(mat)
     cc = OrientedChainComplex(ranks, tuple(boundaries), tuple(levels))
     cc.verify()
+    k._chain = cc
     return cc

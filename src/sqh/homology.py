@@ -1,10 +1,20 @@
 """Exact Betti numbers over Q and prime fields for integer chain complexes.
 
 The engine is pure stdlib: sparse matrices are dicts of Python ints, so
-fraction-free elimination never overflows.  Ranks come from sparse
-Gaussian elimination with min-degree (Markowitz-style) pivoting; integral
-structure comes from a Smith-normal-form routine that first sweeps out
-unit pivots sparsely and finishes with gcd pivoting.
+fraction-free elimination never overflows.
+
+Ranks.  A pivot of +-1 is a unit over Z and over every field, so each
+matrix is first reduced once over Z by its unit pivots
+(`SparseIntMatrix.unit_reduction`): m is equivalent to I_u + R by
+unimodular row and column operations, and the rank of m over Q or F_p is
+u plus the rank of the small residual R there.  The reduction is cached on
+the matrix, so every field's rank shares it; the sparse Gaussian
+eliminations with min-degree (Markowitz-style) pivoting run only on R.
+
+Integral structure comes from a Smith-normal-form routine that first
+sweeps out unit pivots sparsely and finishes with gcd pivoting.  It runs
+on the original matrix, not on R, so `betti`'s SNF-versus-rank
+cross-check compares two independent eliminations.
 """
 
 from __future__ import annotations
@@ -47,6 +57,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_factors(n: int) -> dict:
+    """{p: e} with n the product of the p^e, primes ascending; {} for n = 1."""
+    if n < 1:
+        raise InvalidParameter(f"cannot factor {n}")
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Either the rationals (p is None) or the prime field F_p."""
@@ -86,7 +112,7 @@ F5 = FieldSpec(5)
 class SparseIntMatrix:
     """Immutable sparse integer matrix, stored column-major."""
 
-    __slots__ = ("rows", "cols", "_columns")
+    __slots__ = ("rows", "cols", "_columns", "_reduction")
 
     def __init__(self, rows: int, cols: int, entries=None) -> None:
         self.rows = rows
@@ -102,6 +128,7 @@ class SparseIntMatrix:
                     columns[c] = {}
                 columns[c][r] = v
         self._columns = columns
+        self._reduction = None
 
     @classmethod
     def from_columns(cls, rows: int, cols: int, coldict) -> "SparseIntMatrix":
@@ -126,11 +153,11 @@ class SparseIntMatrix:
                 for r, v in col.items():
                     yield r, c, v
 
-    def transpose(self) -> "SparseIntMatrix":
-        cols = {}
-        for r, c, v in self.iter_entries():
-            cols.setdefault(r, {})[c] = v
-        return SparseIntMatrix.from_columns(self.cols, self.rows, cols)
+    def unit_reduction(self) -> tuple:
+        """(u, R) with self equivalent to I_u + R over Z; computed on first use."""
+        if self._reduction is None:
+            self._reduction = _unit_reduction(self)
+        return self._reduction
 
     def compose_is_zero(self, other: "SparseIntMatrix") -> bool:
         """True iff self @ other is the zero matrix."""
@@ -206,10 +233,71 @@ def _pop_min_degree_column(heap, col_rows):
     return None
 
 
+def _unit_reduction(m: SparseIntMatrix) -> tuple:
+    """Eliminate the +-1 pivots of m over Z; return (u, R) with m ~ I_u + R.
+
+    Columns are taken in min-degree order, and each takes the shortest row
+    among its unit entries.  Row r2 then loses row2[c] * v times the pivot
+    row (v = +-1 is its own inverse), an exact Schur-complement update;
+    the pivot row and column drop out, which the column operations
+    clearing the pivot row would do.  A column without a unit entry when
+    it is taken stays in R, still updated by later pivots.  R is the
+    remaining rows and columns, renumbered densely.
+    """
+    rows_map, col_rows = _row_structure(m)
+    heap = [(len(rs), c) for c, rs in col_rows.items()]
+    heapq.heapify(heap)
+    units = 0
+    while True:
+        c = _pop_min_degree_column(heap, col_rows)
+        if c is None:
+            break
+        unit_rows = [rr for rr in col_rows[c] if rows_map[rr][c] in (1, -1)]
+        if not unit_rows:
+            continue  # out of the heap for good, but still tracked for fill-in
+        r = min(unit_rows, key=lambda rr: (len(rows_map[rr]), rr))
+        pivot_row = rows_map.pop(r)
+        v = pivot_row[c]
+        for cc in pivot_row:
+            col_rows[cc].discard(r)
+        others = sorted(col_rows.pop(c))
+        for r2 in others:
+            row2 = rows_map[r2]
+            f = row2[c] * v
+            for cc, vv in pivot_row.items():
+                nv = row2.get(cc, 0) - f * vv
+                if nv:
+                    if cc not in row2 and cc in col_rows:
+                        col_rows[cc].add(r2)
+                    row2[cc] = nv
+                else:
+                    if cc in row2:
+                        del row2[cc]
+                        if cc in col_rows:
+                            col_rows[cc].discard(r2)
+            if not row2:
+                del rows_map[r2]
+        units += 1
+    columns: dict = {}
+    for i, r in enumerate(sorted(rows_map)):
+        for c, val in rows_map[r].items():
+            columns.setdefault(c, {})[i] = val
+    residual = SparseIntMatrix.from_columns(
+        len(rows_map), len(columns), {j: columns[c] for j, c in enumerate(sorted(columns))}
+    )
+    return units, residual
+
+
 def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
-    """Rank over F_p by sparse elimination, min-degree column pivoting."""
+    """Rank over F_p: the unit pivots plus the residual's rank mod p."""
     if not is_prime(p):
         raise InvalidParameter(f"{p} is not prime")
+    units, residual = m.unit_reduction()
+    return units + _rank_mod_p_elimination(residual, p)
+
+
+def _rank_mod_p_elimination(m: SparseIntMatrix, p: int) -> int:
+    """Rank over F_p by sparse elimination, min-degree column pivoting."""
     rows_map: dict = {}
     col_rows: dict = {}
     for r, c, v in m.iter_entries():
@@ -310,9 +398,14 @@ def _rank_over_q_certified(m: SparseIntMatrix) -> int:
 
 
 def rank_over_q(m: SparseIntMatrix, certified: bool = True, rng: random.Random | None = None) -> int:
-    """Rank over Q: exact if certified, else max of ranks at two random 30-bit primes."""
+    """Rank over Q: exact if certified, else max of ranks at two random 30-bit primes.
+
+    Either way the unit pivots of m count once and only the residual is
+    eliminated (rank_mod_p shares the reduction).
+    """
     if certified:
-        return _rank_over_q_certified(m)
+        units, residual = m.unit_reduction()
+        return units + _rank_over_q_certified(residual)
     rng = rng if rng is not None else random.Random(0)
     primes = []
     while len(primes) < 2:

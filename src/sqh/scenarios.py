@@ -39,7 +39,7 @@ from .bounds import (
 )
 from .complexes import SimplicialComplex, barycentric_subdivision, chain_complex
 from .errors import InvalidParameter, ResourceCapExceeded
-from .homology import F2, F3, F5, FieldSpec, RATIONALS, betti
+from .homology import F2, F3, F5, FieldSpec, RATIONALS, betti, prime_factors
 from .models import (
     AbelianCharacterData,
     SignedPermutation,
@@ -118,24 +118,42 @@ class Scenario:
     def from_json_dict(cls, data: dict) -> "Scenario":
         if not isinstance(data, dict):
             raise InvalidParameter("scenario must be a JSON object")
-        fields = data.get("fields")
-        if fields is not None and (
-            not isinstance(fields, list) or not all(isinstance(f, str) for f in fields)
-        ):
+        fields = _entry(data, "fields", "scenario")
+        if not isinstance(fields, list) or not all(isinstance(f, str) for f in fields):
             raise InvalidParameter("field 'fields' must be a list of labels such as \"Q\" or \"Fp:2\"")
-        try:
-            return cls(
-                name=data["name"],
-                space=data["space"],
-                fields=tuple(data["fields"]),
-                subdivisions=data.get("subdivisions", "auto"),
-                checks=tuple(data.get("checks", ())),
-                certified=bool(data.get("certified", True)),
-                seed=int(data.get("seed", 0)),
-                snf_cap=int(data.get("snf_cap", 5000)),
+        space = _entry(data, "space", "scenario")
+        if not isinstance(space, dict):
+            raise InvalidParameter(
+                "field 'space' must be an object holding one of character_join, signed_permutation, explicit"
             )
-        except KeyError as e:
-            raise InvalidParameter(f"scenario is missing field {e.args[0]!r}") from e
+        checks = data.get("checks", [])
+        if not isinstance(checks, list):
+            raise InvalidParameter("field 'checks' must be a list of check names")
+        return cls(
+            name=_entry(data, "name", "scenario"),
+            space=space,
+            fields=tuple(fields),
+            subdivisions=data.get("subdivisions", "auto"),
+            checks=tuple(checks),
+            certified=bool(data.get("certified", True)),
+            seed=_integer(data.get("seed", 0), "seed"),
+            snf_cap=_integer(data.get("snf_cap", 5000), "snf_cap"),
+        )
+
+
+def _entry(data, key: str, where: str):
+    """data[key], or InvalidParameter naming the key when data is no object or lacks it."""
+    if not isinstance(data, dict):
+        raise InvalidParameter(f"{where} must be a JSON object")
+    if key not in data:
+        raise InvalidParameter(f"{where} is missing field {key!r}")
+    return data[key]
+
+
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameter(f"field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -154,13 +172,29 @@ def build_model(scenario: Scenario, cap: int | None = None) -> ModelBundle:
         model = character_join_model(data)
         return ModelBundle(model.action, data.ambient_dimension, data, model.kernel_order)
     if kind == "signed_permutation":
-        n = int(payload["n"])
-        gens = [SignedPermutation.from_json_dict(g) for g in payload["generators"]]
+        n = _integer(_entry(payload, "n", kind), "n")
+        gens = [
+            SignedPermutation.from_json_dict(
+                {key: _list(_entry(g, key, f"{kind} generator {i}"), key) for key in ("perm", "signs")}
+            )
+            for i, g in enumerate(_list(_entry(payload, "generators", kind), "generators"))
+        ]
         action = signed_permutation_action(n, gens)
         return ModelBundle(action, n, None, 1)
-    complex_ = SimplicialComplex.from_json_dict(payload["complex"])
-    action = close_generators(complex_, [tuple(g) for g in payload["generators"]])
+    raw = _entry(payload, "complex", kind)
+    complex_ = SimplicialComplex(
+        _integer(_entry(raw, "vertex_count", f"{kind} complex"), "vertex_count"),
+        _list(_entry(raw, "facets", f"{kind} complex"), "facets"),
+    )
+    gens = [tuple(_list(g, "generators")) for g in _list(_entry(payload, "generators", kind), "generators")]
+    action = close_generators(complex_, gens)
     return ModelBundle(action, complex_.dimension + 1, None, 1)
+
+
+def _list(value, key: str):
+    if not isinstance(value, (list, tuple)):
+        raise InvalidParameter(f"field {key!r} must be a list, got {value!r}")
+    return value
 
 
 def _quotient_for(scenario: Scenario, action: VertexAction, cap: int) -> QuotientResult:
@@ -177,20 +211,6 @@ def _quotient_for(scenario: Scenario, action: VertexAction, cap: int) -> Quotien
         current = induced_action_on_subdivision(current, sd)
     quotient, _ = quotient_complex(current)
     return QuotientResult(quotient, scenario.subdivisions, current)
-
-
-def _primes_dividing(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _least_cp_handle(action: VertexAction, p: int):
@@ -245,7 +265,7 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     full = action.full_subgroup()
     check_results = []
     checks = tuple(c for c in KNOWN_CHECKS if c in scenario.checks)
-    primes = _primes_dividing(full.order) or [2]
+    primes = list(prime_factors(full.order)) or [2]
 
     t0 = time.perf_counter()
     if "abelian_bound" in checks:
@@ -407,7 +427,7 @@ def builtin(name: str, *params) -> Scenario:
             raise InvalidParameter("lens(p,q) supports 2 <= p <= 13")
         if math.gcd(p, q) != 1:
             raise InvalidParameter("lens(p,q) needs gcd(p,q) = 1")
-        div_primes = [f"Fp:{ell}" for ell in _primes_dividing(p)]
+        div_primes = [f"Fp:{ell}" for ell in prime_factors(p)]
         coprime = next(ell for ell in (2, 3, 5) if p % ell != 0)
         fields = ("Q", *div_primes, f"Fp:{coprime}")
         return Scenario(

@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import octahedron, random_small_complex, rp2_minimal
+from test_acceptance import CORPUS_SCENARIOS
 from sqh.complexes import chain_complex, full_subcomplex, polygon
 from sqh.errors import CorruptComplex, InvalidParameter, SnfTooLarge
+from sqh import homology
+from sqh.actions import admissible_subdivision, make_admissible_and_quotient, orbit_chain_complex
 from sqh.homology import (
     F2,
     F3,
@@ -15,11 +18,13 @@ from sqh.homology import (
     SparseIntMatrix,
     betti,
     is_prime,
+    prime_factors,
     rank_mod_p,
     rank_over_q,
     relative_betti,
     smith_normal_form,
 )
+from sqh.scenarios import build_model, builtin
 
 
 def from_dense(rows):
@@ -69,6 +74,16 @@ def random_dense(rng, m, n, lo=-4, hi=4, density=0.6):
 def test_is_prime_basics():
     assert is_prime(2) and is_prime(3) and is_prime(2**31 - 1)
     assert not is_prime(1) and not is_prime(561) and not is_prime(2**30)
+
+
+def test_prime_factors():
+    assert prime_factors(1) == {}
+    assert prime_factors(2) == {2: 1}
+    assert prime_factors(384) == {2: 7, 3: 1}
+    assert prime_factors(7 * 49 * 13) == {7: 3, 13: 1}
+    assert list(prime_factors(2 * 3 * 5 * 7 * 11)) == [2, 3, 5, 7, 11]
+    with pytest.raises(InvalidParameter):
+        prime_factors(0)
 
 
 def test_rank_mod_p_examples():
@@ -240,3 +255,145 @@ def test_sparse_matrix_json_sorted_by_column_then_row():
     m = from_dense([[0, 2], [3, 0]])
     blob = m.to_json_dict()
     assert blob["entries"] == [[1, 0, 3], [0, 1, 2]]
+
+
+# -- the unit reduction shared by every field's rank -------------------------
+
+def _direct_ranks(m):
+    """Ranks over Q, F_2, F_3, F_5 by eliminating m itself, without the reduction."""
+    return (
+        homology._rank_over_q_certified(m),
+        *(homology._rank_mod_p_elimination(m, p) for p in (2, 3, 5)),
+    )
+
+
+def _reduced_ranks(m):
+    return (rank_over_q(m), *(rank_mod_p(m, p) for p in (2, 3, 5)))
+
+
+def test_unit_reduction_examples():
+    units, residual = from_dense([[1, 2], [3, 4]]).unit_reduction()
+    assert units == 1 and residual.to_dense() == [[-2]]  # 4 - 3 * 2
+    units, residual = from_dense([[2, 0], [0, 3]]).unit_reduction()
+    assert units == 0 and sorted(map(sorted, residual.to_dense())) == [[0, 2], [0, 3]]
+    assert SparseIntMatrix(3, 4, {}).unit_reduction()[0] == 0
+    # the boundary of a 2-simplex: rank 1, all of it unit pivots
+    assert from_dense([[-1, -1, 0], [1, 0, -1], [0, 1, 1]]).unit_reduction()[0] == 2
+
+
+def test_unit_reduction_ranks_against_dense_oracle():
+    rng = random.Random(2024)
+    for _ in range(200):
+        rows = random_dense(rng, rng.randint(1, 9), rng.randint(1, 9), lo=-3, hi=3,
+                            density=rng.choice((0.2, 0.4, 0.7)))
+        m = from_dense(rows)
+        want = (dense_rank_oracle(rows), *(dense_rank_oracle(rows, p) for p in (2, 3, 5)))
+        assert _reduced_ranks(m) == want
+        assert _direct_ranks(m) == want
+
+
+@pytest.mark.parametrize("scenario", CORPUS_SCENARIOS, ids=lambda sc: sc.name)
+def test_unit_reduction_ranks_on_corpus_complexes(scenario):
+    """Model, simplicial quotient and orbit complex: every boundary matrix."""
+    action = build_model(scenario).action
+    for cc in (
+        chain_complex(action.complex),
+        chain_complex(make_admissible_and_quotient(action).complex),
+        orbit_chain_complex(admissible_subdivision(action)),
+    ):
+        for m in cc.boundaries:
+            got = _reduced_ranks(m)
+            assert got == _direct_ranks(m)
+            if m.rows * m.cols <= 4000:
+                rows = m.to_dense()
+                assert got == (dense_rank_oracle(rows), *(dense_rank_oracle(rows, p) for p in (2, 3, 5)))
+
+
+def _matrices(st):
+    entries = st.sampled_from((0, 0, 0, -3, -2, -1, 1, 2, 3))
+    return st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=8)
+    )
+
+
+def test_unit_reduction_property_matches_direct_elimination():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_matrices(hypothesis.strategies))
+    def check(rows):
+        m = from_dense(rows)
+        units, residual = m.unit_reduction()
+        assert units + homology._rank_over_q_certified(residual) == homology._rank_over_q_certified(m)
+        for p in (2, 3, 5):
+            assert units + homology._rank_mod_p_elimination(residual, p) == homology._rank_mod_p_elimination(m, p)
+
+    check()
+
+
+def test_snf_rank_mod_matches_rank_mod_p_property():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_matrices(hypothesis.strategies))
+    def check(rows):
+        m = from_dense(rows)
+        ed = smith_normal_form(m)
+        assert ed.rank == rank_over_q(m)
+        for p in (2, 3, 5):
+            assert ed.rank_mod(p) == rank_mod_p(m, p)
+
+    check()
+
+
+def test_unit_reduction_runs_once_per_matrix(monkeypatch):
+    reduced = []
+    original = homology._unit_reduction
+
+    def counting(m):
+        reduced.append(id(m))
+        return original(m)
+
+    monkeypatch.setattr(homology, "_unit_reduction", counting)
+    cc = chain_complex(rp2_minimal())
+    betti(cc, [RATIONALS, F2, F3, F5])
+    betti(cc, [F5, F3], certified=False)
+    for m in cc.boundaries:
+        rank_over_q(m, certified=False)
+        rank_mod_p(m, 7)
+    assert sorted(reduced) == sorted(id(m) for m in cc.boundaries)
+
+
+def _lens52_quotient_chain():
+    return orbit_chain_complex(admissible_subdivision(build_model(builtin("lens", 5, 2)).action))
+
+
+def test_corrupted_unit_reduction_is_caught(monkeypatch):
+    original = homology._unit_reduction
+    fields = builtin("lens", 5, 2).field_specs()
+
+    def unsigned(m):  # every sign dropped from the Schur updates' input
+        columns = {j: {r: abs(v) for r, v in m.column(j).items()} for j in range(m.cols)}
+        return original(SparseIntMatrix.from_columns(m.rows, m.cols, columns))
+
+    monkeypatch.setattr(homology, "_unit_reduction", unsigned)
+    with pytest.raises(CorruptComplex):
+        betti(_lens52_quotient_chain(), fields)
+
+
+def test_lost_unit_pivot_is_caught_by_snf_alone(monkeypatch):
+    """A pivot the reduction loses lowers every field's rank alike, so the
+    Betti numbers stay nonnegative and consistent with one another; only the
+    Smith normal form, computed on the original matrix, sees it."""
+    original = homology._unit_reduction
+    fields = builtin("lens", 5, 2).field_specs()
+
+    def lossy(m):
+        units, residual = original(m)
+        return max(units - 1, 0), residual
+
+    monkeypatch.setattr(homology, "_unit_reduction", lossy)
+    wrong = betti(_lens52_quotient_chain(), fields, with_torsion=False)
+    assert wrong.betti(RATIONALS) != (1, 0, 0, 1)
+    with pytest.raises(CorruptComplex, match="SNF"):
+        betti(_lens52_quotient_chain(), fields)

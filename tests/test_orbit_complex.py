@@ -21,11 +21,10 @@ from sqh.actions import (
 )
 from sqh.complexes import chain_complex, polygon
 from sqh.errors import NeedsSubdivision
-from sqh.homology import F2, F3, F5, RATIONALS, ElementaryDivisors, betti, smith_normal_form
+from sqh.homology import F2, F3, F5, RATIONALS, ElementaryDivisors, betti, prime_factors, smith_normal_form
 from sqh.scenarios import (
     DEFAULT_FIELDS,
     _least_cp_handle,
-    _primes_dividing,
     build_model,
     sweep_scenarios,
 )
@@ -57,7 +56,7 @@ def _subgroup_actions(action):
     """The group, its least C_p for each prime p dividing its order, and its Sylow subgroups."""
     full = action.full_subgroup()
     handles = [full]
-    for p in _primes_dividing(action.order):
+    for p in prime_factors(action.order):
         handles += [_least_cp_handle(action, p), sylow(action, full, p)]
     return [action.restrict(h) for h in dict.fromkeys(handles)]
 

@@ -289,3 +289,30 @@ def test_cli_character_join_without_sign_characters_names_the_field(tmp_path, ca
     del data["space"]["character_join"]["sign_characters"]
     assert _run_scenario_file(tmp_path, data) == 2
     assert "'sign_characters'" in capsys.readouterr().err
+
+
+def _without(data, *path):
+    """data with the key at the end of `path` removed (in place; returns data)."""
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ({**builtin("rp", 2).to_json_dict(), "seed": "x"}, "'seed'"),
+        ({**builtin("rp", 2).to_json_dict(), "snf_cap": "big"}, "'snf_cap'"),
+        ({**builtin("rp", 2).to_json_dict(), "space": 5}, "'space'"),
+        (_without(builtin("rp", 2).to_json_dict(), "space", "signed_permutation", "n"), "'n'"),
+        (_without(builtin("rp", 2).to_json_dict(), "space", "signed_permutation", "generators", 0, "perm"),
+         "'perm'"),
+        (_without(builtin("dihedral_on_s1", 5).to_json_dict(), "space", "explicit", "complex"), "'complex'"),
+    ],
+    ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex"],
+)
+def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, data, named):
+    assert _run_scenario_file(tmp_path, data) == 2
+    assert named in capsys.readouterr().err
