@@ -16,6 +16,7 @@ from .complexes import (
     Subdivision,
     barycentric_subdivision,
     full_subcomplex,
+    subdivided_f_vector,
 )
 from .errors import (
     ActionInvalid,
@@ -59,9 +60,6 @@ class SubgroupHandle:
     is_normal: bool
     is_abelian: bool
     via_fallback: bool = False
-
-    def __contains__(self, idx: int) -> bool:
-        return idx in set(self.indices)
 
 
 class VertexAction:
@@ -143,16 +141,6 @@ class VertexAction:
             got = n
             self._orders[i] = got
         return got
-
-    def power(self, i: int, n: int) -> int:
-        out, j = 0, i
-        n %= self.element_order(i)
-        while n:
-            if n & 1:
-                out = self.mult(out, j)
-            j = self.mult(j, j)
-            n >>= 1
-        return out
 
     def closure_indices(self, seed) -> tuple:
         known = {0} | set(seed)
@@ -369,49 +357,42 @@ class QuotientResult:
     action: VertexAction
 
 
-def _predicted_sd_size(f_vector) -> int:
-    """Simplex count of the barycentric subdivision, from the f-vector alone."""
-    max_size = len(f_vector)
-    # chains[s][m] = number of chains of m+1 nested nonempty subsets topped by an s-set
-    chains: list[list[int]] = [[]]
-    from math import comb
-
-    for s in range(1, max_size + 1):
-        row = [1]
-        for t in range(1, s):
-            sub = chains[t]
-            for m, cnt in enumerate(sub):
-                while len(row) < m + 2:
-                    row.append(0)
-                row[m + 1] += comb(s, t) * cnt
-        chains.append(row)
-    return sum(f * sum(chains[s + 1]) for s, f in enumerate(f_vector))
+_MAX_AUTO_SUBDIVISIONS = 3
 
 
 def make_admissible_and_quotient(
     action: VertexAction,
-    max_subdivisions: int = 3,
+    subdivisions: str | int = "auto",
     simplex_cap: int | None = None,
 ) -> QuotientResult:
-    """Subdivide (transporting the action) until the quotient is simplicial."""
+    """Subdivide, transporting the action, until the quotient is simplicial.
+
+    With `subdivisions` "auto" the quotient is tried at each depth up to
+    three subdivisions; with an integer it is tried at that depth only.
+    NeedsSubdivision is raised when it is not simplicial at the last depth
+    tried.  Before each subdivision its simplex count is forecast from the
+    f-vector (`subdivided_f_vector`), and ResourceCapExceeded is raised
+    when it would pass `simplex_cap`; None means no cap.
+    """
     current = action
     count = 0
     while True:
-        try:
-            quotient, _ = quotient_complex(current)
-            return QuotientResult(quotient, count, current)
-        except NeedsSubdivision:
-            if count >= max_subdivisions:
-                raise
-            if simplex_cap is not None:
-                predicted = _predicted_sd_size(current.complex.f_vector())
-                if predicted > simplex_cap:
-                    raise ResourceCapExceeded(
-                        f"subdivision would reach {predicted} simplices (cap {simplex_cap})"
-                    )
-            sd = barycentric_subdivision(current.complex)
-            current = induced_action_on_subdivision(current, sd)
-            count += 1
+        if subdivisions == "auto" or subdivisions == count:
+            try:
+                quotient, _ = quotient_complex(current)
+                return QuotientResult(quotient, count, current)
+            except NeedsSubdivision:
+                if subdivisions != "auto" or count >= _MAX_AUTO_SUBDIVISIONS:
+                    raise
+        if simplex_cap is not None:
+            predicted = sum(subdivided_f_vector(current.complex.f_vector()))
+            if predicted > simplex_cap:
+                raise ResourceCapExceeded(
+                    f"subdivision would reach {predicted} simplices (cap {simplex_cap})"
+                )
+        sd = barycentric_subdivision(current.complex)
+        current = induced_action_on_subdivision(current, sd)
+        count += 1
 
 
 def admissible_subdivision(action: VertexAction) -> VertexAction:
@@ -558,46 +539,6 @@ def center(action: VertexAction, handle: SubgroupHandle) -> SubgroupHandle:
         if all(action.mult(i, j) == action.mult(j, i) for j in handle.indices)
     ]
     return action.subgroup(idx)
-
-
-def central_series_cp(action: VertexAction, handle: SubgroupHandle):
-    """Normal series 1 = P_0 < P_1 < ... < P_r = P with each quotient C_p.
-
-    Each step adjoins the least-index element that is central of order p
-    modulo the current term, mirroring the center-of-a-p-group argument.
-    """
-    order = handle.order
-    if order == 1:
-        return [action.subgroup([0])]
-    factors = prime_factors(order)
-    if len(factors) != 1:
-        raise InvalidParameter(f"subgroup of order {order} is not a p-group")
-    (p,) = factors
-    series = [action.subgroup([0])]
-    current = series[0]
-    hset = set(handle.indices)
-    while current.order < order:
-        cset = set(current.indices)
-        chosen = None
-        for g in sorted(hset - cset):
-            if action.power(g, p) not in cset:
-                continue
-            central = all(
-                action.mult(action.mult(action.mult(g, h), action.inv(g)), action.inv(h)) in cset
-                for h in handle.indices
-            )
-            if central:
-                chosen = g
-                break
-        if chosen is None:  # impossible for a p-group; defensive
-            raise InvalidParameter("central series construction stalled")
-        new_idx = action.closure_indices(cset | {chosen})
-        nxt = action.subgroup(new_idx)
-        if nxt.order != current.order * p:
-            raise InvalidParameter("central series step did not have index p")
-        series.append(nxt)
-        current = nxt
-    return series
 
 
 _CLASS_ENUM_CAP = 14

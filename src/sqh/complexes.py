@@ -203,6 +203,24 @@ def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
     return Subdivision(sd, k, tuple(all_simplices), index)
 
 
+def subdivided_f_vector(f_vector) -> tuple:
+    """f-vector of the barycentric subdivision, from the f-vector alone.
+
+    A j-simplex of the subdivision is a chain of j+1 nested simplices.  The
+    chains of b simplices topped by a simplex on n vertices are the ordered
+    partitions of its vertices into b blocks; there are
+    a(n, b) = b (a(n-1, b-1) + a(n-1, b)) of them.
+    """
+    out = [0] * len(f_vector)
+    blocks = [1]                    # blocks[b] = a(n, b), starting at n = 0
+    for k, count in enumerate(f_vector):
+        padded = [0, *blocks, 0]
+        blocks = [b * (padded[b] + padded[b + 1]) for b in range(len(blocks) + 1)]
+        for j in range(k + 1):
+            out[j] += count * blocks[j + 1]
+    return tuple(out)
+
+
 def euler_characteristic(k: SimplicialComplex) -> int:
     return sum((-1) ** i * c for i, c in enumerate(k.f_vector()))
 

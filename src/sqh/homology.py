@@ -99,9 +99,6 @@ class FieldSpec:
             return cls(int(label[3:]))
         raise InvalidParameter(f"unknown field label {label!r}")
 
-    def sort_key(self):
-        return (0, 0) if self.p is None else (1, self.p)
-
 
 RATIONALS = FieldSpec(None)
 F2 = FieldSpec(2)

@@ -174,13 +174,6 @@ class AbelianCharacterData:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AbelianCharacterData":
-        if not isinstance(data, dict):
-            raise InvalidParameter("character_join must be a JSON object")
-        for key in ("invariant_factors", "rotation_characters", "sign_characters"):
-            if key not in data:
-                raise InvalidParameter(f"character_join is missing field {key!r}")
-            if not isinstance(data[key], (list, tuple)):
-                raise InvalidParameter(f"character_join field {key!r} must be a list")
         return cls(
             tuple(data["invariant_factors"]),
             tuple(tuple(c) for c in data["rotation_characters"]),

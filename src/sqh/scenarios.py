@@ -21,12 +21,8 @@ from .actions import (
     VertexAction,
     best_abelian_normal_subgroup,
     close_generators,
-    induced_action_on_subdivision,
     make_admissible_and_quotient,
-    quotient_complex,
     sylow,
-    QuotientResult,
-    _predicted_sd_size,
 )
 from .bounds import (
     CheckResult,
@@ -37,7 +33,7 @@ from .bounds import (
     smith_floyd_check,
     transfer_check,
 )
-from .complexes import SimplicialComplex, barycentric_subdivision, chain_complex
+from .complexes import SimplicialComplex, chain_complex, subdivided_f_vector
 from .errors import InvalidParameter, ResourceCapExceeded
 from .homology import F2, F3, F5, FieldSpec, RATIONALS, betti, prime_factors
 from .models import (
@@ -164,18 +160,23 @@ class ModelBundle:
     kernel_order: int
 
 
-def build_model(scenario: Scenario, cap: int | None = None) -> ModelBundle:
+def build_model(scenario: Scenario) -> ModelBundle:
+    """The scenario's sphere model, its values checked as they come from JSON."""
     kind = scenario.kind
     payload = scenario.space[kind]
     if kind == "character_join":
-        data = AbelianCharacterData.from_json_dict(payload)
+        data = AbelianCharacterData(
+            _integers(_entry(payload, "invariant_factors", kind), "invariant_factors"),
+            _integer_lists(_entry(payload, "rotation_characters", kind), "rotation_characters"),
+            _integer_lists(_entry(payload, "sign_characters", kind), "sign_characters"),
+        )
         model = character_join_model(data)
         return ModelBundle(model.action, data.ambient_dimension, data, model.kernel_order)
     if kind == "signed_permutation":
         n = _integer(_entry(payload, "n", kind), "n")
         gens = [
             SignedPermutation.from_json_dict(
-                {key: _list(_entry(g, key, f"{kind} generator {i}"), key) for key in ("perm", "signs")}
+                {key: _integers(_entry(g, key, f"{kind} generator {i}"), key) for key in ("perm", "signs")}
             )
             for i, g in enumerate(_list(_entry(payload, "generators", kind), "generators"))
         ]
@@ -184,9 +185,9 @@ def build_model(scenario: Scenario, cap: int | None = None) -> ModelBundle:
     raw = _entry(payload, "complex", kind)
     complex_ = SimplicialComplex(
         _integer(_entry(raw, "vertex_count", f"{kind} complex"), "vertex_count"),
-        _list(_entry(raw, "facets", f"{kind} complex"), "facets"),
+        _integer_lists(_entry(raw, "facets", f"{kind} complex"), "facets"),
     )
-    gens = [tuple(_list(g, "generators")) for g in _list(_entry(payload, "generators", kind), "generators")]
+    gens = _integer_lists(_entry(payload, "generators", kind), "generators")
     action = close_generators(complex_, gens)
     return ModelBundle(action, complex_.dimension + 1, None, 1)
 
@@ -197,20 +198,14 @@ def _list(value, key: str):
     return value
 
 
-def _quotient_for(scenario: Scenario, action: VertexAction, cap: int) -> QuotientResult:
-    if scenario.subdivisions == "auto":
-        return make_admissible_and_quotient(action, simplex_cap=cap)
-    current = action
-    for _ in range(scenario.subdivisions):
-        predicted = _predicted_sd_size(current.complex.f_vector())
-        if predicted > cap:
-            raise ResourceCapExceeded(
-                f"subdivision would reach {predicted} simplices (cap {cap})"
-            )
-        sd = barycentric_subdivision(current.complex)
-        current = induced_action_on_subdivision(current, sd)
-    quotient, _ = quotient_complex(current)
-    return QuotientResult(quotient, scenario.subdivisions, current)
+def _integers(value, key: str) -> tuple:
+    """A list of integers; a bad entry is named by its position, as in 'perm[1]'."""
+    return tuple(_integer(x, f"{key}[{i}]") for i, x in enumerate(_list(value, key)))
+
+
+def _integer_lists(value, key: str) -> tuple:
+    """A list of integer lists, such as facets; a bad entry is named as in 'facets[0][1]'."""
+    return tuple(_integers(x, f"{key}[{i}]") for i, x in enumerate(_list(value, key)))
 
 
 def _least_cp_handle(action: VertexAction, p: int):
@@ -221,7 +216,15 @@ def _least_cp_handle(action: VertexAction, p: int):
 
 
 def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float | None = None) -> dict:
-    """Execute the full pipeline and return the run report as a dict."""
+    """Execute the full pipeline and return the run report as a dict.
+
+    The model is built, then `make_admissible_and_quotient` subdivides it to
+    the scenario's depth ("auto" or a forced count) under the simplex cap
+    (`simplex_cap()`), and the quotient's Betti numbers are taken on its
+    simplicial chains.  The model's rows, the checks and `evaluate_all`
+    follow.  A quotient that is not simplicial at a forced depth raises
+    NeedsSubdivision, a subdivision past the cap ResourceCapExceeded.
+    """
     t_start = time.perf_counter()
     timings = {}
 
@@ -232,12 +235,12 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
 
     cap = simplex_cap()
     t0 = time.perf_counter()
-    bundle = build_model(scenario, cap)
+    bundle = build_model(scenario)
     action = bundle.action
     stage("build_model", t0)
 
     t0 = time.perf_counter()
-    res = _quotient_for(scenario, action, cap)
+    res = make_admissible_and_quotient(action, scenario.subdivisions, cap)
     stage("quotient", t0)
 
     fields = scenario.field_specs()
@@ -506,30 +509,6 @@ def builtin(name: str, *params) -> Scenario:
 # ---------------------------------------------------------------------------
 # randomized abelian sweep
 
-def _predicted_sd_f_vector(f_vector) -> tuple:
-    """f-vector of the barycentric subdivision, computed symbolically."""
-    from math import comb
-
-    max_size = len(f_vector)
-    chains: list[list[int]] = [[]]
-    for s in range(1, max_size + 1):
-        row = [1]
-        for t in range(1, s):
-            for m, cnt in enumerate(chains[t]):
-                while len(row) < m + 2:
-                    row.append(0)
-                row[m + 1] += comb(s, t) * cnt
-        chains.append(row)
-    out: list[int] = []
-    for s, f in enumerate(f_vector):
-        row = chains[s + 1]
-        while len(out) < len(row):
-            out.append(0)
-        for m, cnt in enumerate(row):
-            out[m] += f * cnt
-    return tuple(out)
-
-
 def _join_f_vector(data: AbelianCharacterData) -> tuple:
     # generating polynomial per block: polygon L -> 1 + L t + L t^2; S^0 -> 1 + 2t
     poly = [1]
@@ -562,9 +541,9 @@ def predicted_model_size(data: AbelianCharacterData) -> int:
         data.polygon_length(j) < 2 * data.rotation_order(j) and data.rotation_order(j) > 1
         for j in range(data.rotation_count)
     )
-    f = _predicted_sd_f_vector(f)
+    f = subdivided_f_vector(f)
     if needs_two:
-        f = _predicted_sd_f_vector(f)
+        f = subdivided_f_vector(f)
     return sum(f)
 
 

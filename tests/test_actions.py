@@ -7,7 +7,6 @@ from sqh.actions import (
     all_subgroups,
     best_abelian_normal_subgroup,
     center,
-    central_series_cp,
     close_generators,
     conjugacy_classes,
     fixed_subcomplex,
@@ -247,32 +246,6 @@ def test_sylow_order_is_exact_p_part():
             assert h.order == expected
 
 
-def test_central_series_q8_against_subgroup_lattice():
-    q8 = q8_action()
-    series = central_series_cp(q8, q8.full_subgroup())
-    assert [h.order for h in series] == [1, 2, 4, 8]
-    for a, b in zip(series, series[1:]):
-        assert set(a.indices) < set(b.indices)
-        assert b.is_normal or b.order == 8
-    # oracle: the subgroup lattice of Q8 (brute force) has a unique order-2 subgroup
-    lattice = all_subgroups(q8)
-    order2 = [h for h in lattice if h.order == 2]
-    assert len(order2) == 1
-    assert series[1].indices == order2[0].indices
-
-
-def test_central_series_c4():
-    c4 = close_generators(polygon(4), [(1, 2, 3, 0)])
-    series = central_series_cp(c4, c4.full_subgroup())
-    assert [h.order for h in series] == [1, 2, 4]
-
-
-def test_central_series_rejects_non_p_group():
-    s3 = s3_action()
-    with pytest.raises(InvalidParameter):
-        central_series_cp(s3, s3.full_subgroup())
-
-
 def test_best_abelian_normal_subgroup():
     a = antipodal_action()
     assert best_abelian_normal_subgroup(a).order == 2
@@ -281,11 +254,16 @@ def test_best_abelian_normal_subgroup():
     n = best_abelian_normal_subgroup(q8)
     assert n.order == 4 and n.is_normal and n.is_abelian
     # oracle: enumerate all normal abelian subgroups of Q8 by brute force
+    lattice = all_subgroups(q8)
     best_brute = max(
-        (h for h in all_subgroups(q8) if h.is_normal and h.is_abelian),
+        (h for h in lattice if h.is_normal and h.is_abelian),
         key=lambda h: h.order,
     )
     assert n.order == best_brute.order
+    # Q8 has a unique subgroup of order 2, its center {1, -1}
+    order2 = [h for h in lattice if h.order == 2]
+    assert len(order2) == 1
+    assert order2[0].indices == center(q8, q8.full_subgroup()).indices
 
     s3 = s3_action()
     n3 = best_abelian_normal_subgroup(s3)

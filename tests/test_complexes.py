@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import octahedron, random_small_complex
+from test_acceptance import CORPUS_SCENARIOS, corpus_model
 from sqh.complexes import (
     EMPTY_COMPLEX,
     SimplicialComplex,
@@ -14,6 +15,7 @@ from sqh.complexes import (
     full_subcomplex,
     join,
     polygon,
+    subdivided_f_vector,
     zero_sphere,
 )
 from sqh.errors import InvalidParameter
@@ -123,6 +125,22 @@ def test_subdivision_octahedron_against_brute_chain_count():
     assert sd.complex.vertex_count == 26
     assert len(sd.complex.facets) == 48
     assert sd.complex.f_vector() == brute_chain_counts(k)
+
+
+# rp(4)'s model is left out of the second level: its second subdivision has
+# 2.9 million simplices and takes about 20 s to build
+SECOND_LEVEL_MAX_SIMPLICES = 200_000
+
+
+def test_subdivided_f_vector_matches_subdivision():
+    rng = random.Random(12)
+    models = {corpus_model(sc).action.complex for sc in CORPUS_SCENARIOS}
+    for k in [*models, *(random_small_complex(rng) for _ in range(20))]:
+        sd = barycentric_subdivision(k).complex
+        assert subdivided_f_vector(k.f_vector()) == sd.f_vector()
+        forecast = subdivided_f_vector(sd.f_vector())
+        if sum(forecast) <= SECOND_LEVEL_MAX_SIMPLICES:
+            assert forecast == barycentric_subdivision(sd).complex.f_vector()
 
 
 def test_subdivision_preserves_euler():

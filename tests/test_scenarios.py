@@ -300,6 +300,19 @@ def _without(data, *path):
     return data
 
 
+def _replaced(data, value, *path):
+    """data with the entry at the end of `path` set to value (in place; returns data)."""
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+_RP2_PERM = ("space", "signed_permutation", "generators", 0, "perm")
+_DIHEDRAL = ("space", "explicit")
+
+
 @pytest.mark.parametrize(
     "data, named",
     [
@@ -310,9 +323,32 @@ def _without(data, *path):
         (_without(builtin("rp", 2).to_json_dict(), "space", "signed_permutation", "generators", 0, "perm"),
          "'perm'"),
         (_without(builtin("dihedral_on_s1", 5).to_json_dict(), "space", "explicit", "complex"), "'complex'"),
+        (_replaced(builtin("rp", 2).to_json_dict(), [1, "a", 3], *_RP2_PERM), "'perm[1]'"),
+        (_replaced(builtin("rp", 2).to_json_dict(), [2.0, 1, 3], *_RP2_PERM), "'perm[0]'"),
+        (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(), [1, "a", 0], *_DIHEDRAL, "generators", 0),
+         "'generators[0][1]'"),
+        (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(), [0, "b"], *_DIHEDRAL, "complex", "facets", 0),
+         "'facets[0][1]'"),
+        (_replaced(builtin("lens", 5, 2).to_json_dict(), ["a"], "space", "character_join", "invariant_factors"),
+         "'invariant_factors[0]'"),
     ],
-    ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex"],
+    ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex",
+         "perm_str", "perm_float", "generator_str", "facet_str", "factor_str"],
 )
 def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, data, named):
     assert _run_scenario_file(tmp_path, data) == 2
     assert named in capsys.readouterr().err
+
+
+def test_cli_forced_depth_past_the_cap_exit_code(tmp_path, monkeypatch, capsys):
+    # rp(2)'s first subdivision has 146 simplices, its second 866
+    monkeypatch.setenv("SQH_MAX_SIMPLICES", "146")
+    data = {**builtin("rp", 2).to_json_dict(), "subdivisions": 2}
+    assert _run_scenario_file(tmp_path, data) == 4
+    assert "cap 146" in capsys.readouterr().err
+
+
+def test_cli_forced_depth_without_simplicial_quotient_exit_code(tmp_path, capsys):
+    data = {**builtin("rp", 2).to_json_dict(), "subdivisions": 0}
+    assert _run_scenario_file(tmp_path, data) == 2
+    assert "lie in different orbits" in capsys.readouterr().err

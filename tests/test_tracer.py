@@ -1,0 +1,34 @@
+"""The benchmark's tracer (perfbench/spans.py) wraps engine functions by name.
+
+It is loaded from its file and installed around one scenario, so deleting or
+renaming a name it patches fails here, not only in a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import sqh.scenarios
+from sqh.scenarios import builtin, report_bytes
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_around_a_scenario():
+    tracer = _spans_module().Tracer()
+    scenario = builtin("rp", 2)
+    plain = report_bytes(sqh.scenarios.run_scenario(scenario))
+    original = sqh.scenarios.run_scenario
+    with tracer.installed():
+        traced = report_bytes(sqh.scenarios.run_scenario(scenario))
+    assert sqh.scenarios.run_scenario is original
+    assert traced == plain
+    metrics = tracer.metrics()
+    assert metrics["scenarios.run_scenario_calls"][0] == 1
+    assert metrics["actions.quotient_calls"][0] == 1
