@@ -8,6 +8,7 @@ every least-index tie-break is reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .complexes import (
@@ -350,14 +351,79 @@ def quotient_complex(action: VertexAction):
     return quotient, proj
 
 
+def subdivided_quotient(action: VertexAction) -> SimplicialComplex:
+    """sd(X)/G for an admissible action on X, built from the simplex orbits of X alone.
+
+    The vertices of sd(X) are the simplices of X in the order of
+    `complex.simplices()`, so its vertex orbits are the simplex orbits of X
+    under the same ids.  A facet of sd(X) is a complete flag of faces of a
+    facet of X; its image is the set of the flag's orbit ids, and facets in
+    one orbit give the same sets, so one facet per orbit is enough.
+    Admissibility makes the stabiliser of a flag's top simplex fix the whole
+    flag, so the orbits of j-simplices of sd(X) number
+    `subdivided_f_vector(orbit counts of X)[j]`.  The quotient is simplicial
+    iff no two of those orbits share an id set, that is iff its f-vector
+    reaches that count; otherwise NeedsSubdivision is raised, as
+    `quotient_complex` on the action transported to sd(X) would.
+    """
+    orbit_of, n_orbits, admissible, _ = action.simplex_orbit_data()
+    if not admissible:
+        raise NeedsSubdivision("action is not admissible")
+    # ids were handed out level by level, so each level's ids form one run
+    starts = [orbit_of[level[0]] for level in action.complex.simplices()] + [n_orbits]
+    orbit_counts = [b - a for a, b in zip(starts, starts[1:])]
+    facets = []
+    seen = set()
+    for f in action.complex.facets:
+        if orbit_of[f] in seen:
+            continue
+        seen.add(orbit_of[f])
+        bits = [1 << i for i in range(len(f))]
+        # ids[mask]: orbit id of the face of f on the vertices picked by mask
+        ids = [-1] + [
+            orbit_of[tuple(v for v, bit in zip(f, bits) if mask & bit)]
+            for mask in range(1, 1 << len(f))
+        ]
+        flags = [(0, ())]
+        for _ in f:
+            flags = [
+                (mask | bit, flag + (ids[mask | bit],))
+                for mask, flag in flags
+                for bit in bits
+                if not mask & bit
+            ]
+        facets.extend(flag for _, flag in flags)
+    quotient = SimplicialComplex(n_orbits, facets)
+    want, got = subdivided_f_vector(orbit_counts), quotient.f_vector()
+    if got != want:
+        j = next(j for j in range(len(want)) if got[j] != want[j])
+        raise NeedsSubdivision(
+            f"{j}-simplices with one orbit-set lie in different orbits "
+            f"({got[j]} orbit-sets for {want[j]} orbits)"
+        )
+    return quotient
+
+
 @dataclass(frozen=True)
 class QuotientResult:
+    """The simplicial quotient of the sphere at depth `subdivisions`, and that sphere's size.
+
+    `simplices_after` and `facets_after` count the depth-`subdivisions`
+    sphere exactly, whether or not it was built.
+    """
+
     complex: SimplicialComplex
     subdivisions: int
-    action: VertexAction
+    simplices_after: int
+    facets_after: int
 
 
 _MAX_AUTO_SUBDIVISIONS = 3
+
+
+def _subdivided(action: VertexAction) -> VertexAction:
+    """The action transported to the first barycentric subdivision of its complex."""
+    return induced_action_on_subdivision(action, barycentric_subdivision(action.complex))
 
 
 def make_admissible_and_quotient(
@@ -365,33 +431,45 @@ def make_admissible_and_quotient(
     subdivisions: str | int = "auto",
     simplex_cap: int | None = None,
 ) -> QuotientResult:
-    """Subdivide, transporting the action, until the quotient is simplicial.
+    """The quotient sd^k(X)/G at the first depth k where it is simplicial.
 
     With `subdivisions` "auto" the quotient is tried at each depth up to
     three subdivisions; with an integer it is tried at that depth only.
     NeedsSubdivision is raised when it is not simplicial at the last depth
-    tried.  Before each subdivision its simplex count is forecast from the
-    f-vector (`subdivided_f_vector`), and ResourceCapExceeded is raised
-    when it would pass `simplex_cap`; None means no cap.
+    tried.  At depth 0, and at depth 1 when the action on X is not
+    admissible, `quotient_complex` runs on the action at that depth.  At
+    every other depth k, `subdivided_quotient` builds the quotient from the
+    action at depth k-1, so the depth-k sphere is never built.  Before each
+    depth its simplex count is forecast from the f-vector one depth down
+    (`subdivided_f_vector`), and ResourceCapExceeded is raised when it would
+    pass `simplex_cap`, whether or not that sphere is to be built; None
+    means no cap.
     """
-    current = action
+    # the actions at depth count (None when it need not be built) and at depth count - 1
+    current, below = action, None
+    simplices, facets = sum(action.complex.f_vector()), len(action.complex.facets)
     count = 0
     while True:
         if subdivisions == "auto" or subdivisions == count:
             try:
-                quotient, _ = quotient_complex(current)
-                return QuotientResult(quotient, count, current)
+                if current is not None:
+                    quotient, _ = quotient_complex(current)
+                else:
+                    quotient = subdivided_quotient(below)
+                return QuotientResult(quotient, count, simplices, facets)
             except NeedsSubdivision:
                 if subdivisions != "auto" or count >= _MAX_AUTO_SUBDIVISIONS:
                     raise
-        if simplex_cap is not None:
-            predicted = sum(subdivided_f_vector(current.complex.f_vector()))
-            if predicted > simplex_cap:
-                raise ResourceCapExceeded(
-                    f"subdivision would reach {predicted} simplices (cap {simplex_cap})"
-                )
-        sd = barycentric_subdivision(current.complex)
-        current = induced_action_on_subdivision(current, sd)
+        if current is None:
+            current = _subdivided(below)
+        simplices = sum(subdivided_f_vector(current.complex.f_vector()))
+        if simplex_cap is not None and simplices > simplex_cap:
+            raise ResourceCapExceeded(
+                f"subdivision would reach {simplices} simplices (cap {simplex_cap})"
+            )
+        facets = sum(math.factorial(len(f)) for f in current.complex.facets)
+        below = current
+        current = None if below.simplex_orbit_data()[2] else _subdivided(below)
         count += 1
 
 
@@ -405,8 +483,7 @@ def admissible_subdivision(action: VertexAction) -> VertexAction:
     if is_admissible(action):
         return action
     if action._admissible_subdivision is None:
-        sd = barycentric_subdivision(action.complex)
-        action._admissible_subdivision = induced_action_on_subdivision(action, sd)
+        action._admissible_subdivision = _subdivided(action)
     return action._admissible_subdivision
 
 

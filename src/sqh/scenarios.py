@@ -86,9 +86,15 @@ class Scenario:
             if c not in KNOWN_CHECKS:
                 raise InvalidParameter(f"unknown check {c!r}")
         if self.subdivisions != "auto" and (
-            not isinstance(self.subdivisions, int) or self.subdivisions < 0
+            isinstance(self.subdivisions, bool)
+            or not isinstance(self.subdivisions, int)
+            or self.subdivisions < 0
         ):
-            raise InvalidParameter("subdivisions must be 'auto' or a nonnegative integer")
+            raise InvalidParameter(
+                f"field 'subdivisions' must be \"auto\" or a nonnegative integer, got {self.subdivisions!r}"
+            )
+        if not isinstance(self.certified, bool):
+            raise InvalidParameter(f"field 'certified' must be true or false, got {self.certified!r}")
 
     @property
     def kind(self) -> str:
@@ -131,7 +137,7 @@ class Scenario:
             fields=tuple(fields),
             subdivisions=data.get("subdivisions", "auto"),
             checks=tuple(checks),
-            certified=bool(data.get("certified", True)),
+            certified=data.get("certified", True),
             seed=_integer(data.get("seed", 0), "seed"),
             snf_cap=_integer(data.get("snf_cap", 5000), "snf_cap"),
         )
@@ -218,12 +224,16 @@ def _least_cp_handle(action: VertexAction, p: int):
 def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float | None = None) -> dict:
     """Execute the full pipeline and return the run report as a dict.
 
-    The model is built, then `make_admissible_and_quotient` subdivides it to
-    the scenario's depth ("auto" or a forced count) under the simplex cap
-    (`simplex_cap()`), and the quotient's Betti numbers are taken on its
-    simplicial chains.  The model's rows, the checks and `evaluate_all`
-    follow.  A quotient that is not simplicial at a forced depth raises
-    NeedsSubdivision, a subdivision past the cap ResourceCapExceeded.
+    The model is built, then `make_admissible_and_quotient` gives its
+    simplicial quotient at the scenario's depth ("auto" or a forced count),
+    and the quotient's Betti numbers are taken on its simplicial chains.
+    Past the first admissible depth the deepest sphere is never built: its
+    quotient comes from the orbits one depth down, and `simplices_after`
+    and `facets_after` count it exactly.  The simplex cap (`simplex_cap()`) bounds the forecast size of
+    each depth's sphere, the last one included.  The model's rows, the
+    checks and `evaluate_all` follow.  A quotient that is not simplicial at
+    a forced depth raises NeedsSubdivision, a depth past the cap
+    ResourceCapExceeded.
     """
     t_start = time.perf_counter()
     timings = {}
@@ -362,9 +372,9 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
             "kernel_order": bundle.kernel_order,
             "is_abelian": full.is_abelian,
             "simplices_before": sum(action.complex.f_vector()),
-            "simplices_after": sum(res.action.complex.f_vector()),
+            "simplices_after": res.simplices_after,
             "facets_before": len(action.complex.facets),
-            "facets_after": len(res.action.complex.facets),
+            "facets_after": res.facets_after,
         },
         "subdivisions": res.subdivisions,
         "quotient_f_vector": list(res.complex.f_vector()),

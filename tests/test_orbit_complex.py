@@ -1,9 +1,16 @@
-"""The orbit chain complex, checked against the simplicial quotient while both exist.
+"""The reported quotient and the orbit chain complex, checked against a simplicial oracle.
 
-For an admissible action, `orbit_chain_complex` gives the cellular chains
-of X/G.  Its Betti numbers (from ranks) and torsion must equal those of
-the simplicial quotient that `make_admissible_and_quotient` builds, read
-off the Smith normal form of that quotient's boundary matrices alone.
+The oracle subdivides the whole sphere and transports the action k times,
+then takes `quotient_complex` of the result, trying depths 0 to 3 until
+the quotient is simplicial.  It builds its own subdivisions, so it shares
+no orbit data with `make_admissible_and_quotient` or the orbit complex;
+and where `make_admissible_and_quotient` reads the orbits one depth down
+(`subdivided_quotient`), the oracle reads those of the depth-k sphere
+itself.  The reported quotient must equal the oracle's, with the same
+depth and sphere size.  For an admissible action, `orbit_chain_complex`
+gives the cellular chains of X/G; its Betti numbers (from ranks) and
+torsion must equal those of the oracle's quotient, read off the Smith
+normal form of that quotient's boundary matrices alone.
 """
 
 import pytest
@@ -13,19 +20,22 @@ from test_acceptance import CORPUS_SCENARIOS
 from sqh.actions import (
     admissible_subdivision,
     close_generators,
+    induced_action_on_subdivision,
     is_admissible,
     make_admissible_and_quotient,
     orbit_betti,
     orbit_chain_complex,
+    quotient_complex,
     sylow,
 )
-from sqh.complexes import chain_complex, polygon
+from sqh.complexes import barycentric_subdivision, chain_complex, polygon
 from sqh.errors import NeedsSubdivision
 from sqh.homology import F2, F3, F5, RATIONALS, ElementaryDivisors, betti, prime_factors, smith_normal_form
 from sqh.scenarios import (
     DEFAULT_FIELDS,
     _least_cp_handle,
     build_model,
+    builtin,
     sweep_scenarios,
 )
 
@@ -46,9 +56,47 @@ def _snf_homology(chain) -> tuple:
     return tuple(rows), tuple(divisors[k + 1].torsion() for k in degrees)
 
 
-def _assert_routes_agree(action):
+def _simplicial_oracle(action, subdivisions="auto") -> tuple:
+    """(depth, quotient, simplices, facets) of the sphere subdivided until its quotient is simplicial.
+
+    Every depth is built: the sphere is subdivided and the action
+    transported, and `quotient_complex` is tried on the result, at each
+    depth up to 3 for "auto" and at the forced depth only.
+    """
+    depth = 0
+    while True:
+        if subdivisions in ("auto", depth):
+            try:
+                quotient, _ = quotient_complex(action)
+                return depth, quotient, sum(action.complex.f_vector()), len(action.complex.facets)
+            except NeedsSubdivision:
+                if subdivisions != "auto" or depth >= 3:
+                    raise
+        action = induced_action_on_subdivision(action, barycentric_subdivision(action.complex))
+        depth += 1
+
+
+@pytest.fixture(scope="module")
+def oracles():
+    """Each case's oracle by key, computed once and shared by the tests of this module."""
+    return {}
+
+
+def _oracle(oracles, key, action, subdivisions="auto") -> tuple:
+    if key not in oracles:
+        oracles[key] = _simplicial_oracle(action, subdivisions)
+    return oracles[key]
+
+
+def _assert_reported_quotient_matches(oracles, key, action, subdivisions="auto"):
+    res = make_admissible_and_quotient(action, subdivisions)
+    got = (res.subdivisions, res.complex, res.simplices_after, res.facets_after)
+    assert got == _oracle(oracles, key, action, subdivisions)
+
+
+def _assert_routes_agree(oracles, key, action):
     orbit = betti(orbit_chain_complex(admissible_subdivision(action)), FIELDS, snf_cap=10**9)
-    quotient = make_admissible_and_quotient(action).complex
+    quotient = _oracle(oracles, key, action)[1]
     assert (orbit.entries, orbit.torsion) == _snf_homology(chain_complex(quotient))
 
 
@@ -61,16 +109,43 @@ def _subgroup_actions(action):
     return [action.restrict(h) for h in dict.fromkeys(handles)]
 
 
-@pytest.mark.parametrize("scenario", CORPUS_SCENARIOS, ids=lambda sc: sc.name)
-def test_orbit_complex_matches_simplicial_quotient_on_corpus(scenario):
+def _corpus_cases(scenario):
     for restricted in _subgroup_actions(build_model(scenario).action):
-        _assert_routes_agree(restricted)
+        yield (scenario.name, restricted.elements), restricted
 
 
-def test_orbit_complex_matches_simplicial_quotient_on_sweep():
+def _sweep_cases():
     scenarios, _ = sweep_scenarios(6, 200, 7, DEFAULT_FIELDS, 200_000)
     for sc in scenarios[:60]:
-        _assert_routes_agree(build_model(sc).action)
+        yield sc.name, build_model(sc).action
+
+
+@pytest.mark.parametrize("scenario", CORPUS_SCENARIOS, ids=lambda sc: sc.name)
+def test_reported_quotient_matches_oracle_on_corpus(oracles, scenario):
+    for key, action in _corpus_cases(scenario):
+        _assert_reported_quotient_matches(oracles, key, action)
+
+
+def test_reported_quotient_matches_oracle_on_sweep(oracles):
+    for key, action in _sweep_cases():
+        _assert_reported_quotient_matches(oracles, key, action)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_reported_quotient_matches_oracle_at_forced_depth(oracles, depth):
+    action = build_model(builtin("rp", 2)).action
+    _assert_reported_quotient_matches(oracles, ("rp(2)", depth), action, depth)
+
+
+@pytest.mark.parametrize("scenario", CORPUS_SCENARIOS, ids=lambda sc: sc.name)
+def test_orbit_complex_matches_simplicial_quotient_on_corpus(oracles, scenario):
+    for key, action in _corpus_cases(scenario):
+        _assert_routes_agree(oracles, key, action)
+
+
+def test_orbit_complex_matches_simplicial_quotient_on_sweep(oracles):
+    for key, action in _sweep_cases():
+        _assert_routes_agree(oracles, key, action)
 
 
 def test_orbit_complex_antipodal_octahedron_is_rp2():

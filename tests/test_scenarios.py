@@ -132,6 +132,7 @@ def test_simplex_cap_env(monkeypatch):
 
 def test_predicted_model_size_matches_actual():
     from sqh.actions import make_admissible_and_quotient
+    from sqh.complexes import barycentric_subdivision
     from sqh.models import character_join_model
 
     for data in (
@@ -141,9 +142,12 @@ def test_predicted_model_size_matches_actual():
     ):
         model = character_join_model(data)
         res = make_admissible_and_quotient(model.action)
-        actual = sum(res.action.complex.f_vector())
-        predicted = predicted_model_size(data)
-        assert actual <= predicted  # forecast never undershoots the real run
+        sphere = model.action.complex
+        for _ in range(res.subdivisions):
+            sphere = barycentric_subdivision(sphere).complex
+        actual = sum(sphere.f_vector())
+        assert res.simplices_after == actual
+        assert predicted_model_size(data) >= actual  # forecast never undershoots the real run
 
 
 def test_sweep_generator_deterministic():
@@ -331,9 +335,12 @@ _DIHEDRAL = ("space", "explicit")
          "'facets[0][1]'"),
         (_replaced(builtin("lens", 5, 2).to_json_dict(), ["a"], "space", "character_join", "invariant_factors"),
          "'invariant_factors[0]'"),
+        ({**builtin("rp", 2).to_json_dict(), "subdivisions": True}, "'subdivisions'"),
+        ({**builtin("rp", 2).to_json_dict(), "certified": "no"}, "'certified'"),
     ],
     ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex",
-         "perm_str", "perm_float", "generator_str", "facet_str", "factor_str"],
+         "perm_str", "perm_float", "generator_str", "facet_str", "factor_str",
+         "subdivisions_bool", "certified_str"],
 )
 def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, data, named):
     assert _run_scenario_file(tmp_path, data) == 2
