@@ -15,8 +15,8 @@ from .complexes import (
     OrientedChainComplex,
     SimplicialComplex,
     Subdivision,
-    barycentric_subdivision,
     full_subcomplex,
+    shared_subdivision,
     subdivided_f_vector,
 )
 from .errors import (
@@ -74,9 +74,11 @@ class VertexAction:
       for, the orientation signs of the simplex orbits (`simplex_orbit_data`)
     - the restricted action of each subgroup, keyed by its sorted element
       indices (`restrict`)
-    - the first barycentric subdivision, when the action is not admissible
-      (`admissible_subdivision`); an admissible action is its own and
-      stores nothing, so no cache refers back to its owner
+    - the action on the first barycentric subdivision, when the action is
+      not admissible (`admissible_subdivision`); an admissible action is its
+      own and stores nothing, so no cache refers back to its owner.  The
+      subdivision itself is cached on the complex (`shared_subdivision`), so
+      every subgroup's action and the quotient loop share it
     - for an admissible action, its orbit chain complex
       (`orbit_chain_complex`) and that complex's Betti numbers per field
       (`orbit_betti`)
@@ -422,8 +424,10 @@ _MAX_AUTO_SUBDIVISIONS = 3
 
 
 def _subdivided(action: VertexAction) -> VertexAction:
-    """The action transported to the first barycentric subdivision of its complex."""
-    return induced_action_on_subdivision(action, barycentric_subdivision(action.complex))
+    """The action transported to the first barycentric subdivision of its complex.
+
+    The subdivision is shared by every action on the same complex object."""
+    return induced_action_on_subdivision(action, shared_subdivision(action.complex))
 
 
 def make_admissible_and_quotient(

@@ -3,8 +3,8 @@
 Simplices are stored as strictly increasing tuples of vertex indices.
 Orientation follows the ascending-vertex convention: the boundary of a
 simplex drops its i-th vertex with sign (-1)^i.  Complexes are immutable
-after construction; derived data (the face lattice, chain complexes) is
-cached on the instance.
+after construction; derived data (the face lattice, chain complexes, the
+first barycentric subdivision) is cached on the instance.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class SimplicialComplex:
     none contained in another.
     """
 
-    __slots__ = ("vertex_count", "facets", "_simplices", "_simplex_set", "_chain")
+    __slots__ = ("vertex_count", "facets", "_simplices", "_simplex_set", "_chain", "_subdivision")
 
     def __init__(self, vertex_count: int, facets) -> None:
         if vertex_count < 0:
@@ -42,6 +42,7 @@ class SimplicialComplex:
         self._simplices = None
         self._simplex_set = None
         self._chain = None
+        self._subdivision = None
 
     @property
     def dimension(self) -> int:
@@ -201,6 +202,19 @@ def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
             facets.append(tuple(sorted(chain)))
     sd = SimplicialComplex(len(all_simplices), facets)
     return Subdivision(sd, k, tuple(all_simplices), index)
+
+
+def shared_subdivision(k: SimplicialComplex) -> Subdivision:
+    """The first barycentric subdivision of k, built once per complex.
+
+    The complex keeps the subdivision's parts, not the `Subdivision`, whose
+    `source` refers back to k: that would be a reference cycle.
+    """
+    if k._subdivision is None:
+        sd = barycentric_subdivision(k)
+        k._subdivision = (sd.complex, sd.vertex_simplices, sd.vertex_of_simplex)
+    sd_complex, vertex_simplices, vertex_of_simplex = k._subdivision
+    return Subdivision(sd_complex, k, vertex_simplices, vertex_of_simplex)
 
 
 def subdivided_f_vector(f_vector) -> tuple:

@@ -12,8 +12,12 @@ the matrix, so every field's rank shares it; the sparse Gaussian
 eliminations with min-degree (Markowitz-style) pivoting run only on R.
 
 Integral structure comes from a Smith-normal-form routine that first
-sweeps out unit pivots sparsely and finishes with gcd pivoting.  It runs
-on the original matrix, not on R, so `betti`'s SNF-versus-rank
+eliminates unit pivots by row operations alone and finishes with gcd
+pivoting.  `betti` runs it over the whole chain complex: a cell paired by
+a unit pivot of d_k splits off with its partner (Kaczynski, Mrozek and
+Slusarek, "Homology computation by reduction of chain complexes", 1998),
+so its row of d_{k+1} is dropped.  The SNF shares nothing with the unit
+reduction and differs from it in structure, so `betti`'s SNF-versus-rank
 cross-check compares two independent eliminations.
 """
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -189,9 +193,14 @@ class SparseIntMatrix:
 
 @dataclass(frozen=True)
 class ElementaryDivisors:
-    """Nonzero Smith divisors d_1 | d_2 | ... | d_r of an integer matrix."""
+    """Nonzero Smith divisors d_1 | d_2 | ... | d_r of an integer matrix.
+
+    `unit_columns` are the columns `smith_normal_form` paired by unit pivots
+    using row operations alone; they take no part in comparisons.
+    """
 
     divisors: tuple
+    unit_columns: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -431,14 +440,34 @@ def _divisor_chain(values) -> tuple:
     return tuple([1] * (ones + extra_ones) + rest)
 
 
-def smith_normal_form(m: SparseIntMatrix, cap: int = 5000) -> ElementaryDivisors:
-    """Divisibility chain of m.  Unit pivots are swept out sparsely first;
-    the residual is finished with classical gcd pivoting."""
+def smith_normal_form(m: SparseIntMatrix, cap: int = 5000, *, drop_rows=frozenset()) -> ElementaryDivisors:
+    """Divisibility chain of m, with the rows in `drop_rows` left out.
+
+    Phase one eliminates +-1 pivots by row operations alone: columns are
+    taken in min-degree order, each pivots on its shortest row among its
+    unit entries, and the pivot row and column drop out as a Schur-complement
+    update (the column operations clearing the pivot row change nothing
+    else).  A column with no unit entry when it is taken waits for phase
+    two, which finishes whatever is left by classical gcd pivoting, with row
+    and column operations.  The phase-one pivot columns are returned as
+    `unit_columns`.
+
+    Rows may be dropped only where that keeps the divisors: when m is d_{k+1}
+    of a chain complex and `drop_rows` are the `unit_columns` of the SNF of
+    d_k.  A unit pivot (a, b) of d_k taken by row operations splits the
+    complex as C' + (Z -> Z), with the k-cell b paired to the new basis
+    vector of C_{k-1} that d_k(b) spans.  In C', d_{k+1} is d_{k+1} without
+    row b, and dd = 0 makes row b an integer combination of the others.  The
+    cap applies to the shape of m, dropped rows included.
+    """
     if m.rows > cap or m.cols > cap:
         raise SnfTooLarge(f"{m.rows}x{m.cols} exceeds SNF cap {cap}x{cap}")
-    rows_map, col_rows = _row_structure(m)
-    heap = [(len(rs), c) for c, rs in col_rows.items()]
-    heapq.heapify(heap)
+    rows_map: dict = {}
+    col_rows: dict = {}
+    for r, c, v in m.iter_entries():
+        if r not in drop_rows:
+            rows_map.setdefault(r, {})[c] = v
+            col_rows.setdefault(c, set()).add(r)
     diagonal = []
 
     def row_op(r2, q, pivot_items):
@@ -474,10 +503,41 @@ def smith_normal_form(m: SparseIntMatrix, cap: int = 5000) -> ElementaryDivisors
                     if c2 in col_rows:
                         col_rows[c2].discard(rr)
 
+    def eliminate(r, c):
+        # clear column c by row operations; it is then a singleton, so the
+        # column operations clearing row r only touch row r: drop both
+        v = rows_map[r][c]
+        pivot_items = list(rows_map[r].items())
+        for r2 in sorted(col_rows[c] - {r}):
+            row_op(r2, rows_map[r2][c] // v, pivot_items)
+        row_r = rows_map.pop(r)
+        for cc in row_r:
+            if cc in col_rows:
+                col_rows[cc].discard(r)
+        col_rows.pop(c, None)
+        diagonal.append(v)
+
+    # phase one: unit pivots, row operations only
+    unit_columns = []
+    heap = [(len(rs), c) for c, rs in col_rows.items()]
+    heapq.heapify(heap)
     while True:
         c = _pop_min_degree_column(heap, col_rows)
         if c is None:
-            # the gcd dance can move a pivot off its heap column, orphaning it
+            break
+        unit_rows = [rr for rr in col_rows[c] if rows_map[rr][c] in (1, -1)]
+        if not unit_rows:
+            continue  # out of the heap, left for phase two
+        eliminate(min(unit_rows, key=lambda rr: (len(rows_map[rr]), rr)), c)
+        unit_columns.append(c)
+
+    # phase two: gcd pivoting on what is left
+    heap = []
+    while True:
+        c = _pop_min_degree_column(heap, col_rows)
+        if c is None:
+            # phase one leaves columns off the heap, and the gcd dance can
+            # move a pivot off its heap column, orphaning it
             live = {cc: rs for cc, rs in col_rows.items() if rs}
             if live:
                 col_rows.clear()
@@ -512,19 +572,8 @@ def smith_normal_form(m: SparseIntMatrix, cap: int = 5000) -> ElementaryDivisors
                     break
             if not moved:
                 break
-        v = rows_map[r][c]
-        pivot_items = list(rows_map[r].items())
-        for r2 in sorted(col_rows[c] - {r}):
-            row_op(r2, rows_map[r2][c] // v, pivot_items)
-        # pivot column is now a singleton; clearing the pivot row only touches row r
-        row_r = rows_map.pop(r)
-        for cc in row_r:
-            if cc in col_rows:
-                col_rows[cc].discard(r)
-        if c in col_rows:
-            del col_rows[c]
-        diagonal.append(v)
-    return ElementaryDivisors(_divisor_chain(diagonal))
+        eliminate(r, c)
+    return ElementaryDivisors(_divisor_chain(diagonal), frozenset(unit_columns))
 
 
 def _rank_for_field(m: SparseIntMatrix, field: FieldSpec, certified: bool, rng) -> int:
@@ -588,7 +637,10 @@ def betti(
     b_k = rank C_k - rank d_k - rank d_{k+1}.  When every boundary matrix
     fits under the SNF cap, torsion is reported and the table is
     cross-derived from the elementary divisors; both derivations must
-    agree or the complex is declared corrupt.
+    agree or the complex is declared corrupt.  The SNF of d_{k+1} leaves
+    out the rows of the k-cells that the SNF of d_k paired by unit pivots
+    (see `smith_normal_form`); after a matrix over the cap nothing is left
+    out.
     """
     fields = tuple(fields)
     if not fields:
@@ -601,11 +653,16 @@ def betti(
 
     snf: list[ElementaryDivisors | None] = []
     if with_torsion:
+        # the cells paired by unit pivots one degree down: their rows split off
+        paired = frozenset()
         for mat in boundaries:
             try:
-                snf.append(smith_normal_form(mat, cap=snf_cap))
+                ed = smith_normal_form(mat, cap=snf_cap, drop_rows=paired)
             except SnfTooLarge:
-                snf.append(None)
+                ed, paired = None, frozenset()
+            else:
+                paired = ed.unit_columns
+            snf.append(ed)
     else:
         snf = [None] * len(boundaries)
     snf_complete = all(s is not None for s in snf)

@@ -5,7 +5,14 @@ import pytest
 
 from conftest import octahedron, random_small_complex, rp2_minimal
 from test_acceptance import CORPUS_SCENARIOS
-from sqh.complexes import chain_complex, full_subcomplex, polygon
+from sqh.complexes import (
+    OrientedChainComplex,
+    SimplicialComplex,
+    barycentric_subdivision,
+    chain_complex,
+    full_subcomplex,
+    polygon,
+)
 from sqh.errors import CorruptComplex, InvalidParameter, SnfTooLarge
 from sqh import homology
 from sqh.actions import admissible_subdivision, make_admissible_and_quotient, orbit_chain_complex
@@ -384,7 +391,8 @@ def test_corrupted_unit_reduction_is_caught(monkeypatch):
 def test_lost_unit_pivot_is_caught_by_snf_alone(monkeypatch):
     """A pivot the reduction loses lowers every field's rank alike, so the
     Betti numbers stay nonnegative and consistent with one another; only the
-    Smith normal form, computed on the original matrix, sees it."""
+    Smith normal form sees it, since its own elimination shares nothing with
+    the reduction."""
     original = homology._unit_reduction
     fields = builtin("lens", 5, 2).field_specs()
 
@@ -397,3 +405,120 @@ def test_lost_unit_pivot_is_caught_by_snf_alone(monkeypatch):
     assert wrong.betti(RATIONALS) != (1, 0, 0, 1)
     with pytest.raises(CorruptComplex, match="SNF"):
         betti(_lens52_quotient_chain(), fields)
+
+
+# -- the chained SNF: rows of cells paired one degree down are dropped -------
+
+def _random_unimodular(rng, n):
+    """(U, U^-1), dense: a product of random row negations and row additions."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:  # row i of U negated; column i of U^-1 likewise
+            u[i] = [-v for v in u[i]]
+            for row in inv:
+                row[i] = -row[i]
+        else:  # row j of U gains c times row i; column i of U^-1 loses c times column j
+            c = rng.choice((-2, -1, 1, 2))
+            u[j] = [a + c * b for a, b in zip(u[j], u[i])]
+            for row in inv:
+                row[i] -= c * row[j]
+    return u, inv
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _rebased(cc, rng):
+    """cc with every C_k re-based by a random unimodular U_k: d_k becomes U_{k-1}^-1 d_k U_k.
+
+    dd = 0 and each matrix's elementary divisors are kept, while the entries
+    stop being +-1, so phase two of the SNF has work to do."""
+    bases = [_random_unimodular(rng, r) for r in cc.ranks]
+    boundaries = [cc.boundaries[0]]
+    for k in range(1, len(cc.ranks)):
+        dense = _matmul(_matmul(bases[k - 1][1], cc.boundaries[k].to_dense()), bases[k][0])
+        boundaries.append(from_dense(dense))
+    return OrientedChainComplex(cc.ranks, tuple(boundaries), cc.basis_labels)
+
+
+def _chained_snf(cc) -> list:
+    """The elementary divisors `betti` finds for each boundary matrix of cc."""
+    got = []
+    original = homology.smith_normal_form
+
+    def recording(m, *args, **kwargs):
+        got.append(original(m, *args, **kwargs))
+        return got[-1]
+
+    homology.smith_normal_form = recording
+    try:
+        betti(cc, [F2], snf_cap=10**6)
+    finally:
+        homology.smith_normal_form = original
+    return got
+
+
+def _unchained_snf(cc) -> list:
+    return [smith_normal_form(m, cap=10**6) for m in cc.boundaries]
+
+
+def test_snf_unit_columns_are_row_operation_pivots():
+    # a 2-simplex: both unit pivots of d_1 are taken by row operations alone
+    d1 = chain_complex(SimplicialComplex(3, [(0, 1, 2)])).boundaries[1]
+    ed = smith_normal_form(d1)
+    assert ed.divisors == (1, 1) and len(ed.unit_columns) == 2
+    # no unit entry: the pivot comes from the gcd phase and is not recorded
+    ed = smith_normal_form(from_dense([[2, 4], [6, 8]]))
+    assert ed.divisors == (2, 4) and ed.unit_columns == frozenset()
+    # dropping the rows of paired cells keeps d_2's divisors (dd = 0)
+    cc = chain_complex(rp2_minimal())
+    paired = smith_normal_form(cc.boundaries[1]).unit_columns
+    assert len(paired) == 5  # a spanning tree of the 6 vertices
+    assert smith_normal_form(cc.boundaries[2], drop_rows=paired) == smith_normal_form(cc.boundaries[2])
+    # the cap is checked on the full shape
+    with pytest.raises(SnfTooLarge):
+        smith_normal_form(cc.boundaries[2], cap=14, drop_rows=paired)
+
+
+def test_chained_snf_matches_simplicial_oracle_on_rebased_complexes():
+    """Re-basing keeps every matrix's divisors: the SNF of the simplicial
+    matrix is the oracle for the chained SNF of the re-based one."""
+    rng = random.Random(8595)
+    complexes = [octahedron(), rp2_minimal(), barycentric_subdivision(rp2_minimal()).complex]
+    complexes += [random_small_complex(rng) for _ in range(200)]
+    dropped = non_units = 0
+    for k in complexes:
+        cc = _rebased(chain_complex(k), rng)
+        got = _chained_snf(cc)
+        assert got == _unchained_snf(chain_complex(k))
+        dropped += sum(len(ed.unit_columns) for ed in got[:-1])
+        non_units += sum(1 for m in cc.boundaries for _, _, v in m.iter_entries() if abs(v) > 1)
+    assert dropped > 500 and non_units > 5000  # both paths ran on 694 matrices
+
+
+@pytest.mark.parametrize("scenario", CORPUS_SCENARIOS, ids=lambda sc: sc.name)
+def test_chained_snf_matches_unchained_on_corpus_complexes(scenario):
+    """The simplicial quotient and the orbit complex: every boundary matrix."""
+    action = build_model(scenario).action
+    for cc in (
+        chain_complex(make_admissible_and_quotient(action).complex),
+        orbit_chain_complex(admissible_subdivision(action)),
+    ):
+        assert _chained_snf(cc) == _unchained_snf(cc)
+
+
+def test_chained_snf_property_on_rebased_complexes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    facets = st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=8)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(facets, st.integers(0, 2**32))
+    def check(facet_sets, seed):
+        cc = chain_complex(SimplicialComplex(7, facet_sets))
+        assert _chained_snf(_rebased(cc, random.Random(seed))) == _unchained_snf(cc)
+
+    check()

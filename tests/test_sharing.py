@@ -14,7 +14,7 @@ import pytest
 from conftest import octahedron
 from sqh.actions import VertexAction, close_generators, sylow
 from sqh.bounds import cyclic_chain_check, smith_floyd_check, transfer_check
-from sqh.complexes import chain_complex
+from sqh.complexes import SimplicialComplex, chain_complex
 from sqh.homology import F2, SparseIntMatrix, betti
 from sqh.models import SignedPermutation
 from sqh.scenarios import Scenario, build_model, builtin, run_scenario
@@ -167,7 +167,10 @@ def test_chain_complex_verified_once(monkeypatch):
 
 
 def test_finished_scenarios_leave_no_action_in_a_reference_cycle():
-    """Caches must not refer back to their action, or it outlives its scenario."""
+    """Caches must not refer back to their action or complex, or it outlives its scenario.
+
+    Both scenarios subdivide their model, so the complex's cached subdivision is covered.
+    """
     gc.collect()
     gc.disable()
     try:
@@ -175,8 +178,45 @@ def test_finished_scenarios_leave_no_action_in_a_reference_cycle():
         run_scenario(builtin("quaternion_q8"))
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        assert not [o for o in gc.garbage if isinstance(o, VertexAction)]
+        assert not [o for o in gc.garbage if isinstance(o, (VertexAction, SimplicialComplex))]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+def _signed_scenario(name, n, generators):
+    return Scenario(
+        name=name,
+        space={"signed_permutation": {"n": n, "generators": [g.to_json_dict() for g in generators]}},
+        fields=("Q", "Fp:2", "Fp:3"),
+        checks=("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "evaluate_all"),
+        snf_cap=16384,
+    )
+
+
+SWAP = SignedPermutation((2, 1, 3, 4), (1, 1, 1, 1))
+CYCLE4 = SignedPermutation((2, 3, 4, 1), (1, 1, 1, 1))
+FLIP = SignedPermutation((1, 2, 3, 4), (-1, 1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [_signed_scenario("s4_on_s3", 4, [SWAP, CYCLE4]), _signed_scenario("b4_on_s3", 4, [SWAP, CYCLE4, FLIP])],
+    ids=lambda sc: sc.name,
+)
+def test_model_subdivided_once_per_scenario(monkeypatch, scenario):
+    """The quotient loop and every subgroup's action share the model's subdivision."""
+    import sqh.complexes
+
+    sources = []
+    orig = sqh.complexes.barycentric_subdivision
+
+    def counting(k):
+        sources.append(k.f_vector())
+        return orig(k)
+
+    monkeypatch.setattr(sqh.complexes, "barycentric_subdivision", counting)
+    run_scenario(scenario)
+    # the 16-cell boundary, whose action is not admissible; nothing else is subdivided
+    assert sources == [(8, 24, 32, 16)]

@@ -8,7 +8,9 @@ import importlib.util
 from pathlib import Path
 
 import sqh.scenarios
-from sqh.scenarios import builtin, report_bytes
+from sqh.actions import make_admissible_and_quotient
+from sqh.complexes import chain_complex
+from sqh.scenarios import build_model, builtin, report_bytes
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -32,3 +34,8 @@ def test_tracer_installs_around_a_scenario():
     metrics = tracer.metrics()
     assert metrics["scenarios.run_scenario_calls"][0] == 1
     assert metrics["actions.quotient_calls"][0] == 1
+    # torsion is on for rp(2): one SNF per boundary matrix of its quotient, none skipped
+    assert scenario.snf_cap > 0
+    quotient = make_admissible_and_quotient(build_model(scenario).action).complex
+    assert metrics["homology.snf_calls"][0] == len(chain_complex(quotient).boundaries) == 3
+    assert metrics["homology.snf_skipped"][0] == 0
