@@ -1,15 +1,23 @@
 """Finite groups acting by vertex permutations on a simplicial complex.
 
-Groups are stored by their full element list; all subgroup algorithms are
-exhaustive, which is the right trade for the tiny groups this engine
-targets.  Element order is breadth-first over words in the generators, so
-every least-index tie-break is reproducible.
+Groups are stored by their full element list, and each group or subgroup
+carries a small generating set.  Group work runs on generators (Seress,
+Permutation Group Algorithms, 2003): closures are breadth-first searches
+over right multiplication by the generators, a subset is a subgroup when the
+closure of a greedily picked generating set stays inside it, normality is
+tested by conjugating those generators by the group's, commutativity and
+the center by commuting with generators, and conjugacy classes are orbits
+under conjugation by generators.  Only `best_abelian_normal_subgroup`
+searches exhaustively, over unions of conjugacy classes, and `all_subgroups`
+(a reference for tests) enumerates the whole lattice.  Element order is
+breadth-first over words in the generators, so every least-index tie-break
+is reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .complexes import (
     OrientedChainComplex,
@@ -54,31 +62,42 @@ def _inverse(p) -> tuple:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """Element indices of a subgroup inside an ambient VertexAction."""
+    """Element indices of a subgroup inside an ambient VertexAction, with a generating set.
+
+    `generators` are ambient indices that generate the subgroup; they are a
+    choice, so handles of one subgroup compare equal whatever they hold.
+    """
 
     indices: tuple
     order: int
     is_normal: bool
     is_abelian: bool
     via_fallback: bool = False
+    generators: tuple = field(default=(), compare=False, repr=False)
 
 
 class VertexAction:
     """A finite group realized as simplicial vertex permutations.
 
-    elements[0] is the identity.  Instances are immutable; derived data is
-    cached on the instance and freed with it:
+    elements[0] is the identity, and `generator_indices` generate the
+    group.  Instances are immutable; derived data is cached on the instance
+    and freed with it:
 
     - multiplication, inverses and element orders
     - vertex and simplex orbits, the admissibility verdict and, once asked
       for, the orientation signs of the simplex orbits (`simplex_orbit_data`)
     - the restricted action of each subgroup, keyed by its sorted element
-      indices (`restrict`)
+      indices and generated by the subgroup's generators (`restrict`)
+    - the Sylow p-subgroup of each subgroup, keyed by (indices, p) (`sylow`)
+    - the fixed subcomplex of each subgroup, keyed by its indices
+      (`fixed_subcomplex`)
     - the action on the first barycentric subdivision, when the action is
-      not admissible (`admissible_subdivision`); an admissible action is its
-      own and stores nothing, so no cache refers back to its owner.  The
-      subdivision itself is cached on the complex (`shared_subdivision`), so
-      every subgroup's action and the quotient loop share it
+      not admissible (`admissible_subdivision`).  The quotient loop of
+      `make_admissible_and_quotient` stores its depth-1 transport here, and
+      `subgroup_action` restricts it to each subgroup, so the group is
+      transported once per scenario.  An admissible action is its own and
+      stores nothing, so no cache refers back to its owner.  The subdivision
+      itself is cached on the complex (`shared_subdivision`)
     - for an admissible action, its orbit chain complex
       (`orbit_chain_complex`) and that complex's Betti numbers per field
       (`orbit_betti`)
@@ -95,6 +114,8 @@ class VertexAction:
         "_vertex_orbits",
         "_simplex_orbits",
         "_restrictions",
+        "_sylow",
+        "_fixed",
         "_admissible_subdivision",
         "_orbit_complex",
         "_orbit_betti",
@@ -111,6 +132,8 @@ class VertexAction:
         self._vertex_orbits = None
         self._simplex_orbits = None
         self._restrictions: dict = {}
+        self._sylow: dict = {}
+        self._fixed: dict = {}
         self._admissible_subdivision = None
         self._orbit_complex = None
         self._orbit_betti: dict = {}
@@ -145,34 +168,66 @@ class VertexAction:
             self._orders[i] = got
         return got
 
+    def _span(self, seed, base=((0,), ()), within=None):
+        """(members, generators) of the group generated by a subgroup `base` and `seed`.
+
+        `base` is (members, generators) of a subgroup.  Seed elements are
+        taken in order, and one joins the generators only when the group so
+        far lacks it; the group then grows by a search over right
+        multiplication.  Members so far are closed under the old generators,
+        so they are multiplied by the new one only, and each new member by
+        every generator.  Returns None as soon as a member falls outside
+        `within`.
+        """
+        members, gens = list(base[0]), list(base[1])
+        known = set(members)
+        for g in seed:
+            if g in known:
+                continue
+            gens.append(g)
+            queue = [self.mult(x, g) for x in members]
+            while queue:
+                y = queue.pop()
+                if y in known:
+                    continue
+                if within is not None and y not in within:
+                    return None
+                known.add(y)
+                members.append(y)
+                queue.extend(self.mult(y, h) for h in gens)
+        return tuple(members), tuple(gens)
+
     def closure_indices(self, seed) -> tuple:
-        known = {0} | set(seed)
-        frontier = sorted(known)
-        while frontier:
-            new = []
-            for i in frontier:
-                for j in sorted(known):
-                    for k in (self.mult(i, j), self.mult(j, i)):
-                        if k not in known:
-                            known.add(k)
-                            new.append(k)
-            frontier = new
-        return tuple(sorted(known))
+        """Sorted element indices of the subgroup generated by `seed`."""
+        return tuple(sorted(self._span(sorted(set(seed)))[0]))
+
+    def _handle(self, indices: tuple, generators) -> SubgroupHandle:
+        """The handle of the subgroup with these sorted indices and generators.
+
+        H is normal iff each generator of G conjugates each generator of H
+        into H, and abelian iff its generators commute.
+        """
+        members = set(indices)
+        normal = all(
+            self.mult(self.mult(g, h), self.inv(g)) in members
+            for g in self.generator_indices
+            for h in generators
+        )
+        abelian = all(self.mult(a, b) == self.mult(b, a) for a in generators for b in generators)
+        return SubgroupHandle(indices, len(indices), normal, abelian, generators=tuple(generators))
 
     def subgroup(self, indices) -> SubgroupHandle:
+        """The subgroup on these element indices (the identity is added).
+
+        A generating set is picked greedily in index order; the indices form
+        a subgroup iff its closure does not leave them, and InvalidParameter
+        is raised otherwise.
+        """
         idx = tuple(sorted(set(indices) | {0}))
-        iset = set(idx)
-        for i in idx:
-            if self.inv(i) not in iset:
-                raise InvalidParameter("element set not closed under inverse")
-            for j in idx:
-                if self.mult(i, j) not in iset:
-                    raise InvalidParameter("element set not closed under multiplication")
-        normal = all(
-            self.mult(self.mult(g, h), self.inv(g)) in iset for g in range(self.order) for h in idx
-        )
-        abelian = all(self.mult(i, j) == self.mult(j, i) for i in idx for j in idx)
-        return SubgroupHandle(idx, len(idx), normal, abelian)
+        span = self._span(idx, within=frozenset(idx))
+        if span is None:
+            raise InvalidParameter("element set not closed under multiplication")
+        return self._handle(idx, span[1])
 
     def trivial_subgroup(self) -> SubgroupHandle:
         return self.subgroup([0])
@@ -181,20 +236,25 @@ class VertexAction:
         """The whole group: closed and normal by construction, abelian iff its generators commute."""
         gens = self.generator_indices
         abelian = all(self.mult(a, b) == self.mult(b, a) for a in gens for b in gens)
-        return SubgroupHandle(tuple(range(self.order)), self.order, True, abelian)
+        return SubgroupHandle(tuple(range(self.order)), self.order, True, abelian, generators=gens)
 
     def restrict(self, handle: SubgroupHandle) -> "VertexAction":
         """The subgroup acting on the same complex, built once per subgroup.
 
-        The full group restricts to this action itself.
+        Its elements keep their order in this action, and its generators are
+        the handle's.  The full group restricts to this action itself.
         """
-        key = tuple(sorted(set(handle.indices)))
+        key = handle.indices
         if len(key) == self.order:
             return self
         got = self._restrictions.get(key)
         if got is None:
-            elems = [self.elements[i] for i in key]
-            got = VertexAction(self.complex, elems, tuple(range(1, len(elems))))
+            position = {i: k for k, i in enumerate(key)}
+            got = VertexAction(
+                self.complex,
+                [self.elements[i] for i in key],
+                tuple(position[g] for g in handle.generators),
+            )
             self._restrictions[key] = got
         return got
 
@@ -443,7 +503,9 @@ def make_admissible_and_quotient(
     tried.  At depth 0, and at depth 1 when the action on X is not
     admissible, `quotient_complex` runs on the action at that depth.  At
     every other depth k, `subdivided_quotient` builds the quotient from the
-    action at depth k-1, so the depth-k sphere is never built.  Before each
+    action at depth k-1, so the depth-k sphere is never built.  The depth-1
+    transport of an action that is not admissible is its admissible
+    subdivision, and is kept as such (see `admissible_subdivision`).  Before each
     depth its simplex count is forecast from the f-vector one depth down
     (`subdivided_f_vector`), and ResourceCapExceeded is raised when it would
     pass `simplex_cap`, whether or not that sphere is to be built; None
@@ -473,8 +535,15 @@ def make_admissible_and_quotient(
             )
         facets = sum(math.factorial(len(f)) for f in current.complex.facets)
         below = current
-        current = None if below.simplex_orbit_data()[2] else _subdivided(below)
+        current = None if below.simplex_orbit_data()[2] else _first_subdivision(below)
         count += 1
+
+
+def _first_subdivision(action: VertexAction) -> VertexAction:
+    """`_subdivided(action)` for an action that is not admissible, transported once per action."""
+    if action._admissible_subdivision is None:
+        action._admissible_subdivision = _subdivided(action)
+    return action._admissible_subdivision
 
 
 def admissible_subdivision(action: VertexAction) -> VertexAction:
@@ -482,13 +551,29 @@ def admissible_subdivision(action: VertexAction) -> VertexAction:
 
     One subdivision always suffices: a simplex of the subdivision is a flag
     of faces of distinct dimensions, so an element preserving the flag fixes
-    each of its faces, which are its vertices.  Computed once per action.
+    each of its faces, which are its vertices.  Computed once per action;
+    when the quotient loop has transported the action already, no orbit
+    pass is made.
     """
-    if is_admissible(action):
+    if action._admissible_subdivision is None and is_admissible(action):
         return action
-    if action._admissible_subdivision is None:
-        action._admissible_subdivision = _subdivided(action)
-    return action._admissible_subdivision
+    return _first_subdivision(action)
+
+
+def subgroup_action(action: VertexAction, handle: SubgroupHandle) -> VertexAction:
+    """The subgroup's action at its admissible subdivision, without transporting it again.
+
+    That is the restricted action when it is admissible.  Otherwise it is
+    the restriction of `admissible_subdivision(action)`, the whole group on
+    the first barycentric subdivision, which lists the same elements in the
+    same order as the subgroup's own transport would.
+    """
+    if handle.order == action.order:
+        return admissible_subdivision(action)
+    restricted = action.restrict(handle)
+    if is_admissible(restricted):
+        return restricted
+    return admissible_subdivision(action).restrict(handle)
 
 
 def orbit_chain_complex(action: VertexAction) -> OrientedChainComplex:
@@ -547,77 +632,92 @@ def orbit_betti(action: VertexAction, field: FieldSpec) -> tuple:
 
 
 def fixed_subcomplex(action: VertexAction, handle: SubgroupHandle) -> SimplicialComplex:
-    """Full subcomplex on the vertices fixed by every element of the subgroup."""
-    restricted = action.restrict(handle)
-    if not is_admissible(restricted):
-        raise NeedsSubdivision("restricted action is not admissible")
-    fixed = [
-        v
-        for v in range(action.complex.vertex_count)
-        if all(action.elements[i][v] == v for i in handle.indices)
-    ]
-    return full_subcomplex(action.complex, fixed)
+    """Full subcomplex on the vertices fixed by every element of the subgroup.
+
+    A vertex is fixed by the subgroup iff its generators fix it.  Built once
+    per (action, subgroup).
+    """
+    got = action._fixed.get(handle.indices)
+    if got is None:
+        if not is_admissible(action.restrict(handle)):
+            raise NeedsSubdivision("restricted action is not admissible")
+        gens = [action.elements[i] for i in handle.generators]
+        fixed = [v for v in range(action.complex.vertex_count) if all(e[v] == v for e in gens)]
+        got = full_subcomplex(action.complex, fixed)
+        action._fixed[handle.indices] = got
+    return got
 
 
 def conjugacy_classes(action: VertexAction, handle: SubgroupHandle | None = None):
-    """Conjugacy classes of the subgroup (default: full group), sorted by least member."""
-    idx = handle.indices if handle is not None else tuple(range(action.order))
-    remaining = set(idx)
+    """Conjugacy classes of the subgroup (default: full group), sorted by least member.
+
+    Each class is an orbit under conjugation by the subgroup's generators.
+    """
+    handle = handle if handle is not None else action.full_subgroup()
+    conjugators = [(g, action.inv(g)) for g in handle.generators]
+    remaining = set(handle.indices)
     classes = []
-    for i in sorted(idx):
+    for i in handle.indices:
         if i not in remaining:
             continue
-        cls = {action.mult(action.mult(g, i), action.inv(g)) for g in idx}
+        cls = {i}
+        queue = [i]
+        while queue:
+            x = queue.pop()
+            for g, g_inv in conjugators:
+                y = action.mult(action.mult(g, x), g_inv)
+                if y not in cls:
+                    cls.add(y)
+                    queue.append(y)
         classes.append(tuple(sorted(cls)))
         remaining -= cls
     return classes
 
 
-def normalizer(action: VertexAction, ambient: SubgroupHandle, sub: SubgroupHandle) -> tuple:
-    sset = set(sub.indices)
-    out = []
-    for h in ambient.indices:
-        hi = action.inv(h)
-        if all(action.mult(action.mult(h, p), hi) in sset for p in sub.indices):
-            out.append(h)
-    return tuple(out)
-
-
 def sylow(action: VertexAction, handle: SubgroupHandle, p: int) -> SubgroupHandle:
-    """A Sylow p-subgroup of the subgroup, grown deterministically.
+    """A Sylow p-subgroup of the subgroup, grown deterministically, once per (subgroup, p).
 
-    Starting from the trivial group, repeatedly adjoin the least-index
-    p-power-order element of the normalizer that is not yet in the
-    subgroup; each step multiplies the order by p.
+    Starting from the trivial group P, repeatedly adjoin the least-index
+    element of the subgroup outside P that has p-power order and normalizes
+    P (conjugates P's generators into P); each step multiplies the order by
+    a power of p.
     """
     if not is_prime(p):
         raise InvalidParameter(f"{p} is not prime")
+    key = (handle.indices, p)
+    got = action._sylow.get(key)
+    if got is None:
+        got = _grow_sylow(action, handle, p)
+        action._sylow[key] = got
+    return got
+
+
+def _grow_sylow(action: VertexAction, handle: SubgroupHandle, p: int) -> SubgroupHandle:
     target = p ** prime_factors(handle.order).get(p, 0)
-    current = action.subgroup([0])
-    while current.order < target:
-        norm = normalizer(action, handle, current)
-        cset = set(current.indices)
-        progressed = False
-        for g in norm:
-            if g in cset:
+    members, gens = (0,), ()
+    while len(members) < target:
+        inside = set(members)
+        for g in handle.indices:
+            if g in inside or prime_factors(action.element_order(g)).keys() - {p}:
                 continue
-            if prime_factors(action.element_order(g)).keys() - {p}:
+            g_inv = action.inv(g)
+            if any(action.mult(action.mult(g, h), g_inv) not in inside for h in gens):
                 continue
-            new_idx = action.closure_indices(set(current.indices) | {g})
-            if not prime_factors(len(new_idx)).keys() - {p}:
-                current = action.subgroup(new_idx)
-                progressed = True
+            grown = action._span([g], base=(members, gens))
+            if not prime_factors(len(grown[0])).keys() - {p}:
+                members, gens = grown
                 break
-        if not progressed:  # cannot happen for a genuine group; defensive
+        else:  # cannot happen for a genuine group; defensive
             raise InvalidParameter("Sylow growth stalled")
-    return current
+    return action._handle(tuple(sorted(members)), gens)
 
 
 def center(action: VertexAction, handle: SubgroupHandle) -> SubgroupHandle:
+    """The elements of the subgroup that commute with its generators."""
     idx = [
         i
         for i in handle.indices
-        if all(action.mult(i, j) == action.mult(j, i) for j in handle.indices)
+        if all(action.mult(i, g) == action.mult(g, i) for g in handle.generators)
     ]
     return action.subgroup(idx)
 
@@ -638,16 +738,14 @@ def best_abelian_normal_subgroup(action: VertexAction) -> SubgroupHandle:
         return full
     classes = [c for c in conjugacy_classes(action) if c != (0,)]
     if len(classes) > _CLASS_ENUM_CAP:
-        z = center(action, full)
-        return SubgroupHandle(z.indices, z.order, z.is_normal, z.is_abelian, via_fallback=True)
+        return replace(center(action, full), via_fallback=True)
     m = len(classes)
-    commute = [[True] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            ok = all(
-                action.mult(a, b) == action.mult(b, a) for a in classes[i] for b in classes[j]
-            )
-            commute[i][j] = commute[j][i] = ok
+    # classes commute elementwise iff one member of the first commutes with
+    # the second: the first's other members are its conjugates
+    commute = [
+        [all(action.mult(ci[0], b) == action.mult(b, ci[0]) for b in cj) for cj in classes]
+        for ci in classes
+    ]
     best = action.subgroup([0])
     for mask in range(1, 1 << m):
         chosen = [i for i in range(m) if mask >> i & 1]

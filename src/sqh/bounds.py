@@ -2,17 +2,20 @@
 
 Every check computes both sides of an inequality on the given action and
 records the inputs, so a verdict can be recomputed from the stored report.
-A check works on the subgroup's action at its admissible subdivision (the
-action itself, or its first barycentric subdivision; see
-`admissible_subdivision`).  Quotient homology comes from the orbit chain
-complex there, and relative homology of the quotient pair from that complex
-with the fixed cells removed.  The restricted actions, their admissible
-subdivisions, orbit complexes and orbit Betti numbers are cached on the
-action (see `VertexAction`), so the checks share them for as long as the
-action lives, which in `run_scenario` is one scenario.  Fixed sets and
-relative homology are computed inside each check.  The simplicial quotient
-that `run_scenario` reports is built on its own route, not shared with the
-checks.  A failed hard verdict means either an engine bug or a genuine
+A check works on the subgroup's action at its admissible subdivision, given
+by `subgroup_action`: the restricted action itself, or the restriction of
+the whole group's action on the first barycentric subdivision, so no
+subgroup is transported on its own.  Quotient homology comes from the orbit
+chain complex there, and relative homology of the quotient pair from that
+complex with the fixed cells removed.  The restricted actions, the whole
+group's admissible subdivision, the Sylow subgroups, the fixed subcomplexes,
+the orbit complexes and their Betti numbers are cached on the actions (see
+`VertexAction`), so the checks share them for as long as the action lives,
+which in `run_scenario` is one scenario; a fixed subcomplex's chain complex
+is cached on that complex.  Relative homology is computed inside each
+check.  `run_scenario` takes the reported torsion from the whole group's
+orbit complex as well, and its Betti numbers from the simplicial quotient.
+A failed hard verdict means either an engine bug or a genuine
 counterexample, and aborts the run with a diagnostic dump.
 """
 
@@ -28,6 +31,7 @@ from .actions import (
     fixed_subcomplex,
     orbit_betti,
     orbit_chain_complex,
+    subgroup_action,
     sylow,
 )
 from .complexes import SimplicialComplex, chain_complex
@@ -125,9 +129,8 @@ def smith_floyd_check(action: VertexAction, p_subgroup: SubgroupHandle, p: int) 
         raise InvalidParameter(f"subgroup of order {p_subgroup.order} is not a {p}-group")
     fp = FieldSpec(p)
     # only admissibility is needed for the fixed set
-    restricted = action.restrict(p_subgroup)
-    y_action = admissible_subdivision(restricted)
-    subdivisions = int(y_action is not restricted)
+    y_action = subgroup_action(action, p_subgroup)
+    subdivisions = int(y_action.complex is not action.complex)
     fixed = fixed_subcomplex(y_action, y_action.full_subgroup())
     length = y_action.complex.dimension + 1
     lhs = sum(_betti_or_zero(fixed, fp, length))
@@ -156,8 +159,7 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
     if cp_handle.order not in (1, p):
         raise InvalidParameter("subgroup must be trivial or cyclic of order p")
     fp = FieldSpec(p)
-    restricted = action.restrict(cp_handle)
-    y_action = admissible_subdivision(restricted)
+    y_action = subgroup_action(action, cp_handle)
     y = y_action.complex
     d = y.dimension
     length = d + 1
@@ -192,7 +194,7 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
             "subgroup_order": cp_handle.order,
             "d": d,
             "k": k,
-            "subdivisions": int(y_action is not restricted),
+            "subdivisions": int(y is not action.complex),
         },
         detail={
             "b_Y": b_y,
@@ -218,7 +220,7 @@ def transfer_check(action: VertexAction, p: int) -> CheckResult:
     syl = sylow(action, full, p)
     length = action.complex.dimension + 1
     b_g = _pad(orbit_betti(admissible_subdivision(action), fp), length)
-    b_p = _pad(orbit_betti(admissible_subdivision(action.restrict(syl)), fp), length)
+    b_p = _pad(orbit_betti(subgroup_action(action, syl), fp), length)
     ok = all(x <= y for x, y in zip(b_g, b_p))
     return CheckResult(
         name="transfer",

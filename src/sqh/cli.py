@@ -72,6 +72,21 @@ def _cmd_builtin(args) -> int:
     return 0
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer >= least, or an error that argparse reports with the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqh",
@@ -88,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="randomized abelian bound sweep")
-    p_sweep.add_argument("--n-max", type=int, default=4, dest="n_max")
-    p_sweep.add_argument("--samples", type=int, default=50)
+    p_sweep.add_argument("--n-max", type=_int_at_least(1), default=4, dest="n_max")
+    p_sweep.add_argument("--samples", type=_int_at_least(0), default=50)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--fields", default=None, help="comma-separated labels, e.g. Q,Fp:2")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument(
         "--max-model-simplices",
@@ -126,7 +141,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as e:
         sys.stderr.write(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}\n")
         return 2
-    except (InvalidParameter, ActionInvalid, NeedsSubdivision, FileNotFoundError) as e:
+    except (InvalidParameter, ActionInvalid, NeedsSubdivision, OSError) as e:
         sys.stderr.write(f"invalid input: {e}\n")
         return 2
     except (ResourceCapExceeded, GroupTooLarge) as e:

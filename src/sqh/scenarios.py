@@ -19,9 +19,11 @@ from dataclasses import dataclass
 from . import __version__
 from .actions import (
     VertexAction,
+    admissible_subdivision,
     best_abelian_normal_subgroup,
     close_generators,
     make_admissible_and_quotient,
+    orbit_chain_complex,
     sylow,
 )
 from .bounds import (
@@ -34,8 +36,8 @@ from .bounds import (
     transfer_check,
 )
 from .complexes import SimplicialComplex, chain_complex, subdivided_f_vector
-from .errors import InvalidParameter, ResourceCapExceeded
-from .homology import F2, F3, F5, FieldSpec, RATIONALS, betti, prime_factors
+from .errors import CorruptComplex, InvalidParameter, ResourceCapExceeded
+from .homology import F2, F3, F5, BettiTable, FieldSpec, RATIONALS, betti, prime_factors
 from .models import (
     AbelianCharacterData,
     SignedPermutation,
@@ -95,6 +97,8 @@ class Scenario:
             )
         if not isinstance(self.certified, bool):
             raise InvalidParameter(f"field 'certified' must be true or false, got {self.certified!r}")
+        if isinstance(self.snf_cap, bool) or not isinstance(self.snf_cap, int) or self.snf_cap < 0:
+            raise InvalidParameter(f"field 'snf_cap' must be a nonnegative integer, got {self.snf_cap!r}")
 
     @property
     def kind(self) -> str:
@@ -180,12 +184,18 @@ def build_model(scenario: Scenario) -> ModelBundle:
         return ModelBundle(model.action, data.ambient_dimension, data, model.kernel_order)
     if kind == "signed_permutation":
         n = _integer(_entry(payload, "n", kind), "n")
-        gens = [
-            SignedPermutation.from_json_dict(
-                {key: _integers(_entry(g, key, f"{kind} generator {i}"), key) for key in ("perm", "signs")}
-            )
-            for i, g in enumerate(_list(_entry(payload, "generators", kind), "generators"))
-        ]
+        gens = []
+        for i, g in enumerate(_list(_entry(payload, "generators", kind), "generators")):
+            entries = {key: _integers(_entry(g, key, f"{kind} generator {i}"), key) for key in ("perm", "signs")}
+            if len(entries["perm"]) != n:
+                raise InvalidParameter(
+                    f"field 'generators[{i}].perm' must have length n = {n}, got {len(entries['perm'])}"
+                )
+            gens.append(SignedPermutation.from_json_dict(entries))
+        # the cross-polytope boundary has a nonempty simplex per sign-or-absent choice of each axis
+        simplices, cap = 3**n - 1, simplex_cap()
+        if simplices > cap:
+            raise ResourceCapExceeded(f"signed_permutation model for n = {n} has {simplices} simplices (cap {cap})")
         action = signed_permutation_action(n, gens)
         return ModelBundle(action, n, None, 1)
     raw = _entry(payload, "complex", kind)
@@ -221,6 +231,23 @@ def _least_cp_handle(action: VertexAction, p: int):
     return action.trivial_subgroup()
 
 
+def _quotient_table(action: VertexAction, quotient: SimplicialComplex, scenario: Scenario, fields) -> BettiTable:
+    """Betti numbers of the simplicial quotient, with the torsion of the orbit complex."""
+    options = {"certified": scenario.certified, "seed": scenario.seed}
+    if scenario.snf_cap == 0:
+        return betti(chain_complex(quotient), fields, snf_cap=0, **options)
+    orbit = betti(
+        orbit_chain_complex(admissible_subdivision(action)), fields, snf_cap=scenario.snf_cap, **options
+    )
+    table = betti(chain_complex(quotient), fields, with_torsion=False, **options)
+    for (f, got), (_, want) in zip(orbit.entries, table.entries):
+        if got != want:
+            raise CorruptComplex(
+                f"orbit complex gives b = {got} over {f.label()}, the simplicial quotient {want}"
+            )
+    return BettiTable(table.entries, orbit.torsion, table.certified)
+
+
 def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float | None = None) -> dict:
     """Execute the full pipeline and return the run report as a dict.
 
@@ -229,11 +256,23 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     and the quotient's Betti numbers are taken on its simplicial chains.
     Past the first admissible depth the deepest sphere is never built: its
     quotient comes from the orbits one depth down, and `simplices_after`
-    and `facets_after` count it exactly.  The simplex cap (`simplex_cap()`) bounds the forecast size of
-    each depth's sphere, the last one included.  The model's rows, the
-    checks and `evaluate_all` follow.  A quotient that is not simplicial at
-    a forced depth raises NeedsSubdivision, a depth past the cap
-    ResourceCapExceeded.
+    and `facets_after` count it exactly.  The simplex cap (`simplex_cap()`)
+    bounds the forecast size of each depth's sphere, the last one included,
+    and the size of a signed-permutation model before it is built.
+
+    The reported torsion comes from the Smith normal form of the orbit chain
+    complex at the admissible subdivision, `orbit_chain_complex(
+    admissible_subdivision(action))`, which the checks share; `snf_cap`
+    bounds that complex's matrices.  That complex's Betti numbers must equal
+    the simplicial quotient's over every field, or CorruptComplex is raised,
+    so the two routes to H_*(X/G) check each other on every run that asks
+    for torsion.  An
+    `snf_cap` of 0 asks for no torsion: no orbit complex is built for it,
+    and the SNF of the simplicial quotient is attempted and skipped.
+
+    The model's rows, the checks and `evaluate_all` follow.  A quotient that
+    is not simplicial at a forced depth raises NeedsSubdivision, a depth
+    past the cap ResourceCapExceeded.
     """
     t_start = time.perf_counter()
     timings = {}
@@ -243,25 +282,18 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
         if budget is not None and time.perf_counter() - t_start > budget:
             raise ResourceCapExceeded(f"scenario exceeded budget of {budget}s")
 
-    cap = simplex_cap()
     t0 = time.perf_counter()
     bundle = build_model(scenario)
     action = bundle.action
     stage("build_model", t0)
 
     t0 = time.perf_counter()
-    res = make_admissible_and_quotient(action, scenario.subdivisions, cap)
+    res = make_admissible_and_quotient(action, scenario.subdivisions, simplex_cap())
     stage("quotient", t0)
 
     fields = scenario.field_specs()
     t0 = time.perf_counter()
-    quotient_table = betti(
-        chain_complex(res.complex),
-        fields,
-        certified=scenario.certified,
-        snf_cap=scenario.snf_cap,
-        seed=scenario.seed,
-    )
+    quotient_table = _quotient_table(action, res.complex, scenario, fields)
     stage("quotient_betti", t0)
 
     t0 = time.perf_counter()
@@ -612,8 +644,8 @@ def sweep(
     max_model_simplices: int = 200_000,
 ) -> dict:
     """Run the randomized abelian sweep and return the summary report."""
-    if n_max > 6:
-        raise InvalidParameter("sweep caps n_max at 6")
+    if not 1 <= n_max <= 6:
+        raise InvalidParameter(f"sweep needs 1 <= n_max <= 6, got {n_max}")
     scenarios, rejected = sweep_scenarios(n_max, samples, seed, fields, max_model_simplices)
     reports = []
     if jobs > 1 and scenarios:

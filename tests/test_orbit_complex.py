@@ -13,11 +13,14 @@ torsion must equal those of the oracle's quotient, read off the Smith
 normal form of that quotient's boundary matrices alone.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import octahedron, rp2_minimal
 from test_acceptance import CORPUS_SCENARIOS
 from sqh.actions import (
+    VertexAction,
     admissible_subdivision,
     close_generators,
     induced_action_on_subdivision,
@@ -29,13 +32,14 @@ from sqh.actions import (
     sylow,
 )
 from sqh.complexes import barycentric_subdivision, chain_complex, polygon
-from sqh.errors import NeedsSubdivision
+from sqh.errors import CorruptComplex, NeedsSubdivision
 from sqh.homology import F2, F3, F5, RATIONALS, ElementaryDivisors, betti, prime_factors, smith_normal_form
 from sqh.scenarios import (
     DEFAULT_FIELDS,
     _least_cp_handle,
     build_model,
     builtin,
+    run_scenario,
     sweep_scenarios,
 )
 
@@ -180,3 +184,46 @@ def test_orbit_complex_rejects_non_admissible():
     assert sub is not flip and is_admissible(sub)
     assert admissible_subdivision(flip) is sub
     assert orbit_betti(sub, RATIONALS) == (1, 0)  # the circle folded onto an interval
+
+
+def _with_orbit_data(monkeypatch, mutate):
+    """Make every signed orbit pass, which only the orbit complex asks for, return mutate(its data)."""
+    orig = VertexAction.simplex_orbit_data
+
+    def mutated(self, signs=False):
+        data = orig(self, signs)
+        return mutate(*data) if signs else data
+
+    monkeypatch.setattr(VertexAction, "simplex_orbit_data", mutated)
+
+
+def _merge_last_two_orbits(orbit_of, n_orbits, admissible, reversed_simplices):
+    # the last two ids are top-dimensional on rp(2), so the ids stay one run per degree
+    merged = {s: (n_orbits - 2 if oid == n_orbits - 1 else oid) for s, oid in orbit_of.items()}
+    return merged, n_orbits - 1, admissible, reversed_simplices
+
+
+def _drop_signs(orbit_of, n_orbits, admissible, reversed_simplices):
+    # on rp(2), which is admissible unsubdivided, this breaks dd = 0 of the orbit complex
+    return orbit_of, n_orbits, admissible, set()
+
+
+@pytest.mark.parametrize("mutate", [_merge_last_two_orbits, _drop_signs], ids=["merge_orbits", "drop_signs"])
+def test_run_scenario_rejects_a_corrupt_orbit_complex(monkeypatch, mutate):
+    """The reported torsion comes from the orbit complex only while it agrees with the simplicial quotient."""
+    scenario = replace(builtin("rp", 2), checks=())  # the orbit complex serves the torsion alone
+    assert scenario.snf_cap > 0
+    run_scenario(scenario)
+    _with_orbit_data(monkeypatch, mutate)
+    with pytest.raises(CorruptComplex):
+        run_scenario(scenario)
+
+
+def test_run_scenario_takes_torsion_from_the_orbit_complex():
+    for scenario in (builtin("rp", 3), builtin("quaternion_q8")):
+        action = build_model(scenario).action
+        orbit = betti(orbit_chain_complex(admissible_subdivision(action)), FIELDS, snf_cap=10**9)
+        rows = run_scenario(scenario)["betti"]
+        assert all(row["torsion"] == [list(t) for t in orbit.torsion] for row in rows)
+    # no torsion asked for: no orbit complex
+    assert all(row["torsion"] is None for row in run_scenario(replace(builtin("rp", 3), snf_cap=0))["betti"])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +191,8 @@ def test_sweep_zero_samples():
 def test_sweep_caps_n_max():
     with pytest.raises(InvalidParameter):
         sweep(n_max=7, samples=1, seed=0)
+    with pytest.raises(InvalidParameter):
+        sweep(n_max=0, samples=1, seed=0)
 
 
 def test_cli_run_and_out(tmp_path, capsys):
@@ -337,14 +343,72 @@ _DIHEDRAL = ("space", "explicit")
          "'invariant_factors[0]'"),
         ({**builtin("rp", 2).to_json_dict(), "subdivisions": True}, "'subdivisions'"),
         ({**builtin("rp", 2).to_json_dict(), "certified": "no"}, "'certified'"),
+        ({**builtin("rp", 2).to_json_dict(), "snf_cap": -1}, "'snf_cap'"),
+        (_replaced(builtin("rp", 2).to_json_dict(), [2, 1], *_RP2_PERM), "'generators[0].perm'"),
     ],
     ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex",
          "perm_str", "perm_float", "generator_str", "facet_str", "factor_str",
-         "subdivisions_bool", "certified_str"],
+         "subdivisions_bool", "certified_str", "snf_cap_negative", "perm_short"],
 )
 def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, data, named):
     assert _run_scenario_file(tmp_path, data) == 2
     assert named in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    """main's return code, or the code argparse exits with on a bad flag."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sweep", "--n-max", "0"], "--n-max"),
+        (["sweep", "--samples", "-1"], "--samples"),
+        (["sweep", "--jobs", "0"], "--jobs"),
+        (["run", "{tmp_path}"], "{tmp_path}"),
+    ],
+    ids=["n_max_zero", "samples_negative", "jobs_zero", "run_directory"],
+)
+def test_cli_malformed_argument_names_it(tmp_path, capsys, argv, named):
+    argv = [a.format(tmp_path=tmp_path) for a in argv]
+    assert _exit_code(argv) == 2
+    assert named.format(tmp_path=tmp_path) in capsys.readouterr().err
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+# caps the child's address space, so a model built before its size is checked fails here
+_LIMITED_MAIN = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from sqh.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "perm, code, named",
+    [([2, 1], 2, "'generators[0].perm'"), ([*range(2, 41), 1], 4, "cap")],
+    ids=["short_perm", "valid_perm"],
+)
+def test_cli_signed_permutation_past_the_cap_fails_before_building(tmp_path, perm, code, named):
+    # the 40-cross-polytope has 2^40 facets and 3^40 - 1 simplices
+    data = _replaced(
+        builtin("rp", 2).to_json_dict(),
+        {"n": 40, "generators": [{"perm": perm, "signs": [1] * len(perm)}]},
+        "space", "signed_permutation",
+    )
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    env = {k: v for k, v in os.environ.items() if k != "SQH_MAX_SIMPLICES"}
+    env["PYTHONPATH"] = str(_SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_MAIN, "run", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code
+    assert named in proc.stderr
 
 
 def test_cli_forced_depth_past_the_cap_exit_code(tmp_path, monkeypatch, capsys):

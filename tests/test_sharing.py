@@ -2,8 +2,10 @@
 
 run_scenario builds the simplicial quotient of the whole group once;
 cyclic_chain_check and transfer_check share the orbit chain complexes
-cached on the action.  These tests count both constructions and check
-that results read from the caches equal those of a fresh action.
+cached on the action.  The group is transported to the subdivision once,
+each Sylow subgroup is grown once and each fixed subcomplex built once.
+These tests count those constructions and check that results read from the
+caches equal those of a fresh action.
 """
 
 import gc
@@ -15,20 +17,21 @@ from conftest import octahedron
 from sqh.actions import VertexAction, close_generators, sylow
 from sqh.bounds import cyclic_chain_check, smith_floyd_check, transfer_check
 from sqh.complexes import SimplicialComplex, chain_complex
-from sqh.homology import F2, SparseIntMatrix, betti
+from sqh.homology import F2, SparseIntMatrix, betti, prime_factors
 from sqh.models import SignedPermutation
 from sqh.scenarios import Scenario, build_model, builtin, run_scenario
 
 
-def _record_calls(monkeypatch, attr):
-    """Actions passed to every call of sqh.actions.<attr>, wherever it is imported."""
+def _record_calls(monkeypatch, attr, when=lambda action: True):
+    """Actions passed to every call of sqh.actions.<attr> for which `when` holds, wherever it is imported."""
     import sqh.actions
 
     calls = []
     orig = getattr(sqh.actions, attr)
 
     def counting(action, *args, **kwargs):
-        calls.append((action.complex, action.elements))
+        if when(action):
+            calls.append((action.complex, action.elements))
         return orig(action, *args, **kwargs)
 
     for name in ("sqh.actions", "sqh.bounds", "sqh.scenarios"):
@@ -44,8 +47,9 @@ def quotient_calls(monkeypatch):
 
 
 @pytest.fixture
-def orbit_complex_calls(monkeypatch):
-    return _record_calls(monkeypatch, "orbit_chain_complex")
+def orbit_complex_builds(monkeypatch):
+    """Actions whose orbit chain complex is built, not read from the cache."""
+    return _record_calls(monkeypatch, "orbit_chain_complex", when=lambda action: action._orbit_complex is None)
 
 
 @pytest.fixture
@@ -71,13 +75,13 @@ def test_lens72_one_quotient_per_subgroup(quotient_calls):
     assert len(quotient_calls) == len(set(quotient_calls)) == 1
 
 
-def test_q8_quotients_for_group_and_center(quotient_calls, orbit_complex_calls):
+def test_q8_quotients_for_group_and_center(quotient_calls, orbit_complex_builds):
     run_scenario(builtin("quaternion_q8"))
     # the reported quotient row: one simplicial quotient, of G
     assert [len(elements) for _, elements in quotient_calls] == [8]
-    # the checks: one orbit complex each for G (transfer) and its centre C_2 (cyclic chain)
-    assert len(orbit_complex_calls) == len(set(orbit_complex_calls)) == 2
-    orders = sorted(len(elements) for _, elements in orbit_complex_calls)
+    # one orbit complex each for G (the reported torsion and transfer) and its centre C_2 (cyclic chain)
+    assert len(orbit_complex_builds) == len(set(orbit_complex_builds)) == 2
+    orders = sorted(len(elements) for _, elements in orbit_complex_builds)
     assert orders == [2, 8]
 
 
@@ -169,13 +173,19 @@ def test_chain_complex_verified_once(monkeypatch):
 def test_finished_scenarios_leave_no_action_in_a_reference_cycle():
     """Caches must not refer back to their action or complex, or it outlives its scenario.
 
-    Both scenarios subdivide their model, so the complex's cached subdivision is covered.
+    All three scenarios subdivide their model, so the complex's cached
+    subdivision is covered.  q8 and s4_on_s3 are not admissible, so the
+    quotient loop stores the group's transport as its admissible
+    subdivision; s4_on_s3 also restricts that transport to subgroups that
+    are not admissible, and every check fills the Sylow and fixed-subcomplex
+    caches.
     """
     gc.collect()
     gc.disable()
     try:
         run_scenario(builtin("lens", 5, 2))
         run_scenario(builtin("quaternion_q8"))
+        run_scenario(S4_ON_S3)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         assert not [o for o in gc.garbage if isinstance(o, (VertexAction, SimplicialComplex))]
@@ -200,11 +210,11 @@ CYCLE4 = SignedPermutation((2, 3, 4, 1), (1, 1, 1, 1))
 FLIP = SignedPermutation((1, 2, 3, 4), (-1, 1, 1, 1))
 
 
-@pytest.mark.parametrize(
-    "scenario",
-    [_signed_scenario("s4_on_s3", 4, [SWAP, CYCLE4]), _signed_scenario("b4_on_s3", 4, [SWAP, CYCLE4, FLIP])],
-    ids=lambda sc: sc.name,
-)
+S4_ON_S3 = _signed_scenario("s4_on_s3", 4, [SWAP, CYCLE4])
+B4_ON_S3 = _signed_scenario("b4_on_s3", 4, [SWAP, CYCLE4, FLIP])
+
+
+@pytest.mark.parametrize("scenario", [S4_ON_S3, B4_ON_S3], ids=lambda sc: sc.name)
 def test_model_subdivided_once_per_scenario(monkeypatch, scenario):
     """The quotient loop and every subgroup's action share the model's subdivision."""
     import sqh.complexes
@@ -220,3 +230,53 @@ def test_model_subdivided_once_per_scenario(monkeypatch, scenario):
     run_scenario(scenario)
     # the 16-cell boundary, whose action is not admissible; nothing else is subdivided
     assert sources == [(8, 24, 32, 16)]
+
+
+@pytest.mark.parametrize("scenario", [S4_ON_S3, B4_ON_S3], ids=lambda sc: sc.name)
+def test_group_transported_once_and_sylow_grown_once(monkeypatch, used_actions, scenario):
+    """The quotient loop's transport serves every check; no subgroup is transported."""
+    import sqh.actions
+
+    transported = []
+    orig_transport = sqh.actions.induced_action_on_subdivision
+
+    def counting_transport(action, sd):
+        transported.append(action.order)
+        return orig_transport(action, sd)
+
+    grown = []
+    orig_grow = sqh.actions._grow_sylow
+
+    def counting_grow(action, handle, p):
+        grown.append((action.elements, handle.indices, p))
+        return orig_grow(action, handle, p)
+
+    monkeypatch.setattr(sqh.actions, "induced_action_on_subdivision", counting_transport)
+    monkeypatch.setattr(sqh.actions, "_grow_sylow", counting_grow)
+    run_scenario(scenario)
+    (used,) = used_actions
+    # the 16-cell boundary is not admissible: one transport of the whole group
+    assert transported == [used.order]
+    assert used._admissible_subdivision is not None
+    # nor is the group's signed orbit pass on the model made: its transport was kept
+    assert used._simplex_orbits[3] is None
+    # smith_floyd and transfer share each Sylow subgroup of G
+    assert len(grown) == len(set(grown))
+    assert sorted(p for _, _, p in grown) == sorted(prime_factors(used.order))
+
+
+def test_fixed_subcomplex_built_once_per_subgroup(monkeypatch):
+    """On s4_on_s3, Syl_3 is the least C_3, so smith_floyd and cyclic_chain share its fixed set."""
+    import sqh.actions
+
+    builds = []
+    orig = sqh.actions.full_subcomplex
+
+    def counting(k, vertices):
+        builds.append((k, frozenset(vertices)))
+        return orig(k, vertices)
+
+    monkeypatch.setattr(sqh.actions, "full_subcomplex", counting)
+    run_scenario(S4_ON_S3)
+    # Syl_2 (order 8), the least C_2 and Syl_3 = the least C_3
+    assert len(builds) == len(set(builds)) == 3
