@@ -87,6 +87,17 @@ def _int_at_least(least: int):
     return parse
 
 
+def _seconds(text: str) -> float:
+    """An argparse type: a number of seconds >= 0; NaN is refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more seconds, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqh",
@@ -99,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--certified", action="store_true", help="force certified Q ranks")
     p_run.add_argument("--timings", action="store_true", help="include per-stage timings")
-    p_run.add_argument("--budget", type=float, default=None, help="wall-clock budget (s)")
+    p_run.add_argument("--budget", type=_seconds, default=None, help="wall-clock budget (s)")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="randomized abelian bound sweep")
@@ -111,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument(
         "--max-model-simplices",
-        type=int,
+        type=_int_at_least(2),
         default=200_000,
         dest="max_model_simplices",
         help="size guard for the scenario generator",
@@ -124,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_builtin.add_argument("--emit-scenario", action="store_true", dest="emit_scenario")
     p_builtin.add_argument("--out", default=None)
     p_builtin.add_argument("--timings", action="store_true")
-    p_builtin.add_argument("--budget", type=float, default=None)
+    p_builtin.add_argument("--budget", type=_seconds, default=None)
     p_builtin.set_defaults(func=_cmd_builtin)
     return parser
 

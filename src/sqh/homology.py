@@ -1,15 +1,16 @@
 """Exact Betti numbers over Q and prime fields for integer chain complexes.
 
-The engine is pure stdlib: sparse matrices are dicts of Python ints, so
-fraction-free elimination never overflows.
+The engine is pure stdlib: sparse matrices are dicts of Python ints.
 
 Ranks.  A pivot of +-1 is a unit over Z and over every field, so each
 matrix is first reduced once over Z by its unit pivots
 (`SparseIntMatrix.unit_reduction`): m is equivalent to I_u + R by
 unimodular row and column operations, and the rank of m over Q or F_p is
 u plus the rank of the small residual R there.  The reduction is cached on
-the matrix, so every field's rank shares it; the sparse Gaussian
-eliminations with min-degree (Markowitz-style) pivoting run only on R.
+the matrix, so every field's rank shares it.  One kernel, sparse Gaussian
+elimination mod p with min-degree (Markowitz-style) pivoting, runs on R
+for every field: over F_p once, over Q modulo primes below 2^31 whose
+product exceeds R's Hadamard bound (see `rank_over_q`).
 
 Integral structure comes from a Smith-normal-form routine that first
 eliminates unit pivots by row operations alone and finishes with gcd
@@ -26,7 +27,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 from typing import TYPE_CHECKING
 
 from .errors import CorruptComplex, InvalidParameter, SnfTooLarge
@@ -345,73 +346,50 @@ def _rank_mod_p_elimination(m: SparseIntMatrix, p: int) -> int:
     return rank
 
 
-def _normalize_int_row(row: dict) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for k in row:
-            row[k] //= g
+# The largest primes below 2^31, descending.  2^31 - 1 is prime; the list is
+# extended, once per prime, only when a Hadamard bound outgrows it.
+_COVERING_PRIMES = [2**31 - 1]
 
 
-def _rank_over_q_certified(m: SparseIntMatrix) -> int:
-    """Exact rational rank via fraction-free sparse elimination.
-
-    Rows are integer vectors defined up to scale; each update is
-    row2 <- v*row2 - a*pivot followed by content removal, so all
-    arithmetic stays in Z.
-    """
-    rows_map, col_rows = _row_structure(m)
-    for row in rows_map.values():
-        _normalize_int_row(row)
-    heap = [(len(rs), c) for c, rs in col_rows.items()]
-    heapq.heapify(heap)
-    rank = 0
-    while True:
-        c = _pop_min_degree_column(heap, col_rows)
-        if c is None:
-            break
-        r = min(col_rows[c], key=lambda rr: (len(rows_map[rr]), abs(rows_map[rr][c]), rr))
-        pivot_row = rows_map.pop(r)
-        v = pivot_row[c]
-        for cc in pivot_row:
-            col_rows[cc].discard(r)
-        others = sorted(col_rows.pop(c))
-        for r2 in others:
-            row2 = rows_map[r2]
-            a = row2[c]
-            for cc in row2:
-                row2[cc] *= v
-            for cc, vv in pivot_row.items():
-                nv = row2.get(cc, 0) - a * vv
-                if nv:
-                    if cc not in row2 and cc in col_rows:
-                        col_rows[cc].add(r2)
-                    row2[cc] = nv
-                else:
-                    if cc in row2:
-                        del row2[cc]
-                        if cc in col_rows:
-                            col_rows[cc].discard(r2)
-            if row2:
-                _normalize_int_row(row2)
-            else:
-                del rows_map[r2]
-        rank += 1
+def _rank_over_q_modular(m: SparseIntMatrix) -> int:
+    """Rank over Q as the largest rank of m modulo covering primes (see rank_over_q)."""
+    row_squares: dict = {}
+    for r, _, v in m.iter_entries():
+        row_squares[r] = row_squares.get(r, 0) + v * v
+    bound_sq = prod(row_squares.values())
+    rank, covered, k = 0, 1, 0
+    while covered <= bound_sq and rank < len(row_squares):
+        if k == len(_COVERING_PRIMES):
+            q = _COVERING_PRIMES[-1] - 2
+            while not is_prime(q):
+                q -= 2
+            _COVERING_PRIMES.append(q)
+        p = _COVERING_PRIMES[k]
+        rank = max(rank, _rank_mod_p_elimination(m, p))
+        covered *= p * p
+        k += 1
     return rank
 
 
 def rank_over_q(m: SparseIntMatrix, certified: bool = True, rng: random.Random | None = None) -> int:
     """Rank over Q: exact if certified, else max of ranks at two random 30-bit primes.
 
-    Either way the unit pivots of m count once and only the residual is
-    eliminated (rank_mod_p shares the reduction).
+    Either way the unit pivots of m count once and only the residual R is
+    eliminated (rank_mod_p shares the reduction), modulo primes below 2^31.
+
+    The certified rank is u plus the largest rank of R modulo the covering
+    primes: the largest primes below 2^31, taken in descending order until
+    the product of their squares exceeds H^2 = prod over R's rows of
+    max(1, sum of the row's squares).  By Hadamard's inequality every minor
+    of R is at most H in absolute value, so a nonzero r x r minor is not
+    divisible by all of the covering primes, and R has rank r modulo one of
+    them; no rank mod p exceeds the rank over Q, so the largest is exact
+    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).  Primes
+    stop early once the rank reaches R's number of nonzero rows.
     """
     if certified:
         units, residual = m.unit_reduction()
-        return units + _rank_over_q_certified(residual)
+        return units + _rank_over_q_modular(residual)
     rng = rng if rng is not None else random.Random(0)
     primes = []
     while len(primes) < 2:

@@ -57,9 +57,12 @@ def simplex_cap() -> int:
     if raw is None:
         return DEFAULT_SIMPLEX_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as e:
         raise InvalidParameter(f"SQH_MAX_SIMPLICES={raw!r} is not an integer") from e
+    if cap < 0:
+        raise InvalidParameter(f"SQH_MAX_SIMPLICES={raw!r} is negative")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -272,8 +275,10 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
 
     The model's rows, the checks and `evaluate_all` follow.  A quotient that
     is not simplicial at a forced depth raises NeedsSubdivision, a depth
-    past the cap ResourceCapExceeded.
+    past the cap ResourceCapExceeded.  A budget must be 0 or more seconds.
     """
+    if budget is not None and not budget >= 0:
+        raise InvalidParameter(f"budget must be 0 or more seconds, got {budget}")
     t_start = time.perf_counter()
     timings = {}
 
@@ -608,7 +613,13 @@ def random_character_data(rng: random.Random, n_max: int) -> AbelianCharacterDat
 
 
 def sweep_scenarios(n_max: int, samples: int, seed: int, fields, max_model_simplices: int):
-    """Deterministic scenario stream for the sweep; oversized draws are redrawn."""
+    """Deterministic scenario stream for the sweep; oversized draws are redrawn.
+
+    Every draw is forecast at 2 or more simplices, so a smaller guard would
+    redraw forever and is rejected.
+    """
+    if max_model_simplices < 2:
+        raise InvalidParameter(f"max_model_simplices must be at least 2, got {max_model_simplices}")
     rng = random.Random(seed)
     out = []
     rejected = 0
@@ -630,9 +641,22 @@ def sweep_scenarios(n_max: int, samples: int, seed: int, fields, max_model_simpl
     return out, rejected
 
 
-def _sweep_one(scenario_json: dict) -> dict:
-    sc = Scenario.from_json_dict(scenario_json)
-    return run_scenario(sc)
+def _sweep_one(sc: Scenario) -> dict:
+    """The summary row of one sweep scenario; its full report is dropped here."""
+    rep = run_scenario(sc)
+    cover = next(c for c in rep["checks"] if c["name"] == "cover_e1")
+    totals = {row["field"]: sum(row["betti"]) for row in rep["betti"]}
+    return {
+        "name": sc.name,
+        "data": sc.space["character_join"],
+        "n": rep["model"]["ambient_n"],
+        "group_order": rep["model"]["group_order"],
+        "effective_order": rep["model"]["group_order"],
+        "subdivisions": rep["subdivisions"],
+        "totals": totals,
+        "cover_e1_total": cover["detail"]["cover_e1_total"],
+        "slack": cover["detail"]["cover_e1_total"] / max(1, max(totals.values())),
+    }
 
 
 def sweep(
@@ -647,37 +671,14 @@ def sweep(
     if not 1 <= n_max <= 6:
         raise InvalidParameter(f"sweep needs 1 <= n_max <= 6, got {n_max}")
     scenarios, rejected = sweep_scenarios(n_max, samples, seed, fields, max_model_simplices)
-    reports = []
     if jobs > 1 and scenarios:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_sweep_one, [s.to_json_dict() for s in scenarios]))
+            rows = list(pool.map(_sweep_one, scenarios))
     else:
-        reports = [run_scenario(s) for s in scenarios]
-
-    slacks = []
-    rows = []
-    for sc, rep in zip(scenarios, reports):
-        cover = next(c for c in rep["checks"] if c["name"] == "cover_e1")
-        totals = {row["field"]: sum(row["betti"]) for row in rep["betti"]}
-        worst = max(totals.values())
-        slack = cover["detail"]["cover_e1_total"] / max(1, worst)
-        slacks.append(slack)
-        rows.append(
-            {
-                "name": sc.name,
-                "data": sc.space["character_join"],
-                "n": rep["model"]["ambient_n"],
-                "group_order": rep["model"]["group_order"],
-                "effective_order": rep["model"]["group_order"],
-                "subdivisions": rep["subdivisions"],
-                "totals": totals,
-                "cover_e1_total": cover["detail"]["cover_e1_total"],
-                "slack": slack,
-            }
-        )
-    slacks.sort()
+        rows = [_sweep_one(s) for s in scenarios]
+    slacks = sorted(row["slack"] for row in rows)
     mid = len(slacks) // 2
     median = None
     if slacks:

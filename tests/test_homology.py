@@ -112,6 +112,31 @@ def test_rank_over_q_examples():
     assert rank_over_q(d2) == 7
 
 
+def _largest_primes_below_2_31(k):
+    out, q = [], 2**31 - 1
+    while len(out) < k:
+        if is_prime(q):
+            out.append(q)
+        q -= 2
+    return out
+
+
+def test_certified_rank_of_residuals_the_covering_primes_divide():
+    # each nonzero minor that certifies the rank is divisible by the first
+    # primes the certified rank tries, so it must take every prime its
+    # Hadamard bound asks for, and strictly more than the bound
+    p1, p2, p3 = _largest_primes_below_2_31(3)
+    for rows in (
+        [[p1 * p2]],
+        [[p1, 0], [0, p1 * p2]],
+        [[1, 0], [0, p1 * p2 * p3]],
+        [[p1 * p2, 1], [p1 * p2, p3 + 1]],  # determinant p1 * p2 * p3
+    ):
+        m = from_dense(rows)
+        assert homology._rank_over_q_modular(m) == dense_rank_oracle(rows) == len(rows)
+        assert rank_over_q(m) == len(rows)
+
+
 def test_ranks_against_dense_oracle():
     rng = random.Random(123)
     for _ in range(30):
@@ -269,7 +294,7 @@ def test_sparse_matrix_json_sorted_by_column_then_row():
 def _direct_ranks(m):
     """Ranks over Q, F_2, F_3, F_5 by eliminating m itself, without the reduction."""
     return (
-        homology._rank_over_q_certified(m),
+        homology._rank_over_q_modular(m),
         *(homology._rank_mod_p_elimination(m, p) for p in (2, 3, 5)),
     )
 
@@ -331,7 +356,7 @@ def test_unit_reduction_property_matches_direct_elimination():
     def check(rows):
         m = from_dense(rows)
         units, residual = m.unit_reduction()
-        assert units + homology._rank_over_q_certified(residual) == homology._rank_over_q_certified(m)
+        assert units + homology._rank_over_q_modular(residual) == homology._rank_over_q_modular(m)
         for p in (2, 3, 5):
             assert units + homology._rank_mod_p_elimination(residual, p) == homology._rank_mod_p_elimination(m, p)
 

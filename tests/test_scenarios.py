@@ -21,6 +21,8 @@ from sqh.scenarios import (
 from sqh.models import AbelianCharacterData
 import random
 
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def betti_row(report, label):
     return next(r for r in report["betti"] if r["field"] == label)
@@ -128,6 +130,12 @@ def test_run_scenario_budget_cap():
         run_scenario(builtin("rp", 2), budget=0.0)
 
 
+@pytest.mark.parametrize("budget", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_run_scenario_rejects_malformed_budget(budget):
+    with pytest.raises(InvalidParameter, match="budget"):
+        run_scenario(builtin("rp", 2), budget=budget)
+
+
 def test_simplex_cap_env(monkeypatch):
     monkeypatch.setenv("SQH_MAX_SIMPLICES", "10")
     with pytest.raises(ResourceCapExceeded):
@@ -186,6 +194,34 @@ def test_sweep_zero_samples():
     report = sweep(n_max=4, samples=0, seed=1)
     assert report["passed"] == 0
     assert report["slack"]["min"] is None
+
+
+def test_sweep_pool_matches_serial():
+    kwargs = dict(n_max=3, samples=6, seed=11, fields=("Q", "Fp:2", "Fp:3"))
+    assert report_bytes(sweep(**kwargs, jobs=2)) == report_bytes(sweep(**kwargs, jobs=1))
+
+
+# run in a child with a timeout, so a guard that redraws forever fails the test
+_GUARD_BELOW_TWO = (
+    "from sqh.errors import InvalidParameter\n"
+    "from sqh.scenarios import sweep, sweep_scenarios\n"
+    "for call in (lambda: sweep_scenarios(2, 1, 0, ('Q',), 1),\n"
+    "             lambda: sweep(n_max=2, samples=1, seed=0, max_model_simplices=1)):\n"
+    "    try:\n"
+    "        call()\n"
+    "    except InvalidParameter as e:\n"
+    "        assert 'max_model_simplices' in str(e), e\n"
+    "    else:\n"
+    "        raise SystemExit('guard below 2 accepted')\n"
+)
+
+
+def test_sweep_rejects_guard_below_two():
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD_BELOW_TWO], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_caps_n_max():
@@ -370,8 +406,14 @@ def _exit_code(argv) -> int:
         (["sweep", "--samples", "-1"], "--samples"),
         (["sweep", "--jobs", "0"], "--jobs"),
         (["run", "{tmp_path}"], "{tmp_path}"),
+        (["sweep", "--max-model-simplices", "1"], "--max-model-simplices"),
+        (["builtin", "rp", "2", "--budget", "-1"], "--budget"),
+        (["builtin", "rp", "2", "--budget", "nan"], "--budget"),
+        (["run", "{tmp_path}", "--budget", "-1"], "--budget"),
+        (["run", "{tmp_path}", "--budget", "nan"], "--budget"),
     ],
-    ids=["n_max_zero", "samples_negative", "jobs_zero", "run_directory"],
+    ids=["n_max_zero", "samples_negative", "jobs_zero", "run_directory", "guard_below_two",
+         "builtin_budget_negative", "builtin_budget_nan", "run_budget_negative", "run_budget_nan"],
 )
 def test_cli_malformed_argument_names_it(tmp_path, capsys, argv, named):
     argv = [a.format(tmp_path=tmp_path) for a in argv]
@@ -379,7 +421,13 @@ def test_cli_malformed_argument_names_it(tmp_path, capsys, argv, named):
     assert named.format(tmp_path=tmp_path) in capsys.readouterr().err
 
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
+@pytest.mark.parametrize("raw", ["-5", "abc"], ids=["negative", "not_an_integer"])
+def test_cli_malformed_simplex_cap_names_it(monkeypatch, capsys, raw):
+    monkeypatch.setenv("SQH_MAX_SIMPLICES", raw)
+    assert _exit_code(["builtin", "rp", "2"]) == 2
+    assert "SQH_MAX_SIMPLICES" in capsys.readouterr().err
+
+
 # caps the child's address space, so a model built before its size is checked fails here
 _LIMITED_MAIN = (
     "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
