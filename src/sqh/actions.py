@@ -16,6 +16,8 @@ is reproducible.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -60,6 +62,61 @@ def _inverse(p) -> tuple:
     return tuple(out)
 
 
+@dataclass(frozen=True, eq=False)
+class SimplexOrbits:
+    """The orbits of a group on the simplices of a complex K.
+
+    - `orbit_of` maps each simplex to its orbit id.  Ids are numbered in the
+      order of `K.simplices()`, so the ids of the k-simplices form one run
+      starting at `offsets[k]`, `offsets[-1]` is the orbit count, and the
+      first simplex with an id, `representatives[id]`, is its orbit's least.
+    - `carrier` maps each simplex to the index in `elements` of an element
+      carrying its orbit's representative onto it.  None means that
+      carriers map vertices by position, as on every subdivision that
+      `FlagAction` describes.
+    - `stabilisers` maps the id of each orbit whose representative is
+      preserved by an element that moves one of its vertices to the
+      distinct permutations of the representative's vertex positions that
+      its stabiliser induces, the identity among them.  It is empty iff the
+      action is admissible.
+    """
+
+    orbit_of: dict
+    representatives: tuple
+    offsets: tuple
+    carrier: dict | None = None
+    elements: tuple = ()
+    stabilisers: dict = field(default_factory=dict)
+
+    @property
+    def count(self) -> int:
+        return self.offsets[-1]
+
+    @property
+    def admissible(self) -> bool:
+        return not self.stabilisers
+
+    def level_counts(self) -> list:
+        """The number of orbits of k-simplices, for each k."""
+        return [b - a for a, b in zip(self.offsets, self.offsets[1:])]
+
+    def frame(self, simplex) -> tuple:
+        """The vertices of `simplex`, listed as a carrier's images of its representative's vertices."""
+        if self.carrier is None:
+            return simplex
+        e = self.elements[self.carrier[simplex]]
+        return tuple(e[v] for v in self.representatives[self.orbit_of[simplex]])
+
+    def is_reversed(self, simplex) -> bool:
+        """True iff a carrier lists the simplex's vertices in an odd order.
+
+        Then the simplex's orientation is reversed against its
+        representative's.  For an admissible action this does not depend on
+        the carrier.
+        """
+        return self.carrier is not None and _is_odd(self.frame(simplex))
+
+
 @dataclass(frozen=True)
 class SubgroupHandle:
     """Element indices of a subgroup inside an ambient VertexAction, with a generating set.
@@ -84,20 +141,19 @@ class VertexAction:
     and freed with it:
 
     - multiplication, inverses and element orders
-    - vertex and simplex orbits, the admissibility verdict and, once asked
-      for, the orientation signs of the simplex orbits (`simplex_orbit_data`)
+    - vertex orbits, and the simplex orbits with their carriers and
+      stabilisers, from one pass (`simplex_orbit_data`)
     - the restricted action of each subgroup, keyed by its sorted element
       indices and generated by the subgroup's generators (`restrict`)
     - the Sylow p-subgroup of each subgroup, keyed by (indices, p) (`sylow`)
     - the fixed subcomplex of each subgroup, keyed by its indices
       (`fixed_subcomplex`)
-    - the action on the first barycentric subdivision, when the action is
-      not admissible (`admissible_subdivision`).  The quotient loop of
-      `make_admissible_and_quotient` stores its depth-1 transport here, and
-      `subgroup_action` restricts it to each subgroup, so the group is
-      transported once per scenario.  An admissible action is its own and
-      stores nothing, so no cache refers back to its owner.  The subdivision
-      itself is cached on the complex (`shared_subdivision`)
+    - the action on the first barycentric subdivision (`flag_action`), read
+      off the simplex orbits, so no element is mapped onto the subdivision.
+      It refers to the complex and the orbits, not to this action, so no
+      cache refers back to its owner.  It serves the quotient loop past
+      depth 0 and, when the action is not admissible, is its admissible
+      subdivision (`admissible_subdivision`)
     - for an admissible action, its orbit chain complex
       (`orbit_chain_complex`) and that complex's Betti numbers per field
       (`orbit_betti`)
@@ -116,7 +172,7 @@ class VertexAction:
         "_restrictions",
         "_sylow",
         "_fixed",
-        "_admissible_subdivision",
+        "_flag_action",
         "_orbit_complex",
         "_orbit_betti",
     )
@@ -134,7 +190,7 @@ class VertexAction:
         self._restrictions: dict = {}
         self._sylow: dict = {}
         self._fixed: dict = {}
-        self._admissible_subdivision = None
+        self._flag_action = None
         self._orbit_complex = None
         self._orbit_betti: dict = {}
 
@@ -275,43 +331,48 @@ class VertexAction:
             self._vertex_orbits = (tuple(proj), tuple(orbits))
         return self._vertex_orbits
 
-    def simplex_orbit_data(self, signs: bool = False):
-        """(orbit id per simplex, orbit count, admissibility verdict, reversed simplices).
+    def simplex_orbit_data(self) -> SimplexOrbits:
+        """The orbits of the group on the simplices of its complex, in one pass.
 
-        Orbit ids are numbered in the order of `complex.simplices()`, so the
-        first simplex of each id is its orbit's least simplex, the
-        representative.  Admissibility is checked on representatives only:
-        if g preserves a simplex setwise but moves a vertex, the same is true
-        of every conjugate on the rest of the orbit.
-
-        With `signs`, the same pass also collects the set of simplices t
-        whose orientation is reversed against their representative s: the
-        g with g(s) = t lists t's vertices in an odd order.  For an
-        admissible action the sign does not depend on the choice of g.
-        Signs make the pass about a quarter slower and the simplicial
-        quotient does not use them, so they are computed on request; without
-        them the last entry is None, unless an earlier call computed them.
+        Every element maps each orbit's representative.  The first element
+        to reach a simplex becomes its carrier.  An element that maps the
+        representative onto itself while moving a vertex adds its
+        permutation of the representative's vertices to the stabiliser's.
+        So admissibility is decided on representatives only: if g preserves
+        a simplex setwise but moves a vertex, so does every conjugate of g on
+        the rest of the orbit.  Orientation signs are read off the carriers
+        where they are needed (`SimplexOrbits.is_reversed`), so no second
+        pass is made for them.
         """
-        if self._simplex_orbits is None or (signs and self._simplex_orbits[3] is None):
+        if self._simplex_orbits is None:
             orbit_of: dict = {}
-            reversed_simplices = set() if signs else None
-            n_orbits = 0
-            admissible = True
+            carrier: dict = {}
+            reps: list = []
+            offsets: list = []
+            stabilisers: dict = {}
             for level in self.complex.simplices():
+                offsets.append(len(reps))
                 for s in level:
                     if s in orbit_of:
                         continue
-                    oid = n_orbits
-                    n_orbits += 1
-                    for e in self.elements:
-                        img = apply_perm(e, s)
+                    oid = len(reps)
+                    reps.append(s)
+                    moved = set()
+                    for i, e in enumerate(self.elements):
+                        img = tuple(sorted([e[v] for v in s]))
                         if img not in orbit_of:
                             orbit_of[img] = oid
-                            if signs and _is_odd([e[v] for v in s]):
-                                reversed_simplices.add(img)
-                        if admissible and img == s and any(e[v] != v for v in s):
-                            admissible = False
-            self._simplex_orbits = (orbit_of, n_orbits, admissible, reversed_simplices)
+                            carrier[img] = i
+                        elif img == s:
+                            perm = tuple(s.index(e[v]) for v in s)
+                            if perm != tuple(range(len(s))):
+                                moved.add(perm)
+                    if moved:
+                        stabilisers[oid] = (tuple(range(len(s))), *sorted(moved))
+            offsets.append(len(reps))
+            self._simplex_orbits = SimplexOrbits(
+                orbit_of, tuple(reps), tuple(offsets), carrier, self.elements, stabilisers
+            )
         return self._simplex_orbits
 
     def to_json_dict(self) -> dict:
@@ -364,17 +425,22 @@ def close_generators(
     return VertexAction(complex, elements, tuple(gen_indices))
 
 
-def is_admissible(action: VertexAction) -> bool:
+def is_admissible(action) -> bool:
     """True iff every element preserving a simplex setwise fixes it pointwise.
 
-    Decided by the signed orbit pass, so an admissible action's orbit chain
-    complex needs no second pass over the group.
+    Decided by the action's one orbit pass; an action on a barycentric
+    subdivision (`FlagAction`) is admissible by construction.
     """
-    return action.simplex_orbit_data(signs=True)[2]
+    return isinstance(action, FlagAction) or action.simplex_orbit_data().admissible
 
 
 def induced_action_on_subdivision(action: VertexAction, sd: Subdivision) -> VertexAction:
-    """Transport the action through a barycentric subdivision of its complex."""
+    """Transport the action through a barycentric subdivision of its complex.
+
+    Every element is mapped onto every vertex of the subdivision.  The
+    engine reads the orbits of the subdivision off those of the complex
+    instead (`FlagAction`); tests keep the transport as their oracle.
+    """
     if sd.source != action.complex:
         raise InvalidParameter("subdivision was not built from this action's complex")
     index = sd.vertex_of_simplex
@@ -392,9 +458,10 @@ def quotient_complex(action: VertexAction):
     orbit-set of vertices lie in the same orbit.  Either failure raises
     NeedsSubdivision.
     """
-    orbit_of, _, admissible, _ = action.simplex_orbit_data()
-    if not admissible:
+    data = action.simplex_orbit_data()
+    if not data.admissible:
         raise NeedsSubdivision("action is not admissible")
+    orbit_of = data.orbit_of
     proj, orbits = action.vertex_orbits()
     first_orbit_with_key: dict = {}
     for level in action.complex.simplices():
@@ -413,27 +480,174 @@ def quotient_complex(action: VertexAction):
     return quotient, proj
 
 
-def subdivided_quotient(action: VertexAction) -> SimplicialComplex:
-    """sd(X)/G for an admissible action on X, built from the simplex orbits of X alone.
+def _face(simplex, mask: int) -> tuple:
+    """The face of `simplex` on the vertex positions set in the bit mask."""
+    return tuple(v for b, v in enumerate(simplex) if mask >> b & 1)
+
+
+@functools.cache
+def _chains_below(mask: int) -> tuple:
+    """Every chain m_0 < m_1 < ... of nonempty bit masks strictly inside `mask`, the empty chain first."""
+    out = [()]
+    sub = (mask - 1) & mask
+    while sub:
+        out.extend(chain + (sub,) for chain in _chains_below(sub))
+        sub = (sub - 1) & mask
+    return tuple(out)
+
+
+class FlagAction:
+    """A group acting on the first barycentric subdivision sd(K) of a complex K, known from its orbits on K.
+
+    The vertices of sd(K) are the simplices of K, numbered in the order of
+    `K.simplices()` as in `barycentric_subdivision`, and its simplices are
+    the flags σ_0 < … < σ_j of simplices of K; ascending vertex numbers are
+    ascending dimensions.  A flag's orbit is the orbit of its top simplex
+    σ_j together with the class, under the permutations that Stab(τ)
+    induces on τ's vertices, of the flag carried onto the top's
+    representative τ.  A flag is written there as its chain of faces below
+    τ, each a bit mask of τ's vertex positions, and its orbit as (orbit id
+    of τ, least chain of its class).  An element that preserves a flag fixes
+    each of its simplices, so the action is admissible (Bredon, Introduction
+    to Compact Transformation Groups, Ch. III), its orbit complex needs no
+    orientation signs, and on sd(K) every carrier maps vertices by position,
+    so the next subdivision needs no stabilisers.
+
+    `below` holds the orbits on K, and nothing here refers to the action on
+    K.  No element is mapped onto sd(K), and sd(K) itself is built only for
+    `complex` and for the orbit of every flag (`simplex_orbit_data`), which
+    the quotient one depth further down needs.  Derived data is cached on
+    the instance: the flag orbits through each representative (`cells`),
+    the orbit chain complex and its Betti numbers per field, and the action
+    on the next subdivision.
+    """
+
+    __slots__ = (
+        "source",
+        "below",
+        "order",
+        "_tables",
+        "_cells",
+        "_simplex_orbits",
+        "_flag_action",
+        "_orbit_complex",
+        "_orbit_betti",
+    )
+
+    def __init__(self, source: SimplicialComplex, below: SimplexOrbits, order: int) -> None:
+        self.source = source
+        self.below = below
+        self.order = order
+        # each stabiliser permutation as the table of its images of bit masks
+        self._tables = {
+            oid: [
+                [sum(1 << p[b] for b in range(len(p)) if m >> b & 1) for m in range(1 << len(p))]
+                for p in perms
+            ]
+            for oid, perms in below.stabilisers.items()
+        }
+        self._cells = None
+        self._simplex_orbits = None
+        self._flag_action = None
+        self._orbit_complex = None
+        self._orbit_betti: dict = {}
+
+    @property
+    def complex(self) -> SimplicialComplex:
+        return shared_subdivision(self.source).complex
+
+    def _canonical(self, oid: int, chain: tuple) -> tuple:
+        """The least chain in the class of `chain` under the stabiliser of representative `oid`."""
+        tables = self._tables.get(oid)
+        if tables is None:
+            return chain
+        return min(tuple(map(t.__getitem__, chain)) for t in tables)
+
+    def cells(self) -> tuple:
+        """The flag orbits of each degree, as (orbit id of the top, least chain), in representative order."""
+        if self._cells is None:
+            levels: list = [[] for _ in range(self.source.dimension + 1)]
+            for oid, rep in enumerate(self.below.representatives):
+                for chain in _chains_below((1 << len(rep)) - 1):
+                    if self._canonical(oid, chain) == chain:
+                        levels[len(chain)].append((oid, chain))
+            self._cells = tuple(tuple(level) for level in levels)
+        return self._cells
+
+    def cell_counts(self) -> tuple:
+        """The number of orbits of j-simplices of sd(K), for each j.
+
+        When the action on K is admissible, Stab(τ) fixes every flag below
+        τ, so the counts follow from the orbit counts of K alone.
+        """
+        if self.below.admissible:
+            return subdivided_f_vector(self.below.level_counts())
+        return tuple(len(level) for level in self.cells())
+
+    def simplex_orbit_data(self) -> SimplexOrbits:
+        """The orbit of every flag, numbered in the order of `complex.simplices()`.
+
+        Carriers map vertices by position, so none is stored.
+        """
+        if self._simplex_orbits is None:
+            sd = shared_subdivision(self.source)
+            simplex_of = sd.vertex_simplices
+            ids: dict = {}
+            orbit_of: dict = {}
+            reps: list = []
+            offsets: list = []
+            tops: dict = {}  # vertex of sd(K) -> its simplex `_at_representative`
+            for level in sd.complex.simplices():
+                offsets.append(len(reps))
+                for flag in level:
+                    top = tops.get(flag[-1])
+                    if top is None:
+                        top = tops[flag[-1]] = self._at_representative(simplex_of[flag[-1]], sd.vertex_of_simplex)
+                    oid, mask_of = top
+                    key = (oid, self._canonical(oid, tuple(map(mask_of.__getitem__, flag[:-1]))))
+                    got = ids.get(key)
+                    if got is None:
+                        got = ids[key] = len(reps)
+                        reps.append(flag)
+                    orbit_of[flag] = got
+            offsets.append(len(reps))
+            self._simplex_orbits = SimplexOrbits(orbit_of, tuple(reps), tuple(offsets))
+        return self._simplex_orbits
+
+    def _at_representative(self, simplex, vertex) -> tuple:
+        """(orbit id of a simplex of K, vertex of sd(K) at each of its faces -> that face's bit mask at the representative).
+
+        `vertex` numbers the simplices of K as the vertices of sd(K).
+        """
+        bit = {w: 1 << b for b, w in enumerate(self.below.frame(simplex))}
+        faces = (_face(simplex, m) for m in range(1, 1 << len(simplex)))
+        return self.below.orbit_of[simplex], {vertex[f]: sum(map(bit.__getitem__, f)) for f in faces}
+
+
+def flag_action(action) -> FlagAction:
+    """The action on the first barycentric subdivision of its complex, from its simplex orbits; built once per action."""
+    if action._flag_action is None:
+        action._flag_action = FlagAction(action.complex, action.simplex_orbit_data(), action.order)
+    return action._flag_action
+
+
+def subdivided_quotient(action) -> SimplicialComplex:
+    """sd(X)/G for an action on X, built from the simplex orbits of X alone.
 
     The vertices of sd(X) are the simplices of X in the order of
     `complex.simplices()`, so its vertex orbits are the simplex orbits of X
     under the same ids.  A facet of sd(X) is a complete flag of faces of a
     facet of X; its image is the set of the flag's orbit ids, and facets in
-    one orbit give the same sets, so one facet per orbit is enough.
-    Admissibility makes the stabiliser of a flag's top simplex fix the whole
-    flag, so the orbits of j-simplices of sd(X) number
-    `subdivided_f_vector(orbit counts of X)[j]`.  The quotient is simplicial
-    iff no two of those orbits share an id set, that is iff its f-vector
-    reaches that count; otherwise NeedsSubdivision is raised, as
-    `quotient_complex` on the action transported to sd(X) would.
+    one orbit give the same sets, so one facet per orbit is enough.  The
+    orbits of j-simplices of sd(X) number `flag_action(action).cell_counts()[j]`.
+    The quotient is simplicial iff no two of those orbits share an id set,
+    that is iff its f-vector reaches that count; otherwise NeedsSubdivision
+    is raised, as `quotient_complex` on the action transported to sd(X)
+    would.  The flags' vertices lie in distinct orbits, since their
+    dimensions differ, and the action on sd(X) is admissible.
     """
-    orbit_of, n_orbits, admissible, _ = action.simplex_orbit_data()
-    if not admissible:
-        raise NeedsSubdivision("action is not admissible")
-    # ids were handed out level by level, so each level's ids form one run
-    starts = [orbit_of[level[0]] for level in action.complex.simplices()] + [n_orbits]
-    orbit_counts = [b - a for a, b in zip(starts, starts[1:])]
+    data = action.simplex_orbit_data()
+    orbit_of = data.orbit_of
     facets = []
     seen = set()
     for f in action.complex.facets:
@@ -442,10 +656,7 @@ def subdivided_quotient(action: VertexAction) -> SimplicialComplex:
         seen.add(orbit_of[f])
         bits = [1 << i for i in range(len(f))]
         # ids[mask]: orbit id of the face of f on the vertices picked by mask
-        ids = [-1] + [
-            orbit_of[tuple(v for v, bit in zip(f, bits) if mask & bit)]
-            for mask in range(1, 1 << len(f))
-        ]
+        ids = [-1] + [orbit_of[_face(f, mask)] for mask in range(1, 1 << len(f))]
         flags = [(0, ())]
         for _ in f:
             flags = [
@@ -455,8 +666,8 @@ def subdivided_quotient(action: VertexAction) -> SimplicialComplex:
                 if not mask & bit
             ]
         facets.extend(flag for _, flag in flags)
-    quotient = SimplicialComplex(n_orbits, facets)
-    want, got = subdivided_f_vector(orbit_counts), quotient.f_vector()
+    quotient = SimplicialComplex(data.count, facets)
+    want, got = flag_action(action).cell_counts(), quotient.f_vector()
     if got != want:
         j = next(j for j in range(len(want)) if got[j] != want[j])
         raise NeedsSubdivision(
@@ -483,13 +694,6 @@ class QuotientResult:
 _MAX_AUTO_SUBDIVISIONS = 3
 
 
-def _subdivided(action: VertexAction) -> VertexAction:
-    """The action transported to the first barycentric subdivision of its complex.
-
-    The subdivision is shared by every action on the same complex object."""
-    return induced_action_on_subdivision(action, shared_subdivision(action.complex))
-
-
 def make_admissible_and_quotient(
     action: VertexAction,
     subdivisions: str | int = "auto",
@@ -500,129 +704,155 @@ def make_admissible_and_quotient(
     With `subdivisions` "auto" the quotient is tried at each depth up to
     three subdivisions; with an integer it is tried at that depth only.
     NeedsSubdivision is raised when it is not simplicial at the last depth
-    tried.  At depth 0, and at depth 1 when the action on X is not
-    admissible, `quotient_complex` runs on the action at that depth.  At
-    every other depth k, `subdivided_quotient` builds the quotient from the
-    action at depth k-1, so the depth-k sphere is never built.  The depth-1
-    transport of an action that is not admissible is its admissible
-    subdivision, and is kept as such (see `admissible_subdivision`).  Before each
-    depth its simplex count is forecast from the f-vector one depth down
-    (`subdivided_f_vector`), and ResourceCapExceeded is raised when it would
-    pass `simplex_cap`, whether or not that sphere is to be built; None
-    means no cap.
+    tried.  At depth 0 `quotient_complex` runs on the action.  At every
+    other depth k, `subdivided_quotient` builds the quotient from the
+    orbits at depth k-1: those of the action itself at depth 1, and those
+    of its flag actions (`flag_action`) below that.  So the depth-k sphere
+    is never built, and no element is mapped onto a subdivision.  Before
+    each depth its size is forecast from the f-vector one depth down
+    (`subdivided_f_vector`), and ResourceCapExceeded is raised when it
+    would pass `simplex_cap`, whether or not that sphere is to be built;
+    None means no cap.
     """
-    # the actions at depth count (None when it need not be built) and at depth count - 1
-    current, below = action, None
-    simplices, facets = sum(action.complex.f_vector()), len(action.complex.facets)
+    below = action  # the action at depth count - 1, once count >= 1
+    f_vector = action.complex.f_vector()
+    facet_sizes = [len(f) for f in action.complex.facets]
+    simplices, facets = sum(f_vector), len(facet_sizes)
     count = 0
     while True:
         if subdivisions == "auto" or subdivisions == count:
             try:
-                if current is not None:
-                    quotient, _ = quotient_complex(current)
-                else:
-                    quotient = subdivided_quotient(below)
+                quotient = subdivided_quotient(below) if count else quotient_complex(action)[0]
                 return QuotientResult(quotient, count, simplices, facets)
             except NeedsSubdivision:
                 if subdivisions != "auto" or count >= _MAX_AUTO_SUBDIVISIONS:
                     raise
-        if current is None:
-            current = _subdivided(below)
-        simplices = sum(subdivided_f_vector(current.complex.f_vector()))
+        if count:
+            below = flag_action(below)
+        f_vector = subdivided_f_vector(f_vector)
+        simplices = sum(f_vector)
         if simplex_cap is not None and simplices > simplex_cap:
             raise ResourceCapExceeded(
                 f"subdivision would reach {simplices} simplices (cap {simplex_cap})"
             )
-        facets = sum(math.factorial(len(f)) for f in current.complex.facets)
-        below = current
-        current = None if below.simplex_orbit_data()[2] else _first_subdivision(below)
         count += 1
+        # a facet of X on v vertices becomes v! facets of sd(X), each on v vertices
+        facets = sum(math.factorial(size) ** count for size in facet_sizes)
 
 
-def _first_subdivision(action: VertexAction) -> VertexAction:
-    """`_subdivided(action)` for an action that is not admissible, transported once per action."""
-    if action._admissible_subdivision is None:
-        action._admissible_subdivision = _subdivided(action)
-    return action._admissible_subdivision
-
-
-def admissible_subdivision(action: VertexAction) -> VertexAction:
-    """The action itself when admissible, else the action on its first barycentric subdivision.
+def admissible_subdivision(action):
+    """The action itself when admissible, else its action on the first barycentric subdivision.
 
     One subdivision always suffices: a simplex of the subdivision is a flag
     of faces of distinct dimensions, so an element preserving the flag fixes
-    each of its faces, which are its vertices.  Computed once per action;
-    when the quotient loop has transported the action already, no orbit
-    pass is made.
+    each of its faces, which are its vertices.  The subdivided action is
+    the `flag_action`, read off the action's own orbit pass and built once.
     """
-    if action._admissible_subdivision is None and is_admissible(action):
-        return action
-    return _first_subdivision(action)
+    return action if is_admissible(action) else flag_action(action)
 
 
-def subgroup_action(action: VertexAction, handle: SubgroupHandle) -> VertexAction:
-    """The subgroup's action at its admissible subdivision, without transporting it again.
+def subgroup_action(action: VertexAction, handle: SubgroupHandle):
+    """The subgroup's action at its admissible subdivision.
 
-    That is the restricted action when it is admissible.  Otherwise it is
-    the restriction of `admissible_subdivision(action)`, the whole group on
-    the first barycentric subdivision, which lists the same elements in the
-    same order as the subgroup's own transport would.
+    That is `admissible_subdivision` of the restricted action: the
+    restriction itself when admissible, else its flag action, which comes
+    from the subgroup's own orbit pass over X.  No subgroup touches sd(X).
     """
-    if handle.order == action.order:
-        return admissible_subdivision(action)
-    restricted = action.restrict(handle)
-    if is_admissible(restricted):
-        return restricted
-    return admissible_subdivision(action).restrict(handle)
+    return admissible_subdivision(action.restrict(handle))
 
 
-def orbit_chain_complex(action: VertexAction) -> OrientedChainComplex:
+def orbit_chain_complex(action) -> OrientedChainComplex:
     """Cellular chains of X/G for an admissible action: the coinvariants C_*(X)_G.
 
     For an admissible action X/G is a CW complex with one cell per simplex
     orbit, and its cellular chains are the coinvariants (Bredon,
     Introduction to Compact Transformation Groups; Brown, Cohomology of
-    Groups).  The basis in each degree is the least simplex of each orbit,
-    in lexicographic order.  Face i of a representative enters its boundary
-    with (-1)^i times the sign of the vertex permutation carrying the face
-    onto its own orbit's representative.  A subcomplex fixed pointwise by
-    the group keeps its simplices as labels, since each is a singleton
-    orbit.  Built and checked for dd = 0 once per action.
+    Groups).  For a `VertexAction` the basis in each degree is the least
+    simplex of each orbit, in lexicographic order.  Face i of a
+    representative enters its boundary with (-1)^i times the sign of the
+    vertex permutation carrying the face onto its own orbit's
+    representative.  For a `FlagAction` the cells are its flag orbits
+    (`FlagAction.cells`), each labelled by the member that runs up through
+    the top's representative, in lexicographic order of the labels, and
+    face i enters with (-1)^i alone.  A
+    subcomplex fixed pointwise by the group keeps its simplices as labels,
+    since each is a singleton orbit.  Built and checked for dd = 0 once per
+    action.
     """
     if action._orbit_complex is None:
-        orbit_of, _, admissible, reversed_simplices = action.simplex_orbit_data(signs=True)
-        if not admissible:
-            raise NeedsSubdivision("action is not admissible")
-        # ids were handed out in this order, so each id first appears at its representative
-        reps: list = []
-        offsets: list = []
-        for level in action.complex.simplices():
-            offsets.append(len(reps))
-            for s in level:
-                if orbit_of[s] == len(reps):
-                    reps.append(s)
-        offsets.append(len(reps))
-        labels = tuple(tuple(reps[offsets[k]:offsets[k + 1]]) for k in range(len(offsets) - 1))
-        ranks = tuple(len(level) for level in labels)
-        boundaries = [SparseIntMatrix(0, ranks[0])] if ranks else []
-        for k in range(1, len(labels)):
-            cols = {}
-            for j, s in enumerate(labels[k]):
-                col: dict = {}
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    row = orbit_of[face] - offsets[k - 1]
-                    sign = -1 if face in reversed_simplices else 1
-                    col[row] = col.get(row, 0) + (-sign if i % 2 else sign)
-                cols[j] = col
-            boundaries.append(SparseIntMatrix.from_columns(ranks[k - 1], ranks[k], cols))
-        cc = OrientedChainComplex(ranks, tuple(boundaries), labels)
+        if isinstance(action, FlagAction):
+            cc = _flag_orbit_complex(action)
+        else:
+            cc = _simplex_orbit_complex(action)
         cc.verify()
         action._orbit_complex = cc
     return action._orbit_complex
 
 
-def orbit_betti(action: VertexAction, field: FieldSpec) -> tuple:
+def _simplex_orbit_complex(action: VertexAction) -> OrientedChainComplex:
+    data = action.simplex_orbit_data()
+    if not data.admissible:
+        raise NeedsSubdivision("action is not admissible")
+    reps, offsets = data.representatives, data.offsets
+    labels = tuple(reps[offsets[k]:offsets[k + 1]] for k in range(len(offsets) - 1))
+    ranks = tuple(len(level) for level in labels)
+    boundaries = [SparseIntMatrix(0, ranks[0])] if ranks else []
+    for k in range(1, len(labels)):
+        cols = {}
+        for j, s in enumerate(labels[k]):
+            col: dict = {}
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1:]
+                row = data.orbit_of[face] - offsets[k - 1]
+                sign = -1 if data.is_reversed(face) else 1
+                col[row] = col.get(row, 0) + (-sign if i % 2 else sign)
+            cols[j] = col
+        boundaries.append(SparseIntMatrix.from_columns(ranks[k - 1], ranks[k], cols))
+    return OrientedChainComplex(ranks, tuple(boundaries), labels)
+
+
+def _flag_orbit_complex(action: FlagAction) -> OrientedChainComplex:
+    below = action.below
+    reps = below.representatives
+    vertex = {s: i for i, s in enumerate(itertools.chain.from_iterable(action.source.simplices()))}
+    # face_vertex[oid][mask]: vertex of sd(K) at the face of representative oid on mask
+    face_vertex = [[None] + [vertex[_face(rep, m)] for m in range(1, 1 << len(rep))] for rep in reps]
+
+    def label(cell):
+        fv = face_vertex[cell[0]]
+        return tuple(fv[m] for m in cell[1]) + (fv[-1],)
+
+    # in label order, like the least simplices of `_simplex_orbit_complex`: the
+    # unit reduction of the boundary matrices pivots faster on it than on
+    # representative order (nonabelian workload: 1.21 s against 1.00 s)
+    cells = [sorted(level, key=label) for level in action.cells()]
+    labels = tuple(tuple(label(c) for c in level) for level in cells)
+    index = [{cell: j for j, cell in enumerate(level)} for level in cells]
+    tops: dict = {}  # (orbit id, mask) -> the face of that representative on mask `_at_representative`
+    ranks = tuple(len(level) for level in cells)
+    boundaries = [SparseIntMatrix(0, ranks[0])] if ranks else []
+    for k in range(1, len(cells)):
+        rows = index[k - 1]
+        cols = {}
+        for j, (oid, chain) in enumerate(cells[k]):
+            col: dict = {}
+            for i in range(k):
+                row = rows[oid, action._canonical(oid, chain[:i] + chain[i + 1:])]
+                col[row] = col.get(row, 0) + (-1 if i % 2 else 1)
+            # without its top the flag runs up to the face on chain[-1], carried to that face's representative
+            top = tops.get((oid, chain[-1]))
+            if top is None:
+                top = tops[oid, chain[-1]] = action._at_representative(_face(reps[oid], chain[-1]), vertex)
+            top_oid, mask_of = top
+            fv = face_vertex[oid]
+            row = rows[top_oid, action._canonical(top_oid, tuple(mask_of[fv[m]] for m in chain[:-1]))]
+            col[row] = col.get(row, 0) + (-1 if k % 2 else 1)
+            cols[j] = col
+        boundaries.append(SparseIntMatrix.from_columns(ranks[k - 1], ranks[k], cols))
+    return OrientedChainComplex(ranks, tuple(boundaries), labels)
+
+
+def orbit_betti(action, field: FieldSpec) -> tuple:
     """Betti numbers of orbit_chain_complex(action) over one field, computed once per field."""
     got = action._orbit_betti.get(field)
     if got is None:
@@ -632,18 +862,28 @@ def orbit_betti(action: VertexAction, field: FieldSpec) -> tuple:
 
 
 def fixed_subcomplex(action: VertexAction, handle: SubgroupHandle) -> SimplicialComplex:
-    """Full subcomplex on the vertices fixed by every element of the subgroup.
+    """The fixed set of the subgroup at its admissible subdivision (see `subgroup_action`).
 
-    A vertex is fixed by the subgroup iff its generators fix it.  Built once
-    per (action, subgroup).
+    When the subgroup acts admissibly on X, that is the full subcomplex of
+    X on the vertices it fixes.  Otherwise it lies in sd(X): an element
+    fixes a flag iff it fixes each of its simplices setwise, so its cells
+    are the flags made of simplices that the subgroup fixes setwise, and it
+    is the full subcomplex of sd(X) on those vertices.  The subgroup fixes
+    what its generators fix.  Built once per (action, subgroup).
     """
     got = action._fixed.get(handle.indices)
     if got is None:
-        if not is_admissible(action.restrict(handle)):
-            raise NeedsSubdivision("restricted action is not admissible")
         gens = [action.elements[i] for i in handle.generators]
-        fixed = [v for v in range(action.complex.vertex_count) if all(e[v] == v for e in gens)]
-        got = full_subcomplex(action.complex, fixed)
+        if is_admissible(action.restrict(handle)):
+            k = action.complex
+            fixed = [v for v in range(k.vertex_count) if all(e[v] == v for e in gens)]
+        else:
+            sd = shared_subdivision(action.complex)
+            k = sd.complex
+            fixed = [
+                v for v, s in enumerate(sd.vertex_simplices) if all(apply_perm(e, s) == s for e in gens)
+            ]
+        got = full_subcomplex(k, fixed)
         action._fixed[handle.indices] = got
     return got
 

@@ -3,18 +3,19 @@
 Every check computes both sides of an inequality on the given action and
 records the inputs, so a verdict can be recomputed from the stored report.
 A check works on the subgroup's action at its admissible subdivision, given
-by `subgroup_action`: the restricted action itself, or the restriction of
-the whole group's action on the first barycentric subdivision, so no
-subgroup is transported on its own.  Quotient homology comes from the orbit
-chain complex there, and relative homology of the quotient pair from that
-complex with the fixed cells removed.  The restricted actions, the whole
-group's admissible subdivision, the Sylow subgroups, the fixed subcomplexes,
-the orbit complexes and their Betti numbers are cached on the actions (see
-`VertexAction`), so the checks share them for as long as the action lives,
-which in `run_scenario` is one scenario; a fixed subcomplex's chain complex
-is cached on that complex.  Relative homology is computed inside each
-check.  `run_scenario` takes the reported torsion from the whole group's
-orbit complex as well, and its Betti numbers from the simplicial quotient.
+by `subgroup_action`: the restricted action itself, or its flag action on
+the first barycentric subdivision, read off the subgroup's own orbit pass
+over the model, so no element is mapped onto a subdivision.  Quotient
+homology comes from the orbit chain complex there, and relative homology of
+the quotient pair from that complex with the fixed cells removed.  The
+restricted actions, their flag actions, the Sylow subgroups, the fixed
+subcomplexes, the orbit complexes and their Betti numbers are cached on the
+actions (see `VertexAction`), so the checks share them for as long as the
+action lives, which in `run_scenario` is one scenario; a fixed subcomplex's
+chain complex is cached on that complex.  Relative homology is computed
+inside each check.  `run_scenario` takes the reported torsion from the whole
+group's orbit complex as well, and its Betti numbers from the simplicial
+quotient.
 A failed hard verdict means either an engine bug or a genuine
 counterexample, and aborts the run with a diagnostic dump.
 """
@@ -29,6 +30,7 @@ from .actions import (
     SubgroupHandle,
     admissible_subdivision,
     fixed_subcomplex,
+    is_admissible,
     orbit_betti,
     orbit_chain_complex,
     subgroup_action,
@@ -128,13 +130,12 @@ def smith_floyd_check(action: VertexAction, p_subgroup: SubgroupHandle, p: int) 
     if prime_factors(p_subgroup.order).keys() - {p}:
         raise InvalidParameter(f"subgroup of order {p_subgroup.order} is not a {p}-group")
     fp = FieldSpec(p)
-    # only admissibility is needed for the fixed set
-    y_action = subgroup_action(action, p_subgroup)
-    subdivisions = int(y_action.complex is not action.complex)
-    fixed = fixed_subcomplex(y_action, y_action.full_subgroup())
-    length = y_action.complex.dimension + 1
+    # the fixed set at the subgroup's admissible subdivision, which has the model's dimension
+    fixed = fixed_subcomplex(action, p_subgroup)
+    subdivisions = int(not is_admissible(action.restrict(p_subgroup)))
+    length = action.complex.dimension + 1
     lhs = sum(_betti_or_zero(fixed, fp, length))
-    rhs = sum(_betti_or_zero(action.complex, fp, action.complex.dimension + 1))
+    rhs = sum(_betti_or_zero(action.complex, fp, length))
     return CheckResult(
         name="smith_floyd",
         passed=lhs <= rhs,
@@ -160,10 +161,10 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
         raise InvalidParameter("subgroup must be trivial or cyclic of order p")
     fp = FieldSpec(p)
     y_action = subgroup_action(action, cp_handle)
-    y = y_action.complex
-    d = y.dimension
+    subdivisions = int(not is_admissible(action.restrict(cp_handle)))
+    d = action.complex.dimension
     length = d + 1
-    fixed = fixed_subcomplex(y_action, y_action.full_subgroup())
+    fixed = fixed_subcomplex(action, cp_handle)
 
     # Betti numbers do not change under subdivision: b(Y) is the model's
     b_y = _betti_or_zero(action.complex, fp, length)
@@ -171,7 +172,7 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
     b_q = _pad(orbit_betti(y_action, fp), length)
     if fixed.facets:
         # F's simplices are singleton orbits, so they label cells of Q as well
-        b_rel_yf = _pad(relative_betti(chain_complex(y), fixed, [fp]).betti(fp), length)
+        b_rel_yf = _pad(relative_betti(chain_complex(y_action.complex), fixed, [fp]).betti(fp), length)
         b_rel_qf = _pad(relative_betti(orbit_chain_complex(y_action), fixed, [fp]).betti(fp), length)
     else:  # relative to an empty F, the pairs are the spaces themselves
         b_rel_yf, b_rel_qf = b_y, b_q
@@ -194,7 +195,7 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
             "subgroup_order": cp_handle.order,
             "d": d,
             "k": k,
-            "subdivisions": int(y is not action.complex),
+            "subdivisions": subdivisions,
         },
         detail={
             "b_Y": b_y,

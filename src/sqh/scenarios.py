@@ -77,13 +77,20 @@ class Scenario:
     snf_cap: int = 5000
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidParameter(f"field 'name' must be a string, got {self.name!r}")
         if not self.fields:
             raise InvalidParameter("fields must be nonempty")
         for label in self.fields:
             try:
-                FieldSpec.parse(label)
+                canonical = FieldSpec.parse(label).label()
             except InvalidParameter as e:
                 raise InvalidParameter(f"field 'fields': {e} (expected Q or Fp:<prime>)") from None
+            # the report echoes the labels and names its rows by the canonical ones
+            if label != canonical:
+                raise InvalidParameter(f"field 'fields': write {label!r} as {canonical!r}")
+        if len(set(self.fields)) != len(self.fields):
+            raise InvalidParameter(f"field 'fields' lists a field twice: {list(self.fields)}")
         variants = [k for k in ("character_join", "signed_permutation", "explicit") if k in self.space]
         if len(variants) != 1 or len(self.space) != 1:
             raise InvalidParameter("space must contain exactly one variant")

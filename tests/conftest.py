@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 from sqh.complexes import SimplicialComplex
 
@@ -26,3 +28,12 @@ def random_small_complex(rng: random.Random) -> SimplicialComplex:
         size = rng.randint(1, min(4, n))
         facets.append(rng.sample(range(n), size))
     return SimplicialComplex(n, facets)
+
+
+def nonabelian_workload() -> list:
+    """The benchmark's nonabelian scenarios, loaded from perfbench/workloads.py as it is."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.nonabelian_scenarios()

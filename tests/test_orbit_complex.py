@@ -11,29 +11,48 @@ depth and sphere size.  For an admissible action, `orbit_chain_complex`
 gives the cellular chains of X/G; its Betti numbers (from ranks) and
 torsion must equal those of the oracle's quotient, read off the Smith
 normal form of that quotient's boundary matrices alone.
+
+The engine reads the orbits of the first subdivision off the orbits of X
+(`flag_action`).  Against the transported action, that route must give the
+same orbit complex, fixed sets and quotients, and its flag orbits must
+number what Burnside's lemma counts from the flags each element fixes.
 """
 
+import itertools
 from dataclasses import replace
 
 import pytest
 
-from conftest import octahedron, rp2_minimal
+from conftest import nonabelian_workload, octahedron, rp2_minimal
 from test_acceptance import CORPUS_SCENARIOS
 from sqh.actions import (
-    VertexAction,
     admissible_subdivision,
+    apply_perm,
     close_generators,
+    fixed_subcomplex,
+    flag_action,
     induced_action_on_subdivision,
     is_admissible,
     make_admissible_and_quotient,
     orbit_betti,
     orbit_chain_complex,
     quotient_complex,
+    subgroup_action,
     sylow,
 )
-from sqh.complexes import barycentric_subdivision, chain_complex, polygon
+from sqh.complexes import barycentric_subdivision, chain_complex, polygon, subdivided_f_vector
 from sqh.errors import CorruptComplex, NeedsSubdivision
-from sqh.homology import F2, F3, F5, RATIONALS, ElementaryDivisors, betti, prime_factors, smith_normal_form
+from sqh.homology import (
+    F2,
+    F3,
+    F5,
+    RATIONALS,
+    ElementaryDivisors,
+    betti,
+    prime_factors,
+    relative_betti,
+    smith_normal_form,
+)
 from sqh.scenarios import (
     DEFAULT_FIELDS,
     _least_cp_handle,
@@ -104,13 +123,17 @@ def _assert_routes_agree(oracles, key, action):
     assert (orbit.entries, orbit.torsion) == _snf_homology(chain_complex(quotient))
 
 
-def _subgroup_actions(action):
+def _subgroup_handles(action):
     """The group, its least C_p for each prime p dividing its order, and its Sylow subgroups."""
     full = action.full_subgroup()
     handles = [full]
     for p in prime_factors(action.order):
         handles += [_least_cp_handle(action, p), sylow(action, full, p)]
-    return [action.restrict(h) for h in dict.fromkeys(handles)]
+    return list(dict.fromkeys(handles))
+
+
+def _subgroup_actions(action):
+    return [action.restrict(h) for h in _subgroup_handles(action)]
 
 
 def _corpus_cases(scenario):
@@ -187,25 +210,38 @@ def test_orbit_complex_rejects_non_admissible():
 
 
 def _with_orbit_data(monkeypatch, mutate):
-    """Make every signed orbit pass, which only the orbit complex asks for, return mutate(its data)."""
-    orig = VertexAction.simplex_orbit_data
+    """Make the orbit complex of an action on the model read mutate(the action's orbit data).
 
-    def mutated(self, signs=False):
-        data = orig(self, signs)
-        return mutate(*data) if signs else data
+    The simplicial quotient reads the same orbit pass, so only the orbit
+    complex is given the mutated data.
+    """
+    import sqh.actions
 
-    monkeypatch.setattr(VertexAction, "simplex_orbit_data", mutated)
+    orig = sqh.actions._simplex_orbit_complex
+
+    class Mutated:
+        def __init__(self, action):
+            self.action = action
+
+        def simplex_orbit_data(self):
+            return mutate(self.action.simplex_orbit_data())
+
+    monkeypatch.setattr(sqh.actions, "_simplex_orbit_complex", lambda action: orig(Mutated(action)))
 
 
-def _merge_last_two_orbits(orbit_of, n_orbits, admissible, reversed_simplices):
+def _merge_last_two_orbits(data):
     # the last two ids are top-dimensional on rp(2), so the ids stay one run per degree
-    merged = {s: (n_orbits - 2 if oid == n_orbits - 1 else oid) for s, oid in orbit_of.items()}
-    return merged, n_orbits - 1, admissible, reversed_simplices
+    n = data.count
+    merged = {s: (n - 2 if oid == n - 1 else oid) for s, oid in data.orbit_of.items()}
+    return replace(
+        data, orbit_of=merged, representatives=data.representatives[:-1], offsets=data.offsets[:-1] + (n - 1,)
+    )
 
 
-def _drop_signs(orbit_of, n_orbits, admissible, reversed_simplices):
-    # on rp(2), which is admissible unsubdivided, this breaks dd = 0 of the orbit complex
-    return orbit_of, n_orbits, admissible, set()
+def _drop_signs(data):
+    # every carrier the identity: no simplex reads as reversed, which breaks
+    # dd = 0 of the orbit complex on rp(2), admissible unsubdivided
+    return replace(data, carrier=dict.fromkeys(data.carrier, 0))
 
 
 @pytest.mark.parametrize("mutate", [_merge_last_two_orbits, _drop_signs], ids=["merge_orbits", "drop_signs"])
@@ -227,3 +263,146 @@ def test_run_scenario_takes_torsion_from_the_orbit_complex():
         assert all(row["torsion"] == [list(t) for t in orbit.torsion] for row in rows)
     # no torsion asked for: no orbit complex
     assert all(row["torsion"] is None for row in run_scenario(replace(builtin("rp", 3), snf_cap=0))["betti"])
+
+
+# the acceptance corpus and the nonabelian workload, each scenario once
+GROUP_SCENARIOS = list({sc.name: sc for sc in [*CORPUS_SCENARIOS, *nonabelian_workload()]}.values())
+NON_ADMISSIBLE = [sc for sc in GROUP_SCENARIOS if not is_admissible(build_model(sc).action)]
+
+
+def _homology(chain) -> tuple:
+    table = betti(chain, FIELDS, snf_cap=10**9)
+    return table.entries, table.torsion
+
+
+def _fixed_vertices(fixed) -> set:
+    return {v for f in fixed.facets for v in f}
+
+
+@pytest.mark.parametrize("scenario", NON_ADMISSIBLE, ids=lambda sc: sc.name)
+def test_flag_route_matches_the_transported_route(scenario):
+    """The depth-1 orbit complex, fixed sets and relative homology of each subgroup, with and without transport."""
+    action = build_model(scenario).action
+    sd = barycentric_subdivision(action.complex)
+    transported = induced_action_on_subdivision(action, sd)
+    for handle in _subgroup_handles(action):
+        restricted = action.restrict(handle)
+        new = orbit_chain_complex(flag_action(restricted))
+        old = orbit_chain_complex(transported.restrict(handle))
+        assert new.ranks == old.ranks
+        assert _homology(new) == _homology(old)
+        fixed = fixed_subcomplex(action, handle)
+        fixed_old = fixed_subcomplex(transported, handle)
+        if is_admissible(restricted):
+            assert subgroup_action(action, handle) is restricted
+            # the fixed set on X, whose simplices are the vertices of its subdivision
+            assert {sd.vertex_simplices[v] for v in _fixed_vertices(fixed_old)} == set(fixed.simplex_set())
+            continue
+        assert subgroup_action(action, handle) is flag_action(restricted)
+        assert fixed == fixed_old
+        if fixed.facets:
+            assert relative_betti(new, fixed, FIELDS).entries == relative_betti(old, fixed_old, FIELDS).entries
+
+
+def _quotient_or_none(quotient):
+    try:
+        return quotient()
+    except NeedsSubdivision:
+        return None
+
+
+# the sweep's own guard on a draw's subdivided size
+_ORACLE_GUARD = 200_000
+
+
+def _assert_forced_depth_matches(oracles, key, action, depth) -> bool:
+    """The quotient at a forced depth equals the oracle's, or neither is simplicial.
+
+    Returns False, comparing nothing, when the depth-`depth` sphere passes
+    `_ORACLE_GUARD`: an action that is simplicial at depth 0 can reach
+    millions of simplices at depth 2 (a trivial group on a 242-simplex S^5
+    gives 2.9 million, and so does rp(4)), which the oracle takes a minute
+    or more to build.
+    """
+    f_vector = action.complex.f_vector()
+    for _ in range(depth):
+        f_vector = subdivided_f_vector(f_vector)
+    if sum(f_vector) > _ORACLE_GUARD:
+        return False
+    got = _quotient_or_none(lambda: make_admissible_and_quotient(action, depth))
+    want = _quotient_or_none(lambda: _oracle(oracles, key, action, depth))
+    if want is None:
+        assert got is None
+    else:
+        assert (got.subdivisions, got.complex, got.simplices_after, got.facets_after) == want
+    return True
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("scenario", CORPUS_SCENARIOS, ids=lambda sc: sc.name)
+def test_forced_depth_quotient_matches_oracle_on_corpus(oracles, scenario, depth):
+    compared = [
+        _assert_forced_depth_matches(oracles, (key, depth), action, depth)
+        for key, action in _corpus_cases(scenario)
+    ]
+    # rp(4) is the one corpus sphere past the guard at depth 2
+    assert all(compared) != ((scenario.name, depth) == ("rp(4)", 2))
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_forced_depth_quotient_matches_oracle_on_sweep(oracles, depth):
+    compared = sum(
+        _assert_forced_depth_matches(oracles, (key, depth), action, depth) for key, action in _sweep_cases()
+    )
+    # every draw at depth 1, and 47 of the 60 at depth 2
+    assert compared == (60 if depth == 1 else 47)
+
+
+def test_forced_depth_three_matches_oracle():
+    action = build_model(builtin("sym3_on_s2")).action
+    assert not is_admissible(action)
+    _assert_forced_depth_matches({}, "sym3_on_s2", action, 3)
+
+
+def _fixed_flags(complex_, element) -> list:
+    """The flags of the complex that a vertex permutation fixes, by degree.
+
+    An element fixes a flag iff it fixes each of its simplices setwise, so
+    these are the chains of simplices it fixes, counted by dynamic
+    programming over the chains ending at each fixed simplex.
+    """
+    total = [0] * (complex_.dimension + 1)
+    ending: dict = {}  # fixed simplex -> fixed chains ending at it, by degree
+    for level in complex_.simplices():
+        for s in level:
+            if apply_perm(element, s) != s:
+                continue
+            counts = [1] + [0] * complex_.dimension
+            for size in range(1, len(s)):
+                for face in itertools.combinations(s, size):
+                    for degree, n in enumerate(ending.get(face, ())):
+                        if n:
+                            counts[degree + 1] += n
+            ending[s] = counts
+            total = [a + b for a, b in zip(total, counts)]
+    return total
+
+
+@pytest.mark.parametrize("scenario", GROUP_SCENARIOS, ids=lambda sc: sc.name)
+def test_flag_orbits_number_what_burnside_counts(scenario):
+    """Orbits of j-flags = (1/|H|) sum over h of the j-flags h fixes, for the group and its C_p and Sylow subgroups.
+
+    Both enumerations are counted: the cells of the depth-1 orbit complex,
+    and the orbit of every flag that the quotient one depth further down
+    reads.
+    """
+    action = build_model(scenario).action
+    for restricted in _subgroup_actions(action):
+        fixed = [_fixed_flags(action.complex, e) for e in restricted.elements]
+        sums = [sum(column) for column in zip(*fixed)]
+        assert all(n % restricted.order == 0 for n in sums)
+        burnside = tuple(n // restricted.order for n in sums)
+        flags = flag_action(restricted)
+        assert orbit_chain_complex(flags).ranks == burnside
+        assert tuple(flags.simplex_orbit_data().level_counts()) == burnside
+        assert flags.cell_counts() == burnside

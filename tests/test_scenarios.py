@@ -381,10 +381,14 @@ _DIHEDRAL = ("space", "explicit")
         ({**builtin("rp", 2).to_json_dict(), "certified": "no"}, "'certified'"),
         ({**builtin("rp", 2).to_json_dict(), "snf_cap": -1}, "'snf_cap'"),
         (_replaced(builtin("rp", 2).to_json_dict(), [2, 1], *_RP2_PERM), "'generators[0].perm'"),
+        ({**builtin("rp", 2).to_json_dict(), "name": 5}, "'name'"),
+        ({**builtin("rp", 2).to_json_dict(), "fields": ["Q", "Q"]}, "'fields'"),
+        ({**builtin("rp", 2).to_json_dict(), "fields": ["Q", "Fp:02"]}, "'fields'"),
     ],
     ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex",
          "perm_str", "perm_float", "generator_str", "facet_str", "factor_str",
-         "subdivisions_bool", "certified_str", "snf_cap_negative", "perm_short"],
+         "subdivisions_bool", "certified_str", "snf_cap_negative", "perm_short",
+         "name_int", "fields_repeated", "fields_not_canonical"],
 )
 def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, data, named):
     assert _run_scenario_file(tmp_path, data) == 2

@@ -2,8 +2,9 @@
 
 run_scenario builds the simplicial quotient of the whole group once;
 cyclic_chain_check and transfer_check share the orbit chain complexes
-cached on the action.  The group is transported to the subdivision once,
-each Sylow subgroup is grown once and each fixed subcomplex built once.
+cached on the action.  No element is ever mapped onto a subdivision: the
+orbits of the first subdivision are read off each group's own orbit pass.
+Each Sylow subgroup is grown once and each fixed subcomplex built once.
 These tests count those constructions and check that results read from the
 caches equal those of a fresh action.
 """
@@ -13,13 +14,14 @@ import sys
 
 import pytest
 
-from conftest import octahedron
-from sqh.actions import VertexAction, close_generators, sylow
+from conftest import nonabelian_workload, octahedron
+from test_acceptance import CORPUS_SCENARIOS
+from sqh.actions import FlagAction, VertexAction, close_generators, sylow
 from sqh.bounds import cyclic_chain_check, smith_floyd_check, transfer_check
 from sqh.complexes import SimplicialComplex, chain_complex
 from sqh.homology import F2, SparseIntMatrix, betti, prime_factors
 from sqh.models import SignedPermutation
-from sqh.scenarios import Scenario, build_model, builtin, run_scenario
+from sqh.scenarios import DEFAULT_FIELDS, Scenario, build_model, builtin, run_scenario, sweep_scenarios
 
 
 def _record_calls(monkeypatch, attr, when=lambda action: True):
@@ -31,7 +33,10 @@ def _record_calls(monkeypatch, attr, when=lambda action: True):
 
     def counting(action, *args, **kwargs):
         if when(action):
-            calls.append((action.complex, action.elements))
+            if isinstance(action, FlagAction):  # known by the complex it subdivides and the group's elements there
+                calls.append((action.source, action.below.elements))
+            else:
+                calls.append((action.complex, action.elements))
         return orig(action, *args, **kwargs)
 
     for name in ("sqh.actions", "sqh.bounds", "sqh.scenarios"):
@@ -50,6 +55,12 @@ def quotient_calls(monkeypatch):
 def orbit_complex_builds(monkeypatch):
     """Actions whose orbit chain complex is built, not read from the cache."""
     return _record_calls(monkeypatch, "orbit_chain_complex", when=lambda action: action._orbit_complex is None)
+
+
+@pytest.fixture
+def transports(monkeypatch):
+    """Each action mapped onto a subdivision, wherever the transport is called from."""
+    return _record_calls(monkeypatch, "induced_action_on_subdivision")
 
 
 @pytest.fixture
@@ -174,11 +185,9 @@ def test_finished_scenarios_leave_no_action_in_a_reference_cycle():
     """Caches must not refer back to their action or complex, or it outlives its scenario.
 
     All three scenarios subdivide their model, so the complex's cached
-    subdivision is covered.  q8 and s4_on_s3 are not admissible, so the
-    quotient loop stores the group's transport as its admissible
-    subdivision; s4_on_s3 also restricts that transport to subgroups that
-    are not admissible, and every check fills the Sylow and fixed-subcomplex
-    caches.
+    subdivision is covered.  s4_on_s3 is not admissible, so its group and
+    the subgroups that are not admissible keep flag actions, and every
+    check fills the Sylow and fixed-subcomplex caches.
     """
     gc.collect()
     gc.disable()
@@ -216,7 +225,10 @@ B4_ON_S3 = _signed_scenario("b4_on_s3", 4, [SWAP, CYCLE4, FLIP])
 
 @pytest.mark.parametrize("scenario", [S4_ON_S3, B4_ON_S3], ids=lambda sc: sc.name)
 def test_model_subdivided_once_per_scenario(monkeypatch, scenario):
-    """The quotient loop and every subgroup's action share the model's subdivision."""
+    """Every subgroup's fixed set and relative homology share the model's subdivision.
+
+    The quotient loop reads the depth-1 quotient off the model's orbits and builds none.
+    """
     import sqh.complexes
 
     sources = []
@@ -233,16 +245,9 @@ def test_model_subdivided_once_per_scenario(monkeypatch, scenario):
 
 
 @pytest.mark.parametrize("scenario", [S4_ON_S3, B4_ON_S3], ids=lambda sc: sc.name)
-def test_group_transported_once_and_sylow_grown_once(monkeypatch, used_actions, scenario):
-    """The quotient loop's transport serves every check; no subgroup is transported."""
+def test_group_never_transported_and_sylow_grown_once(monkeypatch, used_actions, transports, scenario):
+    """The flag action read off the group's own orbit pass serves every check; nothing is transported."""
     import sqh.actions
-
-    transported = []
-    orig_transport = sqh.actions.induced_action_on_subdivision
-
-    def counting_transport(action, sd):
-        transported.append(action.order)
-        return orig_transport(action, sd)
 
     grown = []
     orig_grow = sqh.actions._grow_sylow
@@ -251,18 +256,28 @@ def test_group_transported_once_and_sylow_grown_once(monkeypatch, used_actions, 
         grown.append((action.elements, handle.indices, p))
         return orig_grow(action, handle, p)
 
-    monkeypatch.setattr(sqh.actions, "induced_action_on_subdivision", counting_transport)
     monkeypatch.setattr(sqh.actions, "_grow_sylow", counting_grow)
     run_scenario(scenario)
     (used,) = used_actions
-    # the 16-cell boundary is not admissible: one transport of the whole group
-    assert transported == [used.order]
-    assert used._admissible_subdivision is not None
-    # nor is the group's signed orbit pass on the model made: its transport was kept
-    assert used._simplex_orbits[3] is None
+    # the 16-cell boundary is not admissible: its orbits of flags come from the group's orbits
+    assert transports == []
+    assert used._flag_action is not None
     # smith_floyd and transfer share each Sylow subgroup of G
     assert len(grown) == len(set(grown))
     assert sorted(p for _, _, p in grown) == sorted(prime_factors(used.order))
+
+
+def test_run_scenario_never_transports(transports):
+    """No run maps an element onto a subdivision: not on the corpus, the nonabelian workload or sweep draws.
+
+    The sweep sample holds draws that the quotient loop takes to depth 2.
+    """
+    sample, _ = sweep_scenarios(6, 60, 7, DEFAULT_FIELDS, 200_000)
+    depths = set()
+    for scenario in [*CORPUS_SCENARIOS, *nonabelian_workload(), *sample]:
+        depths.add(run_scenario(scenario)["subdivisions"])
+    assert transports == []
+    assert depths == {0, 1, 2}
 
 
 def test_fixed_subcomplex_built_once_per_subgroup(monkeypatch):
