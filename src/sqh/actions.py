@@ -385,13 +385,12 @@ class VertexAction:
         return f"VertexAction(order={self.order}, on {self.complex!r})"
 
 
-def close_generators(
-    complex: SimplicialComplex, generators, cap: int = DEFAULT_ELEMENT_CAP
-) -> VertexAction:
+def close_generators(complex: SimplicialComplex, generators) -> VertexAction:
     """Generate the full group breadth-first over words in the generators.
 
     New words extend on the right (apply the old word first, then the
-    generator), so the element order is the BFS word order.
+    generator), so the element order is the BFS word order.  A group of
+    more than DEFAULT_ELEMENT_CAP elements raises GroupTooLarge.
     """
     n = complex.vertex_count
     gens = []
@@ -417,8 +416,8 @@ def close_generators(
                     seen[img] = len(elements)
                     elements.append(img)
                     next_frontier.append(img)
-                    if len(elements) > cap:
-                        raise GroupTooLarge(f"closure exceeds cap {cap}")
+                    if len(elements) > DEFAULT_ELEMENT_CAP:
+                        raise GroupTooLarge(f"closure exceeds cap {DEFAULT_ELEMENT_CAP}")
         frontier = next_frontier
     for g in gens:
         gen_indices.append(seen[g])

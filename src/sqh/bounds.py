@@ -304,12 +304,13 @@ class BoundReport:
         }
 
 
-def evaluate_all(obs: ScenarioObservation, checks=(), strict: bool = True) -> BoundReport:
+def evaluate_all(obs: ScenarioObservation, checks=()) -> BoundReport:
     """Evaluate every applicable bound for the observation, per field.
 
-    Hard rows restate theorems and abort on failure when strict; soft
-    rows (the J(n)=(n+1)! fallback and the direct constant-comparison of
-    the two published forms) are informational.
+    Hard rows restate theorems; a failed one raises BoundViolation, whose
+    dump is the report's JSON.  Soft rows (the J(n)=(n+1)! fallback and the
+    direct constant-comparison of the two published forms) are
+    informational.
     """
     n = obs.ambient_n
     d = n - 1
@@ -447,7 +448,7 @@ def evaluate_all(obs: ScenarioObservation, checks=(), strict: bool = True) -> Bo
                 )
             )
     report = BoundReport(obs.scenario_id, tuple(rows), tuple(checks))
-    if strict and not report.all_passed:
+    if not report.all_passed:
         raise BoundViolation(
             f"verified inequality failed on scenario {obs.scenario_id}",
             dump=report.to_json(),

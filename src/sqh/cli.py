@@ -1,7 +1,8 @@
 """Command-line interface: run scenarios, sweeps, and the builtin catalog.
 
-Exit codes: 0 success, 2 bad input (parse/validation), 3 a verified
-inequality failed (diagnostic dump on stderr), 4 resource caps exceeded.
+Every Betti number reported is exact, over Q as over F_p.  Exit codes:
+0 success, 2 bad input (parse/validation), 3 a verified inequality failed
+(diagnostic dump on stderr), 4 resource caps exceeded.
 """
 
 from __future__ import annotations
@@ -41,20 +42,17 @@ def _cmd_run(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     scenario = Scenario.from_json_dict(data)
-    if args.certified:
-        scenario = Scenario.from_json_dict({**scenario.to_json_dict(), "certified": True})
     report = run_scenario(scenario, with_timings=args.timings, budget=args.budget)
     _emit(report, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    fields = tuple(args.fields.split(",")) if args.fields else DEFAULT_FIELDS
     report = sweep(
         n_max=args.n_max,
         samples=args.samples,
         seed=args.seed,
-        fields=fields,
+        fields=args.fields,
         jobs=args.jobs,
         max_model_simplices=args.max_model_simplices,
     )
@@ -87,6 +85,14 @@ def _int_at_least(least: int):
     return parse
 
 
+def _field_labels(text: str) -> tuple:
+    """An argparse type: comma-separated field labels, none of them empty."""
+    labels = tuple(text.split(","))
+    if "" in labels:
+        raise argparse.ArgumentTypeError(f"expected labels such as Q,Fp:2, got {text!r}")
+    return labels
+
+
 def _seconds(text: str) -> float:
     """An argparse type: a number of seconds >= 0; NaN is refused."""
     try:
@@ -108,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("file")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--certified", action="store_true", help="force certified Q ranks")
     p_run.add_argument("--timings", action="store_true", help="include per-stage timings")
     p_run.add_argument("--budget", type=_seconds, default=None, help="wall-clock budget (s)")
     p_run.set_defaults(func=_cmd_run)
@@ -117,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-max", type=_int_at_least(1), default=4, dest="n_max")
     p_sweep.add_argument("--samples", type=_int_at_least(0), default=50)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--fields", default=None, help="comma-separated labels, e.g. Q,Fp:2")
+    p_sweep.add_argument(
+        "--fields", type=_field_labels, default=DEFAULT_FIELDS, help="comma-separated labels, e.g. Q,Fp:2"
+    )
     p_sweep.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument(

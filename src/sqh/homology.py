@@ -10,7 +10,8 @@ u plus the rank of the small residual R there.  The reduction is cached on
 the matrix, so every field's rank shares it.  One kernel, sparse Gaussian
 elimination mod p with min-degree (Markowitz-style) pivoting, runs on R
 for every field: over F_p once, over Q modulo primes below 2^31 whose
-product exceeds R's Hadamard bound (see `rank_over_q`).
+product exceeds R's Hadamard bound (see `rank_over_q`).  Every rank is
+exact.
 
 Integral structure comes from a Smith-normal-form routine that first
 eliminates unit pivots by row operations alone and finishes with gcd
@@ -25,7 +26,6 @@ cross-check compares two independent eliminations.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass, field
 from math import gcd, prod
 from typing import TYPE_CHECKING
@@ -354,11 +354,14 @@ _COVERING_PRIMES = [2**31 - 1]
 def _rank_over_q_modular(m: SparseIntMatrix) -> int:
     """Rank over Q as the largest rank of m modulo covering primes (see rank_over_q)."""
     row_squares: dict = {}
-    for r, _, v in m.iter_entries():
+    cols = set()
+    for r, c, v in m.iter_entries():
         row_squares[r] = row_squares.get(r, 0) + v * v
+        cols.add(c)
     bound_sq = prod(row_squares.values())
+    most = min(len(row_squares), len(cols))
     rank, covered, k = 0, 1, 0
-    while covered <= bound_sq and rank < len(row_squares):
+    while covered <= bound_sq and rank < most:
         if k == len(_COVERING_PRIMES):
             q = _COVERING_PRIMES[-1] - 2
             while not is_prime(q):
@@ -371,32 +374,23 @@ def _rank_over_q_modular(m: SparseIntMatrix) -> int:
     return rank
 
 
-def rank_over_q(m: SparseIntMatrix, certified: bool = True, rng: random.Random | None = None) -> int:
-    """Rank over Q: exact if certified, else max of ranks at two random 30-bit primes.
+def rank_over_q(m: SparseIntMatrix) -> int:
+    """Exact rank over Q: the unit pivots of m plus the residual's largest rank mod p.
 
-    Either way the unit pivots of m count once and only the residual R is
-    eliminated (rank_mod_p shares the reduction), modulo primes below 2^31.
-
-    The certified rank is u plus the largest rank of R modulo the covering
-    primes: the largest primes below 2^31, taken in descending order until
-    the product of their squares exceeds H^2 = prod over R's rows of
-    max(1, sum of the row's squares).  By Hadamard's inequality every minor
-    of R is at most H in absolute value, so a nonzero r x r minor is not
-    divisible by all of the covering primes, and R has rank r modulo one of
-    them; no rank mod p exceeds the rank over Q, so the largest is exact
-    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).  Primes
-    stop early once the rank reaches R's number of nonzero rows.
+    The unit pivots count once and only the residual R is eliminated
+    (rank_mod_p shares the reduction), modulo the covering primes: the
+    largest primes below 2^31, taken in descending order until the product
+    of their squares exceeds H^2 = prod over R's rows of max(1, sum of the
+    row's squares).  By Hadamard's inequality every minor of R is at most H
+    in absolute value, so a nonzero r x r minor is not divisible by all of
+    the covering primes, and R has rank r modulo one of them; no rank mod p
+    exceeds the rank over Q, so the largest is exact (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 5).  Primes stop early once the
+    rank reaches the smaller of R's numbers of nonzero rows and nonzero
+    columns.
     """
-    if certified:
-        units, residual = m.unit_reduction()
-        return units + _rank_over_q_modular(residual)
-    rng = rng if rng is not None else random.Random(0)
-    primes = []
-    while len(primes) < 2:
-        cand = rng.randrange(2**29, 2**30) | 1
-        if is_prime(cand) and cand not in primes:
-            primes.append(cand)
-    return max(rank_mod_p(m, p) for p in primes)
+    units, residual = m.unit_reduction()
+    return units + _rank_over_q_modular(residual)
 
 
 def _divisor_chain(values) -> tuple:
@@ -554,19 +548,12 @@ def smith_normal_form(m: SparseIntMatrix, cap: int = 5000, *, drop_rows=frozense
     return ElementaryDivisors(_divisor_chain(diagonal), frozenset(unit_columns))
 
 
-def _rank_for_field(m: SparseIntMatrix, field: FieldSpec, certified: bool, rng) -> int:
-    if field.is_rationals:
-        return rank_over_q(m, certified=certified, rng=rng)
-    return rank_mod_p(m, field.p)
-
-
 @dataclass(frozen=True)
 class BettiTable:
-    """Per-field Betti sequences b_0..b_d with optional integral torsion."""
+    """Per-field Betti sequences b_0..b_d with optional integral torsion; every rank is exact."""
 
     entries: tuple          # tuple of (FieldSpec, tuple of ints)
     torsion: tuple | None   # per degree, elementary divisors > 1 of H_k(Z), or None
-    certified: bool
 
     def fields(self):
         return tuple(f for f, _ in self.entries)
@@ -595,7 +582,7 @@ class BettiTable:
                     "field": f.label(),
                     "betti": list(b),
                     "torsion": [list(t) for t in self.torsion] if self.torsion is not None else None,
-                    "certified": self.certified,
+                    "certified": True,
                 }
             )
         return out
@@ -605,20 +592,20 @@ def betti(
     chain: "OrientedChainComplex",
     fields,
     *,
-    certified: bool = True,
     with_torsion: bool = True,
     snf_cap: int = 5000,
-    seed: int = 0,
 ) -> BettiTable:
-    """Betti numbers of a chain complex over each requested field.
+    """Exact Betti numbers of a chain complex over each requested field.
 
-    b_k = rank C_k - rank d_k - rank d_{k+1}.  When every boundary matrix
+    b_k = rank C_k - rank d_k - rank d_{k+1}, every rank exact (see
+    `rank_mod_p` and `rank_over_q`).  When every boundary matrix
     fits under the SNF cap, torsion is reported and the table is
     cross-derived from the elementary divisors; both derivations must
     agree or the complex is declared corrupt.  The SNF of d_{k+1} leaves
     out the rows of the k-cells that the SNF of d_k paired by unit pivots
     (see `smith_normal_form`); after a matrix over the cap nothing is left
-    out.
+    out.  The Euler characteristic and, when Q is among the fields, the
+    universal-coefficient inequalities b_k(F_p) >= b_k(Q) are checked too.
     """
     fields = tuple(fields)
     if not fields:
@@ -627,7 +614,6 @@ def betti(
     ranks = tuple(chain.ranks)
     boundaries = tuple(chain.boundaries)
     d = len(ranks) - 1
-    rng = random.Random(seed)
 
     snf: list[ElementaryDivisors | None] = []
     if with_torsion:
@@ -647,7 +633,10 @@ def betti(
 
     entries = []
     for field in fields:
-        mat_rank = [_rank_for_field(mat, field, certified, rng) for mat in boundaries]
+        if field.is_rationals:
+            mat_rank = [rank_over_q(mat) for mat in boundaries]
+        else:
+            mat_rank = [rank_mod_p(mat, field.p) for mat in boundaries]
         mat_rank.append(0)  # rank of d_{d+1} = 0
         bs = tuple(ranks[k] - mat_rank[k] - mat_rank[k + 1] for k in range(d + 1))
         if any(b < 0 for b in bs):
@@ -672,7 +661,7 @@ def betti(
         if sum((-1) ** k * b for k, b in enumerate(bs)) != chi:
             raise CorruptComplex(f"Euler characteristic mismatch over {field.label()}")
     qrow = next((bs for f, bs in entries if f.is_rationals), None)
-    if qrow is not None and certified:
+    if qrow is not None:
         for f, bs in entries:
             if not f.is_rationals and any(bp < bq for bp, bq in zip(bs, qrow)):
                 raise CorruptComplex("b_k(F_p) < b_k(Q) violates universal coefficients")
@@ -684,34 +673,18 @@ def betti(
             nxt = snf[k + 1] if k + 1 <= d else None
             tor.append(nxt.torsion() if nxt is not None else ())
         torsion = tuple(tor)
-    return BettiTable(tuple(entries), torsion, certified)
+    return BettiTable(tuple(entries), torsion)
 
 
-def relative_betti(
-    chain: "OrientedChainComplex",
-    sub: "SimplicialComplex",
-    fields,
-    *,
-    certified: bool = True,
-    with_torsion: bool = False,
-    snf_cap: int = 5000,
-    seed: int = 0,
-) -> BettiTable:
-    """Betti numbers of the relative chain complex C_*(K)/C_*(L).
+def relative_betti(chain: "OrientedChainComplex", sub: "SimplicialComplex", fields) -> BettiTable:
+    """Betti numbers of the relative chain complex C_*(K)/C_*(L), without torsion.
 
     `chain` must be the chain complex of K and `sub` a subcomplex of K
     (simplices of `sub` must all be simplices of K, with the same labels).
     K may also be an orbit chain complex, whose labels are the orbits'
     least simplices, and L a subcomplex fixed pointwise by the group.
     """
-    return betti(
-        _relative_chain(chain, sub),
-        fields,
-        certified=certified,
-        with_torsion=with_torsion,
-        snf_cap=snf_cap,
-        seed=seed,
-    )
+    return betti(_relative_chain(chain, sub), fields, with_torsion=False)
 
 
 def _relative_chain(

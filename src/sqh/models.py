@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb, gcd, lcm
 from typing import Sequence
 
-from .actions import VertexAction, close_generators, DEFAULT_ELEMENT_CAP
+from .actions import VertexAction, close_generators
 from .complexes import EMPTY_COMPLEX, SimplicialComplex, join, polygon, zero_sphere
 from .errors import InvalidParameter
 
@@ -68,12 +68,10 @@ class SignedPermutation:
         return cls(tuple(data["perm"]), tuple(data["signs"]))
 
 
-def signed_permutation_action(
-    n: int, generators: Sequence[SignedPermutation], cap: int = DEFAULT_ELEMENT_CAP
-) -> VertexAction:
+def signed_permutation_action(n: int, generators: Sequence[SignedPermutation]) -> VertexAction:
     """Close the given signed permutations into a group acting on cross_polytope(n)."""
     k = cross_polytope(n)
-    return close_generators(k, [g.vertex_permutation() for g in generators], cap=cap)
+    return close_generators(k, [g.vertex_permutation() for g in generators])
 
 
 @dataclass(frozen=True)
@@ -208,12 +206,7 @@ class CharacterJoinModel:
         return self.data.ambient_dimension
 
 
-def character_join_model(
-    data: AbelianCharacterData,
-    cap: int = DEFAULT_ELEMENT_CAP,
-    max_factor: int = DEFAULT_MAX_FACTOR,
-    max_blocks: int = DEFAULT_MAX_BLOCKS,
-) -> CharacterJoinModel:
+def character_join_model(data: AbelianCharacterData) -> CharacterJoinModel:
     """Realize S^{n-1} as the join of block spheres with the induced action.
 
     Rotation block j becomes a polygon rotated through the character's
@@ -223,10 +216,10 @@ def character_join_model(
     """
     if data.block_count < 1:
         raise InvalidParameter("need at least one block")
-    if data.block_count > max_blocks:
-        raise InvalidParameter(f"block count {data.block_count} exceeds cap {max_blocks}")
-    if any(m > max_factor for m in data.invariant_factors):
-        raise InvalidParameter(f"invariant factor exceeds cap {max_factor}")
+    if data.block_count > DEFAULT_MAX_BLOCKS:
+        raise InvalidParameter(f"block count {data.block_count} exceeds cap {DEFAULT_MAX_BLOCKS}")
+    if any(m > DEFAULT_MAX_FACTOR for m in data.invariant_factors):
+        raise InvalidParameter(f"invariant factor exceeds cap {DEFAULT_MAX_FACTOR}")
 
     blocks = []
     model = EMPTY_COMPLEX
@@ -255,7 +248,7 @@ def character_join_model(
                     perm[b.offset + 1] = b.offset
         generators.append(tuple(perm))
 
-    action = close_generators(model, generators, cap=cap)
+    action = close_generators(model, generators)
     return CharacterJoinModel(
         data=data,
         action=action,

@@ -2,9 +2,9 @@
 
 A scenario names a sphere model (character data, signed permutations, or
 an explicit complex with generators), the coefficient fields, and the
-checks to run.  Reports are deterministic: identical scenario + seed +
-engine version produce byte-identical JSON (timings are opt-in precisely
-so the default report stays reproducible).
+checks to run.  Reports are deterministic: identical scenario and engine
+version produce byte-identical JSON (timings are opt-in precisely so the
+default report stays reproducible).
 """
 
 from __future__ import annotations
@@ -67,12 +67,15 @@ def simplex_cap() -> int:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run's input.  Every rank is exact, so nothing is random: `seed`
+    is a label echoed in the report and seeds nothing, and the JSON form
+    carries `"certified": true`, the only value it accepts."""
+
     name: str
     space: dict                     # exactly one of the three variants
     fields: tuple                   # FieldSpec labels
     subdivisions: str | int = "auto"
     checks: tuple = ()
-    certified: bool = True
     seed: int = 0
     snf_cap: int = 5000
 
@@ -97,6 +100,8 @@ class Scenario:
         for c in self.checks:
             if c not in KNOWN_CHECKS:
                 raise InvalidParameter(f"unknown check {c!r}")
+        if len(set(self.checks)) != len(self.checks):
+            raise InvalidParameter(f"field 'checks' lists a check twice: {list(self.checks)}")
         if self.subdivisions != "auto" and (
             isinstance(self.subdivisions, bool)
             or not isinstance(self.subdivisions, int)
@@ -105,8 +110,6 @@ class Scenario:
             raise InvalidParameter(
                 f"field 'subdivisions' must be \"auto\" or a nonnegative integer, got {self.subdivisions!r}"
             )
-        if not isinstance(self.certified, bool):
-            raise InvalidParameter(f"field 'certified' must be true or false, got {self.certified!r}")
         if isinstance(self.snf_cap, bool) or not isinstance(self.snf_cap, int) or self.snf_cap < 0:
             raise InvalidParameter(f"field 'snf_cap' must be a nonnegative integer, got {self.snf_cap!r}")
 
@@ -125,7 +128,7 @@ class Scenario:
             "fields": list(self.fields),
             "subdivisions": self.subdivisions,
             "checks": list(self.checks),
-            "certified": self.certified,
+            "certified": True,
             "seed": self.seed,
             "snf_cap": self.snf_cap,
         }
@@ -145,13 +148,16 @@ class Scenario:
         checks = data.get("checks", [])
         if not isinstance(checks, list):
             raise InvalidParameter("field 'checks' must be a list of check names")
+        if data.get("certified", True) is not True:
+            raise InvalidParameter(
+                f"field 'certified' must be true, as every rational rank is certified, got {data['certified']!r}"
+            )
         return cls(
             name=_entry(data, "name", "scenario"),
             space=space,
             fields=tuple(fields),
             subdivisions=data.get("subdivisions", "auto"),
             checks=tuple(checks),
-            certified=data.get("certified", True),
             seed=_integer(data.get("seed", 0), "seed"),
             snf_cap=_integer(data.get("snf_cap", 5000), "snf_cap"),
         )
@@ -243,19 +249,26 @@ def _least_cp_handle(action: VertexAction, p: int):
 
 def _quotient_table(action: VertexAction, quotient: SimplicialComplex, scenario: Scenario, fields) -> BettiTable:
     """Betti numbers of the simplicial quotient, with the torsion of the orbit complex."""
-    options = {"certified": scenario.certified, "seed": scenario.seed}
     if scenario.snf_cap == 0:
-        return betti(chain_complex(quotient), fields, snf_cap=0, **options)
-    orbit = betti(
-        orbit_chain_complex(admissible_subdivision(action)), fields, snf_cap=scenario.snf_cap, **options
-    )
-    table = betti(chain_complex(quotient), fields, with_torsion=False, **options)
+        return betti(chain_complex(quotient), fields, snf_cap=0)
+    orbit = betti(orbit_chain_complex(admissible_subdivision(action)), fields, snf_cap=scenario.snf_cap)
+    table = betti(chain_complex(quotient), fields, with_torsion=False)
     for (f, got), (_, want) in zip(orbit.entries, table.entries):
         if got != want:
             raise CorruptComplex(
                 f"orbit complex gives b = {got} over {f.label()}, the simplicial quotient {want}"
             )
-    return BettiTable(table.entries, orbit.torsion, table.certified)
+    return BettiTable(table.entries, orbit.torsion)
+
+
+def _check_sphere(n: int, table: BettiTable) -> None:
+    """InvalidParameter naming 'complex' unless the table holds the Betti numbers of S^{n-1}."""
+    sphere = (2,) if n == 1 else (1,) + (0,) * (n - 2) + (1,)
+    for f, b in table.entries:
+        if b != sphere:
+            raise InvalidParameter(
+                f"field 'complex' is not a sphere: b = {b} over {f.label()}, where S^{n - 1} has {sphere}"
+            )
 
 
 def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float | None = None) -> dict:
@@ -280,9 +293,12 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     `snf_cap` of 0 asks for no torsion: no orbit complex is built for it,
     and the SNF of the simplicial quotient is attempted and skipped.
 
-    The model's rows, the checks and `evaluate_all` follow.  A quotient that
-    is not simplicial at a forced depth raises NeedsSubdivision, a depth
-    past the cap ResourceCapExceeded.  A budget must be 0 or more seconds.
+    The model's Betti numbers are taken before its quotient; an `explicit`
+    complex whose Betti numbers are not those of S^{n-1} over every field
+    raises InvalidParameter naming 'complex'.  The checks and
+    `evaluate_all` follow the quotient.  A quotient that is not simplicial
+    at a forced depth raises NeedsSubdivision, a depth past the cap
+    ResourceCapExceeded.  A budget must be 0 or more seconds.
     """
     if budget is not None and not budget >= 0:
         raise InvalidParameter(f"budget must be 0 or more seconds, got {budget}")
@@ -299,25 +315,20 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     action = bundle.action
     stage("build_model", t0)
 
+    fields = scenario.field_specs()
+    t0 = time.perf_counter()
+    model_table = betti(chain_complex(action.complex), fields, with_torsion=False)
+    if scenario.kind == "explicit":
+        _check_sphere(bundle.ambient_n, model_table)
+    stage("model_betti", t0)
+
     t0 = time.perf_counter()
     res = make_admissible_and_quotient(action, scenario.subdivisions, simplex_cap())
     stage("quotient", t0)
 
-    fields = scenario.field_specs()
     t0 = time.perf_counter()
     quotient_table = _quotient_table(action, res.complex, scenario, fields)
     stage("quotient_betti", t0)
-
-    t0 = time.perf_counter()
-    model_table = betti(
-        chain_complex(action.complex),
-        fields,
-        certified=scenario.certified,
-        with_torsion=False,
-        snf_cap=scenario.snf_cap,
-        seed=scenario.seed,
-    )
-    stage("model_betti", t0)
 
     full = action.full_subgroup()
     check_results = []
@@ -640,7 +651,6 @@ def sweep_scenarios(n_max: int, samples: int, seed: int, fields, max_model_simpl
             space={"character_join": data.to_json_dict()},
             fields=tuple(fields),
             checks=("abelian_bound", "cover_e1", "evaluate_all"),
-            certified=True,
             seed=seed,
             snf_cap=0,  # sweeps skip torsion; ranks carry the assertions
         )

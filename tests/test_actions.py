@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import octahedron
+from sqh import actions
 from test_acceptance import CORPUS_SCENARIOS
 from sqh.actions import (
     VertexAction,
@@ -71,9 +72,10 @@ def test_close_generators_rejects_non_bijection():
         close_generators(polygon(3), [(0, 0, 1)])
 
 
-def test_close_generators_cap():
+def test_close_generators_cap(monkeypatch):
+    monkeypatch.setattr(actions, "DEFAULT_ELEMENT_CAP", 5)
     with pytest.raises(GroupTooLarge):
-        close_generators(polygon(12), [(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0)], cap=5)
+        close_generators(polygon(12), [(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0)])
 
 
 def test_q8_closure_and_multiplication_table():

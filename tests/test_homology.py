@@ -147,12 +147,20 @@ def test_ranks_against_dense_oracle():
             assert rank_mod_p(m, p) == dense_rank_oracle(rows, p)
 
 
-def test_probabilistic_rank_matches_certified():
-    rng = random.Random(5)
-    for i in range(15):
-        rows = random_dense(rng, rng.randint(1, 6), rng.randint(1, 6))
-        m = from_dense(rows)
-        assert rank_over_q(m, certified=False, rng=random.Random(i)) == rank_over_q(m)
+def test_tall_rank_one_residual_takes_one_prime(monkeypatch):
+    # 100 rows of 3s: no unit pivot, and a Hadamard bound of 9^100 asks for
+    # six covering primes, but one column caps the rank at 1
+    calls = []
+    original = homology._rank_mod_p_elimination
+
+    def counting(m, p):
+        calls.append(p)
+        return original(m, p)
+
+    monkeypatch.setattr(homology, "_rank_mod_p_elimination", counting)
+    rows = [[3]] * 100
+    assert rank_over_q(from_dense(rows)) == dense_rank_oracle(rows) == 1
+    assert len(calls) == 1
 
 
 def test_rank_mod_p_lower_bounds_rational_rank():
@@ -389,9 +397,9 @@ def test_unit_reduction_runs_once_per_matrix(monkeypatch):
     monkeypatch.setattr(homology, "_unit_reduction", counting)
     cc = chain_complex(rp2_minimal())
     betti(cc, [RATIONALS, F2, F3, F5])
-    betti(cc, [F5, F3], certified=False)
+    betti(cc, [F5, F3])
     for m in cc.boundaries:
-        rank_over_q(m, certified=False)
+        rank_over_q(m)
         rank_mod_p(m, 7)
     assert sorted(reduced) == sorted(id(m) for m in cc.boundaries)
 

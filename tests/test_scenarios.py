@@ -379,16 +379,26 @@ _DIHEDRAL = ("space", "explicit")
          "'invariant_factors[0]'"),
         ({**builtin("rp", 2).to_json_dict(), "subdivisions": True}, "'subdivisions'"),
         ({**builtin("rp", 2).to_json_dict(), "certified": "no"}, "'certified'"),
+        ({**builtin("rp", 2).to_json_dict(), "certified": False}, "'certified'"),
         ({**builtin("rp", 2).to_json_dict(), "snf_cap": -1}, "'snf_cap'"),
         (_replaced(builtin("rp", 2).to_json_dict(), [2, 1], *_RP2_PERM), "'generators[0].perm'"),
         ({**builtin("rp", 2).to_json_dict(), "name": 5}, "'name'"),
         ({**builtin("rp", 2).to_json_dict(), "fields": ["Q", "Q"]}, "'fields'"),
         ({**builtin("rp", 2).to_json_dict(), "fields": ["Q", "Fp:02"]}, "'fields'"),
+        ({**builtin("rp", 2).to_json_dict(), "checks": ["transfer", "transfer"]}, "'checks'"),
+        # explicit complexes that are not spheres: a disc under C_3, and two edges with b = (2, 0)
+        (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(),
+                   {"complex": {"vertex_count": 3, "facets": [[0, 1, 2]]}, "generators": [[1, 2, 0]]},
+                   *_DIHEDRAL), "'complex'"),
+        (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(),
+                   {"complex": {"vertex_count": 4, "facets": [[0, 1], [2, 3]]}, "generators": [[2, 3, 0, 1]]},
+                   *_DIHEDRAL), "'complex'"),
     ],
     ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex",
          "perm_str", "perm_float", "generator_str", "facet_str", "factor_str",
-         "subdivisions_bool", "certified_str", "snf_cap_negative", "perm_short",
-         "name_int", "fields_repeated", "fields_not_canonical"],
+         "subdivisions_bool", "certified_str", "certified_false", "snf_cap_negative", "perm_short",
+         "name_int", "fields_repeated", "fields_not_canonical", "checks_repeated",
+         "explicit_disc", "explicit_two_edges"],
 )
 def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, data, named):
     assert _run_scenario_file(tmp_path, data) == 2
@@ -415,9 +425,11 @@ def _exit_code(argv) -> int:
         (["builtin", "rp", "2", "--budget", "nan"], "--budget"),
         (["run", "{tmp_path}", "--budget", "-1"], "--budget"),
         (["run", "{tmp_path}", "--budget", "nan"], "--budget"),
+        (["sweep", "--fields", ""], "--fields"),
     ],
     ids=["n_max_zero", "samples_negative", "jobs_zero", "run_directory", "guard_below_two",
-         "builtin_budget_negative", "builtin_budget_nan", "run_budget_negative", "run_budget_nan"],
+         "builtin_budget_negative", "builtin_budget_nan", "run_budget_negative", "run_budget_nan",
+         "sweep_fields_empty"],
 )
 def test_cli_malformed_argument_names_it(tmp_path, capsys, argv, named):
     argv = [a.format(tmp_path=tmp_path) for a in argv]

@@ -39,3 +39,6 @@ def test_tracer_installs_around_a_scenario():
     quotient = make_admissible_and_quotient(build_model(scenario).action).complex
     assert metrics["homology.snf_calls"][0] == len(chain_complex(quotient).boundaries) == 3
     assert metrics["homology.snf_skipped"][0] == 0
+    # every rational rank is certified, and each call is counted as such
+    assert metrics["homology.q_rank_monte_carlo"][0] == 0
+    assert metrics["homology.q_rank_certified"][0] == metrics["homology.rank_over_q_calls"][0] > 0
