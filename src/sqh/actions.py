@@ -913,6 +913,31 @@ def conjugacy_classes(action: VertexAction, handle: SubgroupHandle | None = None
     return classes
 
 
+def lefschetz_numbers(action: VertexAction) -> tuple:
+    """The Lefschetz number L(g) of every element, indexed like `action.elements`.
+
+    L(g) is the sum, over the simplices σ that g maps onto themselves, of
+    (-1)^dim σ times the sign of the permutation g induces on σ's vertices:
+    the alternating trace of g on the oriented chains of X, and so, by the
+    Hopf trace formula, on H_*(X; Q).  On a homology sphere S^{n-1} with
+    n >= 2, L(g) = 1 + (-1)^{n-1} deg g.  L is a class function, so it is
+    taken once per conjugacy class.  Only the complex and the group are
+    read, no orbit data.
+    """
+    simplices = [s for level in action.complex.simplices() for s in level]
+    out = [0] * action.order
+    for cls in conjugacy_classes(action):
+        e = action.elements[cls[0]]
+        trace = 0
+        for s in simplices:
+            image = tuple(e[v] for v in s)
+            if tuple(sorted(image)) == s:
+                trace += -1 if (len(s) % 2 == 0) != _is_odd(image) else 1
+        for i in cls:
+            out[i] = trace
+    return tuple(out)
+
+
 def sylow(action: VertexAction, handle: SubgroupHandle, p: int) -> SubgroupHandle:
     """A Sylow p-subgroup of the subgroup, grown deterministically, once per (subgroup, p).
 

@@ -22,6 +22,7 @@ from .actions import (
     admissible_subdivision,
     best_abelian_normal_subgroup,
     close_generators,
+    lefschetz_numbers,
     make_admissible_and_quotient,
     orbit_chain_complex,
     sylow,
@@ -82,18 +83,7 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise InvalidParameter(f"field 'name' must be a string, got {self.name!r}")
-        if not self.fields:
-            raise InvalidParameter("fields must be nonempty")
-        for label in self.fields:
-            try:
-                canonical = FieldSpec.parse(label).label()
-            except InvalidParameter as e:
-                raise InvalidParameter(f"field 'fields': {e} (expected Q or Fp:<prime>)") from None
-            # the report echoes the labels and names its rows by the canonical ones
-            if label != canonical:
-                raise InvalidParameter(f"field 'fields': write {label!r} as {canonical!r}")
-        if len(set(self.fields)) != len(self.fields):
-            raise InvalidParameter(f"field 'fields' lists a field twice: {list(self.fields)}")
+        _check_field_labels(self.fields)
         variants = [k for k in ("character_join", "signed_permutation", "explicit") if k in self.space]
         if len(variants) != 1 or len(self.space) != 1:
             raise InvalidParameter("space must contain exactly one variant")
@@ -161,6 +151,22 @@ class Scenario:
             seed=_integer(data.get("seed", 0), "seed"),
             snf_cap=_integer(data.get("snf_cap", 5000), "snf_cap"),
         )
+
+
+def _check_field_labels(fields) -> None:
+    """InvalidParameter naming 'fields' unless the labels are nonempty, canonical and distinct."""
+    if not fields:
+        raise InvalidParameter("field 'fields' must be nonempty")
+    for label in fields:
+        try:
+            canonical = FieldSpec.parse(label).label()
+        except InvalidParameter as e:
+            raise InvalidParameter(f"field 'fields': {e} (expected Q or Fp:<prime>)") from None
+        # the report echoes the labels and names its rows by the canonical ones
+        if label != canonical:
+            raise InvalidParameter(f"field 'fields': write {label!r} as {canonical!r}")
+    if len(set(fields)) != len(fields):
+        raise InvalidParameter(f"field 'fields' lists a field twice: {list(fields)}")
 
 
 def _entry(data, key: str, where: str):
@@ -247,18 +253,70 @@ def _least_cp_handle(action: VertexAction, p: int):
     return action.trivial_subgroup()
 
 
-def _quotient_table(action: VertexAction, quotient: SimplicialComplex, scenario: Scenario, fields) -> BettiTable:
-    """Betti numbers of the simplicial quotient, with the torsion of the orbit complex."""
+def _quotient_table(
+    action: VertexAction, n: int, quotient: SimplicialComplex, scenario: Scenario, fields
+) -> BettiTable:
+    """H_*(X/G) over each field, by one of two routes.
+
+    With torsion asked for (`snf_cap` > 0), the Betti numbers and the torsion
+    both come from the orbit chain complex at the admissible subdivision,
+    `orbit_chain_complex(admissible_subdivision(action))`, which the checks
+    share, and the simplicial quotient is not read.  The Lefschetz oracles
+    (`_check_lefschetz_oracles`) then check that table against the model and
+    the group alone.  With `snf_cap` 0, as in the sweep, the Betti numbers
+    come from the simplicial quotient and no torsion is taken; that route
+    stays until the sweep moves to the orbit complex too (ROADMAP item 1).
+    """
     if scenario.snf_cap == 0:
         return betti(chain_complex(quotient), fields, snf_cap=0)
-    orbit = betti(orbit_chain_complex(admissible_subdivision(action)), fields, snf_cap=scenario.snf_cap)
-    table = betti(chain_complex(quotient), fields, with_torsion=False)
-    for (f, got), (_, want) in zip(orbit.entries, table.entries):
-        if got != want:
-            raise CorruptComplex(
-                f"orbit complex gives b = {got} over {f.label()}, the simplicial quotient {want}"
-            )
-    return BettiTable(table.entries, orbit.torsion)
+    orbit = orbit_chain_complex(admissible_subdivision(action))
+    table = betti(orbit, fields, snf_cap=scenario.snf_cap)
+    _check_lefschetz_oracles(action, n, orbit.ranks, table)
+    return table
+
+
+def _check_lefschetz_oracles(action: VertexAction, n: int, cells, table: BettiTable) -> None:
+    """CorruptComplex naming the first oracle that the quotient's table fails.
+
+    X = S^{n-1} is a rational homology sphere, so H_*(X/G; Q) = H_*(X; Q)^G
+    (Bredon, Introduction to Compact Transformation Groups, ch. III), and
+    the Lefschetz numbers of the group (`lefschetz_numbers`) give its
+    dimensions.  The oracles read the model and the group, no orbit data:
+
+    - chi oracle: the sum of L(g) over G is |G| times the Euler
+      characteristic of the orbit complex, the alternating sum of its
+      `cells` per degree.  It catches merged or split orbits.
+    - Q oracle: the Q row is (1, 0, ..., 0, t), where t, the dimension of
+      the invariants in H_{n-1}(X; Q), is (1/|G|) times the sum of
+      (-1)^{n-1} (L(g) - 1) over G; for n = 1 the row is the mean of L.
+      It catches wrong orientation signs.
+    - coprime-p oracle: over F_p with p not dividing |G| the row is the
+      same, since the transfer makes H_*(X/G; F_p) = H_*(X; F_p)^G.
+    """
+    order = action.order
+    lefschetz = lefschetz_numbers(action)
+    total = sum(lefschetz)
+    chi = sum((-1) ** k * c for k, c in enumerate(cells))
+    if total != order * chi:
+        raise CorruptComplex(
+            f"chi oracle: the orbit complex has Euler characteristic {chi}, "
+            f"the Lefschetz numbers give {total}/{order}"
+        )
+    if n == 1:
+        want = (total // order,)
+    else:
+        # divisible once the chi oracle holds: it equals (-1)^{n-1} (chi - 1) |G|
+        top = sum((-1) ** (n - 1) * (x - 1) for x in lefschetz)
+        want = (1,) + (0,) * (n - 2) + (top // order,)
+    for f, b in table.entries:
+        if f.is_rationals:
+            oracle = "Q oracle"
+        elif order % f.p:
+            oracle = "coprime-p oracle"
+        else:
+            continue
+        if b != want:
+            raise CorruptComplex(f"{oracle}: b = {b} over {f.label()}, the Lefschetz numbers give {want}")
 
 
 def _check_sphere(n: int, table: BettiTable) -> None:
@@ -276,22 +334,24 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
 
     The model is built, then `make_admissible_and_quotient` gives its
     simplicial quotient at the scenario's depth ("auto" or a forced count),
-    and the quotient's Betti numbers are taken on its simplicial chains.
-    Past the first admissible depth the deepest sphere is never built: its
-    quotient comes from the orbits one depth down, and `simplices_after`
-    and `facets_after` count it exactly.  The simplex cap (`simplex_cap()`)
-    bounds the forecast size of each depth's sphere, the last one included,
-    and the size of a signed-permutation model before it is built.
+    for the report's `subdivisions`, `quotient_f_vector`, `simplices_after`
+    and `facets_after`.  Past the first admissible depth the deepest sphere
+    is never built: its quotient comes from the orbits one depth down, and
+    `simplices_after` and `facets_after` count it exactly.  The simplex cap
+    (`simplex_cap()`) bounds the forecast size of each depth's sphere, the
+    last one included, and the size of a signed-permutation model before it
+    is built.
 
-    The reported torsion comes from the Smith normal form of the orbit chain
-    complex at the admissible subdivision, `orbit_chain_complex(
-    admissible_subdivision(action))`, which the checks share; `snf_cap`
-    bounds that complex's matrices.  That complex's Betti numbers must equal
-    the simplicial quotient's over every field, or CorruptComplex is raised,
-    so the two routes to H_*(X/G) check each other on every run that asks
-    for torsion.  An
-    `snf_cap` of 0 asks for no torsion: no orbit complex is built for it,
-    and the SNF of the simplicial quotient is attempted and skipped.
+    A run that asks for torsion (`snf_cap` > 0) takes its Betti numbers and
+    torsion from the orbit chain complex at the admissible subdivision,
+    `orbit_chain_complex(admissible_subdivision(action))`, which the checks
+    share; `snf_cap` bounds that complex's matrices, and no rank of the
+    simplicial quotient is taken.  The Lefschetz oracles check the table
+    against the model and the group alone, and raise CorruptComplex naming
+    the one that fails (see `_check_lefschetz_oracles`).  An `snf_cap` of 0
+    asks for no torsion: the Betti numbers come from the simplicial
+    quotient, whose SNF is attempted and skipped, and no orbit complex is
+    built for them (see `_quotient_table`).
 
     The model's Betti numbers are taken before its quotient; an `explicit`
     complex whose Betti numbers are not those of S^{n-1} over every field
@@ -327,7 +387,7 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     stage("quotient", t0)
 
     t0 = time.perf_counter()
-    quotient_table = _quotient_table(action, res.complex, scenario, fields)
+    quotient_table = _quotient_table(action, bundle.ambient_n, res.complex, scenario, fields)
     stage("quotient_betti", t0)
 
     full = action.full_subgroup()
@@ -684,7 +744,12 @@ def sweep(
     jobs: int = 1,
     max_model_simplices: int = 200_000,
 ) -> dict:
-    """Run the randomized abelian sweep and return the summary report."""
+    """Run the randomized abelian sweep and return the summary report.
+
+    The field labels are checked up front, by the rules of `Scenario`, so a
+    sweep of no samples refuses them too.
+    """
+    _check_field_labels(fields)
     if not 1 <= n_max <= 6:
         raise InvalidParameter(f"sweep needs 1 <= n_max <= 6, got {n_max}")
     scenarios, rejected = sweep_scenarios(n_max, samples, seed, fields, max_model_simplices)

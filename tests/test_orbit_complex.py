@@ -19,9 +19,12 @@ number what Burnside's lemma counts from the flags each element fixes.
 """
 
 import itertools
+import sys
 from dataclasses import replace
 
 import pytest
+
+import sqh.scenarios
 
 from conftest import nonabelian_workload, octahedron, rp2_minimal
 from test_acceptance import CORPUS_SCENARIOS
@@ -29,10 +32,12 @@ from sqh.actions import (
     admissible_subdivision,
     apply_perm,
     close_generators,
+    conjugacy_classes,
     fixed_subcomplex,
     flag_action,
     induced_action_on_subdivision,
     is_admissible,
+    lefschetz_numbers,
     make_admissible_and_quotient,
     orbit_betti,
     orbit_chain_complex,
@@ -40,7 +45,14 @@ from sqh.actions import (
     subgroup_action,
     sylow,
 )
-from sqh.complexes import barycentric_subdivision, chain_complex, polygon, subdivided_f_vector
+from sqh.complexes import (
+    OrientedChainComplex,
+    barycentric_subdivision,
+    chain_complex,
+    euler_characteristic,
+    polygon,
+    subdivided_f_vector,
+)
 from sqh.errors import CorruptComplex, NeedsSubdivision
 from sqh.homology import (
     F2,
@@ -48,6 +60,7 @@ from sqh.homology import (
     F5,
     RATIONALS,
     ElementaryDivisors,
+    SparseIntMatrix,
     betti,
     prime_factors,
     relative_betti,
@@ -63,6 +76,9 @@ from sqh.scenarios import (
 )
 
 FIELDS = (RATIONALS, F2, F3, F5)
+# the acceptance corpus and the nonabelian workload, each scenario once: every
+# scenario with torsion that the benchmark runs
+GROUP_SCENARIOS = list({sc.name: sc for sc in [*CORPUS_SCENARIOS, *nonabelian_workload()]}.values())
 
 
 def _snf_homology(chain) -> tuple:
@@ -164,8 +180,15 @@ def test_reported_quotient_matches_oracle_at_forced_depth(oracles, depth):
     _assert_reported_quotient_matches(oracles, ("rp(2)", depth), action, depth)
 
 
-@pytest.mark.parametrize("scenario", CORPUS_SCENARIOS, ids=lambda sc: sc.name)
+@pytest.mark.parametrize("scenario", GROUP_SCENARIOS, ids=lambda sc: sc.name)
 def test_orbit_complex_matches_simplicial_quotient_on_corpus(oracles, scenario):
+    """Betti numbers and torsion of the orbit complex equal the oracle's quotient's.
+
+    `run_scenario` reads a torsion run's table off the orbit complex alone,
+    so this comparison covers each scenario with torsion that the benchmark
+    runs: the acceptance corpus (and with it the catalog) and the nonabelian
+    workload, for the group, its C_p and its Sylow subgroups.
+    """
     for key, action in _corpus_cases(scenario):
         _assert_routes_agree(oracles, key, action)
 
@@ -246,13 +269,130 @@ def _drop_signs(data):
 
 @pytest.mark.parametrize("mutate", [_merge_last_two_orbits, _drop_signs], ids=["merge_orbits", "drop_signs"])
 def test_run_scenario_rejects_a_corrupt_orbit_complex(monkeypatch, mutate):
-    """The reported torsion comes from the orbit complex only while it agrees with the simplicial quotient."""
+    """A torsion run's table comes from the orbit complex only while that complex passes its checks.
+
+    Dropped signs break dd = 0; merged orbits pass it and are caught by the
+    chi oracle (see the oracle tests below).
+    """
     scenario = replace(builtin("rp", 2), checks=())  # the orbit complex serves the torsion alone
     assert scenario.snf_cap > 0
     run_scenario(scenario)
     _with_orbit_data(monkeypatch, mutate)
     with pytest.raises(CorruptComplex):
         run_scenario(scenario)
+
+
+def _with_orbit_complex(monkeypatch, mutate):
+    """Make every orbit chain complex built from now on read mutate(the complex)."""
+    import sqh.actions
+
+    for name in ("_simplex_orbit_complex", "_flag_orbit_complex"):
+        orig = getattr(sqh.actions, name)
+        monkeypatch.setattr(sqh.actions, name, lambda action, orig=orig: mutate(orig(action)))
+
+
+def _zero_boundaries(cc):
+    # dd = 0 holds, and so does chi, but every cell becomes a cycle
+    zeros = tuple(SparseIntMatrix(m.rows, m.cols) for m in cc.boundaries)
+    return OrientedChainComplex(cc.ranks, zeros, cc.basis_labels)
+
+
+def _merged_orbits(monkeypatch):
+    _with_orbit_data(monkeypatch, _merge_last_two_orbits)
+
+
+def _zeroed_boundaries(monkeypatch):
+    _with_orbit_complex(monkeypatch, _zero_boundaries)
+
+
+@pytest.mark.parametrize(
+    "scenario, mutate, message",
+    [
+        (builtin("rp", 2), _merged_orbits,
+         "chi oracle: the orbit complex has Euler characteristic 0, the Lefschetz numbers give 2/2"),
+        (builtin("rp", 2), _zeroed_boundaries,
+         "Q oracle: b = (3, 6, 4) over Q, the Lefschetz numbers give (1, 0, 0)"),
+        (builtin("lens", 5, 2), _zeroed_boundaries,
+         "Q oracle: b = (2, 7, 10, 5) over Q, the Lefschetz numbers give (1, 0, 0, 1)"),
+        # no Q row: F_2 divides |G| and is not compared, F_3 is
+        (replace(builtin("rp", 2), fields=("Fp:2", "Fp:3")), _zeroed_boundaries,
+         "coprime-p oracle: b = (3, 6, 4) over Fp:3, the Lefschetz numbers give (1, 0, 0)"),
+    ],
+    ids=["chi_rp2_merge_orbits", "q_rp2_zero_boundaries", "q_lens52_zero_boundaries", "coprime_rp2_zero_boundaries"],
+)
+def test_lefschetz_oracles_reject_a_corrupt_orbit_complex(monkeypatch, scenario, mutate, message):
+    """Each mutation passes dd = 0 and betti's own checks, and trips the oracle it names."""
+    scenario = replace(scenario, checks=())  # the checks would read the mutated complex too
+    assert is_admissible(build_model(scenario).action)
+    run_scenario(scenario)
+    mutate(monkeypatch)
+    corrupt = orbit_chain_complex(build_model(scenario).action)  # verified on the way
+    betti(corrupt, scenario.field_specs(), snf_cap=scenario.snf_cap)
+    with pytest.raises(CorruptComplex) as caught:
+        run_scenario(scenario)
+    assert str(caught.value) == message
+
+
+def test_lefschetz_numbers_of_free_actions():
+    """L(identity) = chi(S^{n-1}) = 1 + (-1)^{n-1}; a free element fixes nothing, so L = 0."""
+    for scenario in (builtin("rp", 1), builtin("rp", 2), builtin("rp", 3), builtin("rp", 4),
+                     builtin("lens", 5, 2), builtin("lens", 7, 2), builtin("quaternion_q8")):
+        bundle = build_model(scenario)
+        lefschetz = lefschetz_numbers(bundle.action)
+        assert len(lefschetz) == bundle.action.order > 1
+        assert lefschetz[0] == 1 + (-1) ** (bundle.ambient_n - 1)
+        assert set(lefschetz[1:]) == {0}
+    assert lefschetz_numbers(build_model(builtin("trivial_sphere", 1)).action) == (2,)
+
+
+def test_lefschetz_number_of_a_reflection_and_a_rotation():
+    # on the octahedron (+e_i = i, -e_i = 3 + i): the reflection in z = 0 fixes
+    # a great circle, the half-turn about the z-axis its two poles
+    reflection = close_generators(octahedron(), [(0, 1, 5, 3, 4, 2)])
+    assert lefschetz_numbers(reflection) == (2, 0)
+    half_turn = close_generators(octahedron(), [(3, 4, 2, 0, 1, 5)])
+    assert lefschetz_numbers(half_turn) == (2, 2)
+
+
+@pytest.mark.parametrize("scenario", GROUP_SCENARIOS, ids=lambda sc: sc.name)
+def test_lefschetz_number_is_the_euler_characteristic_of_the_fixed_set(scenario):
+    """L(g) = chi(X^g), the Lefschetz fixed-point theorem for a periodic simplicial map, on each class."""
+    action = build_model(scenario).action
+    lefschetz = lefschetz_numbers(action)
+    for cls in conjugacy_classes(action):
+        assert {lefschetz[i] for i in cls} == {lefschetz[cls[0]]}
+        cyclic = action.subgroup(action.closure_indices({cls[0]}))
+        assert lefschetz[cls[0]] == euler_characteristic(fixed_subcomplex(action, cyclic))
+
+
+@pytest.mark.parametrize(
+    "scenario", [builtin("lens", 7, 2), builtin("quaternion_q8"), builtin("rp", 2)], ids=lambda sc: sc.name
+)
+def test_torsion_runs_take_no_rank_of_the_simplicial_quotient(monkeypatch, scenario):
+    """With snf_cap > 0 no chain complex of the reported quotient is built; with snf_cap 0 one is."""
+    quotients, chained = [], []
+    make = sqh.scenarios.make_admissible_and_quotient
+
+    def capture(*args, **kwargs):
+        res = make(*args, **kwargs)
+        quotients.append(res.complex)
+        return res
+
+    def count(complex_, *args, **kwargs):
+        chained.append(complex_)
+        return chain_complex(complex_, *args, **kwargs)
+
+    monkeypatch.setattr(sqh.scenarios, "make_admissible_and_quotient", capture)
+    for module in [m for name, m in sys.modules.items() if name.startswith("sqh")]:
+        if vars(module).get("chain_complex") is chain_complex:
+            monkeypatch.setattr(module, "chain_complex", count)
+    assert scenario.snf_cap > 0
+    run_scenario(scenario)
+    (quotient,) = quotients
+    assert chained and not any(c is quotient for c in chained)
+    assert quotient._chain is None
+    run_scenario(replace(scenario, snf_cap=0))
+    assert any(c is quotients[-1] for c in chained)
 
 
 def test_run_scenario_takes_torsion_from_the_orbit_complex():
@@ -265,8 +405,6 @@ def test_run_scenario_takes_torsion_from_the_orbit_complex():
     assert all(row["torsion"] is None for row in run_scenario(replace(builtin("rp", 3), snf_cap=0))["betti"])
 
 
-# the acceptance corpus and the nonabelian workload, each scenario once
-GROUP_SCENARIOS = list({sc.name: sc for sc in [*CORPUS_SCENARIOS, *nonabelian_workload()]}.values())
 NON_ADMISSIBLE = [sc for sc in GROUP_SCENARIOS if not is_admissible(build_model(sc).action)]
 
 

@@ -426,10 +426,16 @@ def _exit_code(argv) -> int:
         (["run", "{tmp_path}", "--budget", "-1"], "--budget"),
         (["run", "{tmp_path}", "--budget", "nan"], "--budget"),
         (["sweep", "--fields", ""], "--fields"),
+        # refused before any scenario is built, so also with no samples
+        (["sweep", "--samples", "0", "--fields", "Fp:4"], "'fields'"),
+        (["sweep", "--samples", "0", "--fields", "Q,Q"], "'fields'"),
+        (["sweep", "--samples", "0", "--fields", "Fp:04"], "'fields'"),
+        (["sweep", "--samples", "0", "--fields", "Fp:05"], "'fields'"),
     ],
     ids=["n_max_zero", "samples_negative", "jobs_zero", "run_directory", "guard_below_two",
          "builtin_budget_negative", "builtin_budget_nan", "run_budget_negative", "run_budget_nan",
-         "sweep_fields_empty"],
+         "sweep_fields_empty", "sweep_fields_not_prime", "sweep_fields_repeated", "sweep_fields_padded_not_prime",
+         "sweep_fields_not_canonical"],
 )
 def test_cli_malformed_argument_names_it(tmp_path, capsys, argv, named):
     argv = [a.format(tmp_path=tmp_path) for a in argv]
