@@ -855,7 +855,7 @@ def orbit_betti(action, field: FieldSpec) -> tuple:
     """Betti numbers of orbit_chain_complex(action) over one field, computed once per field."""
     got = action._orbit_betti.get(field)
     if got is None:
-        got = betti(orbit_chain_complex(action), [field], with_torsion=False).betti(field)
+        got = betti(orbit_chain_complex(action), [field], snf_cap=0).betti(field)
         action._orbit_betti[field] = got
     return got
 

@@ -13,9 +13,10 @@ subcomplexes, the orbit complexes and their Betti numbers are cached on the
 actions (see `VertexAction`), so the checks share them for as long as the
 action lives, which in `run_scenario` is one scenario; a fixed subcomplex's
 chain complex is cached on that complex.  Relative homology is computed
-inside each check.  `run_scenario` takes the reported torsion from the whole
-group's orbit complex as well, and its Betti numbers from the simplicial
-quotient.
+inside each check.  A `run_scenario` run that asks for torsion (`snf_cap` >
+0) takes its reported Betti numbers and torsion from the whole group's orbit
+complex as well; only an `snf_cap` 0 run takes its Betti numbers from the
+simplicial quotient.
 A failed hard verdict means either an engine bug or a genuine
 counterexample, and aborts the run with a diagnostic dump.
 """
@@ -112,11 +113,7 @@ class CheckResult:
 
 
 def _betti_or_zero(k: SimplicialComplex, fieldspec: FieldSpec, length: int) -> list:
-    if not k.facets:
-        return [0] * length
-    table = betti(chain_complex(k), [fieldspec], with_torsion=False)
-    bs = list(table.betti(fieldspec))
-    return bs + [0] * (length - len(bs))
+    return _pad(betti(chain_complex(k), [fieldspec], snf_cap=0).betti(fieldspec), length)
 
 
 def _pad(seq, length):

@@ -40,7 +40,12 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def _cmd_run(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except UnicodeDecodeError as e:
+            raise InvalidParameter(f"scenario file {args.file!r} is not UTF-8 text: {e.reason}") from None
+        except RecursionError:
+            raise InvalidParameter(f"scenario file {args.file!r} nests too deeply to parse") from None
     scenario = Scenario.from_json_dict(data)
     report = run_scenario(scenario, with_timings=args.timings, budget=args.budget)
     _emit(report, args.out)

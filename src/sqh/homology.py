@@ -2,20 +2,22 @@
 
 The engine is pure stdlib: sparse matrices are dicts of Python ints.
 
-Ranks.  A pivot of +-1 is a unit over Z and over every field, so each
-matrix is first reduced once over Z by its unit pivots
-(`SparseIntMatrix.unit_reduction`): m is equivalent to I_u + R by
-unimodular row and column operations, and the rank of m over Q or F_p is
-u plus the rank of the small residual R there.  The reduction is cached on
-the matrix, so every field's rank shares it.  One kernel, sparse Gaussian
-elimination mod p with min-degree (Markowitz-style) pivoting, runs on R
-for every field: over F_p once, over Q modulo primes below 2^31 whose
+Ranks.  One kernel, `_eliminate`, does every elimination: sparse Gaussian
+elimination with min-degree (Markowitz-style) pivoting on the units of
+the ring.  A pivot of +-1 is a unit over Z and over every field, so each
+matrix is first reduced once over Z (`SparseIntMatrix.unit_reduction`): m
+is equivalent to I_u + R by unimodular row and column operations, and the
+rank of m over Q or F_p is u plus the rank of the small residual R there.
+The reduction is cached on the matrix, so every field's rank shares it.
+Over F_p every nonzero entry is a unit, and the same kernel eliminates R
+completely: once for F_p, and for Q modulo primes below 2^31 whose
 product exceeds R's Hadamard bound (see `rank_over_q`).  Every rank is
 exact.
 
 Integral structure comes from a Smith-normal-form routine that first
 eliminates unit pivots by row operations alone and finishes with gcd
-pivoting.  `betti` runs it over the whole chain complex: a cell paired by
+pivoting.  `betti` runs it over the whole chain complex when its
+`snf_cap`, the one torsion switch, is above 0: a cell paired by
 a unit pivot of d_k splits off with its partner (Kaczynski, Mrozek and
 Slusarek, "Homology computation by reduction of chain complexes", 1998),
 so its row of d_{k+1} is dropped.  The SNF shares nothing with the unit
@@ -36,6 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .complexes import OrientedChainComplex, SimplicialComplex
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The largest number of rows or columns of a matrix whose SNF is taken.
+DEFAULT_SNF_CAP = 5000
 
 
 def is_prime(n: int) -> bool:
@@ -158,7 +163,7 @@ class SparseIntMatrix:
     def unit_reduction(self) -> tuple:
         """(u, R) with self equivalent to I_u + R over Z; computed on first use."""
         if self._reduction is None:
-            self._reduction = _unit_reduction(self)
+            self._reduction = _eliminate(self)
         return self._reduction
 
     def compose_is_zero(self, other: "SparseIntMatrix") -> bool:
@@ -214,15 +219,6 @@ class ElementaryDivisors:
         return tuple(d for d in self.divisors if d > 1)
 
 
-def _row_structure(m: SparseIntMatrix):
-    rows_map: dict = {}
-    col_rows: dict = {}
-    for r, c, v in m.iter_entries():
-        rows_map.setdefault(r, {})[c] = v
-        col_rows.setdefault(c, set()).add(r)
-    return rows_map, col_rows
-
-
 def _pop_min_degree_column(heap, col_rows):
     """Lazy heap pop: returns an active column of currently-minimal degree."""
     while heap:
@@ -240,51 +236,67 @@ def _pop_min_degree_column(heap, col_rows):
     return None
 
 
-def _unit_reduction(m: SparseIntMatrix) -> tuple:
-    """Eliminate the +-1 pivots of m over Z; return (u, R) with m ~ I_u + R.
+def _eliminate(m: SparseIntMatrix, p: int = 0) -> tuple:
+    """Eliminate the unit pivots of m over Z (p = 0) or F_p; return (pivots, R).
 
-    Columns are taken in min-degree order, and each takes the shortest row
-    among its unit entries.  Row r2 then loses row2[c] * v times the pivot
-    row (v = +-1 is its own inverse), an exact Schur-complement update;
-    the pivot row and column drop out, which the column operations
-    clearing the pivot row would do.  A column without a unit entry when
-    it is taken stays in R, still updated by later pivots.  R is the
-    remaining rows and columns, renumbered densely.
+    The units are +-1 over Z and every nonzero entry over F_p.  Columns are
+    taken in min-degree order, and each pivots on the shortest of its rows
+    with a unit entry, the lowest index breaking ties.  With pivot v, row r2
+    then loses row2[c] / v times the pivot row, an exact Schur-complement
+    update; the pivot row and column drop out, which the column operations
+    clearing the pivot row would do.  Over Z a column without a unit entry
+    when it is taken stays in R, still updated by later pivots, so m is
+    equivalent to I_pivots + R by unimodular row and column operations; R
+    is the remaining rows and columns, renumbered densely.  Over F_p every
+    column pivots or empties, so R is empty and `pivots` is the rank.
     """
-    rows_map, col_rows = _row_structure(m)
+    rows_map: dict = {}
+    col_rows: dict = {}
+    for r, c, v in m.iter_entries():
+        if p:
+            v %= p
+        if v:
+            rows_map.setdefault(r, {})[c] = v
+            col_rows.setdefault(c, set()).add(r)
     heap = [(len(rs), c) for c, rs in col_rows.items()]
     heapq.heapify(heap)
-    units = 0
+    pivots = 0
     while True:
         c = _pop_min_degree_column(heap, col_rows)
         if c is None:
             break
-        unit_rows = [rr for rr in col_rows[c] if rows_map[rr][c] in (1, -1)]
+        unit_rows = col_rows[c] if p else [rr for rr in col_rows[c] if rows_map[rr][c] in (1, -1)]
         if not unit_rows:
             continue  # out of the heap for good, but still tracked for fill-in
         r = min(unit_rows, key=lambda rr: (len(rows_map[rr]), rr))
         pivot_row = rows_map.pop(r)
-        v = pivot_row[c]
+        v = pivot_row.pop(c)
+        inv = pow(v, -1, p) if p else v  # +-1 is its own inverse
+        others = col_rows.pop(c)
+        others.discard(r)
         for cc in pivot_row:
             col_rows[cc].discard(r)
-        others = sorted(col_rows.pop(c))
-        for r2 in others:
+        # every column left in a row is tracked in col_rows: a column leaves
+        # it only once it is pivoted or empty, and then no row refills it
+        for r2 in sorted(others):
             row2 = rows_map[r2]
-            f = row2[c] * v
+            f = row2.pop(c) * inv
+            if p:
+                f %= p  # keeps every product below p^2
             for cc, vv in pivot_row.items():
                 nv = row2.get(cc, 0) - f * vv
+                if p:
+                    nv %= p
                 if nv:
-                    if cc not in row2 and cc in col_rows:
+                    if cc not in row2:
                         col_rows[cc].add(r2)
                     row2[cc] = nv
-                else:
-                    if cc in row2:
-                        del row2[cc]
-                        if cc in col_rows:
-                            col_rows[cc].discard(r2)
+                elif cc in row2:
+                    del row2[cc]
+                    col_rows[cc].discard(r2)
             if not row2:
                 del rows_map[r2]
-        units += 1
+        pivots += 1
     columns: dict = {}
     for i, r in enumerate(sorted(rows_map)):
         for c, val in rows_map[r].items():
@@ -292,58 +304,15 @@ def _unit_reduction(m: SparseIntMatrix) -> tuple:
     residual = SparseIntMatrix.from_columns(
         len(rows_map), len(columns), {j: columns[c] for j, c in enumerate(sorted(columns))}
     )
-    return units, residual
+    return pivots, residual
 
 
 def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
-    """Rank over F_p: the unit pivots plus the residual's rank mod p."""
+    """Rank over F_p: the unit pivots over Z plus the residual's rank mod p."""
     if not is_prime(p):
         raise InvalidParameter(f"{p} is not prime")
     units, residual = m.unit_reduction()
-    return units + _rank_mod_p_elimination(residual, p)
-
-
-def _rank_mod_p_elimination(m: SparseIntMatrix, p: int) -> int:
-    """Rank over F_p by sparse elimination, min-degree column pivoting."""
-    rows_map: dict = {}
-    col_rows: dict = {}
-    for r, c, v in m.iter_entries():
-        v %= p
-        if v:
-            rows_map.setdefault(r, {})[c] = v
-            col_rows.setdefault(c, set()).add(r)
-    heap = [(len(rs), c) for c, rs in col_rows.items()]
-    heapq.heapify(heap)
-    rank = 0
-    while True:
-        c = _pop_min_degree_column(heap, col_rows)
-        if c is None:
-            break
-        r = min(col_rows[c], key=lambda rr: (len(rows_map[rr]), rr))
-        pivot_row = rows_map.pop(r)
-        inv = pow(pivot_row[c], -1, p)
-        for cc in pivot_row:
-            col_rows[cc].discard(r)
-        others = sorted(col_rows.pop(c))
-        # eliminate the pivot column from every other active row
-        for r2 in others:
-            row2 = rows_map[r2]
-            f = row2[c] * inv % p
-            for cc, vv in pivot_row.items():
-                nv = (row2.get(cc, 0) - f * vv) % p
-                if nv:
-                    if cc not in row2 and cc in col_rows:
-                        col_rows[cc].add(r2)
-                    row2[cc] = nv
-                else:
-                    if cc in row2:
-                        del row2[cc]
-                        if cc in col_rows:
-                            col_rows[cc].discard(r2)
-            if not row2:
-                del rows_map[r2]
-        rank += 1
-    return rank
+    return units + _eliminate(residual, p)[0]
 
 
 # The largest primes below 2^31, descending.  2^31 - 1 is prime; the list is
@@ -368,7 +337,7 @@ def _rank_over_q_modular(m: SparseIntMatrix) -> int:
                 q -= 2
             _COVERING_PRIMES.append(q)
         p = _COVERING_PRIMES[k]
-        rank = max(rank, _rank_mod_p_elimination(m, p))
+        rank = max(rank, _eliminate(m, p)[0])
         covered *= p * p
         k += 1
     return rank
@@ -378,10 +347,10 @@ def rank_over_q(m: SparseIntMatrix) -> int:
     """Exact rank over Q: the unit pivots of m plus the residual's largest rank mod p.
 
     The unit pivots count once and only the residual R is eliminated
-    (rank_mod_p shares the reduction), modulo the covering primes: the
-    largest primes below 2^31, taken in descending order until the product
-    of their squares exceeds H^2 = prod over R's rows of max(1, sum of the
-    row's squares).  By Hadamard's inequality every minor of R is at most H
+    (rank_mod_p shares the reduction), by `_eliminate` modulo the covering
+    primes: the largest primes below 2^31, taken in descending order until
+    the product of their squares exceeds H^2 = prod over R's rows of
+    max(1, sum of the row's squares).  By Hadamard's inequality every minor of R is at most H
     in absolute value, so a nonzero r x r minor is not divisible by all of
     the covering primes, and R has rank r modulo one of them; no rank mod p
     exceeds the rank over Q, so the largest is exact (von zur Gathen and
@@ -412,7 +381,7 @@ def _divisor_chain(values) -> tuple:
     return tuple([1] * (ones + extra_ones) + rest)
 
 
-def smith_normal_form(m: SparseIntMatrix, cap: int = 5000, *, drop_rows=frozenset()) -> ElementaryDivisors:
+def smith_normal_form(m: SparseIntMatrix, cap: int = DEFAULT_SNF_CAP, *, drop_rows=frozenset()) -> ElementaryDivisors:
     """Divisibility chain of m, with the rows in `drop_rows` left out.
 
     Phase one eliminates +-1 pivots by row operations alone: columns are
@@ -588,23 +557,20 @@ class BettiTable:
         return out
 
 
-def betti(
-    chain: "OrientedChainComplex",
-    fields,
-    *,
-    with_torsion: bool = True,
-    snf_cap: int = 5000,
-) -> BettiTable:
+def betti(chain: "OrientedChainComplex", fields, *, snf_cap: int = DEFAULT_SNF_CAP) -> BettiTable:
     """Exact Betti numbers of a chain complex over each requested field.
 
     b_k = rank C_k - rank d_k - rank d_{k+1}, every rank exact (see
-    `rank_mod_p` and `rank_over_q`).  When every boundary matrix
-    fits under the SNF cap, torsion is reported and the table is
-    cross-derived from the elementary divisors; both derivations must
-    agree or the complex is declared corrupt.  The SNF of d_{k+1} leaves
-    out the rows of the k-cells that the SNF of d_k paired by unit pivots
-    (see `smith_normal_form`); after a matrix over the cap nothing is left
-    out.  The Euler characteristic and, when Q is among the fields, the
+    `rank_mod_p` and `rank_over_q`).  `snf_cap` is the one torsion switch.
+    At 0 no Smith normal form is taken and no torsion is reported.  Above
+    0, each boundary matrix with at most `snf_cap` rows and columns gets
+    its SNF, and the Betti numbers are cross-derived from the elementary
+    divisors wherever they exist; both derivations must agree or the
+    complex is declared corrupt.  Torsion is reported when every matrix
+    fits under the cap.  The SNF of d_{k+1} leaves out the rows of the
+    k-cells that the SNF of d_k paired by unit pivots (see
+    `smith_normal_form`); after a matrix over the cap nothing is left out.
+    The Euler characteristic and, when Q is among the fields, the
     universal-coefficient inequalities b_k(F_p) >= b_k(Q) are checked too.
     """
     fields = tuple(fields)
@@ -615,21 +581,18 @@ def betti(
     boundaries = tuple(chain.boundaries)
     d = len(ranks) - 1
 
-    snf: list[ElementaryDivisors | None] = []
-    if with_torsion:
+    snf: list[ElementaryDivisors | None] = [None] * len(boundaries)
+    if snf_cap:
         # the cells paired by unit pivots one degree down: their rows split off
         paired = frozenset()
-        for mat in boundaries:
+        for k, mat in enumerate(boundaries):
             try:
-                ed = smith_normal_form(mat, cap=snf_cap, drop_rows=paired)
+                snf[k] = smith_normal_form(mat, cap=snf_cap, drop_rows=paired)
             except SnfTooLarge:
-                ed, paired = None, frozenset()
+                paired = frozenset()
             else:
-                paired = ed.unit_columns
-            snf.append(ed)
-    else:
-        snf = [None] * len(boundaries)
-    snf_complete = all(s is not None for s in snf)
+                paired = snf[k].unit_columns
+    snf.append(ElementaryDivisors(()))  # d_{d+1} = 0
 
     entries = []
     for field in fields:
@@ -643,7 +606,7 @@ def betti(
             raise CorruptComplex(f"negative Betti number over {field.label()}: {bs}")
         # cross-check against the integral structure wherever SNF ran
         for k in range(d + 1):
-            sk, sk1 = snf[k], (snf[k + 1] if k + 1 <= d else ElementaryDivisors(()))
+            sk, sk1 = snf[k], snf[k + 1]
             if sk is None or sk1 is None:
                 continue
             if field.is_rationals:
@@ -667,12 +630,8 @@ def betti(
                 raise CorruptComplex("b_k(F_p) < b_k(Q) violates universal coefficients")
 
     torsion = None
-    if snf_complete:
-        tor = []
-        for k in range(d + 1):
-            nxt = snf[k + 1] if k + 1 <= d else None
-            tor.append(nxt.torsion() if nxt is not None else ())
-        torsion = tuple(tor)
+    if all(s is not None for s in snf):
+        torsion = tuple(s.torsion() for s in snf[1:])
     return BettiTable(tuple(entries), torsion)
 
 
@@ -684,7 +643,7 @@ def relative_betti(chain: "OrientedChainComplex", sub: "SimplicialComplex", fiel
     K may also be an orbit chain complex, whose labels are the orbits'
     least simplices, and L a subcomplex fixed pointwise by the group.
     """
-    return betti(_relative_chain(chain, sub), fields, with_torsion=False)
+    return betti(_relative_chain(chain, sub), fields, snf_cap=0)
 
 
 def _relative_chain(

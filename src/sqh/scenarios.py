@@ -38,7 +38,7 @@ from .bounds import (
 )
 from .complexes import SimplicialComplex, chain_complex, subdivided_f_vector
 from .errors import CorruptComplex, InvalidParameter, ResourceCapExceeded
-from .homology import F2, F3, F5, BettiTable, FieldSpec, RATIONALS, betti, prime_factors
+from .homology import DEFAULT_SNF_CAP, F2, F3, F5, BettiTable, FieldSpec, RATIONALS, betti, prime_factors
 from .models import (
     AbelianCharacterData,
     SignedPermutation,
@@ -78,7 +78,7 @@ class Scenario:
     subdivisions: str | int = "auto"
     checks: tuple = ()
     seed: int = 0
-    snf_cap: int = 5000
+    snf_cap: int = DEFAULT_SNF_CAP
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -149,7 +149,7 @@ class Scenario:
             subdivisions=data.get("subdivisions", "auto"),
             checks=tuple(checks),
             seed=_integer(data.get("seed", 0), "seed"),
-            snf_cap=_integer(data.get("snf_cap", 5000), "snf_cap"),
+            snf_cap=_integer(data.get("snf_cap", DEFAULT_SNF_CAP), "snf_cap"),
         )
 
 
@@ -225,6 +225,13 @@ def build_model(scenario: Scenario) -> ModelBundle:
         _integer(_entry(raw, "vertex_count", f"{kind} complex"), "vertex_count"),
         _integer_lists(_entry(raw, "facets", f"{kind} complex"), "facets"),
     )
+    # the group's vertex tuples are sized by vertex_count, which no simplex cap bounds
+    used = {v for f in complex_.facets for v in f}
+    if len(used) < complex_.vertex_count:
+        unused = next(v for v in range(complex_.vertex_count) if v not in used)
+        raise InvalidParameter(
+            f"field 'vertex_count' is {complex_.vertex_count}, but vertex {unused} lies in no facet"
+        )
     gens = _integer_lists(_entry(payload, "generators", kind), "generators")
     action = close_generators(complex_, gens)
     return ModelBundle(action, complex_.dimension + 1, None, 1)
@@ -350,8 +357,8 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     against the model and the group alone, and raise CorruptComplex naming
     the one that fails (see `_check_lefschetz_oracles`).  An `snf_cap` of 0
     asks for no torsion: the Betti numbers come from the simplicial
-    quotient, whose SNF is attempted and skipped, and no orbit complex is
-    built for them (see `_quotient_table`).
+    quotient, no SNF is taken, and no orbit complex is built for them (see
+    `_quotient_table`).
 
     The model's Betti numbers are taken before its quotient; an `explicit`
     complex whose Betti numbers are not those of S^{n-1} over every field
@@ -377,7 +384,7 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
 
     fields = scenario.field_specs()
     t0 = time.perf_counter()
-    model_table = betti(chain_complex(action.complex), fields, with_torsion=False)
+    model_table = betti(chain_complex(action.complex), fields, snf_cap=0)
     if scenario.kind == "explicit":
         _check_sphere(bundle.ambient_n, model_table)
     stage("model_betti", t0)

@@ -153,13 +153,14 @@ def test_tall_rank_one_residual_takes_one_prime(monkeypatch):
     # 100 rows of 3s: no unit pivot, and a Hadamard bound of 9^100 asks for
     # six covering primes, but one column caps the rank at 1
     calls = []
-    original = homology._rank_mod_p_elimination
+    original = homology._eliminate
 
-    def counting(m, p):
-        calls.append(p)
+    def counting(m, p=0):
+        if p:
+            calls.append(p)
         return original(m, p)
 
-    monkeypatch.setattr(homology, "_rank_mod_p_elimination", counting)
+    monkeypatch.setattr(homology, "_eliminate", counting)
     rows = [[3]] * 100
     assert rank_over_q(from_dense(rows)) == dense_rank_oracle(rows) == 1
     assert len(calls) == 1
@@ -312,6 +313,16 @@ def _normalize_int_row(row: dict) -> None:
             row[k] //= g
 
 
+def _rows_and_columns(m):
+    """(rows, column rows): m's entries by row, and the set of rows of each column."""
+    rows_map: dict = {}
+    col_rows: dict = {}
+    for r, c, v in m.iter_entries():
+        rows_map.setdefault(r, {})[c] = v
+        col_rows.setdefault(c, set()).add(r)
+    return rows_map, col_rows
+
+
 def _rank_over_q_fraction_free(m) -> int:
     """Exact rational rank of m by fraction-free sparse elimination (test oracle).
 
@@ -320,7 +331,7 @@ def _rank_over_q_fraction_free(m) -> int:
     stays in Z.  Unlike `rank_over_q`, it needs no Hadamard bound, so it
     stays fast on the large unreduced boundary matrices of the corpus.
     """
-    rows_map, col_rows = homology._row_structure(m)
+    rows_map, col_rows = _rows_and_columns(m)
     for row in rows_map.values():
         _normalize_int_row(row)
     heap = [(len(rs), c) for c, rs in col_rows.items()]
@@ -362,7 +373,7 @@ def _direct_ranks(m):
     """Ranks over Q, F_2, F_3, F_5 by eliminating m itself, without the reduction."""
     return (
         _rank_over_q_fraction_free(m),
-        *(homology._rank_mod_p_elimination(m, p) for p in (2, 3, 5)),
+        *(homology._eliminate(m, p)[0] for p in (2, 3, 5)),
     )
 
 
@@ -380,16 +391,30 @@ def test_unit_reduction_examples():
     assert from_dense([[-1, -1, 0], [1, 0, -1], [0, 1, 1]]).unit_reduction()[0] == 2
 
 
-def test_unit_reduction_ranks_against_dense_oracle():
+def _random_small_matrices():
+    """200 seeded dense matrices of up to 9 x 9, entries in [-3, 3], of mixed density."""
     rng = random.Random(2024)
     for _ in range(200):
-        rows = random_dense(rng, rng.randint(1, 9), rng.randint(1, 9), lo=-3, hi=3,
-                            density=rng.choice((0.2, 0.4, 0.7)))
+        yield random_dense(rng, rng.randint(1, 9), rng.randint(1, 9), lo=-3, hi=3,
+                           density=rng.choice((0.2, 0.4, 0.7)))
+
+
+def test_unit_reduction_ranks_against_dense_oracle():
+    for rows in _random_small_matrices():
         m = from_dense(rows)
         want = (dense_rank_oracle(rows), *(dense_rank_oracle(rows, p) for p in (2, 3, 5)))
         assert _reduced_ranks(m) == want
         assert _direct_ranks(m) == want
         assert homology._rank_over_q_modular(m) == want[0]
+
+
+def test_eliminate_over_fp_leaves_no_residual():
+    """Over F_p every nonzero entry is a unit pivot: the count is the rank."""
+    for rows in _random_small_matrices():
+        for p in (2, 3, 5):
+            rank, residual = homology._eliminate(from_dense(rows), p)
+            assert (residual.rows, residual.cols) == (0, 0)
+            assert rank == dense_rank_oracle(rows, p)
 
 
 @pytest.mark.parametrize("scenario", CORPUS_SCENARIOS, ids=lambda sc: sc.name)
@@ -426,7 +451,7 @@ def test_unit_reduction_property_matches_direct_elimination():
         units, residual = m.unit_reduction()
         assert units + homology._rank_over_q_modular(residual) == homology._rank_over_q_modular(m)
         for p in (2, 3, 5):
-            assert units + homology._rank_mod_p_elimination(residual, p) == homology._rank_mod_p_elimination(m, p)
+            assert units + homology._eliminate(residual, p)[0] == homology._eliminate(m, p)[0]
 
     check()
 
@@ -448,13 +473,14 @@ def test_snf_rank_mod_matches_rank_mod_p_property():
 
 def test_unit_reduction_runs_once_per_matrix(monkeypatch):
     reduced = []
-    original = homology._unit_reduction
+    original = homology._eliminate
 
-    def counting(m):
-        reduced.append(id(m))
-        return original(m)
+    def counting(m, p=0):
+        if not p:
+            reduced.append(id(m))
+        return original(m, p)
 
-    monkeypatch.setattr(homology, "_unit_reduction", counting)
+    monkeypatch.setattr(homology, "_eliminate", counting)
     cc = chain_complex(rp2_minimal())
     betti(cc, [RATIONALS, F2, F3, F5])
     betti(cc, [F5, F3])
@@ -469,14 +495,16 @@ def _lens52_quotient_chain():
 
 
 def test_corrupted_unit_reduction_is_caught(monkeypatch):
-    original = homology._unit_reduction
+    original = homology._eliminate
     fields = builtin("lens", 5, 2).field_specs()
 
-    def unsigned(m):  # every sign dropped from the Schur updates' input
+    def unsigned(m, p=0):  # every sign dropped from the Schur updates' input over Z
+        if p:
+            return original(m, p)
         columns = {j: {r: abs(v) for r, v in m.column(j).items()} for j in range(m.cols)}
         return original(SparseIntMatrix.from_columns(m.rows, m.cols, columns))
 
-    monkeypatch.setattr(homology, "_unit_reduction", unsigned)
+    monkeypatch.setattr(homology, "_eliminate", unsigned)
     with pytest.raises(CorruptComplex):
         betti(_lens52_quotient_chain(), fields)
 
@@ -486,15 +514,17 @@ def test_lost_unit_pivot_is_caught_by_snf_alone(monkeypatch):
     Betti numbers stay nonnegative and consistent with one another; only the
     Smith normal form sees it, since its own elimination shares nothing with
     the reduction."""
-    original = homology._unit_reduction
+    original = homology._eliminate
     fields = builtin("lens", 5, 2).field_specs()
 
-    def lossy(m):
+    def lossy(m, p=0):  # over Z only
+        if p:
+            return original(m, p)
         units, residual = original(m)
         return max(units - 1, 0), residual
 
-    monkeypatch.setattr(homology, "_unit_reduction", lossy)
-    wrong = betti(_lens52_quotient_chain(), fields, with_torsion=False)
+    monkeypatch.setattr(homology, "_eliminate", lossy)
+    wrong = betti(_lens52_quotient_chain(), fields, snf_cap=0)
     assert wrong.betti(RATIONALS) != (1, 0, 0, 1)
     with pytest.raises(CorruptComplex, match="SNF"):
         betti(_lens52_quotient_chain(), fields)

@@ -250,6 +250,19 @@ def test_cli_malformed_json(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "content, named",
+    [(b"\xff\xfe{}", "not UTF-8"), (b"[" * 100_000 + b"]" * 100_000, "nests too deeply")],
+    ids=["utf16_bom", "deeply_nested"],
+)
+def test_cli_unreadable_scenario_file_names_it(tmp_path, capsys, content, named):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and named in err
+
+
 def test_cli_unknown_builtin(capsys):
     assert main(["builtin", "binary_icosahedral"]) == 2
 
@@ -393,12 +406,16 @@ _DIHEDRAL = ("space", "explicit")
         (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(),
                    {"complex": {"vertex_count": 4, "facets": [[0, 1], [2, 3]]}, "generators": [[2, 3, 0, 1]]},
                    *_DIHEDRAL), "'complex'"),
+        # a triangle's boundary on 3 of 3,000,000 vertices: the group's vertex tuples would be that long
+        (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(),
+                   {"complex": {"vertex_count": 3_000_000, "facets": [[0, 1], [1, 2], [0, 2]]}, "generators": []},
+                   *_DIHEDRAL), "'vertex_count'"),
     ],
     ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex",
          "perm_str", "perm_float", "generator_str", "facet_str", "factor_str",
          "subdivisions_bool", "certified_str", "certified_false", "snf_cap_negative", "perm_short",
          "name_int", "fields_repeated", "fields_not_canonical", "checks_repeated",
-         "explicit_disc", "explicit_two_edges"],
+         "explicit_disc", "explicit_two_edges", "explicit_unused_vertex"],
 )
 def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, data, named):
     assert _run_scenario_file(tmp_path, data) == 2

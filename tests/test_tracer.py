@@ -10,7 +10,7 @@ from pathlib import Path
 import sqh.scenarios
 from sqh.actions import make_admissible_and_quotient
 from sqh.complexes import chain_complex
-from sqh.scenarios import build_model, builtin, report_bytes
+from sqh.scenarios import DEFAULT_FIELDS, build_model, builtin, report_bytes, sweep_scenarios
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -42,3 +42,16 @@ def test_tracer_installs_around_a_scenario():
     # every rational rank is certified, and each call is counted as such
     assert metrics["homology.q_rank_monte_carlo"][0] == 0
     assert metrics["homology.q_rank_certified"][0] == metrics["homology.rank_over_q_calls"][0] > 0
+
+
+def test_tracer_counts_no_snf_on_a_sweep_scenario():
+    """`snf_cap` 0 asks for no torsion, so no Smith normal form is attempted."""
+    tracer = _spans_module().Tracer()
+    (scenario,), _ = sweep_scenarios(2, 1, 7, DEFAULT_FIELDS, 200_000)
+    assert scenario.snf_cap == 0
+    with tracer.installed():
+        sqh.scenarios.run_scenario(scenario)
+    metrics = tracer.metrics()
+    assert metrics["homology.betti_calls"][0] > 0
+    assert metrics["homology.snf_calls"][0] == 0
+    assert metrics["homology.snf_skipped"][0] == 0
