@@ -388,19 +388,28 @@ class VertexAction:
 def close_generators(complex: SimplicialComplex, generators) -> VertexAction:
     """Generate the full group breadth-first over words in the generators.
 
+    Each generator must be a vertex bijection that maps every facet onto a
+    facet.  That is the same as mapping every facet to a simplex: such a
+    bijection maps the finite set of simplices injectively, hence onto,
+    itself, preserving inclusion, so it maps maximal simplices to maximal
+    ones.  The check therefore needs only the facet set, not the face
+    lattice, and costs O(F) set lookups per generator for F facets.
+
     New words extend on the right (apply the old word first, then the
     generator), so the element order is the BFS word order.  A group of
     more than DEFAULT_ELEMENT_CAP elements raises GroupTooLarge.
     """
     n = complex.vertex_count
+    facets = set(complex.facets)
     gens = []
     for g in generators:
         t = tuple(g)
         if len(t) != n or sorted(t) != list(range(n)):
             raise ActionInvalid(f"not a vertex bijection: {t}")
         for f in complex.facets:
-            if not complex.has_simplex(apply_perm(t, f)):
-                raise ActionInvalid(f"generator maps facet {f} outside the complex")
+            image = apply_perm(t, f)
+            if image not in facets:
+                raise ActionInvalid(f"generator maps facet {f} onto {image}, which is not a facet")
         gens.append(t)
     identity = tuple(range(n))
     elements = [identity]

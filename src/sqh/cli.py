@@ -42,6 +42,10 @@ def _cmd_run(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise InvalidParameter(
+                f"scenario file {args.file!r}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
+            ) from None
         except UnicodeDecodeError as e:
             raise InvalidParameter(f"scenario file {args.file!r} is not UTF-8 text: {e.reason}") from None
         except RecursionError:
@@ -161,9 +165,6 @@ def main(argv=None) -> int:
         sys.stderr.write(f"inequality failure: {e}\n")
         sys.stderr.write(json.dumps(e.dump, sort_keys=True, indent=2) + "\n")
         return 3
-    except json.JSONDecodeError as e:
-        sys.stderr.write(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}\n")
-        return 2
     except (InvalidParameter, ActionInvalid, NeedsSubdivision, OSError) as e:
         sys.stderr.write(f"invalid input: {e}\n")
         return 2

@@ -21,7 +21,9 @@ class SimplicialComplex:
 
     Facets are deduplicated and maximality-filtered on construction, so
     the stored facet list is canonical: lexicographically sorted tuples,
-    none contained in another.
+    none contained in another.  Construction costs O(F log F) for F facets
+    of one size (see `_maximal`); the face lattice (`simplices()`,
+    `simplex_set()`) is built only on first use.
     """
 
     __slots__ = ("vertex_count", "facets", "_simplices", "_simplex_set", "_chain", "_subdivision")
@@ -71,9 +73,6 @@ class SimplicialComplex:
             self._simplex_set = frozenset(s for level in self.simplices() for s in level)
         return self._simplex_set
 
-    def has_simplex(self, simplex) -> bool:
-        return tuple(simplex) in self.simplex_set()
-
     def f_vector(self):
         return tuple(len(level) for level in self.simplices())
 
@@ -97,11 +96,23 @@ class SimplicialComplex:
 
 
 def _maximal(simplex_set) -> tuple:
-    """Drop every set contained in a strictly larger one; return lex-sorted tuples."""
+    """Drop every set contained in a strictly larger one; return lex-sorted tuples.
+
+    The sets of the largest size are distinct, so none contains another:
+    all of them are kept without a search.  Only the smaller sets are
+    looked up, largest first, in a vertex index of the sets kept so far.
+    A pure list (every set of one size) is thus only sorted, in
+    O(F log F) for F sets.
+    """
     by_size = sorted(simplex_set, key=len, reverse=True)
+    kept = [t for t in by_size if len(t) == len(by_size[0])]
+    smaller = by_size[len(kept):]
     vertex_index: dict[int, set] = {}
-    kept = []
-    for t in by_size:
+    if smaller:
+        for t in kept:
+            for v in t:
+                vertex_index.setdefault(v, set()).add(t)
+    for t in smaller:
         candidates = None
         contained = False
         for v in t:

@@ -323,12 +323,12 @@ _COVERING_PRIMES = [2**31 - 1]
 def _rank_over_q_modular(m: SparseIntMatrix) -> int:
     """Rank over Q as the largest rank of m modulo covering primes (see rank_over_q)."""
     row_squares: dict = {}
-    cols = set()
+    col_squares: dict = {}
     for r, c, v in m.iter_entries():
         row_squares[r] = row_squares.get(r, 0) + v * v
-        cols.add(c)
-    bound_sq = prod(row_squares.values())
-    most = min(len(row_squares), len(cols))
+        col_squares[c] = col_squares.get(c, 0) + v * v
+    bound_sq = min(prod(row_squares.values()), prod(col_squares.values()))
+    most = min(len(row_squares), len(col_squares))
     rank, covered, k = 0, 1, 0
     while covered <= bound_sq and rank < most:
         if k == len(_COVERING_PRIMES):
@@ -349,12 +349,15 @@ def rank_over_q(m: SparseIntMatrix) -> int:
     The unit pivots count once and only the residual R is eliminated
     (rank_mod_p shares the reduction), by `_eliminate` modulo the covering
     primes: the largest primes below 2^31, taken in descending order until
-    the product of their squares exceeds H^2 = prod over R's rows of
-    max(1, sum of the row's squares).  By Hadamard's inequality every minor of R is at most H
-    in absolute value, so a nonzero r x r minor is not divisible by all of
-    the covering primes, and R has rank r modulo one of them; no rank mod p
-    exceeds the rank over Q, so the largest is exact (von zur Gathen and
-    Gerhard, Modern Computer Algebra, ch. 5).  Primes stop early once the
+    the product of their squares exceeds H^2.  H^2 is the smaller of two
+    products of sums of squares: over R's nonzero rows, and over its
+    nonzero columns.  By Hadamard's inequality, applied to the rows or to
+    the columns of a minor, every minor of R is at most H in absolute
+    value, since each factor left out is at least 1; so a tall or wide R
+    needs few primes.  A nonzero r x r minor is therefore not divisible by
+    all of the covering primes, and R has rank r modulo one of them; no
+    rank mod p exceeds the rank over Q, so the largest is exact (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 5).  Primes stop early once the
     rank reaches the smaller of R's numbers of nonzero rows and nonzero
     columns.
     """

@@ -1,6 +1,9 @@
+import itertools
+import random
+
 import pytest
 
-from conftest import octahedron
+from conftest import octahedron, random_small_complex
 from sqh import actions
 from test_acceptance import CORPUS_SCENARIOS
 from sqh.actions import (
@@ -63,8 +66,35 @@ def test_close_generators_antipodal():
 
 def test_close_generators_rejects_non_simplicial():
     # maps the edge {0,1} to {0,2}, which is not an edge of the square
-    with pytest.raises(ActionInvalid):
+    with pytest.raises(ActionInvalid, match=r"facet \(0, 1\) onto \(0, 2\), which is not a facet"):
         close_generators(polygon(4), [(0, 2, 1, 3)])
+
+
+def test_close_generators_on_a_non_pure_complex():
+    # two triangles joined by the edge (2, 3): swapping 0 and 1, and the
+    # reflection through that edge, generate its automorphisms (order 8)
+    k = SimplicialComplex(6, [(0, 1, 2), (2, 3), (3, 4, 5)])
+    assert close_generators(k, [(1, 0, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)]).order == 8
+    # (2 3) keeps the edge but sends the triangle (0, 1, 2) onto (0, 1, 3)
+    with pytest.raises(ActionInvalid, match=r"facet \(0, 1, 2\) onto \(0, 1, 3\)"):
+        close_generators(k, [(0, 1, 3, 2, 4, 5)])
+
+
+def test_close_generators_accepts_what_maps_facets_to_simplices():
+    # a vertex bijection maps every facet to a simplex iff it maps every
+    # facet to a facet: compare with the face lattice on every permutation
+    rng = random.Random(11)
+    for _ in range(12):
+        k = random_small_complex(rng)
+        simplices = k.simplex_set()
+        for perm in itertools.permutations(range(k.vertex_count)):
+            into_lattice = all(tuple(sorted(perm[v] for v in f)) in simplices for f in k.facets)
+            try:
+                close_generators(k, [perm])
+            except ActionInvalid:
+                assert not into_lattice, (k.facets, perm)
+            else:
+                assert into_lattice, (k.facets, perm)
 
 
 def test_close_generators_rejects_non_bijection():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -199,6 +200,63 @@ def test_full_subcomplex_empty_and_identity():
 def test_facet_maximality_and_dedup():
     k = SimplicialComplex(4, [(0, 1), (0, 1, 2), (2, 1, 0), (3,)])
     assert k.facets == ((0, 1, 2), (3,))
+
+
+def _maximal_by_search(facets) -> tuple:
+    """Test oracle: the maximal sets by a containment search on every set.
+
+    Each set, largest first, is kept unless the sets kept so far that hold
+    all of its vertices include one (a vertex index answers that).
+    """
+    by_size = sorted({tuple(sorted(set(f))) for f in facets if f}, key=len, reverse=True)
+    vertex_index: dict = {}
+    kept = []
+    for t in by_size:
+        candidates = None
+        for v in t:
+            hits = vertex_index.get(v, set())
+            candidates = hits if candidates is None else candidates & hits
+            if not candidates:
+                break
+        if candidates:
+            continue
+        kept.append(t)
+        for v in t:
+            vertex_index.setdefault(v, set()).add(t)
+    return tuple(sorted(kept))
+
+
+def _random_facet_list(rng: random.Random, pure: bool) -> tuple:
+    """(vertex count, facets) as unsorted tuples.  About a third of the
+    facets repeat an earlier one, shuffled; in a mixed list they are faces
+    of an earlier one, so that containment occurs."""
+    n = rng.randint(1, 9)
+    size = rng.randint(1, n)
+    facets = []
+    for _ in range(rng.randint(0, 30)):
+        if facets and rng.random() < 0.3:
+            earlier = rng.choice(facets)
+            facets.append(tuple(rng.sample(earlier, len(earlier) if pure else rng.randint(1, len(earlier)))))
+        else:
+            facets.append(tuple(rng.sample(range(n), size if pure else rng.randint(1, n))))
+    return n, facets
+
+
+def test_facets_match_the_containment_search_oracle():
+    rng = random.Random(2024)
+    for i in range(300):
+        n, facets = _random_facet_list(rng, pure=i % 2 == 0)
+        assert SimplicialComplex(n, facets).facets == _maximal_by_search(facets), (n, facets)
+
+
+def test_pure_join_of_32000_facets_builds_in_seconds():
+    # three 20-gons * S^0 * S^0: a pure list, which no containment search
+    # should see (a search on every facet took over 7 s)
+    start = time.perf_counter()
+    k = join(join(join(join(polygon(20), polygon(20)), polygon(20)), zero_sphere()), zero_sphere())
+    elapsed = time.perf_counter() - start
+    assert (k.vertex_count, len(k.facets), k.dimension) == (64, 32_000, 7)
+    assert elapsed < 3.0
 
 
 def test_out_of_range_facet_rejected():

@@ -149,9 +149,8 @@ def test_ranks_against_dense_oracle():
             assert rank_mod_p(m, p) == dense_rank_oracle(rows, p)
 
 
-def test_tall_rank_one_residual_takes_one_prime(monkeypatch):
-    # 100 rows of 3s: no unit pivot, and a Hadamard bound of 9^100 asks for
-    # six covering primes, but one column caps the rank at 1
+def _count_prime_eliminations(monkeypatch) -> list:
+    """The moduli of the `_eliminate` calls made from now on with a modulus."""
     calls = []
     original = homology._eliminate
 
@@ -161,9 +160,28 @@ def test_tall_rank_one_residual_takes_one_prime(monkeypatch):
         return original(m, p)
 
     monkeypatch.setattr(homology, "_eliminate", counting)
+    return calls
+
+
+def test_tall_rank_one_residual_takes_one_prime(monkeypatch):
+    # 100 rows of 3s: no unit pivot, and a Hadamard bound of 9^100 asks for
+    # six covering primes, but one column caps the rank at 1
+    calls = _count_prime_eliminations(monkeypatch)
     rows = [[3]] * 100
     assert rank_over_q(from_dense(rows)) == dense_rank_oracle(rows) == 1
     assert len(calls) == 1
+
+
+def test_tall_residual_primes_are_bounded_by_its_columns(monkeypatch):
+    # 2,000 multiples of (2, 4, 6, 10): no unit entry, and rank 1 < 4 columns,
+    # so the primes run until they cover the minors.  The rows' Hadamard
+    # product asks for 318 primes, the columns' (below 10^22) for 2
+    rng = random.Random(29)
+    rows = [[k * v for v in (2, 4, 6, 10)] for k in (rng.choice((-3, -2, 2, 3)) for _ in range(2000))]
+    calls = _count_prime_eliminations(monkeypatch)
+    assert rank_over_q(from_dense(rows)) == 1
+    assert len(calls) <= 2
+    assert dense_rank_oracle(rows) == 1
 
 
 def test_rank_mod_p_lower_bounds_rational_rank():

@@ -252,8 +252,12 @@ def test_cli_malformed_json(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content, named",
-    [(b"\xff\xfe{}", "not UTF-8"), (b"[" * 100_000 + b"]" * 100_000, "nests too deeply")],
-    ids=["utf16_bom", "deeply_nested"],
+    [
+        (b"\xff\xfe{}", "not UTF-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "nests too deeply"),
+        (b"{not json", "parse error at line 1, column 2"),
+    ],
+    ids=["utf16_bom", "deeply_nested", "not_json"],
 )
 def test_cli_unreadable_scenario_file_names_it(tmp_path, capsys, content, named):
     bad = tmp_path / "bad.json"
