@@ -484,7 +484,7 @@ def quotient_complex(action: VertexAction):
                     f"simplices with orbit-set {key} lie in different orbits"
                 )
     facets = {tuple(sorted(proj[v] for v in f)) for f in action.complex.facets}
-    quotient = SimplicialComplex(len(orbits), sorted(facets))
+    quotient = SimplicialComplex(len(orbits), facets)
     return quotient, proj
 
 
@@ -674,7 +674,7 @@ def subdivided_quotient(action) -> SimplicialComplex:
                 if not mask & bit
             ]
         facets.extend(flag for _, flag in flags)
-    quotient = SimplicialComplex(data.count, facets)
+    quotient = SimplicialComplex._from_canonical(data.count, facets)
     want, got = flag_action(action).cell_counts(), quotient.f_vector()
     if got != want:
         j = next(j for j in range(len(want)) if got[j] != want[j])

@@ -5,6 +5,17 @@ Orientation follows the ascending-vertex convention: the boundary of a
 simplex drops its i-th vertex with sign (-1)^i.  Complexes are immutable
 after construction; derived data (the face lattice, chain complexes, the
 first barycentric subdivision) is cached on the instance.
+
+Each complex has one face lattice, built on first use from the top down:
+the k-simplices are the facets with k+1 vertices and the k-faces of the
+(k+1)-simplices, kept as one set per dimension, so a face is made once
+per coface one dimension up rather than once per facet above it.  The
+f-vector and the simplex set are read off these sets; `simplices()` sorts
+each set once and then drops it, so a complex holds one copy of its
+lattice.  Complexes that the engine derives from facets that are already
+canonical (the subdivision and the subdivided quotient) skip the
+constructor's range checks and maximality filter; outside input always
+goes through the constructor.
 """
 
 from __future__ import annotations
@@ -22,11 +33,15 @@ class SimplicialComplex:
     Facets are deduplicated and maximality-filtered on construction, so
     the stored facet list is canonical: lexicographically sorted tuples,
     none contained in another.  Construction costs O(F log F) for F facets
-    of one size (see `_maximal`); the face lattice (`simplices()`,
-    `simplex_set()`) is built only on first use.
+    of one size (see `_maximal`).
+
+    The face lattice is built once, on first use, as one set of faces per
+    dimension (`_levels`).  `f_vector()` and `simplex_set()` read those
+    sets without sorting them; `simplices()` sorts each level once, keeps
+    the sorted tuples and drops the sets, so only one copy is ever held.
     """
 
-    __slots__ = ("vertex_count", "facets", "_simplices", "_simplex_set", "_chain", "_subdivision")
+    __slots__ = ("vertex_count", "facets", "dimension", "_levels", "_simplices", "_chain", "_subdivision")
 
     def __init__(self, vertex_count: int, facets) -> None:
         if vertex_count < 0:
@@ -39,42 +54,60 @@ class SimplicialComplex:
             if t[0] < 0 or t[-1] >= vertex_count:
                 raise InvalidParameter(f"facet {t} out of range [0, {vertex_count})")
             canon.add(t)
+        self._set_facets(vertex_count, _maximal(canon))
+
+    @classmethod
+    def _from_canonical(cls, vertex_count: int, facets) -> "SimplicialComplex":
+        """The complex on facets that are strictly increasing tuples in range, none inside another.
+
+        Only duplicates are dropped and the list sorted: for complexes the
+        engine derives itself, never for outside input.
+        """
+        k = cls.__new__(cls)
+        k._set_facets(vertex_count, tuple(sorted(set(facets))))
+        return k
+
+    def _set_facets(self, vertex_count: int, facets: tuple) -> None:
         self.vertex_count = vertex_count
-        self.facets = _maximal(canon)
+        self.facets = facets
+        # max facet size minus one; -1 for the empty complex
+        self.dimension = max(map(len, facets), default=0) - 1
+        self._levels = None
         self._simplices = None
-        self._simplex_set = None
         self._chain = None
         self._subdivision = None
 
-    @property
-    def dimension(self) -> int:
-        """Max facet size minus one; -1 for the empty complex."""
-        if not self.facets:
-            return -1
-        return max(len(f) for f in self.facets) - 1
+    def _lattice(self) -> list:
+        """One set of faces per dimension, each level made from the one above."""
+        if self._levels is None:
+            levels = [set() for _ in range(self.dimension + 1)]
+            for f in self.facets:
+                levels[len(f) - 1].add(f)
+            combinations = itertools.combinations
+            for k in range(self.dimension, 0, -1):
+                below = levels[k - 1]
+                for s in levels[k]:
+                    below.update(combinations(s, k))
+            self._levels = levels
+        return self._levels
 
     def simplices(self):
         """All simplices grouped by dimension: a list of lex-sorted tuples per degree."""
         if self._simplices is None:
-            seen = set()
-            for f in self.facets:
-                for k in range(1, len(f) + 1):
-                    seen.update(itertools.combinations(f, k))
-            by_dim = [[] for _ in range(self.dimension + 1)]
-            for s in seen:
-                by_dim[len(s) - 1].append(s)
-            for level in by_dim:
-                level.sort()
-            self._simplices = [tuple(level) for level in by_dim]
+            self._simplices = [tuple(sorted(level)) for level in self._lattice()]
+            self._levels = None
         return self._simplices
 
-    def simplex_set(self):
-        if self._simplex_set is None:
-            self._simplex_set = frozenset(s for level in self.simplices() for s in level)
-        return self._simplex_set
+    def _faces(self) -> list:
+        """The lattice as it is held: the sorted levels once `simplices()` has run, else the sets."""
+        return self._simplices if self._simplices is not None else self._lattice()
 
-    def f_vector(self):
-        return tuple(len(level) for level in self.simplices())
+    def simplex_set(self) -> frozenset:
+        """Every simplex, in a new frozenset."""
+        return frozenset(itertools.chain.from_iterable(self._faces()))
+
+    def f_vector(self) -> tuple:
+        return tuple(map(len, self._faces()))
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -201,8 +234,8 @@ class Subdivision:
 
 def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
     """Flag complex of the face poset: vertices = simplices of k, facets = maximal flags."""
-    all_simplices = [s for level in k.simplices() for s in level]
-    all_simplices.sort(key=lambda s: (len(s), s))
+    # the levels are in (size, lex) order, so a flag's vertex numbers ascend
+    all_simplices = list(itertools.chain.from_iterable(k.simplices()))
     index = {s: i for i, s in enumerate(all_simplices)}
     facets = []
     for f in k.facets:
@@ -210,8 +243,8 @@ def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
             chain = []
             for i in range(1, len(perm) + 1):
                 chain.append(index[tuple(sorted(perm[:i]))])
-            facets.append(tuple(sorted(chain)))
-    sd = SimplicialComplex(len(all_simplices), facets)
+            facets.append(tuple(chain))
+    sd = SimplicialComplex._from_canonical(len(all_simplices), facets)
     return Subdivision(sd, k, tuple(all_simplices), index)
 
 

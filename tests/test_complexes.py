@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from conftest import octahedron, random_small_complex
+from conftest import nonabelian_workload, octahedron, random_small_complex
 from test_acceptance import CORPUS_SCENARIOS, corpus_model
+from sqh.actions import close_generators, flag_action, subdivided_quotient
 from sqh.complexes import (
     EMPTY_COMPLEX,
     SimplicialComplex,
@@ -19,8 +20,9 @@ from sqh.complexes import (
     subdivided_f_vector,
     zero_sphere,
 )
-from sqh.errors import InvalidParameter
+from sqh.errors import InvalidParameter, NeedsSubdivision
 from sqh.homology import RATIONALS, betti
+from sqh.scenarios import build_model
 
 
 def brute_chain_counts(k: SimplicialComplex):
@@ -152,6 +154,86 @@ def test_subdivision_preserves_euler():
         assert euler_characteristic(sd.complex) == euler_characteristic(k)
 
 
+def test_subdivision_numbers_vertices_in_size_then_lex_order():
+    rng = random.Random(5)
+    for k in [octahedron(), join(polygon(4), zero_sphere()), *(random_small_complex(rng) for _ in range(30))]:
+        sd = barycentric_subdivision(k)
+        order = list(sd.vertex_simplices)
+        assert order == sorted(k.simplex_set(), key=lambda s: (len(s), s))
+        # so the vertex numbers along every flag ascend
+        assert all(list(f) == sorted(f) for f in sd.complex.facets)
+
+
+def _faces_by_brute_force(k: SimplicialComplex) -> list:
+    """Test oracle: every nonempty subset of every facet, grouped by dimension and sorted."""
+    seen = set()
+    for f in k.facets:
+        for size in range(1, len(f) + 1):
+            seen.update(itertools.combinations(f, size))
+    return [tuple(sorted(s for s in seen if len(s) == d + 1)) for d in range(k.dimension + 1)]
+
+
+def test_face_lattice_is_sorted_only_for_simplices():
+    def fresh():
+        return join(join(polygon(5), octahedron()), SimplicialComplex(3, [(0, 1), (2,)]))
+
+    k = fresh()
+    f_vector = k.f_vector()
+    assert k.simplex_set() == frozenset(itertools.chain.from_iterable(fresh().simplices()))
+    # neither sorted the basis
+    assert k._simplices is None
+    assert k.simplices() == fresh().simplices() == _faces_by_brute_force(k)
+    # the sets are dropped once sorted: the complex holds one copy of its lattice
+    assert k._levels is None
+    assert k.f_vector() == f_vector == tuple(map(len, k.simplices()))
+    assert k.simplex_set() == fresh().simplex_set()
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """Every complex built by `SimplicialComplex._from_canonical`, with the facets it was given."""
+    made = []
+    build = SimplicialComplex._from_canonical
+
+    def recording(vertex_count, facets):
+        facets = list(facets)
+        k = build(vertex_count, facets)
+        made.append((vertex_count, facets, k))
+        return k
+
+    monkeypatch.setattr(SimplicialComplex, "_from_canonical", staticmethod(recording))
+    return made
+
+
+def _derive(action, depth_two: bool) -> None:
+    """sd(X) and the subdivided quotients sd(X)/G and, if asked, sd(sd(X))/G, where they are simplicial."""
+    barycentric_subdivision(action.complex)
+    for a in (action, flag_action(action)) if depth_two else (action,):
+        try:
+            subdivided_quotient(a)
+        except NeedsSubdivision:
+            pass
+
+
+def test_derived_complexes_equal_the_validating_constructors(derived):
+    rng = random.Random(17)
+    for sc in [*CORPUS_SCENARIOS, *nonabelian_workload()]:
+        action = build_model(sc).action
+        # the second subdivision of a 4-sphere has 460,800 facets
+        _derive(action, depth_two=action.complex.dimension <= 3)
+    for _ in range(30):
+        k = random_small_complex(rng)
+        _derive(close_generators(k, []), depth_two=True)
+        _derive(close_generators(join(k, zero_sphere()), []), depth_two=False)
+    assert len(derived) > 200
+    for vertex_count, facets, k in derived:
+        built = SimplicialComplex(vertex_count, facets)
+        assert (k.vertex_count, k.facets, k.dimension) == (built.vertex_count, built.facets, built.dimension)
+        assert k.f_vector() == built.f_vector()
+        assert k.simplex_set() == built.simplex_set()
+        assert k.simplices() == built.simplices() == _faces_by_brute_force(built)
+
+
 def test_subdivision_vertex_map_is_bijection():
     k = octahedron()
     sd = barycentric_subdivision(k)
@@ -249,6 +331,14 @@ def test_facets_match_the_containment_search_oracle():
         assert SimplicialComplex(n, facets).facets == _maximal_by_search(facets), (n, facets)
 
 
+def _poly_mul(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def test_pure_join_of_32000_facets_builds_in_seconds():
     # three 20-gons * S^0 * S^0: a pure list, which no containment search
     # should see (a search on every facet took over 7 s)
@@ -257,6 +347,13 @@ def test_pure_join_of_32000_facets_builds_in_seconds():
     elapsed = time.perf_counter() - start
     assert (k.vertex_count, len(k.facets), k.dimension) == (64, 32_000, 7)
     assert elapsed < 3.0
+    # the face lattice of a 7-dimensional complex: the f-polynomial of a join
+    # is the product of its blocks', 1 + L t + L t^2 for an L-gon and 1 + 2t for S^0
+    poly = [1]
+    for block in ([1, 20, 20], [1, 20, 20], [1, 20, 20], [1, 2], [1, 2]):
+        poly = _poly_mul(poly, block)
+    assert k.f_vector() == tuple(poly[1:])
+    assert sum(k.f_vector()) == 620_288
 
 
 def test_out_of_range_facet_rejected():

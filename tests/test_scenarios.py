@@ -84,6 +84,17 @@ def test_builtin_dihedral_explicit_path():
     assert report["bound_report"]["all_passed"] is True
 
 
+def test_explicit_facets_are_canonicalised_on_input():
+    # reversed, repeated and nested facets are sorted, merged and dropped before anything runs
+    sc = builtin("dihedral_on_s1", 5)
+    data = sc.to_json_dict()
+    facets = data["space"]["explicit"]["complex"]["facets"]
+    noisy = _replaced(data, [f[::-1] for f in facets] + [[0], [3], facets[0]], *_DIHEDRAL, "complex", "facets")
+    report, plain = run_scenario(Scenario.from_json_dict(noisy)), run_scenario(sc)
+    del report["scenario"], plain["scenario"]
+    assert report_bytes(report) == report_bytes(plain)
+
+
 def test_builtin_trivial_sphere():
     report = run_scenario(builtin("trivial_sphere", 3))
     assert report["subdivisions"] == 0
@@ -410,6 +421,10 @@ _DIHEDRAL = ("space", "explicit")
         (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(),
                    {"complex": {"vertex_count": 4, "facets": [[0, 1], [2, 3]]}, "generators": [[2, 3, 0, 1]]},
                    *_DIHEDRAL), "'complex'"),
+        # a facet past vertex_count: the validating constructor refuses it
+        (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(),
+                   {"complex": {"vertex_count": 3, "facets": [[0, 1], [1, 2], [0, 7]]}, "generators": [[1, 2, 0]]},
+                   *_DIHEDRAL), "facet (0, 7) out of range [0, 3)"),
         # a triangle's boundary on 3 of 3,000,000 vertices: the group's vertex tuples would be that long
         (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(),
                    {"complex": {"vertex_count": 3_000_000, "facets": [[0, 1], [1, 2], [0, 2]]}, "generators": []},
@@ -419,7 +434,7 @@ _DIHEDRAL = ("space", "explicit")
          "perm_str", "perm_float", "generator_str", "facet_str", "factor_str",
          "subdivisions_bool", "certified_str", "certified_false", "snf_cap_negative", "perm_short",
          "name_int", "fields_repeated", "fields_not_canonical", "checks_repeated",
-         "explicit_disc", "explicit_two_edges", "explicit_unused_vertex"],
+         "explicit_disc", "explicit_two_edges", "explicit_facet_out_of_range", "explicit_unused_vertex"],
 )
 def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, data, named):
     assert _run_scenario_file(tmp_path, data) == 2
