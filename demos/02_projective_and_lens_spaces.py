@@ -16,7 +16,7 @@ for n in (2, 3, 4):
     anti = SignedPermutation(tuple(range(1, n + 2)), (-1,) * (n + 1))
     action = signed_permutation_action(n + 1, [anti])
     res = make_admissible_and_quotient(action)
-    table = betti(chain_complex(res.complex), [RATIONALS, F2], snf_cap=16384)
+    table = betti(chain_complex(res.complex), [RATIONALS, F2], order=2)
     print(f"RP^{n}: {res.subdivisions} subdivision(s), "
           f"Q -> {table.betti(RATIONALS)}, F2 -> {table.betti(F2)}, torsion {table.torsion}")
 
@@ -27,7 +27,7 @@ for p, q in ((5, 1), (5, 2), (7, 2)):
     model = character_join_model(data)
     res = make_admissible_and_quotient(model.action)
     fp = FieldSpec(p)
-    table = betti(chain_complex(res.complex), [RATIONALS, fp], snf_cap=16384)
+    table = betti(chain_complex(res.complex), [RATIONALS, fp], order=p)
     print(f"L({p},{q}): F{p} -> {table.betti(fp)}, Q -> {table.betti(RATIONALS)}, "
           f"H_1 torsion {table.torsion[1]}")
 
@@ -36,6 +36,6 @@ gen_i = SignedPermutation((2, 1, 4, 3), (-1, 1, -1, 1))
 gen_j = SignedPermutation((3, 4, 1, 2), (-1, 1, 1, -1))
 q8 = signed_permutation_action(4, [gen_i, gen_j])
 res = make_admissible_and_quotient(q8)
-table = betti(chain_complex(res.complex), [RATIONALS, F2, F3], snf_cap=16384)
+table = betti(chain_complex(res.complex), [RATIONALS, F2, F3], order=q8.order)
 print(f"S^3/Q8: F2 -> {table.betti(F2)} (H_1 = C2 x C2: torsion {table.torsion[1]}), "
       f"Q -> {table.betti(RATIONALS)}")

@@ -113,7 +113,7 @@ class CheckResult:
 
 
 def _betti_or_zero(k: SimplicialComplex, fieldspec: FieldSpec, length: int) -> list:
-    return _pad(betti(chain_complex(k), [fieldspec], snf_cap=0).betti(fieldspec), length)
+    return _pad(betti(chain_complex(k), [fieldspec]).betti(fieldspec), length)
 
 
 def _pad(seq, length):

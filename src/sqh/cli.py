@@ -134,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--fields", type=_field_labels, default=DEFAULT_FIELDS, help="comma-separated labels, e.g. Q,Fp:2"
     )
-    p_sweep.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p_sweep.add_argument(
+        "--jobs", type=_int_at_least(1), default=1, help="worker processes, at most one per CPU and sample"
+    )
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument(
         "--max-model-simplices",

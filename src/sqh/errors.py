@@ -31,7 +31,12 @@ class CorruptComplex(SqhError):
 
 
 class SnfTooLarge(SqhError):
-    """Matrix exceeds the configured Smith-normal-form size cap."""
+    """Matrix exceeds a Smith-normal-form size cap.
+
+    The engine no longer caps the Smith normal form, so nothing raises it.
+    It is kept only because perfbench/spans.py imports it to count skipped
+    SNF calls, until that tracer is next changed (ROADMAP item 1a).
+    """
 
 
 class ResourceCapExceeded(SqhError):

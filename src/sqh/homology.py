@@ -4,43 +4,45 @@ The engine is pure stdlib: sparse matrices are dicts of Python ints.
 
 Ranks.  One kernel, `_eliminate`, does every elimination: sparse Gaussian
 elimination with min-degree (Markowitz-style) pivoting on the units of
-the ring.  A pivot of +-1 is a unit over Z and over every field, so each
-matrix is first reduced once over Z (`SparseIntMatrix.unit_reduction`): m
-is equivalent to I_u + R by unimodular row and column operations, and the
-rank of m over Q or F_p is u plus the rank of the small residual R there.
+the ring, Z or Z/p^k.  A pivot of +-1 is a unit over Z and over every
+field, so each matrix is first reduced once over Z
+(`SparseIntMatrix.unit_reduction`): m is equivalent to I_u + R by
+unimodular row and column operations, and the rank of m over Q or F_p is
+u plus the rank of the small residual R there.
 The reduction is cached on the matrix, so every field's rank shares it.
 Over F_p every nonzero entry is a unit, and the same kernel eliminates R
 completely: once for F_p, and for Q modulo primes below 2^31 whose
 product exceeds R's Hadamard bound (see `rank_over_q`).  Every rank is
 exact.
 
-Integral structure comes from a Smith-normal-form routine that first
-eliminates unit pivots by row operations alone and finishes with gcd
-pivoting.  `betti` runs it over the whole chain complex when its
-`snf_cap`, the one torsion switch, is above 0: a cell paired by
-a unit pivot of d_k splits off with its partner (Kaczynski, Mrozek and
-Slusarek, "Homology computation by reduction of chain complexes", 1998),
-so its row of d_{k+1} is dropped.  The SNF shares nothing with the unit
-reduction and differs from it in structure, so `betti`'s SNF-versus-rank
-cross-check compares two independent eliminations.
+Integral structure comes from the same kernel, by p-adic levels (local
+elimination: Dumas, Saunders and Villard, "On efficient sparse integer
+matrix Smith normal form computations", J. Symbolic Computation 32,
+2001).  `betti` is given an order that annihilates the torsion; for an
+orbit complex of a sphere that is |G|, by the transfer.  For each prime p
+of the order, with e its exponent, the full matrix is eliminated modulo
+p^(e+1) on the entries prime to p; the residual is divisible by p, and
+divided by p it is the next level's matrix, modulo p^e.  The pivots at
+level a count the invariant factors of p-valuation a, and the levels over
+the primes assemble the Smith divisors.  The levels run on each full
+matrix and not on the cached unit reduction, so a pivot lost by the
+reduction shows: the levels must sum to the rank over Q and level 0 must
+be the rank mod p, or the complex is declared corrupt.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from math import gcd, prod
+from dataclasses import dataclass
+from math import prod
 from typing import TYPE_CHECKING
 
-from .errors import CorruptComplex, InvalidParameter, SnfTooLarge
+from .errors import CorruptComplex, InvalidParameter
 
 if TYPE_CHECKING:  # pragma: no cover
     from .complexes import OrientedChainComplex, SimplicialComplex
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# The largest number of rows or columns of a matrix whose SNF is taken.
-DEFAULT_SNF_CAP = 5000
 
 
 def is_prime(n: int) -> bool:
@@ -199,14 +201,9 @@ class SparseIntMatrix:
 
 @dataclass(frozen=True)
 class ElementaryDivisors:
-    """Nonzero Smith divisors d_1 | d_2 | ... | d_r of an integer matrix.
-
-    `unit_columns` are the columns `smith_normal_form` paired by unit pivots
-    using row operations alone; they take no part in comparisons.
-    """
+    """Nonzero Smith divisors d_1 | d_2 | ... | d_r of an integer matrix."""
 
     divisors: tuple
-    unit_columns: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -236,25 +233,30 @@ def _pop_min_degree_column(heap, col_rows):
     return None
 
 
-def _eliminate(m: SparseIntMatrix, p: int = 0) -> tuple:
-    """Eliminate the unit pivots of m over Z (p = 0) or F_p; return (pivots, R).
+def _eliminate(m: SparseIntMatrix, p: int = 0, k: int = 1) -> tuple:
+    """Eliminate the unit pivots of m over Z (p = 0) or modulo p^k; return (pivots, R).
 
-    The units are +-1 over Z and every nonzero entry over F_p.  Columns are
-    taken in min-degree order, and each pivots on the shortest of its rows
-    with a unit entry, the lowest index breaking ties.  With pivot v, row r2
-    then loses row2[c] / v times the pivot row, an exact Schur-complement
-    update; the pivot row and column drop out, which the column operations
-    clearing the pivot row would do.  Over Z a column without a unit entry
-    when it is taken stays in R, still updated by later pivots, so m is
-    equivalent to I_pivots + R by unimodular row and column operations; R
-    is the remaining rows and columns, renumbered densely.  Over F_p every
-    column pivots or empties, so R is empty and `pivots` is the rank.
+    The units are +-1 over Z and the entries prime to p modulo p^k, every
+    nonzero one for k = 1.  Columns are taken in min-degree order, and each
+    pivots on the shortest of its rows with a unit entry, the lowest index
+    breaking ties.  With pivot v, row r2 then loses row2[c] / v times the
+    pivot row, an exact Schur-complement update; the pivot row and column
+    drop out, which the column operations clearing the pivot row would do.
+    A column without a unit entry when it is taken stays in R, still
+    updated by later pivots, so m is equivalent to I_pivots + R by
+    invertible row and column operations; R is the remaining rows and
+    columns, renumbered densely.  Over Z a later pivot may leave a unit in
+    such a column.  Modulo p^k it cannot: its entries are multiples of p,
+    and so is every update of them, so all of R is divisible by p and
+    `pivots` counts the invariant factors of m prime to p.  For k = 1, R is
+    empty and `pivots` is the rank over F_p.
     """
+    q = p**k
     rows_map: dict = {}
     col_rows: dict = {}
     for r, c, v in m.iter_entries():
         if p:
-            v %= p
+            v %= q
         if v:
             rows_map.setdefault(r, {})[c] = v
             col_rows.setdefault(c, set()).add(r)
@@ -265,13 +267,18 @@ def _eliminate(m: SparseIntMatrix, p: int = 0) -> tuple:
         c = _pop_min_degree_column(heap, col_rows)
         if c is None:
             break
-        unit_rows = col_rows[c] if p else [rr for rr in col_rows[c] if rows_map[rr][c] in (1, -1)]
+        if not p:
+            unit_rows = [rr for rr in col_rows[c] if rows_map[rr][c] in (1, -1)]
+        elif k == 1:
+            unit_rows = col_rows[c]
+        else:
+            unit_rows = [rr for rr in col_rows[c] if rows_map[rr][c] % p]
         if not unit_rows:
             continue  # out of the heap for good, but still tracked for fill-in
         r = min(unit_rows, key=lambda rr: (len(rows_map[rr]), rr))
         pivot_row = rows_map.pop(r)
         v = pivot_row.pop(c)
-        inv = pow(v, -1, p) if p else v  # +-1 is its own inverse
+        inv = pow(v, -1, q) if p else v  # +-1 is its own inverse
         others = col_rows.pop(c)
         others.discard(r)
         for cc in pivot_row:
@@ -282,11 +289,11 @@ def _eliminate(m: SparseIntMatrix, p: int = 0) -> tuple:
             row2 = rows_map[r2]
             f = row2.pop(c) * inv
             if p:
-                f %= p  # keeps every product below p^2
+                f %= q  # keeps every product below q^2
             for cc, vv in pivot_row.items():
                 nv = row2.get(cc, 0) - f * vv
                 if p:
-                    nv %= p
+                    nv %= q
                 if nv:
                     if cc not in row2:
                         col_rows[cc].add(r2)
@@ -365,159 +372,69 @@ def rank_over_q(m: SparseIntMatrix) -> int:
     return units + _rank_over_q_modular(residual)
 
 
-def _divisor_chain(values) -> tuple:
-    """Normalize a diagonal multiset into the Smith divisibility chain."""
-    ones = sum(1 for v in values if abs(v) == 1)
-    rest = sorted(abs(v) for v in values if abs(v) > 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rest)):
-            for j in range(i + 1, len(rest)):
-                if rest[j] % rest[i]:
-                    g = gcd(rest[i], rest[j])
-                    rest[i], rest[j] = g, rest[i] * rest[j] // g
-                    changed = True
-        rest.sort()
-    rest = [d for d in rest if d > 1]
-    extra_ones = sum(1 for v in values if abs(v) > 1) - len(rest)
-    return tuple([1] * (ones + extra_ones) + rest)
+def _p_adic_levels(m: SparseIntMatrix, p: int, e: int) -> tuple:
+    """(n_0, ..., n_e): the number of invariant factors of m of p-valuation a, for a <= e.
 
-
-def smith_normal_form(m: SparseIntMatrix, cap: int = DEFAULT_SNF_CAP, *, drop_rows=frozenset()) -> ElementaryDivisors:
-    """Divisibility chain of m, with the rows in `drop_rows` left out.
-
-    Phase one eliminates +-1 pivots by row operations alone: columns are
-    taken in min-degree order, each pivots on its shortest row among its
-    unit entries, and the pivot row and column drop out as a Schur-complement
-    update (the column operations clearing the pivot row change nothing
-    else).  A column with no unit entry when it is taken waits for phase
-    two, which finishes whatever is left by classical gcd pivoting, with row
-    and column operations.  The phase-one pivot columns are returned as
-    `unit_columns`.
-
-    Rows may be dropped only where that keeps the divisors: when m is d_{k+1}
-    of a chain complex and `drop_rows` are the `unit_columns` of the SNF of
-    d_k.  A unit pivot (a, b) of d_k taken by row operations splits the
-    complex as C' + (Z -> Z), with the k-cell b paired to the new basis
-    vector of C_{k-1} that d_k(b) spans.  In C', d_{k+1} is d_{k+1} without
-    row b, and dd = 0 makes row b an integer combination of the others.  The
-    cap applies to the shape of m, dropped rows included.
+    Level a eliminates the units of its matrix modulo p^(e+1-a): level 0
+    takes m itself, modulo p^(e+1), and each level's residual, divided by
+    p, is the next level's matrix; once a residual is empty, the levels
+    left count nothing.  Factors of valuation above e vanish modulo
+    p^(e+1) and are not counted.
     """
-    if m.rows > cap or m.cols > cap:
-        raise SnfTooLarge(f"{m.rows}x{m.cols} exceeds SNF cap {cap}x{cap}")
-    rows_map: dict = {}
-    col_rows: dict = {}
-    for r, c, v in m.iter_entries():
-        if r not in drop_rows:
-            rows_map.setdefault(r, {})[c] = v
-            col_rows.setdefault(c, set()).add(r)
-    diagonal = []
-
-    def row_op(r2, q, pivot_items):
-        # row r2 -= q * pivot row
-        row2 = rows_map[r2]
-        for cc, vv in pivot_items:
-            nv = row2.get(cc, 0) - q * vv
-            if nv:
-                if cc not in row2 and cc in col_rows:
-                    col_rows[cc].add(r2)
-                row2[cc] = nv
-            else:
-                if cc in row2:
-                    del row2[cc]
-                    if cc in col_rows:
-                        col_rows[cc].discard(r2)
-        if not row2:
-            del rows_map[r2]
-
-    def col_op(c2, q, c_piv):
-        # column c2 -= q * pivot column
-        for rr in list(col_rows.get(c_piv, ())):
-            vv = rows_map[rr][c_piv]
-            row = rows_map[rr]
-            nv = row.get(c2, 0) - q * vv
-            if nv:
-                if c2 not in row and c2 in col_rows:
-                    col_rows[c2].add(rr)
-                row[c2] = nv
-            else:
-                if c2 in row:
-                    del row[c2]
-                    if c2 in col_rows:
-                        col_rows[c2].discard(rr)
-
-    def eliminate(r, c):
-        # clear column c by row operations; it is then a singleton, so the
-        # column operations clearing row r only touch row r: drop both
-        v = rows_map[r][c]
-        pivot_items = list(rows_map[r].items())
-        for r2 in sorted(col_rows[c] - {r}):
-            row_op(r2, rows_map[r2][c] // v, pivot_items)
-        row_r = rows_map.pop(r)
-        for cc in row_r:
-            if cc in col_rows:
-                col_rows[cc].discard(r)
-        col_rows.pop(c, None)
-        diagonal.append(v)
-
-    # phase one: unit pivots, row operations only
-    unit_columns = []
-    heap = [(len(rs), c) for c, rs in col_rows.items()]
-    heapq.heapify(heap)
-    while True:
-        c = _pop_min_degree_column(heap, col_rows)
-        if c is None:
+    levels = [0] * (e + 1)
+    for a in range(e + 1):
+        levels[a], residual = _eliminate(m, p, e + 1 - a)
+        if not residual.nnz:
             break
-        unit_rows = [rr for rr in col_rows[c] if rows_map[rr][c] in (1, -1)]
-        if not unit_rows:
-            continue  # out of the heap, left for phase two
-        eliminate(min(unit_rows, key=lambda rr: (len(rows_map[rr]), rr)), c)
-        unit_columns.append(c)
-
-    # phase two: gcd pivoting on what is left
-    heap = []
-    while True:
-        c = _pop_min_degree_column(heap, col_rows)
-        if c is None:
-            # phase one leaves columns off the heap, and the gcd dance can
-            # move a pivot off its heap column, orphaning it
-            live = {cc: rs for cc, rs in col_rows.items() if rs}
-            if live:
-                col_rows.clear()
-                col_rows.update(live)
-                heap = [(len(rs), cc) for cc, rs in col_rows.items()]
-                heapq.heapify(heap)
-                continue
-            break
-        r = min(
-            col_rows[c],
-            key=lambda rr: (abs(rows_map[rr][c]) != 1, abs(rows_map[rr][c]), len(rows_map[rr]), rr),
+        m = SparseIntMatrix.from_columns(
+            residual.rows,
+            residual.cols,
+            {j: {r: v // p for r, v in residual.column(j).items()} for j in range(residual.cols)},
         )
-        # gcd dance: shrink the pivot until it divides its column and row
-        while True:
-            v = rows_map[r][c]
-            moved = False
-            for r2 in sorted(col_rows[c] - {r}):
-                a = rows_map[r2][c]
-                if a % v:
-                    row_op(r2, a // v, list(rows_map[r].items()))
-                    r = r2
-                    moved = True
-                    break
-            if moved:
-                continue
-            for c2 in sorted(set(rows_map[r]) - {c}):
-                b = rows_map[r][c2]
-                if b % v:
-                    col_op(c2, b // v, c)
-                    c = c2
-                    moved = True
-                    break
-            if not moved:
-                break
-        eliminate(r, c)
-    return ElementaryDivisors(_divisor_chain(diagonal), frozenset(unit_columns))
+    return tuple(levels)
+
+
+def _rank(m: SparseIntMatrix, p: int, ranks: dict) -> int:
+    """m's rank over Q (p = 0) or F_p, taken once per `ranks` memo."""
+    if p not in ranks:
+        ranks[p] = rank_mod_p(m, p) if p else rank_over_q(m)
+    return ranks[p]
+
+
+def smith_normal_form(m: SparseIntMatrix, order: int, ranks: dict | None = None) -> ElementaryDivisors:
+    """Divisibility chain of m, when `order` annihilates the torsion of m's cokernel.
+
+    Every divisor then divides `order`, so its exponent at each prime p of
+    `order` is at most e = v_p(order), and the p-adic levels 0..e
+    (`_p_adic_levels`) count its factors by valuation.  The rank r comes
+    from `rank_over_q`; the i-th divisor is the product over p of p to the
+    i-th smallest of the r valuations at p.  Raises CorruptComplex, naming
+    p, unless at each p the levels sum to r and level 0 equals
+    `rank_mod_p(m, p)`: a factor above p^e, a pivot lost at some level,
+    or one lost by the unit reduction that both ranks share.  `ranks`
+    (0 for Q, else p, to m's rank there) shares those ranks with the
+    caller: each is taken only if it is not there, and stored.
+    """
+    ranks = {} if ranks is None else ranks
+    rank = _rank(m, 0, ranks)
+    divisors = [1] * rank
+    for p, e in prime_factors(order).items():
+        levels = _p_adic_levels(m, p, e)
+        if sum(levels) != rank:
+            raise CorruptComplex(
+                f"the levels mod {p}^{e + 1} count {sum(levels)} invariant factors, the rank over Q is {rank}"
+            )
+        rank_p = _rank(m, p, ranks)
+        if levels[0] != rank_p:
+            raise CorruptComplex(
+                f"level 0 mod {p}^{e + 1} has {levels[0]} pivots, the rank mod {p} is {rank_p}"
+            )
+        i = levels[0]
+        for a, count in enumerate(levels[1:], 1):
+            for j in range(i, i + count):
+                divisors[j] *= p**a
+            i += count
+    return ElementaryDivisors(tuple(divisors))
 
 
 @dataclass(frozen=True)
@@ -560,20 +477,20 @@ class BettiTable:
         return out
 
 
-def betti(chain: "OrientedChainComplex", fields, *, snf_cap: int = DEFAULT_SNF_CAP) -> BettiTable:
+def betti(chain: "OrientedChainComplex", fields, *, order: int = 0) -> BettiTable:
     """Exact Betti numbers of a chain complex over each requested field.
 
     b_k = rank C_k - rank d_k - rank d_{k+1}, every rank exact (see
-    `rank_mod_p` and `rank_over_q`).  `snf_cap` is the one torsion switch.
-    At 0 no Smith normal form is taken and no torsion is reported.  Above
-    0, each boundary matrix with at most `snf_cap` rows and columns gets
-    its SNF, and the Betti numbers are cross-derived from the elementary
-    divisors wherever they exist; both derivations must agree or the
-    complex is declared corrupt.  Torsion is reported when every matrix
-    fits under the cap.  The SNF of d_{k+1} leaves out the rows of the
-    k-cells that the SNF of d_k paired by unit pivots (see
-    `smith_normal_form`); after a matrix over the cap nothing is left out.
-    The Euler characteristic and, when Q is among the fields, the
+    `rank_mod_p` and `rank_over_q`) and taken once per matrix and field.
+    `order` asks for torsion: at 0 no Smith normal form is taken and none
+    is reported.  Above 0 it must annihilate the torsion of
+    H_*(chain; Z), as |G| does for an orbit complex of a sphere; each
+    boundary matrix gets its SNF (`smith_normal_form`), whose checks tie
+    it to the ranks over Q and at the primes of `order`, and raise
+    CorruptComplex naming the prime and the degree.  At each requested
+    prime not dividing `order` the ranks must equal the SNF's, the rank
+    over Q: torsion at such a prime is more than `order` annihilates.  The
+    Euler characteristic and, when Q is among the fields, the
     universal-coefficient inequalities b_k(F_p) >= b_k(Q) are checked too.
     """
     fields = tuple(fields)
@@ -583,43 +500,31 @@ def betti(chain: "OrientedChainComplex", fields, *, snf_cap: int = DEFAULT_SNF_C
     ranks = tuple(chain.ranks)
     boundaries = tuple(chain.boundaries)
     d = len(ranks) - 1
+    memos = [{} for _ in boundaries]  # per matrix: 0 (Q) or p -> its rank there
 
-    snf: list[ElementaryDivisors | None] = [None] * len(boundaries)
-    if snf_cap:
-        # the cells paired by unit pivots one degree down: their rows split off
-        paired = frozenset()
+    snf = None
+    if order:
+        snf = []
         for k, mat in enumerate(boundaries):
             try:
-                snf[k] = smith_normal_form(mat, cap=snf_cap, drop_rows=paired)
-            except SnfTooLarge:
-                paired = frozenset()
-            else:
-                paired = snf[k].unit_columns
-    snf.append(ElementaryDivisors(()))  # d_{d+1} = 0
+                snf.append(smith_normal_form(mat, order, memos[k]))
+            except CorruptComplex as e:
+                raise CorruptComplex(f"SNF of d_{k}: {e}") from None
 
     entries = []
     for field in fields:
-        if field.is_rationals:
-            mat_rank = [rank_over_q(mat) for mat in boundaries]
-        else:
-            mat_rank = [rank_mod_p(mat, field.p) for mat in boundaries]
+        p = field.p or 0
+        mat_rank = [_rank(mat, p, memo) for mat, memo in zip(boundaries, memos)]
+        if snf is not None and p and order % p:
+            snf_rank = [s.rank_mod(p) for s in snf]
+            if snf_rank != mat_rank:
+                raise CorruptComplex(
+                    f"ranks of d_k over {field.label()} are {mat_rank}, the SNF gives {snf_rank}"
+                )
         mat_rank.append(0)  # rank of d_{d+1} = 0
         bs = tuple(ranks[k] - mat_rank[k] - mat_rank[k + 1] for k in range(d + 1))
         if any(b < 0 for b in bs):
             raise CorruptComplex(f"negative Betti number over {field.label()}: {bs}")
-        # cross-check against the integral structure wherever SNF ran
-        for k in range(d + 1):
-            sk, sk1 = snf[k], snf[k + 1]
-            if sk is None or sk1 is None:
-                continue
-            if field.is_rationals:
-                b_snf = ranks[k] - sk.rank - sk1.rank
-            else:
-                b_snf = ranks[k] - sk.rank_mod(field.p) - sk1.rank_mod(field.p)
-            if b_snf != bs[k]:
-                raise CorruptComplex(
-                    f"rank-derived b_{k}={bs[k]} disagrees with SNF-derived {b_snf} over {field.label()}"
-                )
         entries.append((field, bs))
 
     chi = sum((-1) ** k * ranks[k] for k in range(d + 1))
@@ -632,9 +537,8 @@ def betti(chain: "OrientedChainComplex", fields, *, snf_cap: int = DEFAULT_SNF_C
             if not f.is_rationals and any(bp < bq for bp, bq in zip(bs, qrow)):
                 raise CorruptComplex("b_k(F_p) < b_k(Q) violates universal coefficients")
 
-    torsion = None
-    if all(s is not None for s in snf):
-        torsion = tuple(s.torsion() for s in snf[1:])
+    # H_k's torsion is that of the cokernel of d_{k+1}; d_{d+1} = 0
+    torsion = None if snf is None else tuple(s.torsion() for s in snf[1:]) + ((),)
     return BettiTable(tuple(entries), torsion)
 
 
@@ -646,7 +550,7 @@ def relative_betti(chain: "OrientedChainComplex", sub: "SimplicialComplex", fiel
     K may also be an orbit chain complex, whose labels are the orbits'
     least simplices, and L a subcomplex fixed pointwise by the group.
     """
-    return betti(_relative_chain(chain, sub), fields, snf_cap=0)
+    return betti(_relative_chain(chain, sub), fields)
 
 
 def _relative_chain(

@@ -38,8 +38,9 @@ from .bounds import (
 )
 from .complexes import SimplicialComplex, chain_complex, subdivided_f_vector
 from .errors import CorruptComplex, InvalidParameter, ResourceCapExceeded
-from .homology import DEFAULT_SNF_CAP, F2, F3, F5, BettiTable, FieldSpec, RATIONALS, betti, prime_factors
+from .homology import F2, F3, F5, BettiTable, FieldSpec, RATIONALS, betti, prime_factors
 from .models import (
+    DEFAULT_MAX_FACTOR,
     AbelianCharacterData,
     SignedPermutation,
     character_join_model,
@@ -49,6 +50,10 @@ from .models import (
 
 DEFAULT_SIMPLEX_CAP = 2_000_000
 DEFAULT_FIELDS = ("Q", "Fp:2", "Fp:3", "Fp:5")
+# A scenario's `snf_cap` is a torsion switch: 0 is off, any other value on.
+# Its default and its integer type are kept from when it bounded the
+# matrices whose Smith normal form was taken, so old scenario JSON reads.
+DEFAULT_SNF_CAP = 5000
 KNOWN_CHECKS = ("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "cover_e1", "evaluate_all")
 
 
@@ -70,7 +75,8 @@ def simplex_cap() -> int:
 class Scenario:
     """One run's input.  Every rank is exact, so nothing is random: `seed`
     is a label echoed in the report and seeds nothing, and the JSON form
-    carries `"certified": true`, the only value it accepts."""
+    carries `"certified": true`, the only value it accepts.  `snf_cap` > 0
+    asks for torsion, at any size; 0 asks for none (see `run_scenario`)."""
 
     name: str
     space: dict                     # exactly one of the three variants
@@ -225,6 +231,9 @@ def build_model(scenario: Scenario) -> ModelBundle:
         _integer(_entry(raw, "vertex_count", f"{kind} complex"), "vertex_count"),
         _integer_lists(_entry(raw, "facets", f"{kind} complex"), "facets"),
     )
+    # no sphere is empty, and S^-1 would have no dimension to be checked in
+    if not complex_.facets:
+        raise InvalidParameter("field 'facets' must hold at least one nonempty facet")
     # the group's vertex tuples are sized by vertex_count, which no simplex cap bounds
     used = {v for f in complex_.facets for v in f}
     if len(used) < complex_.vertex_count:
@@ -265,19 +274,20 @@ def _quotient_table(
 ) -> BettiTable:
     """H_*(X/G) over each field, by one of two routes.
 
-    With torsion asked for (`snf_cap` > 0), the Betti numbers and the torsion
-    both come from the orbit chain complex at the admissible subdivision,
-    `orbit_chain_complex(admissible_subdivision(action))`, which the checks
-    share, and the simplicial quotient is not read.  The Lefschetz oracles
-    (`_check_lefschetz_oracles`) then check that table against the model and
-    the group alone.  With `snf_cap` 0, as in the sweep, the Betti numbers
+    With torsion asked for (`snf_cap` > 0, a switch), the Betti numbers and
+    the torsion both come from the orbit chain complex at the admissible
+    subdivision, `orbit_chain_complex(admissible_subdivision(action))`,
+    which the checks share, and the simplicial quotient is not read.  |G|
+    annihilates that complex's torsion, by the transfer, so it is the order
+    `betti` takes.  The Lefschetz oracles (`_check_lefschetz_oracles`) then
+    check that table against the model and the group alone.  With `snf_cap` 0, as in the sweep, the Betti numbers
     come from the simplicial quotient and no torsion is taken; that route
     stays until the sweep moves to the orbit complex too (ROADMAP item 1).
     """
     if scenario.snf_cap == 0:
-        return betti(chain_complex(quotient), fields, snf_cap=0)
+        return betti(chain_complex(quotient), fields)
     orbit = orbit_chain_complex(admissible_subdivision(action))
-    table = betti(orbit, fields, snf_cap=scenario.snf_cap)
+    table = betti(orbit, fields, order=action.order)
     _check_lefschetz_oracles(action, n, orbit.ranks, table)
     return table
 
@@ -336,6 +346,26 @@ def _check_sphere(n: int, table: BettiTable) -> None:
             )
 
 
+def _check_torsion_free(chain) -> None:
+    """InvalidParameter naming 'complex' unless H_*(X; Z) is certified torsion-free.
+
+    By the transfer |G| annihilates the torsion of H_*(X/G; Z) only when
+    H_*(X; Z) has none, and torsion needs that order.  The certificate is
+    the +-1 reduction that the model's ranks already took: when it leaves
+    no residual, each boundary matrix is equivalent to I_u over Z.  Every
+    complex with torsion fails it, an integral homology sphere in
+    principle could too, though no sphere built or drawn here has.
+    """
+    for k, mat in enumerate(chain.boundaries):
+        residual = mat.unit_reduction()[1]
+        if residual.nnz:
+            raise InvalidParameter(
+                f"field 'complex' is not certified free of integral torsion, which torsion "
+                f"(snf_cap > 0) needs: the +-1 reduction of d_{k} leaves a "
+                f"{residual.rows} x {residual.cols} residual"
+            )
+
+
 def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float | None = None) -> dict:
     """Execute the full pipeline and return the run report as a dict.
 
@@ -349,20 +379,23 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     last one included, and the size of a signed-permutation model before it
     is built.
 
-    A run that asks for torsion (`snf_cap` > 0) takes its Betti numbers and
-    torsion from the orbit chain complex at the admissible subdivision,
+    A run that asks for torsion (`snf_cap` > 0, a switch: no size is
+    capped) takes its Betti numbers and torsion from the orbit chain
+    complex at the admissible subdivision,
     `orbit_chain_complex(admissible_subdivision(action))`, which the checks
-    share; `snf_cap` bounds that complex's matrices, and no rank of the
-    simplicial quotient is taken.  The Lefschetz oracles check the table
-    against the model and the group alone, and raise CorruptComplex naming
-    the one that fails (see `_check_lefschetz_oracles`).  An `snf_cap` of 0
-    asks for no torsion: the Betti numbers come from the simplicial
-    quotient, no SNF is taken, and no orbit complex is built for them (see
-    `_quotient_table`).
+    share, with `action.order` as the order that annihilates its torsion;
+    no rank of the simplicial quotient is taken.  The Lefschetz oracles
+    check the table against the model and the group alone, and raise
+    CorruptComplex naming the one that fails (see
+    `_check_lefschetz_oracles`).  An `snf_cap` of 0 asks for no torsion:
+    the Betti numbers come from the simplicial quotient, no SNF is taken,
+    and no orbit complex is built for them (see `_quotient_table`).
 
     The model's Betti numbers are taken before its quotient; an `explicit`
-    complex whose Betti numbers are not those of S^{n-1} over every field
-    raises InvalidParameter naming 'complex'.  The checks and
+    complex whose Betti numbers are not those of S^{n-1} over every field,
+    or, when torsion is asked for, whose integral homology is not
+    certified torsion-free (`_check_torsion_free`), raises
+    InvalidParameter naming 'complex'.  The checks and
     `evaluate_all` follow the quotient.  A quotient that is not simplicial
     at a forced depth raises NeedsSubdivision, a depth past the cap
     ResourceCapExceeded.  A budget must be 0 or more seconds.
@@ -384,9 +417,12 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
 
     fields = scenario.field_specs()
     t0 = time.perf_counter()
-    model_table = betti(chain_complex(action.complex), fields, snf_cap=0)
+    model_chain = chain_complex(action.complex)
+    model_table = betti(model_chain, fields)
     if scenario.kind == "explicit":
         _check_sphere(bundle.ambient_n, model_table)
+        if scenario.snf_cap:
+            _check_torsion_free(model_chain)
     stage("model_betti", t0)
 
     t0 = time.perf_counter()
@@ -608,8 +644,9 @@ def builtin(name: str, *params) -> Scenario:
         )
     if name == "dihedral_on_s1":
         (m,) = params
-        if m < 3:
-            raise InvalidParameter("dihedral_on_s1(m) needs m >= 3")
+        # the explicit route's cost grows about as m^3
+        if not 3 <= m <= DEFAULT_MAX_FACTOR:
+            raise InvalidParameter(f"dihedral_on_s1(m) supports 3 <= m <= {DEFAULT_MAX_FACTOR}")
         rotation = tuple((i + 1) % m for i in range(m))
         reflection = tuple((-i) % m for i in range(m))
         from .complexes import polygon
@@ -754,16 +791,19 @@ def sweep(
     """Run the randomized abelian sweep and return the summary report.
 
     The field labels are checked up front, by the rules of `Scenario`, so a
-    sweep of no samples refuses them too.
+    sweep of no samples refuses them too.  `jobs` bounds the worker
+    processes, which are also no more than the scenarios or the CPUs.
     """
     _check_field_labels(fields)
     if not 1 <= n_max <= 6:
         raise InvalidParameter(f"sweep needs 1 <= n_max <= 6, got {n_max}")
     scenarios, rejected = sweep_scenarios(n_max, samples, seed, fields, max_model_simplices)
-    if jobs > 1 and scenarios:
+    # a process pool forks all of its workers at the first submit
+    workers = min(jobs, len(scenarios), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, scenarios))
     else:
         rows = [_sweep_one(s) for s in scenarios]

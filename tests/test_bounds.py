@@ -171,8 +171,8 @@ def observation_for(action, n, fields, scenario_id, data=None):
     from sqh.actions import best_abelian_normal_subgroup
 
     res = make_admissible_and_quotient(action)
-    quotient_table = betti(chain_complex(res.complex), fields, snf_cap=16384)
-    model_table = betti(chain_complex(action.complex), fields, snf_cap=16384)
+    quotient_table = betti(chain_complex(res.complex), fields, order=action.order)
+    model_table = betti(chain_complex(action.complex), fields, order=1)
     full = action.full_subgroup()
     normal = best_abelian_normal_subgroup(action)
     cover = cover_e1_total(data).total if data is not None else None

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from conftest import octahedron, random_small_complex, rp2_minimal
+from snf_oracle import annihilating_order, gcd_smith_normal_form
 from test_acceptance import CORPUS_SCENARIOS
 from sqh.complexes import (
     OrientedChainComplex,
@@ -15,7 +16,7 @@ from sqh.complexes import (
     full_subcomplex,
     polygon,
 )
-from sqh.errors import CorruptComplex, InvalidParameter, SnfTooLarge
+from sqh.errors import CorruptComplex, InvalidParameter
 from sqh import homology
 from sqh.actions import admissible_subdivision, make_admissible_and_quotient, orbit_chain_complex
 from sqh.homology import (
@@ -154,10 +155,10 @@ def _count_prime_eliminations(monkeypatch) -> list:
     calls = []
     original = homology._eliminate
 
-    def counting(m, p=0):
+    def counting(m, p=0, k=1):
         if p:
             calls.append(p)
-        return original(m, p)
+        return original(m, p, k)
 
     monkeypatch.setattr(homology, "_eliminate", counting)
     return calls
@@ -195,16 +196,60 @@ def test_rank_mod_p_lower_bounds_rational_rank():
 
 
 def test_snf_examples():
-    assert smith_normal_form(from_dense([[2, 0], [0, 3]])).divisors == (1, 6)
-    assert smith_normal_form(from_dense([[1, 0], [0, 1]])).divisors == (1, 1)
+    assert smith_normal_form(from_dense([[2, 0], [0, 3]]), 6).divisors == (1, 6)
+    assert smith_normal_form(from_dense([[1, 0], [0, 1]]), 1).divisors == (1, 1)
     d1 = chain_complex(polygon(4)).boundaries[1]
-    assert smith_normal_form(d1).divisors == (1, 1, 1)
+    assert smith_normal_form(d1, 1).divisors == (1, 1, 1)
 
 
 def test_snf_known_torsion_cases():
-    assert smith_normal_form(from_dense([[2, 4], [6, 8]])).divisors == (2, 4)
-    assert smith_normal_form(from_dense([[4, 0], [0, 6]])).divisors == (2, 12)
-    assert smith_normal_form(from_dense([[0, 0], [0, 0]])).divisors == ()
+    assert smith_normal_form(from_dense([[2, 4], [6, 8]]), 4).divisors == (2, 4)
+    assert smith_normal_form(from_dense([[4, 0], [0, 6]]), 12).divisors == (2, 12)
+    assert smith_normal_form(from_dense([[0, 0], [0, 0]]), 12).divisors == ()
+    # any multiple of the largest divisor will do: more levels find nothing more
+    assert smith_normal_form(from_dense([[4, 0], [0, 6]]), 2**5 * 3**2 * 7).divisors == (2, 12)
+
+
+@pytest.mark.parametrize(
+    "rows, order, message",
+    [
+        ([[4]], 2, "the levels mod 2\\^2 count 0 invariant factors, the rank over Q is 1"),
+        ([[2, 0], [0, 9]], 6, "the levels mod 3\\^2 count 1 invariant factors, the rank over Q is 2"),
+    ],
+    ids=["exponent_too_small", "second_prime_too_small"],
+)
+def test_snf_order_that_does_not_annihilate_is_caught(rows, order, message):
+    """A divisor past p^e vanishes modulo p^(e+1), so the levels miss it."""
+    with pytest.raises(CorruptComplex, match=message):
+        smith_normal_form(from_dense(rows), order)
+
+
+def test_prime_outside_the_order_is_caught_by_the_rank_cross_check():
+    """The levels only see the order's primes, so d_1 = (5) passes as (1) at
+    order 2; betti's ranks over F_5 do not."""
+    d1 = from_dense([[5]])
+    assert smith_normal_form(d1, 2).divisors == (1,)
+    chain = OrientedChainComplex((1, 1), (SparseIntMatrix(0, 1), d1), (((0,),), ((1,),)))
+    assert betti(chain, [F5], order=5).torsion == ((5,), ())
+    with pytest.raises(CorruptComplex, match="over Fp:5"):
+        betti(chain, [F5], order=2)
+
+
+def test_betti_takes_each_rank_once(monkeypatch):
+    """The SNF and the Betti rows share one rank per matrix and field: over
+    Q and F_5, the order's prime, the SNF's ranks are the ones betti reads."""
+    calls = []
+    for name in ("rank_over_q", "rank_mod_p"):
+        original = getattr(homology, name)
+        monkeypatch.setattr(
+            homology, name, lambda m, *p, _f=original, _n=name: calls.append((_n, id(m)) + p) or _f(m, *p)
+        )
+    chain = _lens52_quotient_chain()
+    table = betti(chain, [RATIONALS, F2, F3, F5], order=5)
+    assert table.torsion == ((), (5,), (), ())
+    n = len(chain.boundaries)
+    assert len(calls) == len(set(calls)) == 4 * n
+    assert sum(1 for c in calls if c[0] == "rank_over_q") == n
 
 
 def test_snf_chain_and_rank_consistency():
@@ -212,7 +257,9 @@ def test_snf_chain_and_rank_consistency():
     for _ in range(40):
         rows = random_dense(rng, rng.randint(1, 6), rng.randint(1, 6), lo=-6, hi=6)
         m = from_dense(rows)
-        ed = smith_normal_form(m)
+        want = gcd_smith_normal_form(m)
+        ed = smith_normal_form(m, annihilating_order([want]))
+        assert ed == want
         assert ed.rank == rank_over_q(m)
         for i in range(1, len(ed.divisors)):
             assert ed.divisors[i] % ed.divisors[i - 1] == 0
@@ -220,28 +267,23 @@ def test_snf_chain_and_rank_consistency():
             assert ed.rank_mod(p) == rank_mod_p(m, p)
 
 
-def test_snf_cap():
-    with pytest.raises(SnfTooLarge):
-        smith_normal_form(SparseIntMatrix(10, 10, {}), cap=5)
-
-
 def test_betti_octahedron():
-    table = betti(chain_complex(octahedron()), [RATIONALS, F2, F3])
+    table = betti(chain_complex(octahedron()), [RATIONALS, F2, F3], order=1)
     for f in (RATIONALS, F2, F3):
         assert table.betti(f) == (1, 0, 1)
     assert table.torsion == ((), (), ())
 
 
 def test_betti_rp2_fixture():
-    table = betti(chain_complex(rp2_minimal()), [RATIONALS, F2, F3])
+    table = betti(chain_complex(rp2_minimal()), [RATIONALS, F2, F3], order=2)
     assert table.betti(F2) == (1, 1, 1)
     assert table.betti(RATIONALS) == (1, 0, 0)
     assert table.betti(F3) == (1, 0, 0)
     assert table.torsion == ((), (2,), ())
 
 
-def test_betti_without_snf_cap_falls_back():
-    table = betti(chain_complex(rp2_minimal()), [F2], snf_cap=2)
+def test_betti_without_order_reports_no_torsion():
+    table = betti(chain_complex(rp2_minimal()), [F2])
     assert table.betti(F2) == (1, 1, 1)
     assert table.torsion is None
 
@@ -303,7 +345,7 @@ def test_field_spec():
 
 
 def test_betti_table_serialization():
-    table = betti(chain_complex(rp2_minimal()), [RATIONALS, F2])
+    table = betti(chain_complex(rp2_minimal()), [RATIONALS, F2], order=2)
     rows = table.to_json()
     assert rows[0]["field"] == "Q"
     assert rows[1]["field"] == "Fp:2"
@@ -481,7 +523,9 @@ def test_snf_rank_mod_matches_rank_mod_p_property():
     @hypothesis.given(_matrices(hypothesis.strategies))
     def check(rows):
         m = from_dense(rows)
-        ed = smith_normal_form(m)
+        want = gcd_smith_normal_form(m)
+        ed = smith_normal_form(m, annihilating_order([want]))
+        assert ed == want
         assert ed.rank == rank_over_q(m)
         for p in (2, 3, 5):
             assert ed.rank_mod(p) == rank_mod_p(m, p)
@@ -493,14 +537,14 @@ def test_unit_reduction_runs_once_per_matrix(monkeypatch):
     reduced = []
     original = homology._eliminate
 
-    def counting(m, p=0):
+    def counting(m, p=0, k=1):
         if not p:
             reduced.append(id(m))
-        return original(m, p)
+        return original(m, p, k)
 
     monkeypatch.setattr(homology, "_eliminate", counting)
     cc = chain_complex(rp2_minimal())
-    betti(cc, [RATIONALS, F2, F3, F5])
+    betti(cc, [RATIONALS, F2, F3, F5], order=2)
     betti(cc, [F5, F3])
     for m in cc.boundaries:
         rank_over_q(m)
@@ -516,39 +560,69 @@ def test_corrupted_unit_reduction_is_caught(monkeypatch):
     original = homology._eliminate
     fields = builtin("lens", 5, 2).field_specs()
 
-    def unsigned(m, p=0):  # every sign dropped from the Schur updates' input over Z
+    def unsigned(m, p=0, k=1):  # every sign dropped from the Schur updates' input over Z
         if p:
-            return original(m, p)
+            return original(m, p, k)
         columns = {j: {r: abs(v) for r, v in m.column(j).items()} for j in range(m.cols)}
         return original(SparseIntMatrix.from_columns(m.rows, m.cols, columns))
 
     monkeypatch.setattr(homology, "_eliminate", unsigned)
     with pytest.raises(CorruptComplex):
-        betti(_lens52_quotient_chain(), fields)
+        betti(_lens52_quotient_chain(), fields, order=5)
 
 
 def test_lost_unit_pivot_is_caught_by_snf_alone(monkeypatch):
     """A pivot the reduction loses lowers every field's rank alike, so the
     Betti numbers stay nonnegative and consistent with one another; only the
-    Smith normal form sees it, since its own elimination shares nothing with
-    the reduction."""
+    Smith normal form sees it, since its levels eliminate each full matrix
+    modulo p^(e+1) and never read the reduction."""
     original = homology._eliminate
     fields = builtin("lens", 5, 2).field_specs()
 
-    def lossy(m, p=0):  # over Z only
+    def lossy(m, p=0, k=1):  # over Z only
         if p:
-            return original(m, p)
+            return original(m, p, k)
         units, residual = original(m)
         return max(units - 1, 0), residual
 
     monkeypatch.setattr(homology, "_eliminate", lossy)
-    wrong = betti(_lens52_quotient_chain(), fields, snf_cap=0)
+    wrong = betti(_lens52_quotient_chain(), fields)
     assert wrong.betti(RATIONALS) != (1, 0, 0, 1)
-    with pytest.raises(CorruptComplex, match="SNF"):
-        betti(_lens52_quotient_chain(), fields)
+    with pytest.raises(CorruptComplex, match="SNF of d_1: the levels mod 5\\^2 count 1 invariant factors, the rank over Q is 0"):
+        betti(_lens52_quotient_chain(), fields, order=5)
 
 
-# -- the chained SNF: rows of cells paired one degree down are dropped -------
+def test_dropped_pivot_at_a_level_is_caught(monkeypatch):
+    """One pivot fewer at level 1, where H_1(L(5,2)) = Z/5 puts d_2's divisor 5:
+    the levels no longer sum to the rank over Q."""
+    original = homology._p_adic_levels
+    fields = builtin("lens", 5, 2).field_specs()
+    table = betti(_lens52_quotient_chain(), fields, order=5)
+    assert table.torsion == ((), (5,), (), ())
+
+    def dropping(m, p, e):
+        levels = original(m, p, e)
+        return levels[:1] + tuple(max(n - 1, 0) for n in levels[1:])
+
+    monkeypatch.setattr(homology, "_p_adic_levels", dropping)
+    with pytest.raises(CorruptComplex, match="SNF of d_2: the levels mod 5\\^2 count"):
+        betti(_lens52_quotient_chain(), fields, order=5)
+
+
+def test_pivot_moved_to_level_zero_is_caught(monkeypatch):
+    """The same divisor 5 counted at level 0: the sum holds, and level 0 exceeds the rank mod 5."""
+    original = homology._p_adic_levels
+
+    def moving(m, p, e):
+        levels = original(m, p, e)
+        return (sum(levels),) + (0,) * e
+
+    monkeypatch.setattr(homology, "_p_adic_levels", moving)
+    with pytest.raises(CorruptComplex, match="SNF of d_2: level 0 mod 5\\^2 has 6 pivots, the rank mod 5 is 5"):
+        betti(_lens52_quotient_chain(), builtin("lens", 5, 2).field_specs(), order=5)
+
+
+# -- the SNF that betti takes, against the gcd oracle -----------------------
 
 def _random_unimodular(rng, n):
     """(U, U^-1), dense: a product of random row negations and row additions."""
@@ -576,7 +650,7 @@ def _rebased(cc, rng):
     """cc with every C_k re-based by a random unimodular U_k: d_k becomes U_{k-1}^-1 d_k U_k.
 
     dd = 0 and each matrix's elementary divisors are kept, while the entries
-    stop being +-1, so phase two of the SNF has work to do."""
+    stop being +-1, so the levels past the unit pivots have work to do."""
     bases = [_random_unimodular(rng, r) for r in cc.ranks]
     boundaries = [cc.boundaries[0]]
     for k in range(1, len(cc.ranks)):
@@ -585,7 +659,7 @@ def _rebased(cc, rng):
     return OrientedChainComplex(cc.ranks, tuple(boundaries), cc.basis_labels)
 
 
-def _chained_snf(cc) -> list:
+def _chained_snf(cc, order) -> list:
     """The elementary divisors `betti` finds for each boundary matrix of cc."""
     got = []
     original = homology.smith_normal_form
@@ -596,59 +670,43 @@ def _chained_snf(cc) -> list:
 
     homology.smith_normal_form = recording
     try:
-        betti(cc, [F2], snf_cap=10**6)
+        betti(cc, [F2], order=order)
     finally:
         homology.smith_normal_form = original
     return got
 
 
 def _unchained_snf(cc) -> list:
-    return [smith_normal_form(m, cap=10**6) for m in cc.boundaries]
-
-
-def test_snf_unit_columns_are_row_operation_pivots():
-    # a 2-simplex: both unit pivots of d_1 are taken by row operations alone
-    d1 = chain_complex(SimplicialComplex(3, [(0, 1, 2)])).boundaries[1]
-    ed = smith_normal_form(d1)
-    assert ed.divisors == (1, 1) and len(ed.unit_columns) == 2
-    # no unit entry: the pivot comes from the gcd phase and is not recorded
-    ed = smith_normal_form(from_dense([[2, 4], [6, 8]]))
-    assert ed.divisors == (2, 4) and ed.unit_columns == frozenset()
-    # dropping the rows of paired cells keeps d_2's divisors (dd = 0)
-    cc = chain_complex(rp2_minimal())
-    paired = smith_normal_form(cc.boundaries[1]).unit_columns
-    assert len(paired) == 5  # a spanning tree of the 6 vertices
-    assert smith_normal_form(cc.boundaries[2], drop_rows=paired) == smith_normal_form(cc.boundaries[2])
-    # the cap is checked on the full shape
-    with pytest.raises(SnfTooLarge):
-        smith_normal_form(cc.boundaries[2], cap=14, drop_rows=paired)
+    """The gcd oracle's elementary divisors of each boundary matrix of cc."""
+    return [gcd_smith_normal_form(m) for m in cc.boundaries]
 
 
 def test_chained_snf_matches_simplicial_oracle_on_rebased_complexes():
-    """Re-basing keeps every matrix's divisors: the SNF of the simplicial
-    matrix is the oracle for the chained SNF of the re-based one."""
+    """Re-basing keeps every matrix's divisors: the oracle's SNF of the
+    simplicial matrices is the oracle for betti's SNF of the re-based ones,
+    at the order the oracle's divisors call for."""
     rng = random.Random(8595)
     complexes = [octahedron(), rp2_minimal(), barycentric_subdivision(rp2_minimal()).complex]
     complexes += [random_small_complex(rng) for _ in range(200)]
-    dropped = non_units = 0
+    non_units = torsion = 0
     for k in complexes:
         cc = _rebased(chain_complex(k), rng)
-        got = _chained_snf(cc)
-        assert got == _unchained_snf(chain_complex(k))
-        dropped += sum(len(ed.unit_columns) for ed in got[:-1])
+        want = _unchained_snf(chain_complex(k))
+        assert _chained_snf(cc, annihilating_order(want)) == want
+        torsion += sum(len(ed.torsion()) for ed in want)
         non_units += sum(1 for m in cc.boundaries for _, _, v in m.iter_entries() if abs(v) > 1)
-    assert dropped > 500 and non_units > 5000  # both paths ran on 694 matrices
+    assert torsion > 0 and non_units > 5000  # the levels past 0 ran, on 694 matrices
 
 
 @pytest.mark.parametrize("scenario", CORPUS_SCENARIOS, ids=lambda sc: sc.name)
 def test_chained_snf_matches_unchained_on_corpus_complexes(scenario):
-    """The simplicial quotient and the orbit complex: every boundary matrix."""
+    """The simplicial quotient and the orbit complex, every boundary matrix, at |G|."""
     action = build_model(scenario).action
     for cc in (
         chain_complex(make_admissible_and_quotient(action).complex),
         orbit_chain_complex(admissible_subdivision(action)),
     ):
-        assert _chained_snf(cc) == _unchained_snf(cc)
+        assert _chained_snf(cc, action.order) == _unchained_snf(cc)
 
 
 def test_chained_snf_property_on_rebased_complexes():
@@ -660,6 +718,7 @@ def test_chained_snf_property_on_rebased_complexes():
     @hypothesis.given(facets, st.integers(0, 2**32))
     def check(facet_sets, seed):
         cc = chain_complex(SimplicialComplex(7, facet_sets))
-        assert _chained_snf(_rebased(cc, random.Random(seed))) == _unchained_snf(cc)
+        want = _unchained_snf(cc)
+        assert _chained_snf(_rebased(cc, random.Random(seed)), annihilating_order(want)) == want
 
     check()

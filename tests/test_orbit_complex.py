@@ -9,8 +9,8 @@ and where `make_admissible_and_quotient` reads the orbits one depth down
 itself.  The reported quotient must equal the oracle's, with the same
 depth and sphere size.  For an admissible action, `orbit_chain_complex`
 gives the cellular chains of X/G; its Betti numbers (from ranks) and
-torsion must equal those of the oracle's quotient, read off the Smith
-normal form of that quotient's boundary matrices alone.
+torsion must equal those of the oracle's quotient, read off the gcd Smith
+normal form (`snf_oracle`) of that quotient's boundary matrices alone.
 
 The engine reads the orbits of the first subdivision off the orbits of X
 (`flag_action`).  Against the transported action, that route must give the
@@ -27,6 +27,7 @@ import pytest
 import sqh.scenarios
 
 from conftest import nonabelian_workload, octahedron, rp2_minimal
+from snf_oracle import gcd_smith_normal_form
 from test_acceptance import CORPUS_SCENARIOS
 from sqh.actions import (
     admissible_subdivision,
@@ -50,6 +51,7 @@ from sqh.complexes import (
     barycentric_subdivision,
     chain_complex,
     euler_characteristic,
+    join,
     polygon,
     subdivided_f_vector,
 )
@@ -64,7 +66,6 @@ from sqh.homology import (
     betti,
     prime_factors,
     relative_betti,
-    smith_normal_form,
 )
 from sqh.scenarios import (
     DEFAULT_FIELDS,
@@ -82,8 +83,8 @@ GROUP_SCENARIOS = list({sc.name: sc for sc in [*CORPUS_SCENARIOS, *nonabelian_wo
 
 
 def _snf_homology(chain) -> tuple:
-    """(Betti numbers per field, torsion per degree) from the elementary divisors alone."""
-    divisors = [smith_normal_form(m, cap=max(m.rows, m.cols)) for m in chain.boundaries]
+    """(Betti numbers per field, torsion per degree) from the oracle's elementary divisors alone."""
+    divisors = [gcd_smith_normal_form(m) for m in chain.boundaries]
     divisors.append(ElementaryDivisors(()))
     degrees = range(len(chain.ranks))
     rows = []
@@ -134,7 +135,7 @@ def _assert_reported_quotient_matches(oracles, key, action, subdivisions="auto")
 
 
 def _assert_routes_agree(oracles, key, action):
-    orbit = betti(orbit_chain_complex(admissible_subdivision(action)), FIELDS, snf_cap=10**9)
+    orbit = betti(orbit_chain_complex(admissible_subdivision(action)), FIELDS, order=action.order)
     quotient = _oracle(oracles, key, action)[1]
     assert (orbit.entries, orbit.torsion) == _snf_homology(chain_complex(quotient))
 
@@ -203,8 +204,8 @@ def test_orbit_complex_antipodal_octahedron_is_rp2():
     assert admissible_subdivision(antipodal) is antipodal
     cc = orbit_chain_complex(antipodal)
     assert cc.ranks == (3, 6, 4)
-    got = betti(cc, FIELDS)
-    want = betti(chain_complex(rp2_minimal()), FIELDS)
+    got = betti(cc, FIELDS, order=2)
+    want = betti(chain_complex(rp2_minimal()), FIELDS, order=2)
     assert (got.entries, got.torsion) == (want.entries, want.torsion)
     assert got.torsion == ((), (2,), ())
     assert orbit_betti(antipodal, F2) == (1, 1, 1)
@@ -327,7 +328,7 @@ def test_lefschetz_oracles_reject_a_corrupt_orbit_complex(monkeypatch, scenario,
     run_scenario(scenario)
     mutate(monkeypatch)
     corrupt = orbit_chain_complex(build_model(scenario).action)  # verified on the way
-    betti(corrupt, scenario.field_specs(), snf_cap=scenario.snf_cap)
+    betti(corrupt, scenario.field_specs(), order=build_model(scenario).action.order)
     with pytest.raises(CorruptComplex) as caught:
         run_scenario(scenario)
     assert str(caught.value) == message
@@ -398,18 +399,73 @@ def test_torsion_runs_take_no_rank_of_the_simplicial_quotient(monkeypatch, scena
 def test_run_scenario_takes_torsion_from_the_orbit_complex():
     for scenario in (builtin("rp", 3), builtin("quaternion_q8")):
         action = build_model(scenario).action
-        orbit = betti(orbit_chain_complex(admissible_subdivision(action)), FIELDS, snf_cap=10**9)
+        orbit = betti(orbit_chain_complex(admissible_subdivision(action)), FIELDS, order=action.order)
         rows = run_scenario(scenario)["betti"]
         assert all(row["torsion"] == [list(t) for t in orbit.torsion] for row in rows)
     # no torsion asked for: no orbit complex
     assert all(row["torsion"] is None for row in run_scenario(replace(builtin("rp", 3), snf_cap=0))["betti"])
 
 
+def test_snf_cap_is_a_switch():
+    """Any snf_cap above 0 asks for all of the torsion; rp(3) at 1 reports what it does at 16384."""
+    rows = run_scenario(replace(builtin("rp", 3), snf_cap=1))["betti"]
+    assert [row["torsion"] for row in rows] == [row["torsion"] for row in run_scenario(builtin("rp", 3))["betti"]]
+    assert rows[0]["torsion"] == [[], [2], [], []]
+
+
+def _oracle_torsion(chain) -> tuple:
+    """Torsion per degree from the gcd oracle: H_k's is that of the cokernel of d_{k+1}."""
+    return tuple(gcd_smith_normal_form(m).torsion() for m in chain.boundaries[1:]) + ((),)
+
+
+@pytest.mark.parametrize("scenario", GROUP_SCENARIOS, ids=lambda sc: sc.name)
+def test_reported_torsion_matches_gcd_oracle_on_the_orbit_complex(scenario):
+    """The torsion a run reports, from p-adic levels at |G|, equals the gcd SNF of the same complex."""
+    action = build_model(scenario).action
+    want = _oracle_torsion(orbit_chain_complex(admissible_subdivision(action)))
+    rows = run_scenario(scenario)["betti"]
+    assert all(row["torsion"] == [list(t) for t in want] for row in rows)
+
+
+def _three_triangles(*generators):
+    """The join of three triangles, S^5, under vertex permutations; block i holds 3i, 3i + 1 and 3i + 2."""
+    return close_generators(join(join(polygon(3), polygon(3)), polygon(3)), list(generators))
+
+
+def _rotation(*steps) -> tuple:
+    """Block i turned by steps[i]."""
+    return tuple(3 * i + (j + steps[i]) % 3 for i in range(3) for j in range(3))
+
+
+_BLOCK_SHIFT = tuple(3 * ((i + 1) % 3) + j for i in range(3) for j in range(3))
+
+
+@pytest.mark.parametrize(
+    "generators, order, b_f3, torsion",
+    [
+        # the Heisenberg group mod 3: a nonabelian group of odd order
+        ((_rotation(0, 1, 2), _BLOCK_SHIFT), 27, (1, 0, 2, 4, 2, 1), ((), (), (3, 3), (3, 3), (), ())),
+        ((_rotation(1, 0, 0), _BLOCK_SHIFT), 81, (1, 0, 0, 1, 1, 1), ((), (), (), (3,), (), ())),
+    ],
+    ids=["heisenberg_3", "c3_wreath_c3"],
+)
+def test_torsion_of_odd_order_groups_on_three_triangles(generators, order, b_f3, torsion):
+    """Odd p-groups: e = v_3(|G|) is 3 and 4 here, and at most 1 in every
+    benchmark scenario, so these run levels nothing else does; the gcd oracle agrees."""
+    action = _three_triangles(*generators)
+    assert action.order == order
+    orbit = orbit_chain_complex(admissible_subdivision(action))
+    table = betti(orbit, [RATIONALS, F3], order=order)
+    assert table.betti(RATIONALS) == (1, 0, 0, 0, 0, 1)
+    assert table.betti(F3) == b_f3
+    assert table.torsion == torsion == _oracle_torsion(orbit)
+
+
 NON_ADMISSIBLE = [sc for sc in GROUP_SCENARIOS if not is_admissible(build_model(sc).action)]
 
 
-def _homology(chain) -> tuple:
-    table = betti(chain, FIELDS, snf_cap=10**9)
+def _homology(chain, order) -> tuple:
+    table = betti(chain, FIELDS, order=order)
     return table.entries, table.torsion
 
 
@@ -428,7 +484,7 @@ def test_flag_route_matches_the_transported_route(scenario):
         new = orbit_chain_complex(flag_action(restricted))
         old = orbit_chain_complex(transported.restrict(handle))
         assert new.ranks == old.ranks
-        assert _homology(new) == _homology(old)
+        assert _homology(new, restricted.order) == _homology(old, restricted.order)
         fixed = fixed_subcomplex(action, handle)
         fixed_old = fixed_subcomplex(transported, handle)
         if is_admissible(restricted):

@@ -212,6 +212,37 @@ def test_sweep_pool_matches_serial():
     assert report_bytes(sweep(**kwargs, jobs=2)) == report_bytes(sweep(**kwargs, jobs=1))
 
 
+@pytest.mark.parametrize("cpus, workers", [(4, 4), (64, 6), (None, None)], ids=["cpus", "samples", "unknown_cpus"])
+def test_sweep_jobs_are_bounded_by_cpus_and_samples(monkeypatch, cpus, workers):
+    """A pool forks every worker at its first submit, so --jobs 1000 must not ask for 1000.
+
+    The pool is a fake that maps in this process: no worker is started.
+    """
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    kwargs = dict(n_max=3, samples=6, seed=11, fields=("Q", "Fp:2", "Fp:3"))
+    assert report_bytes(sweep(**kwargs, jobs=1000)) == report_bytes(sweep(**kwargs, jobs=1))
+    # an unknown CPU count means one: the sweep runs serially, with no pool
+    assert asked == ([workers] if workers else [])
+
+
 # run in a child with a timeout, so a guard that redraws forever fails the test
 _GUARD_BELOW_TWO = (
     "from sqh.errors import InvalidParameter\n"
@@ -290,6 +321,14 @@ def test_cli_builtin_wrong_parameter_count(capsys):
     assert "`lens p [q]`" in capsys.readouterr().err
     assert main(["builtin", "quaternion_q8", "1"]) == 2
     assert "`quaternion_q8`" in capsys.readouterr().err
+
+
+def test_cli_dihedral_past_the_factor_cap_exits_2(capsys):
+    # the explicit route's cost grows about as m^3: m = 2000 took minutes
+    assert main(["builtin", "dihedral_on_s1", "65"]) == 2
+    assert "3 <= m <= 64" in capsys.readouterr().err
+    assert main(["builtin", "dihedral_on_s1", "2"]) == 2
+    assert builtin("dihedral_on_s1", 64).name == "dihedral_on_s1(64)"
 
 
 def test_builtin_parameter_defaults():
@@ -429,16 +468,56 @@ _DIHEDRAL = ("space", "explicit")
         (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(),
                    {"complex": {"vertex_count": 3_000_000, "facets": [[0, 1], [1, 2], [0, 2]]}, "generators": []},
                    *_DIHEDRAL), "'vertex_count'"),
+        # no facets: no sphere, not even S^-1
+        (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(),
+                   {"complex": {"vertex_count": 0, "facets": []}, "generators": []},
+                   *_DIHEDRAL), "field 'facets' must hold at least one nonempty facet"),
     ],
     ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex",
          "perm_str", "perm_float", "generator_str", "facet_str", "factor_str",
          "subdivisions_bool", "certified_str", "certified_false", "snf_cap_negative", "perm_short",
          "name_int", "fields_repeated", "fields_not_canonical", "checks_repeated",
-         "explicit_disc", "explicit_two_edges", "explicit_facet_out_of_range", "explicit_unused_vertex"],
+         "explicit_disc", "explicit_two_edges", "explicit_facet_out_of_range", "explicit_unused_vertex",
+         "explicit_no_facets"],
 )
 def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, data, named):
     assert _run_scenario_file(tmp_path, data) == 2
     assert named in capsys.readouterr().err
+
+
+def _explicit_quotient(sc: Scenario, fields) -> dict:
+    """The simplicial quotient of a built-in scenario as explicit input, with no generators."""
+    from sqh.actions import make_admissible_and_quotient
+    from sqh.scenarios import build_model
+
+    q = make_admissible_and_quotient(build_model(sc).action).complex
+    data = builtin("dihedral_on_s1", 5).to_json_dict()
+    data["name"] = f"explicit {sc.name}"
+    data["space"] = {"explicit": {
+        "complex": {"vertex_count": q.vertex_count, "facets": [list(f) for f in q.facets]},
+        "generators": [],
+    }}
+    data["fields"] = list(fields)
+    return data
+
+
+@pytest.mark.parametrize(
+    "sc, fields, degree",
+    [(builtin("rp", 3), ["Q"], 2), (builtin("lens", 7, 1), ["Q", "Fp:2", "Fp:3", "Fp:5"], 2)],
+    ids=["rp3_over_q", "lens71_default_fields"],
+)
+def test_explicit_complex_with_integral_torsion_is_refused(tmp_path, capsys, sc, fields, degree):
+    """RP^3 and L(7,1) pass the sphere check over these fields, but their
+    torsion (Z/2 and Z/7 in H_1) breaks the transfer that lets |G| = 1
+    bound the quotient's torsion, so a torsion run refuses them."""
+    data = _explicit_quotient(sc, fields)
+    assert _run_scenario_file(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert "field 'complex' is not certified free of integral torsion" in err
+    assert f"the +-1 reduction of d_{degree} leaves" in err
+    # without torsion nothing needs the certificate, and no torsion is reported
+    report = run_scenario(Scenario.from_json_dict({**data, "snf_cap": 0}))
+    assert report["betti"][0]["torsion"] is None
 
 
 def _exit_code(argv) -> int:
