@@ -1,39 +1,82 @@
 """Group-invariant sphere models.
 
-Two input paths realize finite subgroups of O(n) simplicially: signed
-permutations act on the boundary of the cross-polytope, and finite
-abelian groups given by exact character data act block-by-block on a join
-of polygons (rotation blocks) and vertex pairs (sign blocks).  The same
-character data drives the exact local torus model of the block cover and
-its E1 page count.
+One builder, `block_model`, realizes finite subgroups of O(n) on a join of
+polygons and vertex pairs whose generators permute the blocks and rotate
+each one; `join_f_vector` forecasts its size before it is built.  Signed
+permutations permute n vertex pairs (the cross-polytope boundary), and
+finite abelian groups given by exact character data rotate their polygons
+and swap their pairs in place.  The same character data drives the exact
+local torus model of the block cover and its E1 page count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, lcm
-from typing import Sequence
+from math import comb, gcd, lcm, prod
+from typing import Iterable, Sequence
 
 from .actions import VertexAction, close_generators
 from .complexes import EMPTY_COMPLEX, SimplicialComplex, join, polygon, zero_sphere
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ResourceCapExceeded
 
 DEFAULT_MAX_FACTOR = 64
 DEFAULT_MAX_BLOCKS = 8
 
 
-def cross_polytope(n: int) -> SimplicialComplex:
-    """Boundary of the n-dimensional cross-polytope: a simplicial S^{n-1}.
+def join_f_vector(lengths: Iterable[int], cap: int | None = None) -> tuple:
+    """The f-vector of the join that `block_model` builds on these lengths.
 
-    Vertex i-1 is +e_i and vertex n+i-1 is -e_i; simplices are exactly
-    the vertex sets with no antipodal pair.
+    Each block multiplies the generating polynomial 1 + f_0 t + f_1 t^2 + ...
+    by its own: 1 + L t + L t^2 for an L-gon, 1 + 2t for S^0.  Past `cap`
+    simplices it raises ResourceCapExceeded at once: later blocks only add
+    simplices, so a long iterator of lengths is read no further.
     """
-    if n < 1:
-        raise InvalidParameter("cross_polytope needs n >= 1")
-    facets = []
-    for mask in range(1 << n):
-        facets.append(tuple(sorted(i + n * (mask >> i & 1) for i in range(n))))
-    return SimplicialComplex(2 * n, facets)
+    poly = [1]
+    for k, length in enumerate(lengths, 1):
+        poly = _poly_mul(poly, [1, length, length] if length > 2 else [1, 2])
+        if cap is not None and sum(poly) - 1 > cap:
+            raise ResourceCapExceeded(
+                f"the join of the model's first {k} blocks already has {sum(poly) - 1} simplices (cap {cap})"
+            )
+    return tuple(poly[1:])
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def block_model(lengths: Sequence[int], generators) -> VertexAction:
+    """The join of one block per length, acted on by the closure of the generators.
+
+    Block b is an L-gon for L = lengths[b] >= 3, or S^0 for L = 2, on the L
+    vertices after the blocks before it.  A generator gives each block b a
+    pair (target, step): vertex x of b goes to vertex (x + step) mod L of
+    block `target`.  `close_generators` refuses a map that is not simplicial.
+    """
+    offsets = [0]
+    model = EMPTY_COMPLEX
+    for length in lengths:
+        offsets.append(offsets[-1] + length)
+        model = join(model, polygon(length) if length > 2 else zero_sphere())
+    maps = [
+        tuple(
+            offsets[target] + (x + step) % length
+            for length, (target, step) in zip(lengths, gen, strict=True)
+            for x in range(length)
+        )
+        for gen in generators
+    ]
+    return close_generators(model, maps)
+
+
+def cross_polytope(n: int) -> SimplicialComplex:
+    """Boundary of the n-dimensional cross-polytope, the join of n vertex pairs:
+    +e_i is vertex 2i - 2 and -e_i is 2i - 1, so the antipode of v is v ^ 1."""
+    return signed_permutation_action(n, ()).complex
 
 
 @dataclass(frozen=True)
@@ -46,19 +89,9 @@ class SignedPermutation:
     def __post_init__(self):
         n = len(self.perm)
         if sorted(self.perm) != list(range(1, n + 1)):
-            raise InvalidParameter(f"{self.perm} is not a permutation of 1..{n}")
+            raise InvalidParameter(f"field 'perm' must be a permutation of 1..{n}, got {list(self.perm)}")
         if len(self.signs) != n or any(s not in (-1, 1) for s in self.signs):
-            raise InvalidParameter("signs must be a +-1 vector of matching length")
-
-    def vertex_permutation(self) -> tuple:
-        n = len(self.perm)
-        out = [0] * (2 * n)
-        for i in range(1, n + 1):
-            t = self.perm[i - 1]
-            s = self.signs[t - 1]
-            out[i - 1] = t - 1 if s > 0 else n + t - 1
-            out[n + i - 1] = n + t - 1 if s > 0 else t - 1
-        return tuple(out)
+            raise InvalidParameter(f"field 'signs' must hold {n} entries, each 1 or -1, got {list(self.signs)}")
 
     def to_json_dict(self) -> dict:
         return {"perm": list(self.perm), "signs": list(self.signs)}
@@ -69,9 +102,11 @@ class SignedPermutation:
 
 
 def signed_permutation_action(n: int, generators: Sequence[SignedPermutation]) -> VertexAction:
-    """Close the given signed permutations into a group acting on cross_polytope(n)."""
-    k = cross_polytope(n)
-    return close_generators(k, [g.vertex_permutation() for g in generators])
+    """Close the given signed permutations into a group acting on cross_polytope(n):
+    axis i goes to axis perm[i], its pair swapped (step 1) where that sign is -1."""
+    if n < 1:
+        raise InvalidParameter(f"field 'n' must be at least 1, got {n}")
+    return block_model((2,) * n, [[(t - 1, int(g.signs[t - 1] < 0)) for t in g.perm] for g in generators])
 
 
 @dataclass(frozen=True)
@@ -91,20 +126,29 @@ class AbelianCharacterData:
 
     def __post_init__(self):
         ms = tuple(int(m) for m in self.invariant_factors)
-        if any(m < 1 for m in ms):
-            raise InvalidParameter("factors must be >= 1")
-        for ch in tuple(self.rotation_characters) + tuple(self.sign_characters):
-            if len(ch) != len(ms):
-                raise InvalidParameter("character length must match the factor count")
+        for i, m in enumerate(ms):
+            if not 1 <= m <= DEFAULT_MAX_FACTOR:
+                raise InvalidParameter(f"field 'invariant_factors[{i}]' must lie in 1..{DEFAULT_MAX_FACTOR}, got {m}")
+        blocks = len(self.rotation_characters) + len(self.sign_characters)
+        if not 1 <= blocks <= DEFAULT_MAX_BLOCKS:
+            raise InvalidParameter(
+                f"fields 'rotation_characters' and 'sign_characters' must hold 1..{DEFAULT_MAX_BLOCKS} "
+                f"characters together, got {blocks}"
+            )
+        for key in ("rotation_characters", "sign_characters"):
+            for j, ch in enumerate(getattr(self, key)):
+                if len(ch) != len(ms):
+                    raise InvalidParameter(
+                        f"field '{key}[{j}]' must have one entry per invariant factor, length {len(ms)}, got {len(ch)}"
+                    )
         rot = tuple(tuple(a % m for a, m in zip(ch, ms)) for ch in self.rotation_characters)
         sgn = tuple(tuple(int(e) for e in ch) for ch in self.sign_characters)
-        for ch in sgn:
-            for e, m in zip(ch, ms):
-                if e not in (0, 1):
-                    raise InvalidParameter("sign characters take values in {0,1}")
-                if e == 1 and m % 2 == 1:
+        for k, ch in enumerate(sgn):
+            for i, (e, m) in enumerate(zip(ch, ms)):
+                allowed = (0, 1) if m % 2 == 0 else (0,)  # no sign character is -1 on Z/m for odd m
+                if e not in allowed:
                     raise InvalidParameter(
-                        f"sign character is not a homomorphism on Z/{m} (odd order)"
+                        f"field 'sign_characters[{k}][{i}]' on Z/{m} must lie in {set(allowed)}, got {e}"
                     )
         object.__setattr__(self, "invariant_factors", ms)
         object.__setattr__(self, "rotation_characters", rot)
@@ -131,37 +175,31 @@ class AbelianCharacterData:
         return 2 * self.rotation_count + self.sign_count
 
     @property
+    def block_lengths(self) -> tuple:
+        """The blocks of the join model: the rotation polygons, then the sign pairs."""
+        return tuple(self.polygon_length(j) for j in range(self.rotation_count)) + (2,) * self.sign_count
+
+    @property
     def group_order(self) -> int:
-        out = 1
-        for m in self.invariant_factors:
-            out *= m
-        return out
+        return prod(self.invariant_factors)
 
     def rotation_order(self, j: int) -> int:
         """Order of the j-th rotation character in the dual group."""
-        d = 1
-        for a, m in zip(self.rotation_characters[j], self.invariant_factors):
-            d = lcm(d, m // gcd(a, m))
-        return d
+        return lcm(*(m // gcd(a, m) for a, m in zip(self.rotation_characters[j], self.invariant_factors)))
 
     def polygon_length(self, j: int) -> int:
-        """Least multiple of the character order that is >= 3."""
+        """Least multiple of the character order d that is >= 3: d, or d + 2 for d = 1, 2."""
         d = self.rotation_order(j)
-        if d >= 3:
-            return d
-        return 3 if d == 1 else 4
+        return d if d >= 3 else d + 2
 
     def sign_bit(self, k: int, gen: int) -> int:
         return self.sign_characters[k][gen] & 1
 
-    def rotation_steps(self, j: int, gen: int, length: int) -> int:
-        """Rotation of generator `gen` on a polygon of the given length, in steps."""
-        a = self.rotation_characters[j][gen]
-        m = self.invariant_factors[gen]
-        num = a * length
-        if num % m:
-            raise InvalidParameter("polygon length is not a multiple of the character order")
-        return (num // m) % length
+    def rotation_steps(self, j: int, gen: int) -> int:
+        """Rotation of generator `gen` on polygon j, in steps; the length is a
+        multiple of the character's order, so the division is exact."""
+        length = self.polygon_length(j)
+        return self.rotation_characters[j][gen] * length // self.invariant_factors[gen] % length
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,82 +218,34 @@ class AbelianCharacterData:
 
 
 @dataclass(frozen=True)
-class BlockInfo:
-    kind: str          # "rotation" | "sign"
-    index: int         # position within its kind
-    offset: int        # first vertex of the block in the join
-    length: int        # number of vertices (polygon length, or 2)
+class SphereModel:
+    """A group acting on a sphere model, and the character data it was built from, if any."""
 
-
-@dataclass(frozen=True)
-class CharacterJoinModel:
-    """Join-of-blocks sphere model with the induced (effective) group action."""
-
-    data: AbelianCharacterData
     action: VertexAction
-    blocks: tuple
-    effective_order: int
-    kernel_order: int
+    ambient_n: int
+    char_data: AbelianCharacterData | None = None
 
     @property
-    def complex(self) -> SimplicialComplex:
-        return self.action.complex
-
-    @property
-    def ambient_dimension(self) -> int:
-        return self.data.ambient_dimension
+    def kernel_order(self) -> int:
+        """Elements of the character data's group that act trivially (1 without data)."""
+        return self.char_data.group_order // self.action.order if self.char_data else 1
 
 
-def character_join_model(data: AbelianCharacterData) -> CharacterJoinModel:
+def character_join_model(data: AbelianCharacterData) -> SphereModel:
     """Realize S^{n-1} as the join of block spheres with the induced action.
 
-    Rotation block j becomes a polygon rotated through the character's
-    image; sign block k becomes a vertex pair swapped when the character
+    Each generator of A rotates rotation block j through the character's
+    image, and swaps the vertex pair of sign block k where the character
     is -1.  The acting group is the image of A: the kernel is discarded
     and its size recorded.
     """
-    if data.block_count < 1:
-        raise InvalidParameter("need at least one block")
-    if data.block_count > DEFAULT_MAX_BLOCKS:
-        raise InvalidParameter(f"block count {data.block_count} exceeds cap {DEFAULT_MAX_BLOCKS}")
-    if any(m > DEFAULT_MAX_FACTOR for m in data.invariant_factors):
-        raise InvalidParameter(f"invariant factor exceeds cap {DEFAULT_MAX_FACTOR}")
-
-    blocks = []
-    model = EMPTY_COMPLEX
-    offset = 0
-    for j in range(data.rotation_count):
-        length = data.polygon_length(j)
-        blocks.append(BlockInfo("rotation", j, offset, length))
-        model = join(model, polygon(length))
-        offset += length
-    for k in range(data.sign_count):
-        blocks.append(BlockInfo("sign", k, offset, 2))
-        model = join(model, zero_sphere())
-        offset += 2
-
-    generators = []
-    for gen in range(data.factor_count):
-        perm = list(range(model.vertex_count))
-        for b in blocks:
-            if b.kind == "rotation":
-                steps = data.rotation_steps(b.index, gen, b.length)
-                for x in range(b.length):
-                    perm[b.offset + x] = b.offset + (x + steps) % b.length
-            else:
-                if data.sign_bit(b.index, gen):
-                    perm[b.offset] = b.offset + 1
-                    perm[b.offset + 1] = b.offset
-        generators.append(tuple(perm))
-
-    action = close_generators(model, generators)
-    return CharacterJoinModel(
-        data=data,
-        action=action,
-        blocks=tuple(blocks),
-        effective_order=action.order,
-        kernel_order=data.group_order // action.order,
-    )
+    r = data.rotation_count
+    generators = [
+        [(j, data.rotation_steps(j, gen)) for j in range(r)]
+        + [(r + k, data.sign_bit(k, gen)) for k in range(data.sign_count)]
+        for gen in range(data.factor_count)
+    ]
+    return SphereModel(block_model(data.block_lengths, generators), data.ambient_dimension, data)
 
 
 @dataclass(frozen=True)

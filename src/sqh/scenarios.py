@@ -9,6 +9,7 @@ default report stays reproducible).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -43,8 +44,10 @@ from .models import (
     DEFAULT_MAX_FACTOR,
     AbelianCharacterData,
     SignedPermutation,
+    SphereModel,
     character_join_model,
     cover_e1_total,
+    join_f_vector,
     signed_permutation_action,
 )
 
@@ -190,16 +193,13 @@ def _integer(value, key: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ModelBundle:
-    action: VertexAction
-    ambient_n: int
-    char_data: AbelianCharacterData | None
-    kernel_order: int
+def build_model(scenario: Scenario) -> SphereModel:
+    """The scenario's sphere model, its values checked as they come from JSON.
 
-
-def build_model(scenario: Scenario) -> ModelBundle:
-    """The scenario's sphere model, its values checked as they come from JSON."""
+    The size of a character_join or signed_permutation model, a join of
+    blocks, is forecast (`join_f_vector`) against `simplex_cap()` before
+    any join is built.
+    """
     kind = scenario.kind
     payload = scenario.space[kind]
     if kind == "character_join":
@@ -208,8 +208,8 @@ def build_model(scenario: Scenario) -> ModelBundle:
             _integer_lists(_entry(payload, "rotation_characters", kind), "rotation_characters"),
             _integer_lists(_entry(payload, "sign_characters", kind), "sign_characters"),
         )
-        model = character_join_model(data)
-        return ModelBundle(model.action, data.ambient_dimension, data, model.kernel_order)
+        join_f_vector(data.block_lengths, simplex_cap())
+        return character_join_model(data)
     if kind == "signed_permutation":
         n = _integer(_entry(payload, "n", kind), "n")
         gens = []
@@ -219,13 +219,12 @@ def build_model(scenario: Scenario) -> ModelBundle:
                 raise InvalidParameter(
                     f"field 'generators[{i}].perm' must have length n = {n}, got {len(entries['perm'])}"
                 )
-            gens.append(SignedPermutation.from_json_dict(entries))
-        # the cross-polytope boundary has a nonempty simplex per sign-or-absent choice of each axis
-        simplices, cap = 3**n - 1, simplex_cap()
-        if simplices > cap:
-            raise ResourceCapExceeded(f"signed_permutation model for n = {n} has {simplices} simplices (cap {cap})")
-        action = signed_permutation_action(n, gens)
-        return ModelBundle(action, n, None, 1)
+            try:
+                gens.append(SignedPermutation.from_json_dict(entries))
+            except InvalidParameter as e:
+                raise InvalidParameter(f"{kind} generator {i}: {e}") from None
+        join_f_vector(itertools.repeat(2, n), simplex_cap())  # n may be far past any cap
+        return SphereModel(signed_permutation_action(n, gens), n)
     raw = _entry(payload, "complex", kind)
     complex_ = SimplicialComplex(
         _integer(_entry(raw, "vertex_count", f"{kind} complex"), "vertex_count"),
@@ -243,7 +242,7 @@ def build_model(scenario: Scenario) -> ModelBundle:
         )
     gens = _integer_lists(_entry(payload, "generators", kind), "generators")
     action = close_generators(complex_, gens)
-    return ModelBundle(action, complex_.dimension + 1, None, 1)
+    return SphereModel(action, complex_.dimension + 1)
 
 
 def _list(value, key: str):
@@ -376,8 +375,8 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     is never built: its quotient comes from the orbits one depth down, and
     `simplices_after` and `facets_after` count it exactly.  The simplex cap
     (`simplex_cap()`) bounds the forecast size of each depth's sphere, the
-    last one included, and the size of a signed-permutation model before it
-    is built.
+    last one included, and the size of every block model (character_join
+    and signed_permutation) before it is built.
 
     A run that asks for torsion (`snf_cap` > 0, a switch: no size is
     capped) takes its Betti numbers and torsion from the orbit chain
@@ -678,25 +677,6 @@ def builtin(name: str, *params) -> Scenario:
 # ---------------------------------------------------------------------------
 # randomized abelian sweep
 
-def _join_f_vector(data: AbelianCharacterData) -> tuple:
-    # generating polynomial per block: polygon L -> 1 + L t + L t^2; S^0 -> 1 + 2t
-    poly = [1]
-    for j in range(data.rotation_count):
-        length = data.polygon_length(j)
-        poly = _poly_mul(poly, [1, length, length])
-    for _ in range(data.sign_count):
-        poly = _poly_mul(poly, [1, 2])
-    return tuple(poly[1:])
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def predicted_model_size(data: AbelianCharacterData) -> int:
     """Simplex count of the model after its forecast subdivisions.
 
@@ -705,7 +685,7 @@ def predicted_model_size(data: AbelianCharacterData) -> int:
     two are forecast.  The pipeline still verifies the preconditions at
     each level, so an optimistic forecast only costs a redraw.
     """
-    f = _join_f_vector(data)
+    f = join_f_vector(data.block_lengths)
     needs_two = any(
         data.polygon_length(j) < 2 * data.rotation_order(j) and data.rotation_order(j) > 1
         for j in range(data.rotation_count)

@@ -2,7 +2,6 @@ import pytest
 
 from sqh.actions import is_admissible, make_admissible_and_quotient
 from sqh.complexes import (
-    SimplicialComplex,
     chain_complex,
     euler_characteristic,
     join,
@@ -53,7 +52,7 @@ def test_cross_polytope_no_antipodal_pairs():
     k = cross_polytope(n)
     for level in k.simplices():
         for s in level:
-            assert not any((v + n) % (2 * n) in s for v in s)
+            assert not any(v ^ 1 in s for v in s)
 
 
 def test_iterated_join_of_zero_spheres_matches_cross_polytope():
@@ -61,15 +60,8 @@ def test_iterated_join_of_zero_spheres_matches_cross_polytope():
         j = zero_sphere()
         for _ in range(n - 1):
             j = join(j, zero_sphere())
-        # block i occupies vertices 2i, 2i+1; relabel to +e_i = i, -e_i = n+i
-        relabel = {}
-        for i in range(n):
-            relabel[2 * i] = i
-            relabel[2 * i + 1] = n + i
-        relabeled = SimplicialComplex(
-            2 * n, [tuple(sorted(relabel[v] for v in f)) for f in j.facets]
-        )
-        assert relabeled == cross_polytope(n)
+        # block i occupies vertices 2i, 2i+1, which are +e_{i+1} and -e_{i+1}
+        assert j == cross_polytope(n)
 
 
 def test_signed_permutation_validation():
@@ -130,11 +122,11 @@ def test_character_data_normalizes_mod_m():
 def test_character_join_lens_model_structure():
     data = AbelianCharacterData((5,), ((1,), (1,)), ())
     model = character_join_model(data)
-    assert model.effective_order == 5
+    assert model.action.order == 5
     assert model.kernel_order == 1
-    assert model.complex.vertex_count == 10
-    assert len(model.complex.facets) == 25
-    assert model.ambient_dimension == 4
+    assert model.action.complex.vertex_count == 10
+    assert len(model.action.complex.facets) == 25
+    assert model.ambient_n == 4
     g = model.action.elements[1]
     assert all(g[v] != v for v in range(10))
 
@@ -142,8 +134,8 @@ def test_character_join_lens_model_structure():
 def test_character_join_triple_sign_is_antipodal_sphere():
     data = AbelianCharacterData((2,), (), ((1,), (1,), (1,)))
     model = character_join_model(data)
-    assert model.effective_order == 2
-    assert euler_characteristic(model.complex) == 2
+    assert model.action.order == 2
+    assert euler_characteristic(model.action.complex) == 2
     t1 = quotient_betti(model.action, [RATIONALS, F2, F3])
     anti = signed_permutation_action(3, [SignedPermutation((1, 2, 3), (-1, -1, -1))])
     t2 = quotient_betti(anti, [RATIONALS, F2, F3])
@@ -154,15 +146,15 @@ def test_character_join_triple_sign_is_antipodal_sphere():
 def test_character_join_discards_kernel():
     data = AbelianCharacterData((6,), ((2,),), ())
     model = character_join_model(data)
-    assert model.effective_order == 3
+    assert model.action.order == 3
     assert model.kernel_order == 2
-    assert model.blocks[0].length == 3
+    assert data.block_lengths == (3,)
 
 
 def test_character_join_trivial_characters_give_sphere():
     data = AbelianCharacterData((4,), ((0,), (0,)), ((0,),))
     model = character_join_model(data)
-    assert model.effective_order == 1
+    assert model.action.order == 1
     table = quotient_betti(model.action, [RATIONALS, F2])
     assert table.betti(RATIONALS) == (1, 0, 0, 0, 1)
 
@@ -171,12 +163,19 @@ def test_cross_validation_rotation_vs_signed_permutation():
     # the order-2 rotation of a circle, both ways
     data = AbelianCharacterData((2,), ((1,),), ())
     model = character_join_model(data)
-    assert model.blocks[0].length == 4
+    assert data.block_lengths == (4,)
     t1 = quotient_betti(model.action, [RATIONALS, F2, F3])
     sp = signed_permutation_action(2, [SignedPermutation((1, 2), (-1, -1))])
     t2 = quotient_betti(sp, [RATIONALS, F2, F3])
     for f in (RATIONALS, F2, F3):
         assert t1.betti(f) == t2.betti(f) == (1, 1)
+    # the antipodal map as n sign characters and as a signed permutation: one model
+    for n in (1, 2, 3):
+        signs = character_join_model(AbelianCharacterData((2,), (), ((1,),) * n)).action
+        anti = signed_permutation_action(n, [SignedPermutation(tuple(range(1, n + 1)), (-1,) * n)])
+        assert signs.complex == anti.complex
+        assert signs.complex.facets == anti.complex.facets
+        assert (signs.elements, signs.generator_indices) == (anti.elements, anti.generator_indices)
 
 
 def test_local_model_betti_pure_rotation_torus():

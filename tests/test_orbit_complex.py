@@ -264,18 +264,24 @@ def _merge_last_two_orbits(data):
 
 def _drop_signs(data):
     # every carrier the identity: no simplex reads as reversed, which breaks
-    # dd = 0 of the orbit complex on rp(2), admissible unsubdivided
+    # dd = 0 of the orbit complex on quaternion_q8, admissible unsubdivided.
+    # On rp(2) it changes nothing: the antipode v ^ 1 keeps each vertex in its
+    # block, so no carrier reverses a simplex; Q8's elements reorder blocks.
     return replace(data, carrier=dict.fromkeys(data.carrier, 0))
 
 
-@pytest.mark.parametrize("mutate", [_merge_last_two_orbits, _drop_signs], ids=["merge_orbits", "drop_signs"])
-def test_run_scenario_rejects_a_corrupt_orbit_complex(monkeypatch, mutate):
+@pytest.mark.parametrize(
+    "name, mutate",
+    [(("rp", 2), _merge_last_two_orbits), (("quaternion_q8",), _drop_signs)],
+    ids=["merge_orbits", "drop_signs"],
+)
+def test_run_scenario_rejects_a_corrupt_orbit_complex(monkeypatch, name, mutate):
     """A torsion run's table comes from the orbit complex only while that complex passes its checks.
 
     Dropped signs break dd = 0; merged orbits pass it and are caught by the
     chi oracle (see the oracle tests below).
     """
-    scenario = replace(builtin("rp", 2), checks=())  # the orbit complex serves the torsion alone
+    scenario = replace(builtin(*name), checks=())  # the orbit complex serves the torsion alone
     assert scenario.snf_cap > 0
     run_scenario(scenario)
     _with_orbit_data(monkeypatch, mutate)

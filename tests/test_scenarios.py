@@ -423,7 +423,17 @@ def _replaced(data, value, *path):
 
 
 _RP2_PERM = ("space", "signed_permutation", "generators", 0, "perm")
+_SIGNED = ("space", "signed_permutation")
 _DIHEDRAL = ("space", "explicit")
+
+
+def _character_join(factors, rotations, signs) -> dict:
+    """lens(5, 2) with its character data replaced."""
+    return _replaced(
+        builtin("lens", 5, 2).to_json_dict(),
+        {"invariant_factors": factors, "rotation_characters": rotations, "sign_characters": signs},
+        "space", "character_join",
+    )
 
 
 @pytest.mark.parametrize(
@@ -472,13 +482,30 @@ _DIHEDRAL = ("space", "explicit")
         (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(),
                    {"complex": {"vertex_count": 0, "facets": []}, "generators": []},
                    *_DIHEDRAL), "field 'facets' must hold at least one nonempty facet"),
+        (_replaced(builtin("trivial_sphere", 2).to_json_dict(), 0, *_SIGNED, "n"), "field 'n'"),
+        (_replaced(builtin("trivial_sphere", 2).to_json_dict(), -1, *_SIGNED, "n"), "field 'n'"),
+        (_replaced(builtin("rp", 2).to_json_dict(), [-1, -1], *_RP2_PERM[:-1], "signs"),
+         "generator 0: field 'signs'"),
+        (_replaced(builtin("rp", 2).to_json_dict(),
+                   {"n": 2, "generators": [{"perm": [1, 1], "signs": [1, 1]}]}, *_SIGNED),
+         "generator 0: field 'perm'"),
+        (_character_join([-3], [[1]], []), "field 'invariant_factors[0]'"),
+        (_character_join([128], [[1]], []), "field 'invariant_factors[0]'"),
+        (_character_join([5], [[1], [2, 0]], []), "field 'rotation_characters[1]'"),
+        (_character_join([4], [], [[1, 0]]), "field 'sign_characters[0]'"),
+        (_character_join([4], [], [[2]]), "field 'sign_characters[0][0]'"),
+        (_character_join([2, 3], [], [[1, 1]]), "field 'sign_characters[0][1]'"),
+        (_character_join([4], [], []), "fields 'rotation_characters' and 'sign_characters'"),
+        (_character_join([2], [], [[1]] * 9), "fields 'rotation_characters' and 'sign_characters'"),
     ],
     ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex",
          "perm_str", "perm_float", "generator_str", "facet_str", "factor_str",
          "subdivisions_bool", "certified_str", "certified_false", "snf_cap_negative", "perm_short",
          "name_int", "fields_repeated", "fields_not_canonical", "checks_repeated",
          "explicit_disc", "explicit_two_edges", "explicit_facet_out_of_range", "explicit_unused_vertex",
-         "explicit_no_facets"],
+         "explicit_no_facets", "n_zero", "n_negative", "signs_short", "perm_repeated",
+         "factor_negative", "factor_past_cap", "rotation_character_long", "sign_character_long",
+         "sign_character_two", "sign_character_odd_order", "no_blocks", "blocks_past_cap"],
 )
 def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, data, named):
     assert _run_scenario_file(tmp_path, data) == 2
@@ -572,18 +599,26 @@ _LIMITED_MAIN = (
 )
 
 
+def _cross_polytope_40(perm) -> dict:
+    """rp(2) moved to the 40-cross-polytope: 2^40 facets and 3^40 - 1 simplices."""
+    return {"signed_permutation": {"n": 40, "generators": [{"perm": perm, "signs": [1] * len(perm)}]}}
+
+
 @pytest.mark.parametrize(
-    "perm, code, named",
-    [([2, 1], 2, "'generators[0].perm'"), ([*range(2, 41), 1], 4, "cap")],
-    ids=["short_perm", "valid_perm"],
+    "space, code, named",
+    [
+        (_cross_polytope_40([2, 1]), 2, "'generators[0].perm'"),
+        (_cross_polytope_40([*range(2, 41), 1]), 4, "simplices (cap 2000000)"),
+        # six 64-gons: 64^6 facets, within the block and factor caps
+        ({"character_join": {"invariant_factors": [64], "rotation_characters": [[1]] * 6, "sign_characters": []}},
+         4, "simplices (cap 2000000)"),
+        # 3^(10^12) - 1 simplices: neither that count nor a list of 10^12 blocks fits in memory
+        ({"signed_permutation": {"n": 10**12, "generators": []}}, 4, "simplices (cap 2000000)"),
+    ],
+    ids=["short_perm", "valid_perm", "character_join", "many_blocks"],
 )
-def test_cli_signed_permutation_past_the_cap_fails_before_building(tmp_path, perm, code, named):
-    # the 40-cross-polytope has 2^40 facets and 3^40 - 1 simplices
-    data = _replaced(
-        builtin("rp", 2).to_json_dict(),
-        {"n": 40, "generators": [{"perm": perm, "signs": [1] * len(perm)}]},
-        "space", "signed_permutation",
-    )
+def test_cli_signed_permutation_past_the_cap_fails_before_building(tmp_path, space, code, named):
+    data = {**builtin("rp", 2).to_json_dict(), "space": space}
     path = tmp_path / "sc.json"
     path.write_text(json.dumps(data))
     env = {k: v for k, v in os.environ.items() if k != "SQH_MAX_SIMPLICES"}
