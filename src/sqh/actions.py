@@ -36,7 +36,7 @@ from .errors import (
     NeedsSubdivision,
     ResourceCapExceeded,
 )
-from .homology import FieldSpec, SparseIntMatrix, betti, is_prime, prime_factors
+from .homology import FieldSpec, SparseIntMatrix, betti, is_prime, p_power_exponent, prime_factors
 
 DEFAULT_ELEMENT_CAP = 20000
 
@@ -971,13 +971,13 @@ def _grow_sylow(action: VertexAction, handle: SubgroupHandle, p: int) -> Subgrou
     while len(members) < target:
         inside = set(members)
         for g in handle.indices:
-            if g in inside or prime_factors(action.element_order(g)).keys() - {p}:
+            if g in inside or p_power_exponent(action.element_order(g), p) is None:
                 continue
             g_inv = action.inv(g)
             if any(action.mult(action.mult(g, h), g_inv) not in inside for h in gens):
                 continue
             grown = action._span([g], base=(members, gens))
-            if not prime_factors(len(grown[0])).keys() - {p}:
+            if p_power_exponent(len(grown[0]), p) is not None:
                 members, gens = grown
                 break
         else:  # cannot happen for a genuine group; defensive

@@ -17,19 +17,27 @@ inside each check.  A `run_scenario` run that asks for torsion (`snf_cap` >
 0) takes its reported Betti numbers and torsion from the whole group's orbit
 complex as well; only an `snf_cap` 0 run takes its Betti numbers from the
 simplicial quotient.
-A failed hard verdict means either an engine bug or a genuine
-counterexample, and aborts the run with a diagnostic dump.
+
+`CHECKS` is the one table of the checks a scenario can name, in report
+order, and `run_checks` runs it.  Each inequality is written once, in the
+row of `evaluate_all` that restates it; the `abelian_bound` and `cover_e1`
+CheckResults are read off those rows.  A failed hard verdict means either
+an engine bug or a genuine counterexample: `evaluate_all` reports it, and
+`run_scenario` aborts the run on it with a dump that replays the scenario.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, fields as dataclass_fields
 
 from .actions import (
     VertexAction,
     SubgroupHandle,
     admissible_subdivision,
+    best_abelian_normal_subgroup,
     fixed_subcomplex,
     is_admissible,
     orbit_betti,
@@ -38,8 +46,9 @@ from .actions import (
     sylow,
 )
 from .complexes import SimplicialComplex, chain_complex
-from .errors import BoundViolation, InvalidParameter
-from .homology import BettiTable, FieldSpec, betti, is_prime, prime_factors, relative_betti
+from .errors import InvalidParameter
+from .homology import BettiTable, FieldSpec, betti, is_prime, p_power_exponent, prime_factors, relative_betti
+from .models import AbelianCharacterData, cover_e1_total
 
 
 def jordan_constant(n: int) -> int:
@@ -124,7 +133,7 @@ def smith_floyd_check(action: VertexAction, p_subgroup: SubgroupHandle, p: int) 
     """Total mod-p Betti of the fixed set is at most that of the space."""
     if not is_prime(p):
         raise InvalidParameter(f"{p} is not prime")
-    if prime_factors(p_subgroup.order).keys() - {p}:
+    if p_power_exponent(p_subgroup.order, p) is None:
         raise InvalidParameter(f"subgroup of order {p_subgroup.order} is not a {p}-group")
     fp = FieldSpec(p)
     # the fixed set at the subgroup's admissible subdivision, which has the model's dimension
@@ -249,7 +258,7 @@ class BoundEvaluation:
     name: str
     field: str
     applicable: bool
-    hard: bool                 # counts toward the abort-on-failure policy
+    hard: bool                 # a failed hard row fails the report, and `run_scenario` aborts
     passed: bool | None
     observed: int | None
     value: float | int | None
@@ -264,19 +273,7 @@ class BoundEvaluation:
         return self.value / max(1, self.observed)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "field": self.field,
-            "applicable": self.applicable,
-            "hard": self.hard,
-            "passed": self.passed,
-            "observed": self.observed,
-            "value": self.value,
-            "display": self.display,
-            "exact_form": self.exact_form,
-            "inputs": self.inputs,
-            "slack": self.slack,
-        }
+        return {**{f.name: getattr(self, f.name) for f in dataclass_fields(self)}, "slack": self.slack}
 
 
 @dataclass(frozen=True)
@@ -286,10 +283,16 @@ class BoundReport:
     checks: tuple = ()
 
     @property
+    def failures(self) -> list:
+        """The names of the failed checks and applicable hard rows, sorted, each once."""
+        return sorted(
+            {c.name for c in self.checks if not c.passed}
+            | {e.name for e in self.evaluations if e.applicable and e.hard and not e.passed}
+        )
+
+    @property
     def all_passed(self) -> bool:
-        return all(
-            e.passed for e in self.evaluations if e.applicable and e.hard
-        ) and all(c.passed for c in self.checks)
+        return not self.failures
 
     def to_json(self) -> dict:
         return {
@@ -301,153 +304,220 @@ class BoundReport:
         }
 
 
+def _within(observed, value) -> bool:
+    """observed <= value: exactly for an integer value, within 1e-9 for a float."""
+    return observed <= value + (1e-9 if isinstance(value, float) else 0)
+
+
+def _row(name, label, observed, value, exact_form, inputs, *, applicable=True, hard=True, passed=None):
+    """One evaluate_all row over the field `label`.
+
+    `passed` defaults to `_within(observed, value)`; a row that does not
+    apply has no verdict and no observation.  `display` is the value to four
+    significant digits.
+    """
+    if not applicable:
+        passed = observed = None
+    elif passed is None:
+        passed = _within(observed, value)
+    display = None if value is None else format(value, ".4g")
+    return BoundEvaluation(name, label, applicable, hard, passed, observed, value, display, exact_form, inputs)
+
+
+def _abelian_3n_row(label: str, total: int, n: int, is_abelian: bool) -> BoundEvaluation:
+    """Total Betti of the quotient <= 3^n, for an abelian group acting on S^{n-1}."""
+    return _row("abelian_3n", label, total, abelian_bound(n), f"3^{n}", {"n": n}, applicable=is_abelian)
+
+
+def _cover_e1_row(label: str, total: int, cover: int, block_count: int, n: int) -> BoundEvaluation:
+    """The chain total <= sum_J c_J*2^a(J) <= 3^N - 1 <= 3^n over the N-block cover."""
+    cap = 3**block_count - 1
+    return _row(
+        "cover_e1", label, total, cover, f"sum_J c_J*2^a(J) <= 3^{block_count}-1",
+        {"N": block_count, "cap": cap},
+        passed=total <= cover <= cap <= abelian_bound(n),
+    )
+
+
 def evaluate_all(obs: ScenarioObservation, checks=()) -> BoundReport:
     """Evaluate every applicable bound for the observation, per field.
 
-    Hard rows restate theorems; a failed one raises BoundViolation, whose
-    dump is the report's JSON.  Soft rows (the J(n)=(n+1)! fallback and the
+    Hard rows restate theorems; soft rows (the J(n)=(n+1)! fallback and the
     direct constant-comparison of the two published forms) are
-    informational.
+    informational.  The report is returned whatever it finds: a failed
+    check or hard row leaves `all_passed` False and is named in `failures`,
+    and `run_scenario` aborts on it.
     """
     n = obs.ambient_n
     d = n - 1
-    q_order = obs.group_order // obs.abelian_normal_order
-    factors = prime_factors(obs.group_order)
-    pp = next(iter(factors.items())) if len(factors) == 1 else None  # (p, r): order = p^r
+    order = obs.group_order
+    q_order = order // obs.abelian_normal_order
+    q = max(1, q_order)
+    p_g = min(prime_factors(order), default=2)
+    r = p_power_exponent(order, p_g) or None  # |G| = p_g^r with r >= 1, else None
+    jn = jordan_constant(n)
     rows = []
     for f in obs.quotient_table.fields():
         label = f.label()
         total = obs.quotient_table.total(f)
         peak = obs.quotient_table.max_betti(f)
         k = obs.model_table.max_betti(f)
-
-        b3n = abelian_bound(n)
-        rows.append(
-            BoundEvaluation(
-                "abelian_3n", label, obs.is_abelian, True,
-                (total <= b3n) if obs.is_abelian else None,
-                total if obs.is_abelian else None,
-                b3n, format(b3n, ".4g"), f"3^{n}",
-                {"n": n},
-            )
-        )
+        at_p_g = not f.is_rationals and f.p == p_g
+        rows.append(_abelian_3n_row(label, total, n, obs.is_abelian))
         if obs.cover_e1 is not None:
-            cap = 3 ** obs.block_count - 1
-            rows.append(
-                BoundEvaluation(
-                    "cover_e1", label, True, True,
-                    total <= obs.cover_e1 <= cap <= 3**n,
-                    total, obs.cover_e1, format(obs.cover_e1, ".4g"),
-                    f"sum_J c_J*2^a(J) <= 3^{obs.block_count}-1",
-                    {"N": obs.block_count, "cap": cap},
-                )
-            )
-        applicable_cyclic = pp is not None and pp[1] == 1 and not f.is_rationals and f.p == pp[0]
-        cb = cyclic_bound(d, k)
-        rows.append(
-            BoundEvaluation(
-                "cyclic", label, applicable_cyclic, True,
-                (peak <= cb) if applicable_cyclic else None,
-                peak if applicable_cyclic else None,
-                cb, format(cb, ".4g"), f"3*({d}+1)*{k}",
-                {"d": d, "k": k},
-            )
-        )
-        applicable_pgroup = pp is not None and not f.is_rationals and f.p == pp[0]
-        pb = pgroup_bound(d, k, pp[1]) if pp else None
-        rows.append(
-            BoundEvaluation(
-                "pgroup", label, applicable_pgroup, True,
-                (peak <= pb) if applicable_pgroup else None,
-                peak if applicable_pgroup else None,
-                pb, format(pb, ".4g") if pb is not None else None,
-                f"(3*({d}+1))^{pp[1]}*{k}" if pp else None,
-                {"d": d, "k": k, "r": pp[1] if pp else None},
-            )
-        )
-        if not f.is_rationals:
-            fb = finite_bound(d, k, obs.group_order, f.p)
-            rows.append(
-                BoundEvaluation(
-                    "finite_transfer", label, True, True,
-                    peak <= fb.integer_form and peak <= fb.real_form + 1e-9,
-                    peak, fb.real_form, format(fb.real_form, ".4g"),
-                    f"{obs.group_order}^(log_{f.p}(3*{d+1}))*{k}",
-                    {
-                        "d": d,
-                        "k": k,
-                        "order": obs.group_order,
-                        "p": f.p,
-                        "integer_form": fb.integer_form,
-                        "floor_log": fb.exponent,
-                    },
-                )
-            )
+            rows.append(_cover_e1_row(label, total, obs.cover_e1, obs.block_count, n))
+        rows.append(_row("cyclic", label, peak, cyclic_bound(d, k), f"3*({d}+1)*{k}", {"d": d, "k": k},
+                         applicable=at_p_g and r == 1))
+        rows.append(_row("pgroup", label, peak, pgroup_bound(d, k, r) if r else None,
+                         f"(3*({d}+1))^{r}*{k}" if r else None, {"d": d, "k": k, "r": r},
+                         applicable=at_p_g and r is not None))
+        if f.is_rationals:
+            rows.append(_row("finite_transfer", label, total, obs.model_table.total(f),
+                             "char-0 transfer: total b(Y/G) <= total b(Y)", {"order": order}))
         else:
-            model_total = obs.model_table.total(f)
-            rows.append(
-                BoundEvaluation(
-                    "finite_transfer", label, True, True,
-                    total <= model_total,
-                    total, model_total, format(model_total, ".4g"),
-                    "char-0 transfer: total b(Y/G) <= total b(Y)",
-                    {"order": obs.group_order},
-                )
-            )
-        jb = jordan_combined_bound(n, max(1, q_order))
-        rows.append(
-            BoundEvaluation(
-                "jordan_combined", label, True, True,
-                total <= jb + 1e-9,
-                total, jb, format(jb, ".4g"),
-                f"{n}*3^{n}*{max(1, q_order)}^(log2(3*{n}))",
-                {
-                    "n": n,
-                    "q_order": q_order,
-                    "abelian_normal_order": obs.abelian_normal_order,
-                    "via_fallback": obs.abelian_via_fallback,
-                },
-            )
-        )
-        jn = jordan_constant(n)
-        jbn = jordan_combined_bound(n, jn)
-        rows.append(
-            BoundEvaluation(
-                "jordan_combined_jn", label, True, False,
-                total <= jbn + 1e-9,
-                total, jbn, format(jbn, ".4g"),
-                f"{n}*3^{n}*({n}+1)!^(log2(3*{n})) [heuristic-for-small-n]",
-                {"n": n, "J_n": jn},
-            )
-        )
+            fb = finite_bound(d, k, order, f.p)
+            rows.append(_row("finite_transfer", label, peak, fb.real_form, f"{order}^(log_{f.p}(3*{d+1}))*{k}",
+                             {"d": d, "k": k, "order": order, "p": f.p, "integer_form": fb.integer_form,
+                              "floor_log": fb.exponent},
+                             passed=peak <= fb.integer_form and _within(peak, fb.real_form)))
+        rows.append(_row("jordan_combined", label, total, jordan_combined_bound(n, q),
+                         f"{n}*3^{n}*{q}^(log2(3*{n}))",
+                         {"n": n, "q_order": q_order, "abelian_normal_order": obs.abelian_normal_order,
+                          "via_fallback": obs.abelian_via_fallback}))
+        rows.append(_row("jordan_combined_jn", label, total, jordan_combined_bound(n, jn),
+                         f"{n}*3^{n}*({n}+1)!^(log2(3*{n})) [heuristic-for-small-n]", {"n": n, "J_n": jn},
+                         hard=False))
         if d >= 1:
-            t13 = thm13_constant(d)
-            rows.append(
-                BoundEvaluation(
-                    "thm13_constant", label, True, True,
-                    peak <= t13 + 1e-9,
-                    peak, t13, format(t13, ".4g"),
-                    f"3^{d}*({d}+1)!^(log2(3*{d}))",
-                    {
-                        "k": d,
-                        "natural_log_value": thm13_constant(d, natural_log=True),
-                    },
-                )
-            )
+            rows.append(_row("thm13_constant", label, peak, thm13_constant(d), f"3^{d}*({d}+1)!^(log2(3*{d}))",
+                             {"k": d, "natural_log_value": thm13_constant(d, natural_log=True)}))
             direct = (d + 1) * 3 ** (d + 1) * math.factorial(d + 2) ** math.log2(3 * d + 3)
-            rows.append(
-                BoundEvaluation(
-                    "thm13_direct_instantiation", label, True, False,
-                    peak <= direct + 1e-9,
-                    peak, direct, format(direct, ".4g"),
-                    f"({d}+1)*3^{d+1}*({d}+2)!^(log2(3*{d}+3)) [open-question comparison]",
-                    {"k": d},
-                )
-            )
-    report = BoundReport(obs.scenario_id, tuple(rows), tuple(checks))
-    if not report.all_passed:
-        raise BoundViolation(
-            f"verified inequality failed on scenario {obs.scenario_id}",
-            dump=report.to_json(),
-        )
-    return report
+            rows.append(_row("thm13_direct_instantiation", label, peak, direct,
+                             f"({d}+1)*3^{d+1}*({d}+2)!^(log2(3*{d}+3)) [open-question comparison]", {"k": d},
+                             hard=False))
+    return BoundReport(obs.scenario_id, tuple(rows), tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# the table of checks
+
+
+@dataclass(frozen=True)
+class CheckRun:
+    """What the checks read of one run: the model's action, the sphere's
+    ambient n, the Betti tables of the quotient and of the model, and the
+    character data of a character_join model (None for other models)."""
+
+    scenario_id: str
+    action: VertexAction
+    ambient_n: int
+    quotient_table: BettiTable
+    model_table: BettiTable
+    char_data: AbelianCharacterData | None = None
+
+    @functools.cached_property
+    def full(self) -> SubgroupHandle:
+        return self.action.full_subgroup()
+
+    @functools.cached_property
+    def primes(self) -> list:
+        """The primes of |G|, or [2] for the trivial group."""
+        return list(prime_factors(self.full.order)) or [2]
+
+    @functools.cached_property
+    def cover(self):
+        """The E1 page of the block cover (`cover_e1_total`), taken once."""
+        return cover_e1_total(self.char_data)
+
+
+def _least_cp_handle(action: VertexAction, p: int) -> SubgroupHandle:
+    """The subgroup generated by the least-index element of order p, else the trivial one."""
+    for i in range(1, action.order):
+        if action.element_order(i) == p:
+            return action.subgroup(action.closure_indices({i}))
+    return action.trivial_subgroup()
+
+
+def _abelian_bound(run: CheckRun) -> list:
+    out = []
+    for f in run.quotient_table.fields():
+        total = run.quotient_table.total(f)
+        row = _abelian_3n_row(f.label(), total, run.ambient_n, run.full.is_abelian)
+        out.append(CheckResult(  # a nonabelian group passes
+            "abelian_bound", row.passed is not False,
+            {"field": row.field, "n": run.ambient_n, "applicable": row.applicable},
+            {"observed_total": total, "bound": row.value}))
+    return out
+
+
+def _smith_floyd(run: CheckRun) -> list:
+    return [smith_floyd_check(run.action, sylow(run.action, run.full, p), p) for p in run.primes]
+
+
+def _cyclic_chain(run: CheckRun) -> list:
+    return [cyclic_chain_check(run.action, _least_cp_handle(run.action, p), p) for p in run.primes]
+
+
+def _transfer(run: CheckRun) -> list:
+    return [transfer_check(run.action, p) for p in run.primes]
+
+
+def _cover_e1(run: CheckRun) -> list:
+    cover = run.cover
+    # one list, shared by every field's detail
+    per_j = [{"J": list(j), "a": a, "b": b, "betti": list(bs), "total": sub} for j, a, b, bs, sub in cover.per_j]
+    out = []
+    for f in run.quotient_table.fields():
+        total = run.quotient_table.total(f)
+        row = _cover_e1_row(f.label(), total, cover.total, run.char_data.block_count, run.ambient_n)
+        out.append(CheckResult(
+            "cover_e1", row.passed, {"field": row.field, "N": row.inputs["N"]},
+            {"observed_total": total, "cover_e1_total": cover.total, "cap": row.inputs["cap"], "per_J": per_j}))
+    return out
+
+
+def _evaluate_all(run: CheckRun, checks: tuple) -> BoundReport:
+    normal = best_abelian_normal_subgroup(run.action)
+    obs = ScenarioObservation(
+        run.scenario_id, run.ambient_n, run.full.order, run.full.is_abelian, run.quotient_table, run.model_table,
+        abelian_normal_order=normal.order,
+        abelian_via_fallback=normal.via_fallback,
+        block_count=run.char_data.block_count if run.char_data else None,
+        cover_e1=run.cover.total if run.char_data else None,
+    )
+    return evaluate_all(obs, checks)
+
+
+# Every check a scenario can name, in report order, and the code that
+# produces its CheckResults from the run; smith_floyd, cyclic_chain and
+# transfer give one per prime of |G| (or of [2]).  The last entry is the
+# ledger: "evaluate_all" turns the run and the other checks' results into
+# the BoundReport.  cover_e1 needs a character_join model (`Scenario`
+# refuses it on any other).
+CHECKS = {
+    "abelian_bound": _abelian_bound,
+    "smith_floyd": _smith_floyd,
+    "cyclic_chain": _cyclic_chain,
+    "transfer": _transfer,
+    "cover_e1": _cover_e1,
+    "evaluate_all": _evaluate_all,
+}
+
+
+def run_checks(run: CheckRun, names, stage) -> tuple:
+    """(CheckResults, BoundReport or None): the named checks in table order,
+    then the ledger when "evaluate_all" is named.
+
+    `stage(name, t0)` closes a timing stage begun at t0: "checks" after the
+    CheckResults, always, and "evaluate_all" after the ledger when it runs.
+    Nothing is raised on a failed verdict; `run_scenario` decides.
+    """
+    *checks, (ledger_name, ledger) = CHECKS.items()
+    t0 = time.perf_counter()
+    results = tuple(r for name, produce in checks if name in names for r in produce(run))
+    stage("checks", t0)
+    if ledger_name not in names:
+        return results, None
+    t0 = time.perf_counter()
+    report = ledger(run, results)
+    stage(ledger_name, t0)
+    return results, report

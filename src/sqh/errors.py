@@ -46,8 +46,12 @@ class ResourceCapExceeded(SqhError):
 class BoundViolation(SqhError):
     """A verified inequality from the bound ledger failed.
 
-    Carries the diagnostic payload so the offending scenario can be
-    serialized and replayed.
+    `run_scenario` raises it, and nothing else does, when a check or a hard
+    `evaluate_all` row fails.  Its `dump` always has three keys:
+    "scenario", the scenario's JSON, which `Scenario.from_json_dict` reads
+    back to replay the run; "checks", the JSON of every CheckResult; and
+    "bound_report", the BoundReport's JSON, or None when the scenario does
+    not name `evaluate_all`.
     """
 
     def __init__(self, message, dump=None):

@@ -85,6 +85,17 @@ def prime_factors(n: int) -> dict:
     return out
 
 
+def p_power_exponent(n: int, p: int) -> int | None:
+    """The r with n = p^r, r >= 0 (so 1 is p^0), or None when n is no power of the prime p."""
+    if n < 1:
+        raise InvalidParameter(f"cannot factor {n}")
+    r = 0
+    while n % p == 0:
+        n //= p
+        r += 1
+    return r if n == 1 else None
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Either the rationals (p is None) or the prime field F_p."""

@@ -21,24 +21,14 @@ from . import __version__
 from .actions import (
     VertexAction,
     admissible_subdivision,
-    best_abelian_normal_subgroup,
     close_generators,
     lefschetz_numbers,
     make_admissible_and_quotient,
     orbit_chain_complex,
-    sylow,
 )
-from .bounds import (
-    CheckResult,
-    ScenarioObservation,
-    abelian_bound,
-    cyclic_chain_check,
-    evaluate_all,
-    smith_floyd_check,
-    transfer_check,
-)
+from .bounds import CHECKS, BoundReport, CheckRun, run_checks
 from .complexes import SimplicialComplex, chain_complex, subdivided_f_vector
-from .errors import CorruptComplex, InvalidParameter, ResourceCapExceeded
+from .errors import BoundViolation, CorruptComplex, InvalidParameter, ResourceCapExceeded
 from .homology import F2, F3, F5, BettiTable, FieldSpec, RATIONALS, betti, prime_factors
 from .models import (
     DEFAULT_MAX_FACTOR,
@@ -46,7 +36,6 @@ from .models import (
     SignedPermutation,
     SphereModel,
     character_join_model,
-    cover_e1_total,
     join_f_vector,
     signed_permutation_action,
 )
@@ -57,7 +46,9 @@ DEFAULT_FIELDS = ("Q", "Fp:2", "Fp:3", "Fp:5")
 # Its default and its integer type are kept from when it bounded the
 # matrices whose Smith normal form was taken, so old scenario JSON reads.
 DEFAULT_SNF_CAP = 5000
-KNOWN_CHECKS = ("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "cover_e1", "evaluate_all")
+KNOWN_CHECKS = tuple(CHECKS)
+# every check but cover_e1, which needs a character_join model
+GROUP_CHECKS = tuple(c for c in KNOWN_CHECKS if c != "cover_e1")
 
 
 def simplex_cap() -> int:
@@ -101,6 +92,8 @@ class Scenario:
                 raise InvalidParameter(f"unknown check {c!r}")
         if len(set(self.checks)) != len(self.checks):
             raise InvalidParameter(f"field 'checks' lists a check twice: {list(self.checks)}")
+        if "cover_e1" in self.checks and self.kind != "character_join":
+            raise InvalidParameter(f"field 'checks': cover_e1 needs a character_join space, not {self.kind}")
         if self.subdivisions != "auto" and (
             isinstance(self.subdivisions, bool)
             or not isinstance(self.subdivisions, int)
@@ -261,13 +254,6 @@ def _integer_lists(value, key: str) -> tuple:
     return tuple(_integers(x, f"{key}[{i}]") for i, x in enumerate(_list(value, key)))
 
 
-def _least_cp_handle(action: VertexAction, p: int):
-    for i in range(1, action.order):
-        if action.element_order(i) == p:
-            return action.subgroup(action.closure_indices({i}))
-    return action.trivial_subgroup()
-
-
 def _quotient_table(
     action: VertexAction, n: int, quotient: SimplicialComplex, scenario: Scenario, fields
 ) -> BettiTable:
@@ -394,10 +380,17 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     complex whose Betti numbers are not those of S^{n-1} over every field,
     or, when torsion is asked for, whose integral homology is not
     certified torsion-free (`_check_torsion_free`), raises
-    InvalidParameter naming 'complex'.  The checks and
-    `evaluate_all` follow the quotient.  A quotient that is not simplicial
+    InvalidParameter naming 'complex'.  A quotient that is not simplicial
     at a forced depth raises NeedsSubdivision, a depth past the cap
     ResourceCapExceeded.  A budget must be 0 or more seconds.
+
+    The named checks follow the quotient, from the one table
+    `bounds.CHECKS` (`run_checks`), and `evaluate_all` last.  When a check
+    or a hard `evaluate_all` row fails, this raises the run's one
+    BoundViolation, naming them.  Its dump is always {"scenario", "checks",
+    "bound_report"}: the scenario's JSON, which `Scenario.from_json_dict`
+    reads back to replay the run, the CheckResults, and the BoundReport
+    (None unless `evaluate_all` is named).
     """
     if budget is not None and not budget >= 0:
         raise InvalidParameter(f"budget must be 0 or more seconds, got {budget}")
@@ -432,90 +425,15 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     quotient_table = _quotient_table(action, bundle.ambient_n, res.complex, scenario, fields)
     stage("quotient_betti", t0)
 
-    full = action.full_subgroup()
-    check_results = []
-    checks = tuple(c for c in KNOWN_CHECKS if c in scenario.checks)
-    primes = list(prime_factors(full.order)) or [2]
-
-    t0 = time.perf_counter()
-    if "abelian_bound" in checks:
-        bound = abelian_bound(bundle.ambient_n)
-        for f in fields:
-            total = quotient_table.total(f)
-            check_results.append(
-                CheckResult(
-                    "abelian_bound",
-                    (total <= bound) if full.is_abelian else True,
-                    {"field": f.label(), "n": bundle.ambient_n, "applicable": full.is_abelian},
-                    {"observed_total": total, "bound": bound},
-                )
-            )
-    if "smith_floyd" in checks:
-        for p in primes:
-            check_results.append(smith_floyd_check(action, sylow(action, full, p), p))
-    if "cyclic_chain" in checks:
-        for p in primes:
-            check_results.append(cyclic_chain_check(action, _least_cp_handle(action, p), p))
-    if "transfer" in checks:
-        for p in primes:
-            check_results.append(transfer_check(action, p))
-    cover = None
-    if bundle.char_data is not None:
-        cover = cover_e1_total(bundle.char_data)
-    if "cover_e1" in checks:
-        if cover is None:
-            raise InvalidParameter("cover_e1 check needs a character_join scenario")
-        cap_3n = 3 ** bundle.char_data.block_count - 1
-        per_j = [
-            {"J": list(j), "a": a, "b": b, "betti": list(bs), "total": sub}
-            for j, a, b, bs, sub in cover.per_j
-        ]
-        for f in fields:
-            total = quotient_table.total(f)
-            check_results.append(
-                CheckResult(
-                    "cover_e1",
-                    total <= cover.total <= cap_3n <= 3 ** bundle.ambient_n,
-                    {"field": f.label(), "N": bundle.char_data.block_count},
-                    {
-                        "observed_total": total,
-                        "cover_e1_total": cover.total,
-                        "cap": cap_3n,
-                        "per_J": per_j,
-                    },
-                )
-            )
-    stage("checks", t0)
-
-    bound_report = None
-    if "evaluate_all" in checks:
-        t0 = time.perf_counter()
-        normal = best_abelian_normal_subgroup(action)
-        obs = ScenarioObservation(
-            scenario_id=scenario.name,
-            ambient_n=bundle.ambient_n,
-            group_order=full.order,
-            is_abelian=full.is_abelian,
-            quotient_table=quotient_table,
-            model_table=model_table,
-            abelian_normal_order=normal.order,
-            abelian_via_fallback=normal.via_fallback,
-            block_count=bundle.char_data.block_count if bundle.char_data else None,
-            cover_e1=cover.total if cover else None,
-        )
-        bound_report = evaluate_all(obs, checks=tuple(check_results))
-        stage("evaluate_all", t0)
-
-    failed = [c.name for c in check_results if not c.passed]
-    if failed:
-        from .errors import BoundViolation
-
+    run = CheckRun(scenario.name, action, bundle.ambient_n, quotient_table, model_table, bundle.char_data)
+    check_results, bound_report = run_checks(run, scenario.checks, stage)
+    checks_json = [c.to_json() for c in check_results]
+    ledger_json = bound_report.to_json() if bound_report else None
+    failures = (bound_report or BoundReport(scenario.name, (), check_results)).failures
+    if failures:
         raise BoundViolation(
-            f"checks failed on scenario {scenario.name}: {sorted(set(failed))}",
-            dump={
-                "scenario": scenario.to_json_dict(),
-                "checks": [c.to_json() for c in check_results],
-            },
+            f"verified inequality failed on scenario {scenario.name}: {failures}",
+            dump={"scenario": scenario.to_json_dict(), "checks": checks_json, "bound_report": ledger_json},
         )
 
     report = {
@@ -525,9 +443,9 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
         "model": {
             "kind": scenario.kind,
             "ambient_n": bundle.ambient_n,
-            "group_order": full.order,
+            "group_order": run.full.order,
             "kernel_order": bundle.kernel_order,
-            "is_abelian": full.is_abelian,
+            "is_abelian": run.full.is_abelian,
             "simplices_before": sum(action.complex.f_vector()),
             "simplices_after": res.simplices_after,
             "facets_before": len(action.complex.facets),
@@ -537,8 +455,8 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
         "quotient_f_vector": list(res.complex.f_vector()),
         "betti": quotient_table.to_json(),
         "model_betti": model_table.to_json(),
-        "checks": [c.to_json() for c in check_results],
-        "bound_report": bound_report.to_json() if bound_report else None,
+        "checks": checks_json,
+        "bound_report": ledger_json,
         "timing": timings if with_timings else None,
     }
     return report
@@ -588,7 +506,7 @@ def builtin(name: str, *params) -> Scenario:
             name=f"rp({n})",
             space={"signed_permutation": {"n": n + 1, "generators": [anti.to_json_dict()]}},
             fields=("Q", "Fp:2", "Fp:3"),
-            checks=("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "evaluate_all"),
+            checks=GROUP_CHECKS,
             snf_cap=16384,
         )
     if name == "lens":
@@ -608,7 +526,7 @@ def builtin(name: str, *params) -> Scenario:
                 ).to_json_dict()
             },
             fields=fields,
-            checks=("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "cover_e1", "evaluate_all"),
+            checks=KNOWN_CHECKS,
             snf_cap=16384,
         )
     if name == "quaternion_q8":
@@ -623,7 +541,7 @@ def builtin(name: str, *params) -> Scenario:
                 }
             },
             fields=("Q", "Fp:2", "Fp:3"),
-            checks=("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "evaluate_all"),
+            checks=GROUP_CHECKS,
             snf_cap=16384,
         )
     if name == "sym3_on_s2":
@@ -638,7 +556,7 @@ def builtin(name: str, *params) -> Scenario:
                 }
             },
             fields=("Q", "Fp:2", "Fp:3"),
-            checks=("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "evaluate_all"),
+            checks=GROUP_CHECKS,
             snf_cap=16384,
         )
     if name == "dihedral_on_s1":
@@ -659,7 +577,7 @@ def builtin(name: str, *params) -> Scenario:
                 }
             },
             fields=("Q", "Fp:2", "Fp:3"),
-            checks=("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "evaluate_all"),
+            checks=GROUP_CHECKS,
         )
     if name == "trivial_sphere":
         (n,) = params
@@ -669,7 +587,7 @@ def builtin(name: str, *params) -> Scenario:
             name=f"trivial_sphere({n})",
             space={"signed_permutation": {"n": n, "generators": []}},
             fields=("Q", "Fp:2", "Fp:3", "Fp:5"),
-            checks=("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "evaluate_all"),
+            checks=GROUP_CHECKS,
             snf_cap=16384,
         )
 

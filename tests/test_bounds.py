@@ -5,7 +5,6 @@ import pytest
 from conftest import octahedron
 from sqh.actions import close_generators, make_admissible_and_quotient
 from sqh.bounds import (
-    BoundViolation,
     CheckResult,
     ScenarioObservation,
     abelian_bound,
@@ -230,7 +229,8 @@ def test_evaluate_all_trivial_group_on_s2():
     assert ab.observed == 2 and ab.value == 27
 
 
-def test_evaluate_all_aborts_on_violation():
+def test_evaluate_all_marks_failed_rows():
+    """An impossible observation is reported, not raised: `run_scenario` aborts on it."""
     from sqh.homology import BettiTable
 
     obs = observation_for(antipodal_action(), 3, [F2], "rp(2)")
@@ -245,10 +245,16 @@ def test_evaluate_all_aborts_on_violation():
         abelian_normal_order=obs.abelian_normal_order,
         abelian_via_fallback=False,
     )
-    with pytest.raises(BoundViolation) as err:
-        evaluate_all(broken)
-    assert err.value.dump["schema"] == "bound_report_v1"
-    assert err.value.dump["all_passed"] is False
+    report = evaluate_all(broken)
+    assert report.all_passed is False
+    failed = sorted(e.name for e in report.evaluations if e.hard and e.applicable and e.passed is False)
+    assert failed == report.failures == ["abelian_3n", "cyclic", "finite_transfer", "jordan_combined", "pgroup"]
+    # no row is left without a verdict, and the soft row fails without failing the report
+    assert all(e.passed is not None for e in report.evaluations if e.applicable)
+    assert [e.passed for e in report.evaluations if not e.hard] == [False]
+    blob = report.to_json()
+    assert blob["schema"] == "bound_report_v1"
+    assert blob["all_passed"] is False
 
 
 def test_report_includes_soft_rows_and_checks():

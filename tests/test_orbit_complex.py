@@ -67,9 +67,9 @@ from sqh.homology import (
     prime_factors,
     relative_betti,
 )
+from sqh.bounds import _least_cp_handle
 from sqh.scenarios import (
     DEFAULT_FIELDS,
-    _least_cp_handle,
     build_model,
     builtin,
     run_scenario,

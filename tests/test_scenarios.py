@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import sqh.scenarios
 from sqh.cli import main
 from sqh.errors import BoundViolation, InvalidParameter, ResourceCapExceeded
 from sqh.scenarios import (
@@ -360,6 +361,38 @@ def test_cli_bound_violation_exit_code(tmp_path, capsys, monkeypatch):
     assert "bound_report_v1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checks", [None, ("transfer",)], ids=["all_checks", "transfer_alone"])
+def test_bound_violation_dump_replays_the_run(tmp_path, capsys, monkeypatch, checks):
+    """A failed check aborts the run with one dump shape, with or without evaluate_all,
+    and the dump's scenario reads back as the scenario that failed."""
+    import dataclasses
+
+    import sqh.bounds
+
+    transfer_check = sqh.bounds.transfer_check
+    monkeypatch.setattr(
+        sqh.bounds, "transfer_check", lambda *a: dataclasses.replace(transfer_check(*a), passed=False)
+    )
+    sc = builtin("rp", 2)
+    if checks is not None:
+        sc = dataclasses.replace(sc, checks=checks)
+    with pytest.raises(BoundViolation) as err:
+        run_scenario(sc)
+    dump = err.value.dump
+    assert set(dump) == {"scenario", "checks", "bound_report"}
+    assert Scenario.from_json_dict(dump["scenario"]) == sc
+    assert [c["name"] for c in dump["checks"] if not c["passed"]] == ["transfer"]
+    if checks is None:
+        assert dump["bound_report"]["all_passed"] is False
+    else:
+        assert dump["bound_report"] is None
+
+    assert _run_scenario_file(tmp_path, sc.to_json_dict()) == 3
+    message, payload = capsys.readouterr().err.split("\n", 1)
+    assert "['transfer']" in message
+    assert json.loads(payload)["scenario"] == dump["scenario"]
+
+
 def test_cli_resource_cap_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("SQH_MAX_SIMPLICES", "10")
     sc_path = tmp_path / "sc.json"
@@ -463,6 +496,8 @@ def _character_join(factors, rotations, signs) -> dict:
         ({**builtin("rp", 2).to_json_dict(), "fields": ["Q", "Q"]}, "'fields'"),
         ({**builtin("rp", 2).to_json_dict(), "fields": ["Q", "Fp:02"]}, "'fields'"),
         ({**builtin("rp", 2).to_json_dict(), "checks": ["transfer", "transfer"]}, "'checks'"),
+        # cover_e1 reads the character data of a character_join model
+        ({**builtin("rp", 2).to_json_dict(), "checks": ["cover_e1"]}, "'checks'"),
         # explicit complexes that are not spheres: a disc under C_3, and two edges with b = (2, 0)
         (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(),
                    {"complex": {"vertex_count": 3, "facets": [[0, 1, 2]]}, "generators": [[1, 2, 0]]},
@@ -501,15 +536,20 @@ def _character_join(factors, rotations, signs) -> dict:
     ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex",
          "perm_str", "perm_float", "generator_str", "facet_str", "factor_str",
          "subdivisions_bool", "certified_str", "certified_false", "snf_cap_negative", "perm_short",
-         "name_int", "fields_repeated", "fields_not_canonical", "checks_repeated",
+         "name_int", "fields_repeated", "fields_not_canonical", "checks_repeated", "cover_e1_not_character_join",
          "explicit_disc", "explicit_two_edges", "explicit_facet_out_of_range", "explicit_unused_vertex",
          "explicit_no_facets", "n_zero", "n_negative", "signs_short", "perm_repeated",
          "factor_negative", "factor_past_cap", "rotation_character_long", "sign_character_long",
          "sign_character_two", "sign_character_odd_order", "no_blocks", "blocks_past_cap"],
 )
-def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, data, named):
+def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, monkeypatch, data, named):
+    built = []
+    build_model = sqh.scenarios.build_model
+    monkeypatch.setattr(sqh.scenarios, "build_model", lambda sc: built.append(sc) or build_model(sc))
     assert _run_scenario_file(tmp_path, data) == 2
     assert named in capsys.readouterr().err
+    if named == "'checks'":  # refused by Scenario itself, before any model is built
+        assert not built
 
 
 def _explicit_quotient(sc: Scenario, fields) -> dict:

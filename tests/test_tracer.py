@@ -42,6 +42,9 @@ def test_tracer_installs_around_a_scenario():
     # every rational rank is certified, and each call is counted as such
     assert metrics["homology.q_rank_monte_carlo"][0] == 0
     assert metrics["homology.q_rank_certified"][0] == metrics["homology.rank_over_q_calls"][0] > 0
+    # the table of checks looks each check up by name when it runs, so every one is traced
+    checks = ("smith_floyd", "cyclic_chain", "transfer", "evaluate_all")
+    assert [metrics[f"bounds.{name}_calls"][0] for name in checks] == [1, 1, 1, 1]
 
 
 def test_tracer_counts_no_snf_on_a_sweep_scenario():
