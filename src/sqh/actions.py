@@ -16,6 +16,7 @@ is reproducible.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -25,6 +26,7 @@ from .complexes import (
     OrientedChainComplex,
     SimplicialComplex,
     Subdivision,
+    chain_complex,
     full_subcomplex,
     shared_subdivision,
     subdivided_f_vector,
@@ -36,7 +38,7 @@ from .errors import (
     NeedsSubdivision,
     ResourceCapExceeded,
 )
-from .homology import FieldSpec, SparseIntMatrix, betti, is_prime, p_power_exponent, prime_factors
+from .homology import BettiTable, FieldSpec, SparseIntMatrix, betti, is_prime, p_power_exponent, prime_factors
 
 DEFAULT_ELEMENT_CAP = 20000
 
@@ -137,8 +139,11 @@ class VertexAction:
     """A finite group realized as simplicial vertex permutations.
 
     elements[0] is the identity, and `generator_indices` generate the
-    group.  Instances are immutable; derived data is cached on the instance
-    and freed with it:
+    group.  `block_lengths` is set by `models.block_model` on the actions
+    it builds, and kept by their restrictions: the lengths of the polygons
+    (L >= 3) and vertex pairs (L = 2) whose join is the complex.  It is
+    None for any other complex.  Instances are immutable; derived data is
+    cached on the instance and freed with it:
 
     - multiplication, inverses and element orders
     - vertex orbits, and the simplex orbits with their carriers and
@@ -163,6 +168,7 @@ class VertexAction:
         "complex",
         "elements",
         "generator_indices",
+        "block_lengths",
         "_index",
         "_mult",
         "_inv",
@@ -181,6 +187,7 @@ class VertexAction:
         self.complex = complex
         self.elements = tuple(tuple(e) for e in elements)
         self.generator_indices = tuple(generator_indices)
+        self.block_lengths = None
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._mult: dict = {}
         self._inv: dict = {}
@@ -311,6 +318,7 @@ class VertexAction:
                 [self.elements[i] for i in key],
                 tuple(position[g] for g in handle.generators),
             )
+            got.block_lengths = self.block_lengths
             self._restrictions[key] = got
         return got
 
@@ -860,6 +868,26 @@ def _flag_orbit_complex(action: FlagAction) -> OrientedChainComplex:
     return OrientedChainComplex(ranks, tuple(boundaries), labels)
 
 
+def sphere_row(n: int) -> tuple:
+    """The Betti numbers of S^{n-1}, over any field."""
+    return (2,) if n == 1 else (1,) + (0,) * (n - 2) + (1,)
+
+
+def model_betti(action: VertexAction, fields) -> BettiTable:
+    """H_*(X) of the acted-on complex over each field, with no torsion.
+
+    A block model (`block_lengths` set) is a sphere by construction: the
+    join of S^a and S^b is S^{a+b+1} (Rourke and Sanderson, Introduction to
+    Piecewise-Linear Topology, ch. 2), so its row is `sphere_row` of
+    dimension + 1 over every field.  Any other complex is computed,
+    `betti(chain_complex(complex), fields)`.
+    """
+    if action.block_lengths is None:
+        return betti(chain_complex(action.complex), fields)
+    row = sphere_row(action.complex.dimension + 1)
+    return BettiTable(tuple((f, row) for f in fields), None)
+
+
 def orbit_betti(action, field: FieldSpec) -> tuple:
     """Betti numbers of orbit_chain_complex(action) over one field, computed once per field."""
     got = action._orbit_betti.get(field)
@@ -925,13 +953,50 @@ def conjugacy_classes(action: VertexAction, handle: SubgroupHandle | None = None
 def lefschetz_numbers(action: VertexAction) -> tuple:
     """The Lefschetz number L(g) of every element, indexed like `action.elements`.
 
+    L(g) is the alternating trace of g on H_*(X; Q).  On a block model
+    (`block_lengths` set), X is S^{n-1} by construction and g acts on
+    H_{n-1}(X; Q) by det g, so L(g) = 1 + (-1)^{n-1} det g, with det g read
+    off the element and the blocks (`block_determinant`); for n = 1 that
+    counts the points of S^0 that g fixes.  On any other complex L(g) comes
+    from the simplex scan, `_lefschetz_scan`, which is also the tests'
+    oracle for the determinant.  Only the complex, its blocks and the group
+    are read, no orbit data.
+    """
+    lengths = action.block_lengths
+    if lengths is None:
+        return _lefschetz_scan(action)
+    sign = (-1) ** action.complex.dimension
+    return tuple(1 + sign * block_determinant(e, lengths) for e in action.elements)
+
+
+def block_determinant(element, lengths) -> int:
+    """det g for an element g of a `models.block_model` group on these block lengths.
+
+    g maps each block onto a block of the same length by x -> x + step.  On
+    the polygons that is a rotation, and permuting 2-planes has determinant
+    +1, so they give +1.  On the vertex pairs g is a signed permutation:
+    the sign of the permutation it induces on the pairs, times -1 for each
+    pair it maps with a swap (step 1).
+    """
+    starts = tuple(itertools.accumulate(lengths, initial=0))
+    targets, swaps = [], 0
+    for length, start in zip(lengths, starts):
+        if length == 2:
+            image = element[start]
+            target = bisect.bisect_right(starts, image) - 1
+            targets.append(target)
+            swaps += image - starts[target]
+    return -1 if (swaps + _is_odd(targets)) % 2 else 1
+
+
+def _lefschetz_scan(action: VertexAction) -> tuple:
+    """L(g) for every element, from the simplices of any complex.
+
     L(g) is the sum, over the simplices σ that g maps onto themselves, of
     (-1)^dim σ times the sign of the permutation g induces on σ's vertices:
     the alternating trace of g on the oriented chains of X, and so, by the
-    Hopf trace formula, on H_*(X; Q).  On a homology sphere S^{n-1} with
-    n >= 2, L(g) = 1 + (-1)^{n-1} deg g.  L is a class function, so it is
-    taken once per conjugacy class.  Only the complex and the group are
-    read, no orbit data.
+    Hopf trace formula, on H_*(X; Q).  L is a class function, so it is
+    taken once per conjugacy class.
     """
     simplices = [s for level in action.complex.simplices() for s in level]
     out = [0] * action.order

@@ -16,7 +16,9 @@ chain complex is cached on that complex.  Relative homology is computed
 inside each check.  A `run_scenario` run that asks for torsion (`snf_cap` >
 0) takes its reported Betti numbers and torsion from the whole group's orbit
 complex as well; only an `snf_cap` 0 run takes its Betti numbers from the
-simplicial quotient.
+simplicial quotient.  The model's own Betti numbers, b(Y) in `smith_floyd`
+and `cyclic_chain`, are `model_betti`'s, the row `run_scenario` reports: the
+sphere's for a block model, computed for an explicit complex.
 
 `CHECKS` is the one table of the checks a scenario can name, in report
 order, and `run_checks` runs it.  Each inequality is written once, in the
@@ -40,6 +42,7 @@ from .actions import (
     best_abelian_normal_subgroup,
     fixed_subcomplex,
     is_admissible,
+    model_betti,
     orbit_betti,
     orbit_chain_complex,
     subgroup_action,
@@ -125,6 +128,11 @@ def _betti_or_zero(k: SimplicialComplex, fieldspec: FieldSpec, length: int) -> l
     return _pad(betti(chain_complex(k), [fieldspec]).betti(fieldspec), length)
 
 
+def _model_betti(action: VertexAction, fieldspec: FieldSpec, length: int) -> list:
+    """b(X; F) of the model, the row `run_scenario` reports: the sphere's for a block model."""
+    return _pad(model_betti(action, [fieldspec]).betti(fieldspec), length)
+
+
 def _pad(seq, length):
     return list(seq) + [0] * (length - len(seq))
 
@@ -141,7 +149,7 @@ def smith_floyd_check(action: VertexAction, p_subgroup: SubgroupHandle, p: int) 
     subdivisions = int(not is_admissible(action.restrict(p_subgroup)))
     length = action.complex.dimension + 1
     lhs = sum(_betti_or_zero(fixed, fp, length))
-    rhs = sum(_betti_or_zero(action.complex, fp, length))
+    rhs = sum(_model_betti(action, fp, length))
     return CheckResult(
         name="smith_floyd",
         passed=lhs <= rhs,
@@ -173,7 +181,7 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
     fixed = fixed_subcomplex(action, cp_handle)
 
     # Betti numbers do not change under subdivision: b(Y) is the model's
-    b_y = _betti_or_zero(action.complex, fp, length)
+    b_y = _model_betti(action, fp, length)
     b_f = _betti_or_zero(fixed, fp, length)
     b_q = _pad(orbit_betti(y_action, fp), length)
     if fixed.facets:

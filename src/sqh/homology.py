@@ -32,6 +32,7 @@ be the rank mod p, or the complex is declared corrupt.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from math import prod
@@ -115,7 +116,10 @@ class FieldSpec:
         return "Q" if self.p is None else f"Fp:{self.p}"
 
     @classmethod
+    @functools.lru_cache(maxsize=256)
     def parse(cls, label: str) -> "FieldSpec":
+        """The field a label names, memoised: a scenario parses its labels
+        each time it is made, and a sweep makes one per draw."""
         if label == "Q":
             return cls(None)
         if label.startswith("Fp:") and label[3:].isdecimal():

@@ -11,7 +11,7 @@ local torus model of the block cover and its E1 page count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -33,20 +33,15 @@ def join_f_vector(lengths: Iterable[int], cap: int | None = None) -> tuple:
     """
     poly = [1]
     for k, length in enumerate(lengths, 1):
-        poly = _poly_mul(poly, [1, length, length] if length > 2 else [1, 2])
+        if length > 2:
+            poly = [a + length * (b + c) for a, b, c in zip(poly + [0, 0], [0, *poly, 0], [0, 0, *poly])]
+        else:
+            poly = [a + 2 * b for a, b in zip(poly + [0], [0, *poly])]
         if cap is not None and sum(poly) - 1 > cap:
             raise ResourceCapExceeded(
                 f"the join of the model's first {k} blocks already has {sum(poly) - 1} simplices (cap {cap})"
             )
     return tuple(poly[1:])
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def block_model(lengths: Sequence[int], generators) -> VertexAction:
@@ -55,7 +50,14 @@ def block_model(lengths: Sequence[int], generators) -> VertexAction:
     Block b is an L-gon for L = lengths[b] >= 3, or S^0 for L = 2, on the L
     vertices after the blocks before it.  A generator gives each block b a
     pair (target, step): vertex x of b goes to vertex (x + step) mod L of
-    block `target`.  `close_generators` refuses a map that is not simplicial.
+    block `target`.  `close_generators` refuses a map that is not simplicial,
+    so every element maps each block onto a block of its length, rotating a
+    polygon and swapping a pair or not.
+
+    The action records the lengths (`VertexAction.block_lengths`), and what
+    the blocks fix is read off them, not the complex: the join is S^{n-1},
+    whose homology is `actions.model_betti`'s sphere row, and each element's
+    Lefschetz number follows from its determinant (`lefschetz_numbers`).
     """
     offsets = [0]
     model = EMPTY_COMPLEX
@@ -70,7 +72,9 @@ def block_model(lengths: Sequence[int], generators) -> VertexAction:
         )
         for gen in generators
     ]
-    return close_generators(model, maps)
+    action = close_generators(model, maps)
+    action.block_lengths = tuple(lengths)
+    return action
 
 
 def cross_polytope(n: int) -> SimplicialComplex:
@@ -123,6 +127,10 @@ class AbelianCharacterData:
     invariant_factors: tuple
     rotation_characters: tuple
     sign_characters: tuple
+    # set once here: the order of each rotation character in the dual group,
+    # and the blocks of the join model, the rotation polygons then the sign pairs
+    rotation_orders: tuple = field(init=False, repr=False, compare=False)
+    block_lengths: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ms = tuple(int(m) for m in self.invariant_factors)
@@ -153,6 +161,11 @@ class AbelianCharacterData:
         object.__setattr__(self, "invariant_factors", ms)
         object.__setattr__(self, "rotation_characters", rot)
         object.__setattr__(self, "sign_characters", sgn)
+        orders = tuple(lcm(*(m // gcd(a, m) for a, m in zip(ch, ms))) for ch in rot)
+        object.__setattr__(self, "rotation_orders", orders)
+        # a polygon's length is the least multiple of its order d that is >= 3: d, or d + 2 for d = 1, 2
+        lengths = tuple(d if d >= 3 else d + 2 for d in orders) + (2,) * len(sgn)
+        object.__setattr__(self, "block_lengths", lengths)
 
     @property
     def factor_count(self) -> int:
@@ -175,22 +188,12 @@ class AbelianCharacterData:
         return 2 * self.rotation_count + self.sign_count
 
     @property
-    def block_lengths(self) -> tuple:
-        """The blocks of the join model: the rotation polygons, then the sign pairs."""
-        return tuple(self.polygon_length(j) for j in range(self.rotation_count)) + (2,) * self.sign_count
-
-    @property
     def group_order(self) -> int:
         return prod(self.invariant_factors)
 
-    def rotation_order(self, j: int) -> int:
-        """Order of the j-th rotation character in the dual group."""
-        return lcm(*(m // gcd(a, m) for a, m in zip(self.rotation_characters[j], self.invariant_factors)))
-
     def polygon_length(self, j: int) -> int:
         """Least multiple of the character order d that is >= 3: d, or d + 2 for d = 1, 2."""
-        d = self.rotation_order(j)
-        return d if d >= 3 else d + 2
+        return self.block_lengths[j]
 
     def sign_bit(self, k: int, gen: int) -> int:
         return self.sign_characters[k][gen] & 1

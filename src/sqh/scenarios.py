@@ -9,9 +9,11 @@ default report stays reproducible).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import time
@@ -24,13 +26,16 @@ from .actions import (
     close_generators,
     lefschetz_numbers,
     make_admissible_and_quotient,
+    model_betti,
     orbit_chain_complex,
+    sphere_row,
 )
 from .bounds import CHECKS, BoundReport, CheckRun, run_checks
 from .complexes import SimplicialComplex, chain_complex, subdivided_f_vector
 from .errors import BoundViolation, CorruptComplex, InvalidParameter, ResourceCapExceeded
 from .homology import F2, F3, F5, BettiTable, FieldSpec, RATIONALS, betti, prime_factors
 from .models import (
+    DEFAULT_MAX_BLOCKS,
     DEFAULT_MAX_FACTOR,
     AbelianCharacterData,
     SignedPermutation,
@@ -283,7 +288,11 @@ def _check_lefschetz_oracles(action: VertexAction, n: int, cells, table: BettiTa
     X = S^{n-1} is a rational homology sphere, so H_*(X/G; Q) = H_*(X; Q)^G
     (Bredon, Introduction to Compact Transformation Groups, ch. III), and
     the Lefschetz numbers of the group (`lefschetz_numbers`) give its
-    dimensions.  The oracles read the model and the group, no orbit data:
+    dimensions.  On a block model L(g) = 1 + (-1)^{n-1} det g, read off the
+    element and the blocks, so no simplex is read and the Q oracle is the
+    classical statement that H_{n-1}(X/G; Q) is Q when every det g is 1 and
+    0 otherwise; on an explicit complex L comes from the simplex scan.  The
+    oracles read the model and the group, no orbit data:
 
     - chi oracle: the sum of L(g) over G is |G| times the Euler
       characteristic of the orbit complex, the alternating sum of its
@@ -323,7 +332,7 @@ def _check_lefschetz_oracles(action: VertexAction, n: int, cells, table: BettiTa
 
 def _check_sphere(n: int, table: BettiTable) -> None:
     """InvalidParameter naming 'complex' unless the table holds the Betti numbers of S^{n-1}."""
-    sphere = (2,) if n == 1 else (1,) + (0,) * (n - 2) + (1,)
+    sphere = sphere_row(n)
     for f, b in table.entries:
         if b != sphere:
             raise InvalidParameter(
@@ -376,9 +385,14 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     the Betti numbers come from the simplicial quotient, no SNF is taken,
     and no orbit complex is built for them (see `_quotient_table`).
 
-    The model's Betti numbers are taken before its quotient; an `explicit`
-    complex whose Betti numbers are not those of S^{n-1} over every field,
-    or, when torsion is asked for, whose integral homology is not
+    The model's Betti numbers (`model_betti`) are taken before its
+    quotient.  A character_join or signed_permutation model is a join of
+    polygons and vertex pairs, a sphere by construction, so its row is the
+    sphere's over every field and nothing is computed for it; the tests
+    check that row against the model's computed homology.  An `explicit`
+    complex's sphericity is an input claim, so its homology is computed,
+    and a complex whose Betti numbers are not those of S^{n-1} over every
+    field, or, when torsion is asked for, whose integral homology is not
     certified torsion-free (`_check_torsion_free`), raises
     InvalidParameter naming 'complex'.  A quotient that is not simplicial
     at a forced depth raises NeedsSubdivision, a depth past the cap
@@ -409,12 +423,11 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
 
     fields = scenario.field_specs()
     t0 = time.perf_counter()
-    model_chain = chain_complex(action.complex)
-    model_table = betti(model_chain, fields)
+    model_table = model_betti(action, fields)
     if scenario.kind == "explicit":
         _check_sphere(bundle.ambient_n, model_table)
         if scenario.snf_cap:
-            _check_torsion_free(model_chain)
+            _check_torsion_free(chain_complex(action.complex))
     stage("model_betti", t0)
 
     t0 = time.perf_counter()
@@ -595,35 +608,58 @@ def builtin(name: str, *params) -> Scenario:
 # ---------------------------------------------------------------------------
 # randomized abelian sweep
 
+@functools.cache
+def _subdivided_totals(depth: int, length: int) -> tuple:
+    """Entry k: the simplices of sd^depth(X) interior to one k-simplex of X.
+
+    `subdivided_f_vector` is linear in the f-vector, so the entry is the
+    total of sd^depth applied to the k-th unit f-vector.  Built once per
+    (depth, length), on first use.
+    """
+    totals = []
+    for k in range(length):
+        f = tuple(int(j == k) for j in range(length))
+        for _ in range(depth):
+            f = subdivided_f_vector(f)
+        totals.append(sum(f))
+    return tuple(totals)
+
+
 def predicted_model_size(data: AbelianCharacterData) -> int:
     """Simplex count of the model after its forecast subdivisions.
 
     One subdivision suffices when every rotation block's polygon is at
-    least twice the character order (shift-agreement on flags); otherwise
-    two are forecast.  The pipeline still verifies the preconditions at
-    each level, so an optimistic forecast only costs a redraw.
+    least twice the character order (shift-agreement on flags), that is,
+    when no rotation order is 3 or more; otherwise two are forecast.  The
+    count is the dot product of the model's f-vector (`join_f_vector`) with
+    the simplices that each k-simplex contributes at that depth
+    (`_subdivided_totals`, read off `subdivided_f_vector`).  The pipeline
+    still verifies the preconditions at each level, so an optimistic
+    forecast only costs a redraw.
     """
+    depth = 2 if any(d >= 3 for d in data.rotation_orders) else 1
     f = join_f_vector(data.block_lengths)
-    needs_two = any(
-        data.polygon_length(j) < 2 * data.rotation_order(j) and data.rotation_order(j) > 1
-        for j in range(data.rotation_count)
-    )
-    f = subdivided_f_vector(f)
-    if needs_two:
-        f = subdivided_f_vector(f)
-    return sum(f)
+    return sum(map(operator.mul, f, _subdivided_totals(depth, len(f))))
 
 
-def random_character_data(rng: random.Random, n_max: int) -> AbelianCharacterData:
-    """One draw of the documented sweep distribution (no size guard)."""
-    t = rng.randint(1, 3)
-    ms = tuple(rng.randint(2, 12) for _ in range(t))
-    pairs = [
+@functools.lru_cache(maxsize=16)
+def _block_counts(n_max: int) -> tuple:
+    """The (rotation, sign) block counts a draw picks from: 2r + s <= n_max, and
+    1 to DEFAULT_MAX_BLOCKS blocks, which is every such pair for n_max <= DEFAULT_MAX_BLOCKS."""
+    return tuple(
         (r, s)
         for r in range(n_max // 2 + 1)
         for s in range(n_max + 1)
-        if r + s >= 1 and 2 * r + s <= n_max
-    ]
+        if 1 <= r + s <= DEFAULT_MAX_BLOCKS and 2 * r + s <= n_max
+    )
+
+
+def random_character_data(rng: random.Random, n_max: int) -> AbelianCharacterData:
+    """One draw of the documented sweep distribution (no size guard); its
+    block counts are drawn uniformly from `_block_counts(n_max)`."""
+    t = rng.randint(1, 3)
+    ms = tuple(rng.randint(2, 12) for _ in range(t))
+    pairs = _block_counts(n_max)
     r, s = pairs[rng.randrange(len(pairs))]
     rot = tuple(tuple(rng.randrange(m) for m in ms) for _ in range(r))
     sgn = tuple(

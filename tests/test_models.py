@@ -116,7 +116,7 @@ def test_character_data_validation():
 def test_character_data_normalizes_mod_m():
     d = AbelianCharacterData((5,), ((7,),), ())
     assert d.rotation_characters == ((2,),)
-    assert d.rotation_order(0) == 5
+    assert d.rotation_orders == (5,)
 
 
 def test_character_join_lens_model_structure():

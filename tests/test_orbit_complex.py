@@ -70,6 +70,7 @@ from sqh.homology import (
 from sqh.bounds import _least_cp_handle
 from sqh.scenarios import (
     DEFAULT_FIELDS,
+    Scenario,
     build_model,
     builtin,
     run_scenario,
@@ -312,9 +313,42 @@ def _zeroed_boundaries(monkeypatch):
     _with_orbit_complex(monkeypatch, _zero_boundaries)
 
 
+def _with_determinant(monkeypatch, det):
+    """Make every block model's Lefschetz numbers read det(element, lengths) for det g."""
+    import sqh.actions
+
+    monkeypatch.setattr(sqh.actions, "block_determinant", det)
+
+
+def _unsigned_block_permutation(monkeypatch):
+    # on vertex pairs alone, pair i is vertices 2i, 2i + 1: count the swaps, drop the permutation's sign
+    _with_determinant(monkeypatch, lambda e, lengths: (-1) ** sum(e[2 * i] % 2 for i in range(len(lengths))))
+
+
+def _first_swap_dropped(monkeypatch):
+    import sqh.actions
+
+    det = sqh.actions.block_determinant
+    _with_determinant(monkeypatch, lambda e, lengths: det(e, lengths) * (-1) ** (e[0] % 2))
+
+
+# the quarter-turn of the plane, e1 -> e2 -> -e1, on the square S^0 * S^0: an odd
+# permutation of the pairs with one swap, so det = 1 but the swaps alone give -1
+QUARTER_TURN = Scenario(
+    name="quarter_turn_s1",
+    space={"signed_permutation": {"n": 2, "generators": [{"perm": [2, 1], "signs": [-1, 1]}]}},
+    fields=("Q", "Fp:2", "Fp:3"),
+    snf_cap=16384,
+)
+
+
 @pytest.mark.parametrize(
     "scenario, mutate, message",
     [
+        (QUARTER_TURN, _unsigned_block_permutation,
+         "chi oracle: the orbit complex has Euler characteristic 0, the Lefschetz numbers give 4/4"),
+        (builtin("rp", 4), _first_swap_dropped,
+         "chi oracle: the orbit complex has Euler characteristic 1, the Lefschetz numbers give 4/2"),
         (builtin("rp", 2), _merged_orbits,
          "chi oracle: the orbit complex has Euler characteristic 0, the Lefschetz numbers give 2/2"),
         (builtin("rp", 2), _zeroed_boundaries,
@@ -325,10 +359,15 @@ def _zeroed_boundaries(monkeypatch):
         (replace(builtin("rp", 2), fields=("Fp:2", "Fp:3")), _zeroed_boundaries,
          "coprime-p oracle: b = (3, 6, 4) over Fp:3, the Lefschetz numbers give (1, 0, 0)"),
     ],
-    ids=["chi_rp2_merge_orbits", "q_rp2_zero_boundaries", "q_lens52_zero_boundaries", "coprime_rp2_zero_boundaries"],
+    ids=["chi_quarter_turn_unsigned_permutation", "chi_rp4_one_swap_dropped", "chi_rp2_merge_orbits", "q_rp2_zero_boundaries", "q_lens52_zero_boundaries", "coprime_rp2_zero_boundaries"],
 )
 def test_lefschetz_oracles_reject_a_corrupt_orbit_complex(monkeypatch, scenario, mutate, message):
-    """Each mutation passes dd = 0 and betti's own checks, and trips the oracle it names."""
+    """Each mutation passes dd = 0 and betti's own checks, and trips the oracle it names.
+
+    A mutated orbit complex is caught against the Lefschetz numbers, and a
+    mutated determinant, which gives a block model's Lefschetz numbers,
+    against the orbit complex.
+    """
     scenario = replace(scenario, checks=())  # the checks would read the mutated complex too
     assert is_admissible(build_model(scenario).action)
     run_scenario(scenario)
