@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 
@@ -317,33 +318,39 @@ def _within(observed, value) -> bool:
     return observed <= value + (1e-9 if isinstance(value, float) else 0)
 
 
-def _row(name, label, observed, value, exact_form, inputs, *, applicable=True, hard=True, passed=None):
+def _row(name, label, observed, value, exact_form, inputs, *, shared, applicable=True, hard=True, passed=None):
     """One evaluate_all row over the field `label`.
 
     `passed` defaults to `_within(observed, value)`; a row that does not
     apply has no verdict and no observation.  `display` is the value to four
-    significant digits.
+    significant digits, interned.  `shared`, a dict that lives for one set
+    of rows over the fields, hands rows of equal value, exact form and
+    inputs (compared with their types, as JSON writes them) one object of
+    each, so a bound's rows over several fields hold its parts once.
     """
     if not applicable:
         passed = observed = None
     elif passed is None:
         passed = _within(observed, value)
-    display = None if value is None else format(value, ".4g")
-    return BoundEvaluation(name, label, applicable, hard, passed, observed, value, display, exact_form, inputs)
+    key = (type(value), value, exact_form, tuple((k, type(v), v) for k, v in inputs.items()))
+    if key not in shared:
+        shared[key] = (value, None if value is None else sys.intern(format(value, ".4g")), exact_form, inputs)
+    return BoundEvaluation(name, label, applicable, hard, passed, observed, *shared[key])
 
 
-def _abelian_3n_row(label: str, total: int, n: int, is_abelian: bool) -> BoundEvaluation:
+def _abelian_3n_row(label: str, total: int, n: int, is_abelian: bool, shared: dict) -> BoundEvaluation:
     """Total Betti of the quotient <= 3^n, for an abelian group acting on S^{n-1}."""
-    return _row("abelian_3n", label, total, abelian_bound(n), f"3^{n}", {"n": n}, applicable=is_abelian)
+    return _row("abelian_3n", label, total, abelian_bound(n), f"3^{n}", {"n": n}, shared=shared,
+                applicable=is_abelian)
 
 
-def _cover_e1_row(label: str, total: int, cover: int, block_count: int, n: int) -> BoundEvaluation:
+def _cover_e1_row(label: str, total: int, cover: int, block_count: int, n: int, shared: dict) -> BoundEvaluation:
     """The chain total <= sum_J c_J*2^a(J) <= 3^N - 1 <= 3^n over the N-block cover."""
     cap = 3**block_count - 1
     return _row(
         "cover_e1", label, total, cover, f"sum_J c_J*2^a(J) <= 3^{block_count}-1",
         {"N": block_count, "cap": cap},
-        passed=total <= cover <= cap <= abelian_bound(n),
+        passed=total <= cover <= cap <= abelian_bound(n), shared=shared,
     )
 
 
@@ -365,43 +372,45 @@ def evaluate_all(obs: ScenarioObservation, checks=()) -> BoundReport:
     r = p_power_exponent(order, p_g) or None  # |G| = p_g^r with r >= 1, else None
     jn = jordan_constant(n)
     rows = []
+    shared: dict = {}  # the parts each bound's rows share across the fields
+    row = functools.partial(_row, shared=shared)
     for f in obs.quotient_table.fields():
         label = f.label()
         total = obs.quotient_table.total(f)
         peak = obs.quotient_table.max_betti(f)
         k = obs.model_table.max_betti(f)
         at_p_g = not f.is_rationals and f.p == p_g
-        rows.append(_abelian_3n_row(label, total, n, obs.is_abelian))
+        rows.append(_abelian_3n_row(label, total, n, obs.is_abelian, shared))
         if obs.cover_e1 is not None:
-            rows.append(_cover_e1_row(label, total, obs.cover_e1, obs.block_count, n))
-        rows.append(_row("cyclic", label, peak, cyclic_bound(d, k), f"3*({d}+1)*{k}", {"d": d, "k": k},
-                         applicable=at_p_g and r == 1))
-        rows.append(_row("pgroup", label, peak, pgroup_bound(d, k, r) if r else None,
-                         f"(3*({d}+1))^{r}*{k}" if r else None, {"d": d, "k": k, "r": r},
-                         applicable=at_p_g and r is not None))
+            rows.append(_cover_e1_row(label, total, obs.cover_e1, obs.block_count, n, shared))
+        rows.append(row("cyclic", label, peak, cyclic_bound(d, k), f"3*({d}+1)*{k}", {"d": d, "k": k},
+                        applicable=at_p_g and r == 1))
+        rows.append(row("pgroup", label, peak, pgroup_bound(d, k, r) if r else None,
+                        f"(3*({d}+1))^{r}*{k}" if r else None, {"d": d, "k": k, "r": r},
+                        applicable=at_p_g and r is not None))
         if f.is_rationals:
-            rows.append(_row("finite_transfer", label, total, obs.model_table.total(f),
-                             "char-0 transfer: total b(Y/G) <= total b(Y)", {"order": order}))
+            rows.append(row("finite_transfer", label, total, obs.model_table.total(f),
+                            "char-0 transfer: total b(Y/G) <= total b(Y)", {"order": order}))
         else:
             fb = finite_bound(d, k, order, f.p)
-            rows.append(_row("finite_transfer", label, peak, fb.real_form, f"{order}^(log_{f.p}(3*{d+1}))*{k}",
-                             {"d": d, "k": k, "order": order, "p": f.p, "integer_form": fb.integer_form,
-                              "floor_log": fb.exponent},
-                             passed=peak <= fb.integer_form and _within(peak, fb.real_form)))
-        rows.append(_row("jordan_combined", label, total, jordan_combined_bound(n, q),
-                         f"{n}*3^{n}*{q}^(log2(3*{n}))",
-                         {"n": n, "q_order": q_order, "abelian_normal_order": obs.abelian_normal_order,
-                          "via_fallback": obs.abelian_via_fallback}))
-        rows.append(_row("jordan_combined_jn", label, total, jordan_combined_bound(n, jn),
-                         f"{n}*3^{n}*({n}+1)!^(log2(3*{n})) [heuristic-for-small-n]", {"n": n, "J_n": jn},
-                         hard=False))
+            rows.append(row("finite_transfer", label, peak, fb.real_form, f"{order}^(log_{f.p}(3*{d+1}))*{k}",
+                            {"d": d, "k": k, "order": order, "p": f.p, "integer_form": fb.integer_form,
+                             "floor_log": fb.exponent},
+                            passed=peak <= fb.integer_form and _within(peak, fb.real_form)))
+        rows.append(row("jordan_combined", label, total, jordan_combined_bound(n, q),
+                        f"{n}*3^{n}*{q}^(log2(3*{n}))",
+                        {"n": n, "q_order": q_order, "abelian_normal_order": obs.abelian_normal_order,
+                         "via_fallback": obs.abelian_via_fallback}))
+        rows.append(row("jordan_combined_jn", label, total, jordan_combined_bound(n, jn),
+                        f"{n}*3^{n}*({n}+1)!^(log2(3*{n})) [heuristic-for-small-n]", {"n": n, "J_n": jn},
+                        hard=False))
         if d >= 1:
-            rows.append(_row("thm13_constant", label, peak, thm13_constant(d), f"3^{d}*({d}+1)!^(log2(3*{d}))",
-                             {"k": d, "natural_log_value": thm13_constant(d, natural_log=True)}))
+            rows.append(row("thm13_constant", label, peak, thm13_constant(d), f"3^{d}*({d}+1)!^(log2(3*{d}))",
+                            {"k": d, "natural_log_value": thm13_constant(d, natural_log=True)}))
             direct = (d + 1) * 3 ** (d + 1) * math.factorial(d + 2) ** math.log2(3 * d + 3)
-            rows.append(_row("thm13_direct_instantiation", label, peak, direct,
-                             f"({d}+1)*3^{d+1}*({d}+2)!^(log2(3*{d}+3)) [open-question comparison]", {"k": d},
-                             hard=False))
+            rows.append(row("thm13_direct_instantiation", label, peak, direct,
+                            f"({d}+1)*3^{d+1}*({d}+2)!^(log2(3*{d}+3)) [open-question comparison]", {"k": d},
+                            hard=False))
     return BoundReport(obs.scenario_id, tuple(rows), tuple(checks))
 
 
@@ -446,14 +455,14 @@ def _least_cp_handle(action: VertexAction, p: int) -> SubgroupHandle:
 
 
 def _abelian_bound(run: CheckRun) -> list:
-    out = []
+    out, shared, details = [], {}, {}  # fields of equal totals share one detail
     for f in run.quotient_table.fields():
         total = run.quotient_table.total(f)
-        row = _abelian_3n_row(f.label(), total, run.ambient_n, run.full.is_abelian)
+        row = _abelian_3n_row(f.label(), total, run.ambient_n, run.full.is_abelian, shared)
         out.append(CheckResult(  # a nonabelian group passes
             "abelian_bound", row.passed is not False,
             {"field": row.field, "n": run.ambient_n, "applicable": row.applicable},
-            {"observed_total": total, "bound": row.value}))
+            details.setdefault(total, {"observed_total": total, "bound": row.value})))
     return out
 
 
@@ -473,13 +482,13 @@ def _cover_e1(run: CheckRun) -> list:
     cover = run.cover
     # one list, shared by every field's detail
     per_j = [{"J": list(j), "a": a, "b": b, "betti": list(bs), "total": sub} for j, a, b, bs, sub in cover.per_j]
-    out = []
+    out, shared, details = [], {}, {}  # fields of equal totals share one detail
     for f in run.quotient_table.fields():
         total = run.quotient_table.total(f)
-        row = _cover_e1_row(f.label(), total, cover.total, run.char_data.block_count, run.ambient_n)
+        row = _cover_e1_row(f.label(), total, cover.total, run.char_data.block_count, run.ambient_n, shared)
+        detail = {"observed_total": total, "cover_e1_total": cover.total, "cap": row.inputs["cap"], "per_J": per_j}
         out.append(CheckResult(
-            "cover_e1", row.passed, {"field": row.field, "N": row.inputs["N"]},
-            {"observed_total": total, "cover_e1_total": cover.total, "cap": row.inputs["cap"], "per_J": per_j}))
+            "cover_e1", row.passed, {"field": row.field, "N": row.inputs["N"]}, details.setdefault(total, detail)))
     return out
 
 

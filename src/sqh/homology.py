@@ -6,7 +6,7 @@ Ranks.  One kernel, `_eliminate`, does every elimination: sparse Gaussian
 elimination with min-degree (Markowitz-style) pivoting on the units of
 the ring, Z or Z/p^k.  A pivot of +-1 is a unit over Z and over every
 field, so each matrix is first reduced once over Z
-(`SparseIntMatrix.unit_reduction`): m is equivalent to I_u + R by
+(`SparseIntMatrix.unit_reduction`): m is equivalent to I_u + R + 0 by
 unimodular row and column operations, and the rank of m over Q or F_p is
 u plus the rank of the small residual R there.
 The reduction is cached on the matrix, so every field's rank shares it.
@@ -14,6 +14,18 @@ Over F_p every nonzero entry is a unit, and the same kernel eliminates R
 completely: once for F_p, and for Q modulo primes below 2^31 whose
 product exceeds R's Hadamard bound (see `rank_over_q`).  Every rank is
 exact.
+
+Clearing.  `betti` reduces a chain complex's matrices top-down, and d_k
+leaves out the columns of the k-cells that d_{k+1}'s reduction pivoted on
+(Chen and Kerber, "Persistent Homology Computation with a Twist", EuroCG
+2011; Bauer, Kerber and Reininghaus, "Clear and Compress: Computing
+Persistent Homology in Chunks", 2014).  Over Z this is exact: the +-1
+pivots make that pivot block of d_{k+1} unimodular, dd = 0 is verified
+before any rank is taken, so each cleared column of d_k is an integral
+combination of the kept ones, and d_k is equivalent to I_u + R + 0 with
+the cleared columns the 0 block.  So the ranks over Q and every F_p are
+those of the full matrix, and an empty R still certifies that its
+cokernel is free.
 
 Integral structure comes from the same kernel, by p-adic levels (local
 elimination: Dumas, Saunders and Villard, "On efficient sparse integer
@@ -25,15 +37,17 @@ p^(e+1) on the entries prime to p; the residual is divisible by p, and
 divided by p it is the next level's matrix, modulo p^e.  The pivots at
 level a count the invariant factors of p-valuation a, and the levels over
 the primes assemble the Smith divisors.  The levels run on each full
-matrix and not on the cached unit reduction, so a pivot lost by the
-reduction shows: the levels must sum to the rank over Q and level 0 must
-be the rank mod p, or the complex is declared corrupt.
+matrix, uncleared, and not on the cached unit reduction, so a pivot
+lost by the reduction, or a column cleared that carries rank, shows: the
+levels must sum to the rank over Q and level 0 must be the rank mod p, or
+the complex is declared corrupt.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import sys
 from dataclasses import dataclass
 from math import prod
 from typing import TYPE_CHECKING
@@ -107,13 +121,16 @@ class FieldSpec:
         if self.p is not None:
             if not (2 <= self.p <= 2**31) or not is_prime(self.p):
                 raise InvalidParameter(f"{self.p} is not a prime <= 2^31")
+        # interned, so every report row over the field holds one string
+        object.__setattr__(self, "_label", "Q" if self.p is None else sys.intern(f"Fp:{self.p}"))
 
     @property
     def is_rationals(self) -> bool:
         return self.p is None
 
     def label(self) -> str:
-        return "Q" if self.p is None else f"Fp:{self.p}"
+        """"Q" or "Fp:p"."""
+        return self._label
 
     @classmethod
     @functools.lru_cache(maxsize=256)
@@ -136,7 +153,7 @@ F5 = FieldSpec(5)
 class SparseIntMatrix:
     """Immutable sparse integer matrix, stored column-major."""
 
-    __slots__ = ("rows", "cols", "_columns", "_reduction")
+    __slots__ = ("rows", "cols", "_columns", "_reduction", "_pivot_rows")
 
     def __init__(self, rows: int, cols: int, entries=None) -> None:
         self.rows = rows
@@ -153,6 +170,7 @@ class SparseIntMatrix:
                 columns[c][r] = v
         self._columns = columns
         self._reduction = None
+        self._pivot_rows = frozenset()
 
     @classmethod
     def from_columns(cls, rows: int, cols: int, coldict) -> "SparseIntMatrix":
@@ -177,11 +195,34 @@ class SparseIntMatrix:
                 for r, v in col.items():
                     yield r, c, v
 
-    def unit_reduction(self) -> tuple:
-        """(u, R) with self equivalent to I_u + R over Z; computed on first use."""
+    def unit_reduction(self, cleared=frozenset()) -> tuple:
+        """(u, R) with self ≅ I_u ⊕ R ⊕ 0 over Z; computed on first use.
+
+        The reduction eliminates the ±1 pivots (`_eliminate` over Z) of the
+        columns not in `cleared`; the cleared columns are the 0 block.  This
+        is clearing (Chen and Kerber, EuroCG 2011; Bauer, Kerber and
+        Reininghaus, 2014), exact when each cleared column is an integral
+        combination of the others.  It is for self = d_k of a chain complex
+        with dd = 0 and `cleared` the rows P of d_{k+1}'s own unit pivots,
+        as `betti` clears: with Q their columns, A = d_{k+1}[P, Q] is
+        unimodular, so d_k d_{k+1} = 0 gives
+        d_k[:, P] = -d_k[:, not P] d_{k+1}[not P, Q] A^-1, and unimodular
+        column operations zero the columns P.  The rank of self over Q and
+        over every F_p is then u plus R's, and an empty R certifies that the
+        whole of self is equivalent to I_u ⊕ 0.  A matrix reduced outside a
+        chain clears nothing.  The pivot rows are kept with the reduction
+        (`pivot_rows`).
+        """
         if self._reduction is None:
-            self._reduction = _eliminate(self)
+            rows: list = []
+            self._reduction = _eliminate(self, cleared=cleared, pivot_rows=rows)
+            self._pivot_rows = frozenset(rows)
         return self._reduction
+
+    @property
+    def pivot_rows(self) -> frozenset:
+        """The rows of the unit reduction's pivots, empty until it is taken."""
+        return self._pivot_rows
 
     def compose_is_zero(self, other: "SparseIntMatrix") -> bool:
         """True iff self @ other is the zero matrix."""
@@ -248,33 +289,50 @@ def _pop_min_degree_column(heap, col_rows):
     return None
 
 
-def _eliminate(m: SparseIntMatrix, p: int = 0, k: int = 1) -> tuple:
+def _eliminate(m: SparseIntMatrix, p: int = 0, k: int = 1, *, cleared=frozenset(), pivot_rows=None) -> tuple:
     """Eliminate the unit pivots of m over Z (p = 0) or modulo p^k; return (pivots, R).
 
     The units are +-1 over Z and the entries prime to p modulo p^k, every
     nonzero one for k = 1.  Columns are taken in min-degree order, and each
     pivots on the shortest of its rows with a unit entry, the lowest index
     breaking ties.  With pivot v, row r2 then loses row2[c] / v times the
-    pivot row, an exact Schur-complement update; the pivot row and column
-    drop out, which the column operations clearing the pivot row would do.
-    A column without a unit entry when it is taken stays in R, still
-    updated by later pivots, so m is equivalent to I_pivots + R by
-    invertible row and column operations; R is the remaining rows and
-    columns, renumbered densely.  Over Z a later pivot may leave a unit in
-    such a column.  Modulo p^k it cannot: its entries are multiples of p,
-    and so is every update of them, so all of R is divisible by p and
-    `pivots` counts the invariant factors of m prime to p.  For k = 1, R is
-    empty and `pivots` is the rank over F_p.
+    pivot row, an exact Schur-complement update, each row's independent of
+    the others'; the pivot row and column drop out, which the column
+    operations clearing the pivot row would do.  A column without a unit
+    entry when it is taken stays in R, still updated by later pivots, so m
+    is equivalent to I_pivots + R by invertible row and column operations;
+    R is the remaining rows and columns, renumbered densely.  Over Z a
+    later pivot may leave a unit in such a column.  Modulo p^k it cannot:
+    its entries are multiples of p, and so is every update of them, so all
+    of R is divisible by p and `pivots` counts the invariant factors of m
+    prime to p.  For k = 1, R is empty and `pivots` is the rank over F_p.
+
+    The columns in `cleared` are left out, as if they were zero, for
+    clearing (Chen and Kerber 2011; Bauer, Kerber and Reininghaus 2014; see
+    the module notes): m is then equivalent to I_pivots + R + 0 only when
+    they are integral combinations of the others, which `betti` makes sure
+    of (see `unit_reduction`).  Over Z, `pivot_rows`, a list, receives the
+    row of each pivot.  Those pivots, +-1 each, are the successive Schur
+    pivots of the submatrix of m on the pivot rows and pivot columns, so
+    its determinant is +-1: the pivots bound a unimodular block of m.
     """
     q = p**k
     rows_map: dict = {}
     col_rows: dict = {}
-    for r, c, v in m.iter_entries():
+    for c, col in enumerate(m._columns):
+        if not col or c in cleared:
+            continue
         if p:
-            v %= q
-        if v:
-            rows_map.setdefault(r, {})[c] = v
-            col_rows.setdefault(c, set()).add(r)
+            col = {r: v % q for r, v in col.items() if v % q}
+            if not col:
+                continue
+        col_rows[c] = set(col)
+        for r, v in col.items():
+            row = rows_map.get(r)
+            if row is None:
+                rows_map[r] = {c: v}
+            else:
+                row[c] = v
     heap = [(len(rs), c) for c, rs in col_rows.items()]
     heapq.heapify(heap)
     pivots = 0
@@ -282,42 +340,62 @@ def _eliminate(m: SparseIntMatrix, p: int = 0, k: int = 1) -> tuple:
         c = _pop_min_degree_column(heap, col_rows)
         if c is None:
             break
-        if not p:
-            unit_rows = [rr for rr in col_rows[c] if rows_map[rr][c] in (1, -1)]
-        elif k == 1:
-            unit_rows = col_rows[c]
-        else:
-            unit_rows = [rr for rr in col_rows[c] if rows_map[rr][c] % p]
-        if not unit_rows:
+        r = size = -1
+        for rr in col_rows[c]:
+            row = rows_map[rr]
+            v = row[c]
+            if p:
+                if k > 1 and not v % p:
+                    continue
+            elif v != 1 and v != -1:
+                continue
+            n = len(row)
+            if r < 0 or n < size or (n == size and rr < r):
+                r, size = rr, n
+        if r < 0:
             continue  # out of the heap for good, but still tracked for fill-in
-        r = min(unit_rows, key=lambda rr: (len(rows_map[rr]), rr))
         pivot_row = rows_map.pop(r)
         v = pivot_row.pop(c)
-        inv = pow(v, -1, q) if p else v  # +-1 is its own inverse
         others = col_rows.pop(c)
         others.discard(r)
         for cc in pivot_row:
             col_rows[cc].discard(r)
         # every column left in a row is tracked in col_rows: a column leaves
         # it only once it is pivoted or empty, and then no row refills it
-        for r2 in sorted(others):
-            row2 = rows_map[r2]
-            f = row2.pop(c) * inv
-            if p:
-                f %= q  # keeps every product below q^2
-            for cc, vv in pivot_row.items():
-                nv = row2.get(cc, 0) - f * vv
-                if p:
-                    nv %= q
-                if nv:
-                    if cc not in row2:
+        if p:
+            inv = pow(v, -1, q)
+            for r2 in others:
+                row2 = rows_map[r2]
+                f = row2.pop(c) * inv % q  # keeps every product below q^2
+                for cc, vv in pivot_row.items():
+                    nv = (row2.get(cc, 0) - f * vv) % q
+                    if nv:
+                        if cc not in row2:
+                            col_rows[cc].add(r2)
+                        row2[cc] = nv
+                    elif cc in row2:
+                        del row2[cc]
+                        col_rows[cc].discard(r2)
+                if not row2:
+                    del rows_map[r2]
+        else:
+            for r2 in others:
+                row2 = rows_map[r2]
+                f = row2.pop(c) * v  # +-1 is its own inverse
+                for cc, vv in pivot_row.items():
+                    old = row2.get(cc)
+                    if old is None:  # f and vv are nonzero integers
+                        row2[cc] = -f * vv
                         col_rows[cc].add(r2)
-                    row2[cc] = nv
-                elif cc in row2:
-                    del row2[cc]
-                    col_rows[cc].discard(r2)
-            if not row2:
-                del rows_map[r2]
+                    elif old != f * vv:
+                        row2[cc] = old - f * vv
+                    else:
+                        del row2[cc]
+                        col_rows[cc].discard(r2)
+                if not row2:
+                    del rows_map[r2]
+            if pivot_rows is not None:
+                pivot_rows.append(r)
         pivots += 1
     columns: dict = {}
     for i, r in enumerate(sorted(rows_map)):
@@ -479,17 +557,13 @@ class BettiTable:
         return sum((-1) ** i * v for i, v in enumerate(self.betti(field)))
 
     def to_json(self):
-        out = []
-        for f, b in self.entries:
-            out.append(
-                {
-                    "field": f.label(),
-                    "betti": list(b),
-                    "torsion": [list(t) for t in self.torsion] if self.torsion is not None else None,
-                    "certified": True,
-                }
-            )
-        return out
+        """One row per field; the rows share one torsion list, and equal Betti rows one list."""
+        torsion = [list(t) for t in self.torsion] if self.torsion is not None else None
+        lists: dict = {}
+        return [
+            {"field": f.label(), "betti": lists.setdefault(b, list(b)), "torsion": torsion, "certified": True}
+            for f, b in self.entries
+        ]
 
 
 def betti(chain: "OrientedChainComplex", fields, *, order: int = 0) -> BettiTable:
@@ -497,6 +571,12 @@ def betti(chain: "OrientedChainComplex", fields, *, order: int = 0) -> BettiTabl
 
     b_k = rank C_k - rank d_k - rank d_{k+1}, every rank exact (see
     `rank_mod_p` and `rank_over_q`) and taken once per matrix and field.
+    Once dd = 0 is verified the matrices are reduced over Z top-down, with
+    clearing (Chen and Kerber 2011; Bauer, Kerber and Reininghaus 2014):
+    d_k skips the columns of the k-cells that d_{k+1}'s +-1 reduction
+    pivoted on, which are integral combinations of the others, so no rank
+    changes (`SparseIntMatrix.unit_reduction`); a matrix whose reduction is
+    already cached keeps it.  The SNF's levels eliminate the full matrices.
     `order` asks for torsion: at 0 no Smith normal form is taken and none
     is reported.  Above 0 it must annihilate the torsion of
     H_*(chain; Z), as |G| does for an orbit complex of a sphere; each
@@ -515,6 +595,10 @@ def betti(chain: "OrientedChainComplex", fields, *, order: int = 0) -> BettiTabl
     ranks = tuple(chain.ranks)
     boundaries = tuple(chain.boundaries)
     d = len(ranks) - 1
+    cleared = frozenset()  # the top matrix has no d_{d+1} to clear it
+    for mat in reversed(boundaries):
+        mat.unit_reduction(cleared)
+        cleared = mat.pivot_rows
     memos = [{} for _ in boundaries]  # per matrix: 0 (Q) or p -> its rank there
 
     snf = None

@@ -346,9 +346,13 @@ def _check_torsion_free(chain) -> None:
     By the transfer |G| annihilates the torsion of H_*(X/G; Z) only when
     H_*(X; Z) has none, and torsion needs that order.  The certificate is
     the +-1 reduction that the model's ranks already took: when it leaves
-    no residual, each boundary matrix is equivalent to I_u over Z.  Every
-    complex with torsion fails it, an integral homology sphere in
-    principle could too, though no sphere built or drawn here has.
+    no residual, each boundary matrix is equivalent to I_u + 0 over Z.
+    That reduction clears (see `homology.betti`): d_k skips the columns
+    that d_{k+1}'s unit pivots make integral combinations of the others,
+    so d_k is equivalent to I_u + R + 0, and an empty R still certifies
+    that the full d_k is equivalent to I_u + 0.  Every complex with torsion
+    fails it, an integral homology sphere in principle could too, though no
+    sphere built or drawn here has.
     """
     for k, mat in enumerate(chain.boundaries):
         residual = mat.unit_reduction()[1]
@@ -440,8 +444,9 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
 
     run = CheckRun(scenario.name, action, bundle.ambient_n, quotient_table, model_table, bundle.char_data)
     check_results, bound_report = run_checks(run, scenario.checks, stage)
-    checks_json = [c.to_json() for c in check_results]
     ledger_json = bound_report.to_json() if bound_report else None
+    # the ledger holds the same CheckResults: the report shares their dicts
+    checks_json = ledger_json["checks"] if ledger_json else [c.to_json() for c in check_results]
     failures = (bound_report or BoundReport(scenario.name, (), check_results)).failures
     if failures:
         raise BoundViolation(

@@ -34,7 +34,7 @@ from sqh.homology import (
     relative_betti,
     smith_normal_form,
 )
-from sqh.scenarios import build_model, builtin
+from sqh.scenarios import Scenario, _check_torsion_free, build_model, builtin
 
 
 def from_dense(rows):
@@ -155,10 +155,10 @@ def _count_prime_eliminations(monkeypatch) -> list:
     calls = []
     original = homology._eliminate
 
-    def counting(m, p=0, k=1):
+    def counting(m, p=0, k=1, **kw):
         if p:
             calls.append(p)
-        return original(m, p, k)
+        return original(m, p, k, **kw)
 
     monkeypatch.setattr(homology, "_eliminate", counting)
     return calls
@@ -338,6 +338,7 @@ def test_field_spec():
     assert FieldSpec.parse("Q") == RATIONALS
     assert FieldSpec.parse("Fp:7") == FieldSpec(7)
     assert FieldSpec(13).label() == "Fp:13"
+    assert FieldSpec(13).label() is FieldSpec(13).label()  # interned: one string per field in a report
     with pytest.raises(InvalidParameter):
         FieldSpec(9)
     with pytest.raises(InvalidParameter):
@@ -537,10 +538,10 @@ def test_unit_reduction_runs_once_per_matrix(monkeypatch):
     reduced = []
     original = homology._eliminate
 
-    def counting(m, p=0, k=1):
+    def counting(m, p=0, k=1, **kw):
         if not p:
             reduced.append(id(m))
-        return original(m, p, k)
+        return original(m, p, k, **kw)
 
     monkeypatch.setattr(homology, "_eliminate", counting)
     cc = chain_complex(rp2_minimal())
@@ -560,11 +561,11 @@ def test_corrupted_unit_reduction_is_caught(monkeypatch):
     original = homology._eliminate
     fields = builtin("lens", 5, 2).field_specs()
 
-    def unsigned(m, p=0, k=1):  # every sign dropped from the Schur updates' input over Z
+    def unsigned(m, p=0, k=1, **kw):  # every sign dropped from the Schur updates' input over Z
         if p:
-            return original(m, p, k)
+            return original(m, p, k, **kw)
         columns = {j: {r: abs(v) for r, v in m.column(j).items()} for j in range(m.cols)}
-        return original(SparseIntMatrix.from_columns(m.rows, m.cols, columns))
+        return original(SparseIntMatrix.from_columns(m.rows, m.cols, columns), **kw)
 
     monkeypatch.setattr(homology, "_eliminate", unsigned)
     with pytest.raises(CorruptComplex):
@@ -579,10 +580,10 @@ def test_lost_unit_pivot_is_caught_by_snf_alone(monkeypatch):
     original = homology._eliminate
     fields = builtin("lens", 5, 2).field_specs()
 
-    def lossy(m, p=0, k=1):  # over Z only
+    def lossy(m, p=0, k=1, **kw):  # over Z only
         if p:
-            return original(m, p, k)
-        units, residual = original(m)
+            return original(m, p, k, **kw)
+        units, residual = original(m, **kw)
         return max(units - 1, 0), residual
 
     monkeypatch.setattr(homology, "_eliminate", lossy)
@@ -620,6 +621,142 @@ def test_pivot_moved_to_level_zero_is_caught(monkeypatch):
     monkeypatch.setattr(homology, "_p_adic_levels", moving)
     with pytest.raises(CorruptComplex, match="SNF of d_2: level 0 mod 5\\^2 has 6 pivots, the rank mod 5 is 5"):
         betti(_lens52_quotient_chain(), builtin("lens", 5, 2).field_specs(), order=5)
+
+
+def test_clearing_a_column_that_carries_rank_is_caught_by_snf(monkeypatch):
+    """A reduction of d_1 that clears every column, though d_2's pivots
+    justify clearing only some, loses d_1's rank over every field alike; the
+    Smith normal form's levels, which eliminate the full d_1, still count it."""
+    original = homology._eliminate
+    chain = _lens52_quotient_chain()
+    d1 = chain.boundaries[1]
+
+    def overclearing(m, p=0, k=1, **kw):
+        if m is d1 and not p:
+            kw["cleared"] = frozenset(range(m.cols))
+        return original(m, p, k, **kw)
+
+    monkeypatch.setattr(homology, "_eliminate", overclearing)
+    with pytest.raises(CorruptComplex, match="SNF of d_1: the levels mod 5\\^2 count 1 invariant factors, the rank over Q is 0"):
+        betti(chain, builtin("lens", 5, 2).field_specs(), order=5)
+
+
+def test_ranks_eliminate_cleared_matrices_and_levels_the_full_ones(monkeypatch):
+    """betti reduces top-down: each d_k over Z skips the rows d_{k+1} pivoted
+    on, while every p-adic level eliminates a matrix with nothing cleared, and
+    level 0 takes each boundary matrix itself."""
+    calls = []
+    original = homology._eliminate
+
+    def recording(m, p=0, k=1, **kw):
+        calls.append((m, p, k, kw.get("cleared", frozenset())))
+        return original(m, p, k, **kw)
+
+    monkeypatch.setattr(homology, "_eliminate", recording)
+    chain = _lens52_quotient_chain()
+    d = chain.boundaries
+    table = betti(chain, builtin("lens", 5, 2).field_specs(), order=5)
+    assert table.torsion == ((), (5,), (), ())
+    over_z = [(m, cleared) for m, p, _, cleared in calls if not p and any(m is b for b in d)]
+    assert [m for m, _ in over_z] == list(reversed(d))  # each once, top-down
+    assert [cleared for _, cleared in over_z] == [frozenset()] + [b.pivot_rows for b in reversed(d[1:])]
+    assert all(b.pivot_rows for b in d[1:])  # every matrix below the top had columns cleared
+    assert not any(cleared for _, p, _, cleared in calls if p)
+    for b in d[1:]:
+        assert any(m is b and (p, k) == (5, 2) for m, p, k, _ in calls)
+
+
+def _dense_betti(chain, p=None) -> tuple:
+    """b_k from dense ranks of the full boundary matrices (test oracle)."""
+    rank = [dense_rank_oracle(m.to_dense(), p) for m in chain.boundaries] + [0]
+    return tuple(chain.ranks[k] - rank[k] - rank[k + 1] for k in range(len(chain.ranks)))
+
+
+def _assert_cleared_betti_is_dense(table, chain):
+    for f in (RATIONALS, F2, F3, F5):
+        assert table.betti(f) == _dense_betti(chain, f.p), f.label()
+
+
+def test_cleared_ranks_property_on_complexes_subdivisions_and_pairs():
+    """betti and relative_betti, which clear, against the dense oracle over Q,
+    F_2, F_3 and F_5: random complexes, their barycentric subdivisions, the
+    pairs (K, L) with L a full subcomplex, and the complexes re-based so that
+    the entries stop being +-1."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fields = [RATIONALS, F2, F3, F5]
+    facets = st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=4), min_size=1, max_size=5)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(facets, st.sets(st.integers(0, 5)), st.integers(0, 2**32))
+    def check(facet_sets, vertices, seed):
+        k = SimplicialComplex(6, facet_sets)
+        sd = barycentric_subdivision(k).complex
+        for chain in (chain_complex(k), chain_complex(sd), _rebased(chain_complex(k), random.Random(seed))):
+            _assert_cleared_betti_is_dense(betti(chain, fields), chain)
+        sub = full_subcomplex(k, vertices)
+        pair = homology._relative_chain(chain_complex(k), sub)  # the oracle's copy
+        _assert_cleared_betti_is_dense(relative_betti(chain_complex(k), sub, fields), pair)
+
+    check()
+
+
+def _signed(perm, signs) -> dict:
+    return {"perm": list(perm), "signs": list(signs)}
+
+
+# Admissible actions whose orbit complexes have entries +-2: a face of a
+# representative and another of its faces lie in one orbit, same orientation.
+_ORBIT_COMPLEXES_WITH_TWOS = (
+    (4, [_signed((3, 4, 2, 1), (1, 1, 1, -1))]),  # C_8 on S^3
+    (4, [_signed((2, 1, 4, 3), (1, -1, 1, -1)), _signed((4, 3, 1, 2), (-1, -1, -1, 1))]),  # order 8
+)
+
+
+def _signed_permutation_action(n, generators):
+    space = {"signed_permutation": {"n": n, "generators": generators}}
+    return build_model(Scenario(name="clearing", space=space, fields=("Q",), checks=(), snf_cap=0)).action
+
+
+def test_cleared_ranks_property_on_orbit_complexes():
+    """Orbit complexes of admissible signed-permutation actions on the
+    cross-polytope, two of them with entries +-2 and the rest drawn, against
+    the dense oracle over Q, F_2, F_3 and F_5."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fields = [RATIONALS, F2, F3, F5]
+    for n, gens in _ORBIT_COMPLEXES_WITH_TWOS:
+        chain = orbit_chain_complex(_signed_permutation_action(n, gens))
+        assert 2 in {abs(v) for m in chain.boundaries for _, _, v in m.iter_entries()}
+        _assert_cleared_betti_is_dense(betti(chain, fields), chain)
+
+    def generators(n):
+        gen = st.tuples(st.permutations(range(1, n + 1)), st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        return st.lists(gen, min_size=1, max_size=2).map(lambda gs: (n, [_signed(p, s) for p, s in gs]))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(2, 4).flatmap(generators))
+    def check(drawn):
+        action = _signed_permutation_action(*drawn)
+        if action.simplex_orbit_data().admissible:
+            chain = orbit_chain_complex(action)
+            _assert_cleared_betti_is_dense(betti(chain, fields), chain)
+
+    check()
+
+
+def test_torsion_free_certificate_survives_clearing():
+    """After betti has cleared and cached every reduction, the certificate
+    still rejects RP^2, whose H_1 is Z/2, and still accepts a sphere."""
+    for k, torsion in ((rp2_minimal(), True), (octahedron(), False), (barycentric_subdivision(rp2_minimal()).complex, True)):
+        chain = chain_complex(k)
+        betti(chain, [RATIONALS, F2, F3])
+        assert all(m._reduction is not None for m in chain.boundaries)
+        if torsion:
+            with pytest.raises(InvalidParameter, match="not certified free of integral torsion"):
+                _check_torsion_free(chain)
+        else:
+            _check_torsion_free(chain)
 
 
 # -- the SNF that betti takes, against the gcd oracle -----------------------

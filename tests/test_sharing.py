@@ -10,6 +10,7 @@ caches equal those of a fresh action.
 """
 
 import gc
+import json
 import sys
 
 import pytest
@@ -164,6 +165,46 @@ def test_cover_e1_details_share_one_per_j_list():
     details = [c["detail"] for c in report["checks"] if c["name"] == "cover_e1"]
     assert len(details) == len(builtin("lens", 5, 1).fields) > 1
     assert all(d["per_J"] is details[0]["per_J"] for d in details)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [builtin("lens", 7, 2), builtin("quaternion_q8"), *sweep_scenarios(6, 3, 7, DEFAULT_FIELDS, 200_000)[0]],
+    ids=lambda sc: sc.name,
+)
+def test_report_holds_each_fact_once(scenario):
+    """The ledger's checks are the report's check dicts; the rows of one
+    bound over the fields share their inputs, value, display and exact form
+    whenever those are equal, and the checks over the fields their equal
+    details; a table's rows share one torsion list and their equal Betti
+    lists; and each field label is one string wherever the report names
+    the field."""
+    report = run_scenario(scenario)
+    ledger = report["bound_report"]
+    assert len(ledger["checks"]) == len(report["checks"]) > 0
+    assert all(a is b for a, b in zip(ledger["checks"], report["checks"]))
+    parts = ("value", "display", "exact_form", "inputs")
+    equal = {}  # rows of equal parts, as JSON writes them
+    for e in ledger["evaluations"]:
+        equal.setdefault(json.dumps([e[part] for part in parts], sort_keys=True), []).append(e)
+    for group in equal.values():
+        assert all(e[part] is group[0][part] for e in group for part in parts)
+    whole = {e["name"] for group in equal.values() if len(group) == len(scenario.fields) for e in group}
+    assert {"abelian_3n", "jordan_combined", "jordan_combined_jn"} <= whole
+    for name in ("abelian_bound", "cover_e1"):  # a detail names no field
+        details = {}
+        for c in report["checks"]:
+            if c["name"] == name:
+                assert details.setdefault(json.dumps(c["detail"], sort_keys=True), c["detail"]) is c["detail"]
+    for table in ("betti", "model_betti"):
+        assert len({id(row["torsion"]) for row in report[table]}) == 1
+        lists = {}
+        for row in report[table]:
+            assert lists.setdefault(tuple(row["betti"]), row["betti"]) is row["betti"]
+    labels = {}
+    for row in [*report["betti"], *report["model_betti"], *ledger["evaluations"]]:
+        assert labels.setdefault(row["field"], row["field"]) is row["field"]
+    assert set(labels) == set(scenario.fields)
 
 
 def test_chain_complex_verified_once(monkeypatch):
