@@ -26,6 +26,14 @@ row of `evaluate_all` that restates it; the `abelian_bound` and `cover_e1`
 CheckResults are read off those rows.  A failed hard verdict means either
 an engine bug or a genuine counterexample: `evaluate_all` reports it, and
 `run_scenario` aborts the run on it with a dump that replays the scenario.
+
+The ledger's JSON is `bound_report_v2`.  A bound holds over every field, so
+what it states (`BoundForm`: hardness, value, display, exact form, inputs)
+is written once in the report's `forms`, and each row over a field carries
+only its verdict: {name, field, passed, observed, form}, with `form` the
+index into `forms`.  A row applies when `passed` is not None, and its slack
+is value / max(1, observed).  The CheckResults are written once, in the run
+report's `checks`.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import functools
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 
 from .actions import (
     VertexAction,
@@ -263,40 +271,72 @@ class ScenarioObservation:
 
 
 @dataclass(frozen=True)
-class BoundEvaluation:
-    name: str
-    field: str
-    applicable: bool
-    hard: bool                 # a failed hard row fails the report, and `run_scenario` aborts
-    passed: bool | None
-    observed: int | None
+class BoundForm:
+    """What one bound states, whatever the field's verdict: the `form` of a row.
+
+    `hard` marks a theorem (a failed hard row fails the report, and
+    `run_scenario` aborts); `display` is the value to four significant
+    digits; `inputs` are the parameters the value was computed from.
+    """
+
+    hard: bool
     value: float | int | None
     display: str | None
     exact_form: str | None
-    inputs: dict = field(default_factory=dict)
+    inputs: dict
+
+    def to_json(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+
+
+@dataclass(frozen=True)
+class BoundEvaluation:
+    """One bound over one field: its verdict and observation, and its form.
+
+    A row that does not apply has no verdict and no observation.  In the
+    `bound_report_v2` JSON a row is {name, field, passed, observed, form},
+    where `form` indexes the report's list of distinct BoundForms;
+    `applicable` and `slack` are derived, as the properties below derive them.
+    """
+
+    name: str
+    field: str
+    passed: bool | None
+    observed: int | None
+    form: BoundForm
+
+    @property
+    def applicable(self) -> bool:
+        return self.passed is not None
 
     @property
     def slack(self):
-        if not self.applicable or self.value is None or self.observed is None:
+        if not self.applicable or self.form.value is None:
             return None
-        return self.value / max(1, self.observed)
-
-    def to_json(self) -> dict:
-        return {**{f.name: getattr(self, f.name) for f in dataclass_fields(self)}, "slack": self.slack}
+        return self.form.value / max(1, self.observed)
 
 
 @dataclass(frozen=True)
 class BoundReport:
+    """The ledger of one run: every `evaluate_all` row, and the CheckResults
+    that `failures` counts as well.
+
+    Its JSON, `bound_report_v2`, is {schema, scenario, forms, evaluations,
+    all_passed}: `forms` holds each distinct BoundForm once, in first-use
+    order, and each row of `evaluations` names its form by index.  The
+    CheckResults are not written: the run report holds them under `checks`.
+    """
+
     scenario_id: str
     evaluations: tuple
     checks: tuple = ()
 
     @property
     def failures(self) -> list:
-        """The names of the failed checks and applicable hard rows, sorted, each once."""
+        """The names of the failed checks and hard rows, sorted, each once."""
         return sorted(
             {c.name for c in self.checks if not c.passed}
-            | {e.name for e in self.evaluations if e.applicable and e.hard and not e.passed}
+            | {e.name for e in self.evaluations if e.form.hard and e.passed is False}
         )
 
     @property
@@ -304,11 +344,19 @@ class BoundReport:
         return not self.failures
 
     def to_json(self) -> dict:
+        index = {}  # id of each distinct form -> its place in `forms`
+        forms, rows = [], []
+        for e in self.evaluations:
+            if id(e.form) not in index:
+                index[id(e.form)] = len(forms)
+                forms.append(e.form.to_json())
+            rows.append({"name": e.name, "field": e.field, "passed": e.passed, "observed": e.observed,
+                         "form": index[id(e.form)]})
         return {
-            "schema": "bound_report_v1",
+            "schema": "bound_report_v2",
             "scenario": self.scenario_id,
-            "evaluations": [e.to_json() for e in self.evaluations],
-            "checks": [c.to_json() for c in self.checks],
+            "forms": forms,
+            "evaluations": rows,
             "all_passed": self.all_passed,
         }
 
@@ -324,18 +372,20 @@ def _row(name, label, observed, value, exact_form, inputs, *, shared, applicable
     `passed` defaults to `_within(observed, value)`; a row that does not
     apply has no verdict and no observation.  `display` is the value to four
     significant digits, interned.  `shared`, a dict that lives for one set
-    of rows over the fields, hands rows of equal value, exact form and
-    inputs (compared with their types, as JSON writes them) one object of
-    each, so a bound's rows over several fields hold its parts once.
+    of rows over the fields, hands rows of equal hardness, value, exact form
+    and inputs (compared with their types, as JSON writes them) one
+    BoundForm, so a bound's rows over several fields hold it once and the
+    report writes it once.
     """
     if not applicable:
         passed = observed = None
     elif passed is None:
         passed = _within(observed, value)
-    key = (type(value), value, exact_form, tuple((k, type(v), v) for k, v in inputs.items()))
+    key = (hard, type(value), value, exact_form, tuple((k, type(v), v) for k, v in inputs.items()))
     if key not in shared:
-        shared[key] = (value, None if value is None else sys.intern(format(value, ".4g")), exact_form, inputs)
-    return BoundEvaluation(name, label, applicable, hard, passed, observed, *shared[key])
+        display = None if value is None else sys.intern(format(value, ".4g"))
+        shared[key] = BoundForm(hard, value, display, exact_form, inputs)
+    return BoundEvaluation(name, label, passed, observed, shared[key])
 
 
 def _abelian_3n_row(label: str, total: int, n: int, is_abelian: bool, shared: dict) -> BoundEvaluation:
@@ -462,7 +512,7 @@ def _abelian_bound(run: CheckRun) -> list:
         out.append(CheckResult(  # a nonabelian group passes
             "abelian_bound", row.passed is not False,
             {"field": row.field, "n": run.ambient_n, "applicable": row.applicable},
-            details.setdefault(total, {"observed_total": total, "bound": row.value})))
+            details.setdefault(total, {"observed_total": total, "bound": row.form.value})))
     return out
 
 
@@ -486,9 +536,9 @@ def _cover_e1(run: CheckRun) -> list:
     for f in run.quotient_table.fields():
         total = run.quotient_table.total(f)
         row = _cover_e1_row(f.label(), total, cover.total, run.char_data.block_count, run.ambient_n, shared)
-        detail = {"observed_total": total, "cover_e1_total": cover.total, "cap": row.inputs["cap"], "per_J": per_j}
+        detail = {"observed_total": total, "cover_e1_total": cover.total, "cap": row.form.inputs["cap"], "per_J": per_j}
         out.append(CheckResult(
-            "cover_e1", row.passed, {"field": row.field, "N": row.inputs["N"]}, details.setdefault(total, detail)))
+            "cover_e1", row.passed, {"field": row.field, "N": row.form.inputs["N"]}, details.setdefault(total, detail)))
     return out
 
 

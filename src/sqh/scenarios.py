@@ -445,8 +445,7 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     run = CheckRun(scenario.name, action, bundle.ambient_n, quotient_table, model_table, bundle.char_data)
     check_results, bound_report = run_checks(run, scenario.checks, stage)
     ledger_json = bound_report.to_json() if bound_report else None
-    # the ledger holds the same CheckResults: the report shares their dicts
-    checks_json = ledger_json["checks"] if ledger_json else [c.to_json() for c in check_results]
+    checks_json = [c.to_json() for c in check_results]
     failures = (bound_report or BoundReport(scenario.name, (), check_results)).failures
     if failures:
         raise BoundViolation(
@@ -711,7 +710,6 @@ def _sweep_one(sc: Scenario) -> dict:
         "data": sc.space["character_join"],
         "n": rep["model"]["ambient_n"],
         "group_order": rep["model"]["group_order"],
-        "effective_order": rep["model"]["group_order"],
         "subdivisions": rep["subdivisions"],
         "totals": totals,
         "cover_e1_total": cover["detail"]["cover_e1_total"],
@@ -752,7 +750,7 @@ def sweep(
     if slacks:
         median = slacks[mid] if len(slacks) % 2 else (slacks[mid - 1] + slacks[mid]) / 2
     return {
-        "schema": "sweep_report_v1",
+        "schema": "sweep_report_v2",
         "engine_version": __version__,
         "n_max": n_max,
         "samples": samples,

@@ -246,8 +246,9 @@ def test_criterion_08_combined_bounds():
         bound = report["bound_report"]
         ok &= bound is not None and bound["all_passed"]
         for row in bound["evaluations"]:
-            if row["name"] in ("jordan_combined", "thm13_constant") and row["applicable"]:
-                ok &= row["passed"] and row["slack"] is not None and row["slack"] >= 1.0
+            if row["name"] in ("jordan_combined", "thm13_constant") and row["passed"] is not None:
+                value = bound["forms"][row["form"]]["value"]
+                ok &= row["passed"] and value is not None and value / max(1, row["observed"]) >= 1.0
     _line(8, "Thm 2.13 and Thm 1.3 bounds with slack on every corpus quotient", ok)
 
 

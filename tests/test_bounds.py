@@ -1,12 +1,14 @@
+import json
 import math
 
 import pytest
 
-from conftest import octahedron
+from conftest import nonabelian_workload, octahedron
 from sqh.actions import close_generators, make_admissible_and_quotient
 from sqh.bounds import (
     CheckResult,
     ScenarioObservation,
+    _row,
     abelian_bound,
     cyclic_bound,
     cyclic_chain_check,
@@ -23,6 +25,7 @@ from sqh.complexes import chain_complex
 from sqh.errors import InvalidParameter
 from sqh.homology import F2, F3, F5, RATIONALS, betti
 from sqh.models import AbelianCharacterData, character_join_model, cover_e1_total
+from sqh.scenarios import DEFAULT_FIELDS, builtin, report_bytes, run_scenario, sweep_scenarios
 
 
 def antipodal_action():
@@ -197,11 +200,11 @@ def test_evaluate_all_lens51():
     assert report.all_passed
     by_name = {(e.name, e.field): e for e in report.evaluations}
     ab = by_name[("abelian_3n", "Fp:5")]
-    assert ab.value == 81 and ab.observed == 4
+    assert ab.form.value == 81 and ab.observed == 4
     assert abs(ab.slack - 20.25) < 1e-9
     cov = by_name[("cover_e1", "Fp:5")]
     assert cov.passed
-    assert 4 <= cov.value <= 3**2 - 1
+    assert 4 <= cov.form.value <= 3**2 - 1
 
 
 def test_evaluate_all_rp2():
@@ -210,9 +213,9 @@ def test_evaluate_all_rp2():
     assert report.all_passed
     by_name = {(e.name, e.field): e for e in report.evaluations}
     ab = by_name[("abelian_3n", "Fp:2")]
-    assert ab.observed == 3 and ab.value == 27
+    assert ab.observed == 3 and ab.form.value == 27
     cy = by_name[("cyclic", "Fp:2")]
-    assert cy.applicable and cy.passed and cy.value == 9
+    assert cy.applicable and cy.passed and cy.form.value == 9
     pg = by_name[("pgroup", "Fp:2")]
     assert pg.applicable and pg.passed
     ft = by_name[("finite_transfer", "Q")]
@@ -226,7 +229,7 @@ def test_evaluate_all_trivial_group_on_s2():
     assert report.all_passed
     by_name = {(e.name, e.field): e for e in report.evaluations}
     ab = by_name[("abelian_3n", "F" + "p:2")]
-    assert ab.observed == 2 and ab.value == 27
+    assert ab.observed == 2 and ab.form.value == 27
 
 
 def test_evaluate_all_marks_failed_rows():
@@ -247,13 +250,13 @@ def test_evaluate_all_marks_failed_rows():
     )
     report = evaluate_all(broken)
     assert report.all_passed is False
-    failed = sorted(e.name for e in report.evaluations if e.hard and e.applicable and e.passed is False)
+    failed = sorted(e.name for e in report.evaluations if e.form.hard and e.applicable and e.passed is False)
     assert failed == report.failures == ["abelian_3n", "cyclic", "finite_transfer", "jordan_combined", "pgroup"]
     # no row is left without a verdict, and the soft row fails without failing the report
     assert all(e.passed is not None for e in report.evaluations if e.applicable)
-    assert [e.passed for e in report.evaluations if not e.hard] == [False]
+    assert [e.passed for e in report.evaluations if not e.form.hard] == [False]
     blob = report.to_json()
-    assert blob["schema"] == "bound_report_v1"
+    assert blob["schema"] == "bound_report_v2"
     assert blob["all_passed"] is False
 
 
@@ -266,7 +269,66 @@ def test_report_includes_soft_rows_and_checks():
     assert "jordan_combined_jn" in names
     assert "thm13_direct_instantiation" in names
     blob = report.to_json()
-    assert blob["schema"] == "bound_report_v1"
-    assert blob["checks"][0]["name"] == "smith_floyd"
-    soft = [e for e in report.evaluations if not e.hard]
+    assert blob["schema"] == "bound_report_v2"
+    # the ledger counts its checks in `failures` but does not write them: the run report does
+    assert report.checks[0].name == "smith_floyd" and "checks" not in blob
+    soft = [e for e in report.evaluations if not e.form.hard]
     assert all(e.passed for e in soft if e.applicable)
+
+
+def test_rows_share_a_form_only_when_it_writes_the_same():
+    shared = {}
+    row = _row("abelian_3n", "Q", 2, 27, "3^3", {"n": 3}, shared=shared)
+    assert _row("abelian_3n", "Fp:2", 3, 27, "3^3", {"n": 3}, shared=shared).form is row.form
+    assert _row("abelian_3n", "Q", 2, 27, "3^3", {"n": 3}, shared=shared, hard=False).form is not row.form
+    assert _row("abelian_3n", "Q", 2, 27.0, "3^3", {"n": 3}, shared=shared).form is not row.form
+    assert _row("abelian_3n", "Q", 2, 27, "3^3", {"n": True}, shared=shared).form is not row.form
+
+
+# The fields of a bound_report_v1 row, each of which a v2 report still holds, and those of its form.
+V1_FIELDS = ("name", "field", "applicable", "hard", "passed", "observed", "value", "display", "exact_form",
+             "inputs", "slack")
+FORM_FIELDS = ("hard", "value", "display", "exact_form", "inputs")
+
+
+def _v1_row(row: dict, forms: list) -> dict:
+    """A v1 row rebuilt from a v2 row: the form's parts, and the derived applicability and slack."""
+    form = forms[row["form"]]
+    applicable = row["passed"] is not None
+    value = form["value"]
+    return {
+        "name": row["name"], "field": row["field"], "applicable": applicable, "hard": form["hard"],
+        "passed": row["passed"], "observed": row["observed"], "value": value, "display": form["display"],
+        "exact_form": form["exact_form"], "inputs": form["inputs"],
+        "slack": value / max(1, row["observed"]) if applicable and value is not None else None,
+    }
+
+
+@pytest.mark.parametrize("group", ["builtin", "nonabelian", "sweep"])
+def test_bound_report_v2_loses_no_fact(monkeypatch, group):
+    """Every row's v1 fields, rebuilt from the report's bytes, equal the in-memory row's."""
+    import sqh.scenarios
+
+    ledgers = []
+    orig = sqh.scenarios.run_checks
+
+    def keeping(*args):
+        results, ledger = orig(*args)
+        ledgers.append(ledger)
+        return results, ledger
+
+    monkeypatch.setattr(sqh.scenarios, "run_checks", keeping)
+    if group == "builtin":
+        scenarios = [builtin("lens", 7, 2), builtin("quaternion_q8")]
+    elif group == "nonabelian":
+        scenarios = nonabelian_workload()
+    else:
+        scenarios = sweep_scenarios(6, 20, 7, DEFAULT_FIELDS, 200_000)[0]
+    for scenario in scenarios:
+        blob = json.loads(report_bytes(run_scenario(scenario)))["bound_report"]
+        ledger = ledgers.pop()
+        assert len(blob["evaluations"]) == len(ledger.evaluations) > 0
+        for row, e in zip(blob["evaluations"], ledger.evaluations):
+            expected = {f: getattr(e.form if f in FORM_FIELDS else e, f) for f in V1_FIELDS}
+            # compared as JSON writes them, so 1 and 1.0 or True and 1 differ
+            assert json.dumps(_v1_row(row, blob["forms"]), sort_keys=True) == json.dumps(expected, sort_keys=True)

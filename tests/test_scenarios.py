@@ -193,9 +193,11 @@ def test_sweep_generator_distribution_shape():
 
 def test_sweep_small_run():
     report = sweep(n_max=3, samples=6, seed=11, fields=("Q", "Fp:2", "Fp:3"))
+    assert report["schema"] == "sweep_report_v2"
     assert report["passed"] == 6
     assert report["slack"]["min"] >= 1.0
     for row in report["scenarios"]:
+        assert "effective_order" not in row  # it was group_order again
         worst = max(row["totals"].values())
         assert worst <= row["cover_e1_total"] <= 3 ** row["n"]
     again = sweep(n_max=3, samples=6, seed=11, fields=("Q", "Fp:2", "Fp:3"))

@@ -173,23 +173,23 @@ def test_cover_e1_details_share_one_per_j_list():
     ids=lambda sc: sc.name,
 )
 def test_report_holds_each_fact_once(scenario):
-    """The ledger's checks are the report's check dicts; the rows of one
-    bound over the fields share their inputs, value, display and exact form
-    whenever those are equal, and the checks over the fields their equal
-    details; a table's rows share one torsion list and their equal Betti
-    lists; and each field label is one string wherever the report names
-    the field."""
+    """The ledger writes each bound's form once and each row only its
+    verdict, and leaves the CheckResults to the report's `checks`; the
+    checks over the fields share their equal details; a table's rows share
+    one torsion list and their equal Betti lists; and each field label is
+    one string wherever the report names the field."""
     report = run_scenario(scenario)
     ledger = report["bound_report"]
-    assert len(ledger["checks"]) == len(report["checks"]) > 0
-    assert all(a is b for a, b in zip(ledger["checks"], report["checks"]))
-    parts = ("value", "display", "exact_form", "inputs")
-    equal = {}  # rows of equal parts, as JSON writes them
+    assert "checks" not in ledger and report["checks"]
+    forms = ledger["forms"]
     for e in ledger["evaluations"]:
-        equal.setdefault(json.dumps([e[part] for part in parts], sort_keys=True), []).append(e)
-    for group in equal.values():
-        assert all(e[part] is group[0][part] for e in group for part in parts)
-    whole = {e["name"] for group in equal.values() if len(group) == len(scenario.fields) for e in group}
+        assert set(e) == {"name", "field", "passed", "observed", "form"}
+        assert 0 <= e["form"] < len(forms)
+    assert len({json.dumps(f, sort_keys=True) for f in forms}) == len(forms)
+    # every form is used, and they are listed in the order the rows first use them
+    assert list(dict.fromkeys(e["form"] for e in ledger["evaluations"])) == list(range(len(forms)))
+    whole = {e["name"] for e in ledger["evaluations"]
+             if sum(x["form"] == e["form"] for x in ledger["evaluations"]) == len(scenario.fields)}
     assert {"abelian_3n", "jordan_combined", "jordan_combined_jn"} <= whole
     for name in ("abelian_bound", "cover_e1"):  # a detail names no field
         details = {}
