@@ -27,6 +27,7 @@ from .complexes import (
     SimplicialComplex,
     Subdivision,
     chain_complex,
+    derived_subdivision,
     full_subcomplex,
     shared_subdivision,
     subdivided_f_vector,
@@ -904,24 +905,71 @@ def fixed_subcomplex(action: VertexAction, handle: SubgroupHandle) -> Simplicial
     X on the vertices it fixes.  Otherwise it lies in sd(X): an element
     fixes a flag iff it fixes each of its simplices setwise, so its cells
     are the flags made of simplices that the subgroup fixes setwise, and it
-    is the full subcomplex of sd(X) on those vertices.  The subgroup fixes
-    what its generators fix.  Built once per (action, subgroup).
+    is the full subcomplex of sd(X) on those vertices.  Built once per
+    (action, subgroup).
     """
     got = action._fixed.get(handle.indices)
     if got is None:
-        gens = [action.elements[i] for i in handle.generators]
         if is_admissible(action.restrict(handle)):
             k = action.complex
-            fixed = [v for v in range(k.vertex_count) if all(e[v] == v for e in gens)]
+            got = full_subcomplex(k, _fixed_vertices(action, handle, [(v,) for v in range(k.vertex_count)]))
         else:
             sd = shared_subdivision(action.complex)
-            k = sd.complex
-            fixed = [
-                v for v, s in enumerate(sd.vertex_simplices) if all(apply_perm(e, s) == s for e in gens)
-            ]
-        got = full_subcomplex(k, fixed)
+            got = full_subcomplex(sd.complex, _fixed_vertices(action, handle, sd.vertex_simplices))
         action._fixed[handle.indices] = got
     return got
+
+
+def _fixed_vertices(action: VertexAction, handle: SubgroupHandle, vertex_simplices) -> list:
+    """The vertices whose simplices of X (`vertex_simplices`) the subgroup maps onto themselves.
+
+    The subgroup fixes what its generators fix.
+    """
+    gens = [action.elements[i] for i in handle.generators]
+    return [v for v, s in enumerate(vertex_simplices) if all(apply_perm(e, s) == s for e in gens)]
+
+
+def starred_pair(action: VertexAction, handle: SubgroupHandle) -> tuple:
+    """(Y′, F′): X subdivided only where the subgroup H needs it, and H's fixed set there.
+
+    B is the set of simplices that an element of H maps onto themselves
+    without fixing them pointwise: the orbits that H's own orbit pass lists
+    with stabilisers.  Y′ stars the closure U of B under taking cofaces
+    (`derived_subdivision`).  A simplex of Y′ is an unstarred τ joined to the
+    barycentres of a chain σ_1 < … < σ_r in U.  An element that preserves it
+    fixes each barycentre, since their dimensions differ, and preserves τ,
+    which is not in B, so it fixes τ pointwise: H acts on Y′ admissibly.  So
+    F′ = |X|^H is the full subcomplex of Y′ on the vertices that H fixes: the
+    vertices of X that it fixes, and the barycentres of the simplices of U
+    that it maps onto themselves.  U holds no vertex, so X keeps its vertex
+    numbers in Y′.  The cofaces are needed: `derived_subdivision` keeps an
+    unstarred simplex whole, so B alone would leave a simplex of B inside a
+    facet and also cone it off.
+
+    When H acts admissibly on X, B is empty and the pair is X and its
+    fixed subcomplex: nothing is built.  Built anew on each call.
+    """
+    data = action.restrict(handle).simplex_orbit_data()
+    if data.admissible:
+        return action.complex, fixed_subcomplex(action, handle)
+    moved = {s for s, oid in data.orbit_of.items() if oid in data.stabilisers}
+    sd = derived_subdivision(action.complex, _with_cofaces(action.complex, moved))
+    return sd.complex, full_subcomplex(sd.complex, _fixed_vertices(action, handle, sd.vertex_simplices))
+
+
+def _with_cofaces(k: SimplicialComplex, simplices: set) -> set:
+    """The simplices of k that contain one of `simplices`, none of which is a vertex.
+
+    A simplex is in it iff it is one of them or a face one dimension down is
+    in it, so each level is decided from the one below.  An edge's faces are
+    vertices, so the scan starts at the triangles.
+    """
+    out = set(simplices)
+    for level in k.simplices()[2:]:
+        for s in level:
+            if s not in out and any(s[:i] + s[i + 1:] in out for i in range(len(s))):
+                out.add(s)
+    return out
 
 
 def conjugacy_classes(action: VertexAction, handle: SubgroupHandle | None = None):

@@ -8,6 +8,8 @@ the first barycentric subdivision, read off the subgroup's own orbit pass
 over the model, so no element is mapped onto a subdivision.  Quotient
 homology comes from the orbit chain complex there, and relative homology of
 the quotient pair from that complex with the fixed cells removed.  The
+space pair (Y, F) of `cyclic_chain` is taken on `starred_pair` instead,
+which subdivides only the simplices that C_p turns.  The
 restricted actions, their flag actions, the Sylow subgroups, the fixed
 subcomplexes, the orbit complexes and their Betti numbers are cached on the
 actions (see `VertexAction`), so the checks share them for as long as the
@@ -54,6 +56,7 @@ from .actions import (
     model_betti,
     orbit_betti,
     orbit_chain_complex,
+    starred_pair,
     subgroup_action,
     sylow,
 )
@@ -170,13 +173,18 @@ def smith_floyd_check(action: VertexAction, p_subgroup: SubgroupHandle, p: int) 
 def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) -> CheckResult:
     """The three inequality families behind the cyclic orbit bound.
 
-    Over F_p, with Y the space at the admissible subdivision of the C_p
-    action, F its fixed subcomplex and Q = Y/C_p, whose chains are the
-    orbit chain complex:
+    Over F_p, with Y the space, F = Y^{C_p} its fixed set and Q = Y/C_p:
       (1) b_t(Y, F) <= b_t(Y) + b_{t-1}(F)           (pair sequence)
       (2) b_n(Q, F) <= sum_{t<=n} b_t(Y, F)           (Cartan-Leray)
       (3) b_n(Q)    <= b_n(F) + b_n(Q, F)             (pair sequence)
     plus the headline b_n(Q) <= 3(d+1)k with k = max_i b_i(Y).
+
+    Every term is a Betti number of the same spaces, the pair
+    (|X|, |X|^{C_p}) or |X|/C_p, so the triangulation each is computed on
+    does not change it.  b(Y) is the model's.  b(F), b(Q) and b(Q, F) are
+    taken at the admissible subdivision of the C_p action (`subgroup_action`),
+    Q's chains being the orbit chain complex there.  b(Y, F) is taken on
+    `starred_pair`, which subdivides only the simplices that C_p turns.
     """
     if not is_prime(p):
         raise InvalidParameter(f"{p} is not prime")
@@ -189,13 +197,13 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
     length = d + 1
     fixed = fixed_subcomplex(action, cp_handle)
 
-    # Betti numbers do not change under subdivision: b(Y) is the model's
     b_y = _model_betti(action, fp, length)
     b_f = _betti_or_zero(fixed, fp, length)
     b_q = _pad(orbit_betti(y_action, fp), length)
     if fixed.facets:
+        y, y_fixed = starred_pair(action, cp_handle)
+        b_rel_yf = _pad(relative_betti(chain_complex(y), y_fixed, [fp]).betti(fp), length)
         # F's simplices are singleton orbits, so they label cells of Q as well
-        b_rel_yf = _pad(relative_betti(chain_complex(y_action.complex), fixed, [fp]).betti(fp), length)
         b_rel_qf = _pad(relative_betti(orbit_chain_complex(y_action), fixed, [fp]).betti(fp), length)
     else:  # relative to an empty F, the pairs are the spaces themselves
         b_rel_yf, b_rel_qf = b_y, b_q

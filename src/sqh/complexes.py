@@ -13,9 +13,17 @@ per coface one dimension up rather than once per facet above it.  The
 f-vector and the simplex set are read off these sets; `simplices()` sorts
 each set once and then drops it, so a complex holds one copy of its
 lattice.  Complexes that the engine derives from facets that are already
-canonical (the subdivision and the subdivided quotient) skip the
+canonical (the subdivisions and the subdivided quotient) skip the
 constructor's range checks and maximality filter; outside input always
 goes through the constructor.
+
+There is one subdivision construction, `derived_subdivision`: K starred at
+each simplex of an upward-closed set, in decreasing dimension.  Its
+vertices stand for the vertices of K and the starred simplices, numbered in
+(size, lex) order.  The barycentric subdivision is the case where every
+simplex is starred (`barycentric_subdivision`, built once per complex by
+`shared_subdivision`); `actions.starred_pair` stars only the simplices a
+subgroup turns, with their cofaces.
 """
 
 from __future__ import annotations
@@ -224,7 +232,11 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """Barycentric subdivision of `source`, plus the simplex-to-vertex bijection."""
+    """A derived subdivision of `source`, plus the bijection between its vertices and the simplices they stand for.
+
+    A vertex stands for a vertex of `source` or for the barycentre of a
+    starred simplex; in the barycentric subdivision every simplex is starred.
+    """
 
     complex: SimplicialComplex
     source: SimplicialComplex
@@ -232,20 +244,60 @@ class Subdivision:
     vertex_of_simplex: dict          # source simplex -> new vertex index
 
 
-def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
-    """Flag complex of the face poset: vertices = simplices of k, facets = maximal flags."""
-    # the levels are in (size, lex) order, so a flag's vertex numbers ascend
-    all_simplices = list(itertools.chain.from_iterable(k.simplices()))
-    index = {s: i for i, s in enumerate(all_simplices)}
+def derived_subdivision(k: SimplicialComplex, starred) -> Subdivision:
+    """The derived subdivision of k near `starred`, a set of its simplices closed under taking cofaces.
+
+    Each simplex of `starred` is starred at its barycentre, in decreasing
+    dimension (Rourke and Sanderson, Introduction to Piecewise-Linear
+    Topology, ch. 2-3).  Two starred simplices of one dimension that span a
+    simplex had their union starred first, so the order within a dimension
+    does not matter.  A simplex of the result is an unstarred face τ joined to
+    the barycentres of a chain σ_1 < ... < σ_r of starred simplices, with τ a
+    proper face of σ_1 (any unstarred simplex when r = 0).  A facet is thus an
+    unstarred facet of k, or a saturated chain of starred faces running down
+    from a starred facet to σ_1 together with the unstarred τ one vertex below
+    it; the chains below each starred simplex are made once.
+
+    The vertices are the vertices of k and the starred simplices, each
+    numbered by the (size, lex) order of the simplex it stands for, so a
+    facet's vertex numbers ascend with its chain.  Starring every simplex
+    gives `barycentric_subdivision`, and starring none gives k on its used
+    vertices.
+    """
+    vertex_simplices = tuple(s for dim, level in enumerate(k.simplices()) for s in level if not dim or s in starred)
+    index = {s: i for i, s in enumerate(vertex_simplices)}
+    below: dict = {}  # starred simplex -> the facets' tails that end at its barycentre
+
+    def chains(sigma) -> list:
+        got = below.get(sigma)
+        if got is None:
+            top = index[sigma]
+            got = below[sigma] = []
+            for i in range(len(sigma)):
+                face = sigma[:i] + sigma[i + 1:]
+                if face in starred:
+                    got.extend(c + (top,) for c in chains(face))
+                else:
+                    got.append(tuple(index[(v,)] for v in face) + (top,))
+        return got
+
     facets = []
     for f in k.facets:
-        for perm in itertools.permutations(f):
-            chain = []
-            for i in range(1, len(perm) + 1):
-                chain.append(index[tuple(sorted(perm[:i]))])
-            facets.append(tuple(chain))
-    sd = SimplicialComplex._from_canonical(len(all_simplices), facets)
-    return Subdivision(sd, k, tuple(all_simplices), index)
+        if f in starred:
+            facets.extend(chains(f))
+        else:
+            facets.append(tuple(index[(v,)] for v in f))
+    sd = SimplicialComplex._from_canonical(len(vertex_simplices), facets)
+    return Subdivision(sd, k, vertex_simplices, index)
+
+
+def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
+    """Flag complex of the face poset: every simplex of k starred (`derived_subdivision`).
+
+    Its vertices are the simplices of k in (size, lex) order, and its facets
+    the maximal flags.
+    """
+    return derived_subdivision(k, k.simplex_set())
 
 
 def shared_subdivision(k: SimplicialComplex) -> Subdivision:

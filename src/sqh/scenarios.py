@@ -89,8 +89,8 @@ class Scenario:
         if not isinstance(self.name, str):
             raise InvalidParameter(f"field 'name' must be a string, got {self.name!r}")
         _check_field_labels(self.fields)
-        variants = [k for k in ("character_join", "signed_permutation", "explicit") if k in self.space]
-        if len(variants) != 1 or len(self.space) != 1:
+        _known_keys(self.space, tuple(_SPACE_KEYS), "space")
+        if len(self.space) != 1:
             raise InvalidParameter("space must contain exactly one variant")
         for c in self.checks:
             if c not in KNOWN_CHECKS:
@@ -132,8 +132,8 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
-        if not isinstance(data, dict):
-            raise InvalidParameter("scenario must be a JSON object")
+        """The scenario that `to_json_dict` writes; a key it does not write is refused by name."""
+        _known_keys(data, _SCENARIO_KEYS, "scenario")
         fields = _entry(data, "fields", "scenario")
         if not isinstance(fields, list) or not all(isinstance(f, str) for f in fields):
             raise InvalidParameter("field 'fields' must be a list of labels such as \"Q\" or \"Fp:2\"")
@@ -176,6 +176,24 @@ def _check_field_labels(fields) -> None:
         raise InvalidParameter(f"field 'fields' lists a field twice: {list(fields)}")
 
 
+# every key `Scenario.to_json_dict` writes, and those of each space variant's parts
+_SCENARIO_KEYS = ("schema", "name", "space", "fields", "subdivisions", "checks", "certified", "seed", "snf_cap")
+_SPACE_KEYS = {
+    "character_join": ("invariant_factors", "rotation_characters", "sign_characters"),
+    "signed_permutation": ("n", "generators"),
+    "explicit": ("complex", "generators"),
+}
+
+
+def _known_keys(data, keys, where: str) -> None:
+    """InvalidParameter unless data is an object whose keys are all among `keys`, naming the first that is not."""
+    if not isinstance(data, dict):
+        raise InvalidParameter(f"{where} must be a JSON object")
+    for key in data:
+        if key not in keys:
+            raise InvalidParameter(f"{where} has unknown field {key!r}; it takes {', '.join(map(repr, keys))}")
+
+
 def _entry(data, key: str, where: str):
     """data[key], or InvalidParameter naming the key when data is no object or lacks it."""
     if not isinstance(data, dict):
@@ -194,12 +212,15 @@ def _integer(value, key: str) -> int:
 def build_model(scenario: Scenario) -> SphereModel:
     """The scenario's sphere model, its values checked as they come from JSON.
 
+    A key that the space, its `complex` or a generator does not take is
+    refused by name, as `Scenario.from_json_dict` refuses the scenario's.
     The size of a character_join or signed_permutation model, a join of
     blocks, is forecast (`join_f_vector`) against `simplex_cap()` before
     any join is built.
     """
     kind = scenario.kind
     payload = scenario.space[kind]
+    _known_keys(payload, _SPACE_KEYS[kind], kind)
     if kind == "character_join":
         data = AbelianCharacterData(
             _integers(_entry(payload, "invariant_factors", kind), "invariant_factors"),
@@ -212,6 +233,7 @@ def build_model(scenario: Scenario) -> SphereModel:
         n = _integer(_entry(payload, "n", kind), "n")
         gens = []
         for i, g in enumerate(_list(_entry(payload, "generators", kind), "generators")):
+            _known_keys(g, ("perm", "signs"), f"{kind} generator {i}")
             entries = {key: _integers(_entry(g, key, f"{kind} generator {i}"), key) for key in ("perm", "signs")}
             if len(entries["perm"]) != n:
                 raise InvalidParameter(
@@ -224,6 +246,7 @@ def build_model(scenario: Scenario) -> SphereModel:
         join_f_vector(itertools.repeat(2, n), simplex_cap())  # n may be far past any cap
         return SphereModel(signed_permutation_action(n, gens), n)
     raw = _entry(payload, "complex", kind)
+    _known_keys(raw, ("vertex_count", "facets"), f"{kind} complex")
     complex_ = SimplicialComplex(
         _integer(_entry(raw, "vertex_count", f"{kind} complex"), "vertex_count"),
         _integer_lists(_entry(raw, "facets", f"{kind} complex"), "facets"),

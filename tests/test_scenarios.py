@@ -11,6 +11,7 @@ from sqh.cli import main
 from sqh.errors import BoundViolation, InvalidParameter, ResourceCapExceeded
 from sqh.scenarios import (
     Scenario,
+    build_model,
     builtin,
     predicted_model_size,
     random_character_data,
@@ -534,6 +535,21 @@ def _character_join(factors, rotations, signs) -> dict:
         (_character_join([2, 3], [], [[1, 1]]), "field 'sign_characters[0][1]'"),
         (_character_join([4], [], []), "fields 'rotation_characters' and 'sign_characters'"),
         (_character_join([2], [], [[1]] * 9), "fields 'rotation_characters' and 'sign_characters'"),
+        # a key no part of the scenario reads is refused by name, at every level, not dropped
+        ({**builtin("rp", 2).to_json_dict(), "snfcap": 16384}, "scenario has unknown field 'snfcap'"),
+        ({**builtin("rp", 2).to_json_dict(), "subdivision": 2}, "scenario has unknown field 'subdivision'"),
+        ({**builtin("rp", 2).to_json_dict(), "space": {"signed_permutations": {}}},
+         "space has unknown field 'signed_permutations'"),
+        (_replaced(builtin("lens", 5, 2).to_json_dict(), 1, "space", "character_join", "signs"),
+         "character_join has unknown field 'signs'"),
+        (_replaced(builtin("rp", 2).to_json_dict(), 3, *_SIGNED, "order"),
+         "signed_permutation has unknown field 'order'"),
+        (_replaced(builtin("rp", 2).to_json_dict(), [1, 1, 1], *_SIGNED, "generators", 0, "sign"),
+         "signed_permutation generator 0 has unknown field 'sign'"),
+        (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(), [], *_DIHEDRAL, "generator"),
+         "explicit has unknown field 'generator'"),
+        (_replaced(builtin("dihedral_on_s1", 5).to_json_dict(), 1, *_DIHEDRAL, "complex", "dimension"),
+         "explicit complex has unknown field 'dimension'"),
     ],
     ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex",
          "perm_str", "perm_float", "generator_str", "facet_str", "factor_str",
@@ -542,7 +558,11 @@ def _character_join(factors, rotations, signs) -> dict:
          "explicit_disc", "explicit_two_edges", "explicit_facet_out_of_range", "explicit_unused_vertex",
          "explicit_no_facets", "n_zero", "n_negative", "signs_short", "perm_repeated",
          "factor_negative", "factor_past_cap", "rotation_character_long", "sign_character_long",
-         "sign_character_two", "sign_character_odd_order", "no_blocks", "blocks_past_cap"],
+         "sign_character_two", "sign_character_odd_order", "no_blocks", "blocks_past_cap",
+         "unknown_scenario_key", "unknown_scenario_key_near_a_known_one", "unknown_space_variant",
+         "unknown_character_join_key",
+         "unknown_signed_permutation_key", "unknown_generator_key", "unknown_explicit_key",
+         "unknown_complex_key"],
 )
 def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, monkeypatch, data, named):
     built = []
@@ -550,8 +570,18 @@ def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, monkeypatch, d
     monkeypatch.setattr(sqh.scenarios, "build_model", lambda sc: built.append(sc) or build_model(sc))
     assert _run_scenario_file(tmp_path, data) == 2
     assert named in capsys.readouterr().err
-    if named == "'checks'":  # refused by Scenario itself, before any model is built
+    if named == "'checks'" or named.startswith(("scenario has", "space has")):  # refused before any model is built
         assert not built
+
+
+@pytest.mark.parametrize("sc", [builtin("rp", 2), builtin("lens", 5, 2), builtin("dihedral_on_s1", 5)],
+                         ids=lambda sc: sc.kind)
+def test_every_key_the_scenario_writes_is_read_back(sc):
+    """The key check refuses nothing that `to_json_dict` writes, `schema` included, at any level."""
+    blob = json.loads(json.dumps(sc.to_json_dict()))
+    assert "schema" in blob
+    assert Scenario.from_json_dict(blob) == sc
+    assert build_model(Scenario.from_json_dict(blob)).action.order == build_model(sc).action.order
 
 
 def _explicit_quotient(sc: Scenario, fields) -> dict:

@@ -19,7 +19,7 @@ from conftest import nonabelian_workload, octahedron
 from test_acceptance import CORPUS_SCENARIOS
 from sqh.actions import FlagAction, VertexAction, close_generators, sylow
 from sqh.bounds import cyclic_chain_check, smith_floyd_check, transfer_check
-from sqh.complexes import SimplicialComplex, chain_complex
+from sqh.complexes import SimplicialComplex, chain_complex, shared_subdivision
 from sqh.homology import F2, SparseIntMatrix, betti, prime_factors
 from sqh.models import SignedPermutation
 from sqh.scenarios import DEFAULT_FIELDS, Scenario, build_model, builtin, run_scenario, sweep_scenarios
@@ -266,7 +266,7 @@ B4_ON_S3 = _signed_scenario("b4_on_s3", 4, [SWAP, CYCLE4, FLIP])
 
 @pytest.mark.parametrize("scenario", [S4_ON_S3, B4_ON_S3], ids=lambda sc: sc.name)
 def test_model_subdivided_once_per_scenario(monkeypatch, scenario):
-    """Every subgroup's fixed set and relative homology share the model's subdivision.
+    """Every subgroup's fixed set and orbit complex share the model's subdivision.
 
     The quotient loop reads the depth-1 quotient off the model's orbits and builds none.
     """
@@ -283,6 +283,33 @@ def test_model_subdivided_once_per_scenario(monkeypatch, scenario):
     run_scenario(scenario)
     # the 16-cell boundary, whose action is not admissible; nothing else is subdivided
     assert sources == [(8, 24, 32, 16)]
+
+
+@pytest.mark.parametrize("scenario", [S4_ON_S3, B4_ON_S3], ids=lambda sc: sc.name)
+def test_cyclic_chain_stars_only_what_c_p_moves(monkeypatch, used_actions, scenario):
+    """b(Y, F) is taken on one starred pair per prime whose C_p turns a simplex, never on sd(X).
+
+    The fixed sets, b(F) and the orbit complexes still use the flag action,
+    which builds sd(X) but no chain complex of it.
+    """
+    import sqh.actions
+
+    starred = []
+    orig = sqh.actions.derived_subdivision
+
+    def counting(k, simplices):
+        starred.append((k, frozenset(simplices)))
+        return orig(k, simplices)
+
+    monkeypatch.setattr(sqh.actions, "derived_subdivision", counting)
+    report = run_scenario(scenario)
+    (used,) = used_actions
+    assert shared_subdivision(used.complex).complex._chain is None
+    # the least C_2 and the least C_3 both turn a simplex of the 16-cell boundary
+    cyclic = [c for c in report["checks"] if c["name"] == "cyclic_chain"]
+    assert [c["inputs"]["subdivisions"] for c in cyclic] == [1, 1]
+    assert len(starred) == len(set(starred)) == 2
+    assert all(k is used.complex for k, _ in starred)
 
 
 @pytest.mark.parametrize("scenario", [S4_ON_S3, B4_ON_S3], ids=lambda sc: sc.name)
@@ -321,8 +348,11 @@ def test_run_scenario_never_transports(transports):
     assert depths == {0, 1, 2}
 
 
-def test_fixed_subcomplex_built_once_per_subgroup(monkeypatch):
-    """On s4_on_s3, Syl_3 is the least C_3, so smith_floyd and cyclic_chain share its fixed set."""
+def test_fixed_subcomplex_built_once_per_subgroup(monkeypatch, used_actions):
+    """On s4_on_s3, Syl_3 is the least C_3, so smith_floyd and cyclic_chain share its fixed set.
+
+    Each starred pair of `cyclic_chain` builds its own F′, on its own Y′.
+    """
     import sqh.actions
 
     builds = []
@@ -334,5 +364,11 @@ def test_fixed_subcomplex_built_once_per_subgroup(monkeypatch):
 
     monkeypatch.setattr(sqh.actions, "full_subcomplex", counting)
     run_scenario(S4_ON_S3)
+    (used,) = used_actions
+    sd = shared_subdivision(used.complex).complex
+    on_sd = [(k, vertices) for k, vertices in builds if k is sd]
     # Syl_2 (order 8), the least C_2 and Syl_3 = the least C_3
-    assert len(builds) == len(set(builds)) == 3
+    assert len(on_sd) == len(set(on_sd)) == 3
+    # F′ of the least C_2 and of the least C_3, each on its starred Y′
+    starred = [k for k, _ in builds if k is not sd]
+    assert len(starred) == len({id(k) for k in starred}) == 2

@@ -11,6 +11,7 @@ import sqh.scenarios
 from sqh.actions import make_admissible_and_quotient
 from sqh.complexes import chain_complex
 from sqh.scenarios import DEFAULT_FIELDS, build_model, builtin, report_bytes, sweep_scenarios
+from test_sharing import S4_ON_S3
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -58,3 +59,17 @@ def test_tracer_counts_no_snf_on_a_sweep_scenario():
     assert metrics["homology.betti_calls"][0] > 0
     assert metrics["homology.snf_calls"][0] == 0
     assert metrics["homology.snf_skipped"][0] == 0
+
+
+def test_tracer_sees_the_subdivision_and_each_cyclic_chain_on_s4():
+    """`barycentric_subdivision` is a call into the derived subdivision, and
+    `shared_subdivision` still reaches it through the module, so the model's
+    subdivision stays in the trace; the cyclic chain runs once per prime."""
+    tracer = _spans_module().Tracer()
+    plain = report_bytes(sqh.scenarios.run_scenario(S4_ON_S3))
+    with tracer.installed():
+        traced = report_bytes(sqh.scenarios.run_scenario(S4_ON_S3))
+    assert traced == plain
+    metrics = tracer.metrics()
+    assert metrics["complexes.subdivide_calls"][0] >= 1
+    assert metrics["bounds.cyclic_chain_calls"][0] == 2
