@@ -12,6 +12,15 @@ searches exhaustively, over unions of conjugacy classes, and `all_subgroups`
 (a reference for tests) enumerates the whole lattice.  Element order is
 breadth-first over words in the generators, so every least-index tie-break
 is reproducible.
+
+Quotients and fixed sets are taken where the action is admissible: an
+element that maps a simplex onto itself fixes it pointwise.  An action that
+is not admissible is carried onto its starred complex Y′, X starred at the
+simplices it turns and their cofaces (`admissible_subdivision`), and each
+subgroup onto its own.  There its orbit chain complex and its fixed set
+are built like those of any admissible action.  The first barycentric
+subdivision serves only the simplicial quotient loop past depth 0
+(`FlagAction`, `subdivided_quotient`).
 """
 
 from __future__ import annotations
@@ -154,15 +163,18 @@ class VertexAction:
     - the Sylow p-subgroup of each subgroup, keyed by (indices, p) (`sylow`)
     - the fixed subcomplex of each subgroup, keyed by its indices
       (`fixed_subcomplex`)
+    - when the action is not admissible, the action on its starred complex
+      (`admissible_subdivision`), its elements carried there in this
+      action's order
     - the action on the first barycentric subdivision (`flag_action`), read
-      off the simplex orbits, so no element is mapped onto the subdivision.
-      It refers to the complex and the orbits, not to this action, so no
-      cache refers back to its owner.  It serves the quotient loop past
-      depth 0 and, when the action is not admissible, is its admissible
-      subdivision (`admissible_subdivision`)
+      off the simplex orbits, so no element is mapped onto the subdivision;
+      it serves the quotient loop past depth 0
     - for an admissible action, its orbit chain complex
       (`orbit_chain_complex`) and that complex's Betti numbers per field
       (`orbit_betti`)
+
+    The starred and flag actions refer to their complexes and orbits, not
+    to this action, so no cache refers back to its owner.
     """
 
     __slots__ = (
@@ -179,6 +191,7 @@ class VertexAction:
         "_restrictions",
         "_sylow",
         "_fixed",
+        "_starred",
         "_flag_action",
         "_orbit_complex",
         "_orbit_betti",
@@ -198,6 +211,7 @@ class VertexAction:
         self._restrictions: dict = {}
         self._sylow: dict = {}
         self._fixed: dict = {}
+        self._starred = None
         self._flag_action = None
         self._orbit_complex = None
         self._orbit_betti: dict = {}
@@ -445,18 +459,19 @@ def close_generators(complex: SimplicialComplex, generators) -> VertexAction:
 def is_admissible(action) -> bool:
     """True iff every element preserving a simplex setwise fixes it pointwise.
 
-    Decided by the action's one orbit pass; an action on a barycentric
-    subdivision (`FlagAction`) is admissible by construction.
+    Decided by the action's one orbit pass.
     """
-    return isinstance(action, FlagAction) or action.simplex_orbit_data().admissible
+    return action.simplex_orbit_data().admissible
 
 
 def induced_action_on_subdivision(action: VertexAction, sd: Subdivision) -> VertexAction:
     """Transport the action through a barycentric subdivision of its complex.
 
     Every element is mapped onto every vertex of the subdivision.  The
-    engine reads the orbits of the subdivision off those of the complex
-    instead (`FlagAction`); tests keep the transport as their oracle.
+    engine never does: the quotient loop reads the orbits of the subdivision
+    off those of the complex (`FlagAction`), and an action that is not
+    admissible carries only its generators onto its starred complex
+    (`admissible_subdivision`).  Tests keep the transport as their oracle.
     """
     if sd.source != action.complex:
         raise InvalidParameter("subdivision was not built from this action's complex")
@@ -526,17 +541,19 @@ class FlagAction:
     τ, each a bit mask of τ's vertex positions, and its orbit as (orbit id
     of τ, least chain of its class).  An element that preserves a flag fixes
     each of its simplices, so the action is admissible (Bredon, Introduction
-    to Compact Transformation Groups, Ch. III), its orbit complex needs no
-    orientation signs, and on sd(K) every carrier maps vertices by position,
-    so the next subdivision needs no stabilisers.
+    to Compact Transformation Groups, Ch. III), and on sd(K) every carrier
+    maps vertices by position, so the next subdivision needs no stabilisers.
 
-    `below` holds the orbits on K, and nothing here refers to the action on
-    K.  No element is mapped onto sd(K), and sd(K) itself is built only for
-    `complex` and for the orbit of every flag (`simplex_orbit_data`), which
-    the quotient one depth further down needs.  Derived data is cached on
-    the instance: the flag orbits through each representative (`cells`),
-    the orbit chain complex and its Betti numbers per field, and the action
-    on the next subdivision.
+    It serves only the simplicial quotient loop past depth 0
+    (`subdivided_quotient`): the orbit counts of sd(K) (`cell_counts`) and
+    the orbit of every flag, which the quotient one depth further down
+    reads.  Orbit complexes and fixed sets are taken on the starred complex
+    instead (`admissible_subdivision`).  `below` holds the orbits on K, and
+    nothing here refers to the action on K.  No element is mapped onto
+    sd(K), and sd(K) itself is built only for `complex` and for the orbit
+    of every flag (`simplex_orbit_data`).  Derived data is cached on the
+    instance: the flag orbits through each representative (`cells`), the
+    orbit of every flag and the action on the next subdivision.
     """
 
     __slots__ = (
@@ -547,8 +564,6 @@ class FlagAction:
         "_cells",
         "_simplex_orbits",
         "_flag_action",
-        "_orbit_complex",
-        "_orbit_betti",
     )
 
     def __init__(self, source: SimplicialComplex, below: SimplexOrbits, order: int) -> None:
@@ -566,8 +581,6 @@ class FlagAction:
         self._cells = None
         self._simplex_orbits = None
         self._flag_action = None
-        self._orbit_complex = None
-        self._orbit_betti: dict = {}
 
     @property
     def complex(self) -> SimplicialComplex:
@@ -757,50 +770,125 @@ def make_admissible_and_quotient(
         facets = sum(math.factorial(size) ** count for size in facet_sizes)
 
 
-def admissible_subdivision(action):
-    """The action itself when admissible, else its action on the first barycentric subdivision.
+def admissible_subdivision(action: VertexAction) -> VertexAction:
+    """The action itself when admissible, else the action on its starred complex Y′.
 
-    One subdivision always suffices: a simplex of the subdivision is a flag
-    of faces of distinct dimensions, so an element preserving the flag fixes
-    each of its faces, which are its vertices.  The subdivided action is
-    the `flag_action`, read off the action's own orbit pass and built once.
+    B is the set of simplices that an element maps onto themselves without
+    fixing them pointwise: the orbits that the action's own orbit pass lists
+    with stabilisers.  Y′ stars the closure U of B under taking cofaces
+    (`derived_subdivision`; Rourke and Sanderson, Introduction to
+    Piecewise-Linear Topology, ch. 2-3).  A simplex of Y′ is an unstarred τ
+    joined to the barycentres of a chain σ_1 < … < σ_r in U.  An element
+    that preserves it fixes each barycentre, since their dimensions differ,
+    and preserves τ, which is not in B, so it fixes τ pointwise: the action
+    on Y′ is admissible (Bredon, Introduction to Compact Transformation
+    Groups, ch. III).  The cofaces are needed: `derived_subdivision` keeps
+    an unstarred simplex whole, so B alone would leave a simplex of B inside
+    a facet and also cone it off.  U holds no vertex, so X keeps its vertex
+    numbers in Y′.
+
+    Y′ is natural in X: an element maps U onto U, so sending the vertex that
+    stands for a simplex to the vertex that stands for its image is a
+    simplicial automorphism of Y′.  The elements are carried there in this
+    action's order (`_carried`), so a subgroup handle of this action indexes
+    them too.  Built once per action; the result refers to Y′ and its own
+    elements, not to this action.
     """
-    return action if is_admissible(action) else flag_action(action)
+    if action.simplex_orbit_data().admissible:
+        return action
+    if action._starred is None:
+        action._starred = _carried(action, derived_subdivision(action.complex, _starred_set(action)))
+    return action._starred
 
 
-def subgroup_action(action: VertexAction, handle: SubgroupHandle):
+def _starred_set(action: VertexAction) -> set:
+    """U: the simplices the action maps onto themselves without fixing them pointwise, and their cofaces."""
+    data = action.simplex_orbit_data()
+    moved = {s for s, oid in data.orbit_of.items() if oid in data.stabilisers}
+    return _with_cofaces(action.complex, moved)
+
+
+def _carried(action: VertexAction, sd: Subdivision) -> VertexAction:
+    """The action's elements carried onto a subdivision natural in its complex, in the action's order.
+
+    Each generator sends the vertex that stands for a simplex to the vertex
+    that stands for its image.  A search over the elements of X reaches each
+    other element from an earlier one by a generator, so it costs one
+    composition on the subdivision.
+    """
+    index = sd.vertex_of_simplex
+    gens = [
+        (action.elements[g], tuple(index[apply_perm(action.elements[g], s)] for s in sd.vertex_simplices))
+        for g in action.generator_indices
+    ]
+    carried = [None] * action.order
+    carried[0] = tuple(range(len(sd.vertex_simplices)))
+    frontier = [0]
+    while frontier:
+        reached = []
+        for w in frontier:
+            for x, y in gens:
+                i = action._index[_compose(x, action.elements[w])]
+                if carried[i] is None:
+                    carried[i] = _compose(y, carried[w])
+                    reached.append(i)
+        frontier = reached
+    return VertexAction(sd.complex, carried, action.generator_indices)
+
+
+def _with_cofaces(k: SimplicialComplex, simplices: set) -> set:
+    """The simplices of k that contain one of `simplices`, none of which is a vertex.
+
+    A simplex is in it iff it is one of them or a face one dimension down is
+    in it, so each level is decided from the one below.  An edge's faces are
+    vertices, so the scan starts at the triangles.
+    """
+    out = set(simplices)
+    for level in k.simplices()[2:]:
+        for s in level:
+            if s not in out and any(s[:i] + s[i + 1:] in out for i in range(len(s))):
+                out.add(s)
+    return out
+
+
+def subgroup_action(action: VertexAction, handle: SubgroupHandle) -> VertexAction:
     """The subgroup's action at its admissible subdivision.
 
     That is `admissible_subdivision` of the restricted action: the
-    restriction itself when admissible, else its flag action, which comes
-    from the subgroup's own orbit pass over X.  No subgroup touches sd(X).
+    restriction itself when admissible, else the subgroup on its own
+    starred complex, which stars only the simplices the subgroup turns and
+    their cofaces.  When those are the ones the whole group turns, the
+    subgroup restricts the whole group's starred action, so that Y′ is
+    built once.  No subgroup touches sd(X).
     """
-    return admissible_subdivision(action.restrict(handle))
+    sub = action.restrict(handle)
+    if (
+        sub is not action
+        and sub._starred is None
+        and not sub.simplex_orbit_data().admissible
+        and _starred_set(sub) == _starred_set(action)
+    ):
+        sub._starred = admissible_subdivision(action).restrict(handle)
+    return admissible_subdivision(sub)
 
 
-def orbit_chain_complex(action) -> OrientedChainComplex:
+def orbit_chain_complex(action: VertexAction) -> OrientedChainComplex:
     """Cellular chains of X/G for an admissible action: the coinvariants C_*(X)_G.
 
     For an admissible action X/G is a CW complex with one cell per simplex
     orbit, and its cellular chains are the coinvariants (Bredon,
     Introduction to Compact Transformation Groups; Brown, Cohomology of
-    Groups).  For a `VertexAction` the basis in each degree is the least
-    simplex of each orbit, in lexicographic order.  Face i of a
-    representative enters its boundary with (-1)^i times the sign of the
-    vertex permutation carrying the face onto its own orbit's
-    representative.  For a `FlagAction` the cells are its flag orbits
-    (`FlagAction.cells`), each labelled by the member that runs up through
-    the top's representative, in lexicographic order of the labels, and
-    face i enters with (-1)^i alone.  A
-    subcomplex fixed pointwise by the group keeps its simplices as labels,
-    since each is a singleton orbit.  Built and checked for dd = 0 once per
-    action.
+    Groups).  The basis in each degree is the least simplex of each orbit,
+    in lexicographic order.  Face i of a representative enters its boundary
+    with (-1)^i times the sign of the vertex permutation carrying the face
+    onto its own orbit's representative.  A subcomplex fixed pointwise by
+    the group keeps its simplices as labels, since each is a singleton
+    orbit.  An action that is not admissible raises NeedsSubdivision; its
+    `admissible_subdivision` is the action to take.  Built and checked for
+    dd = 0 once per action.
     """
     if action._orbit_complex is None:
-        if isinstance(action, FlagAction):
-            cc = _flag_orbit_complex(action)
-        else:
-            cc = _simplex_orbit_complex(action)
+        cc = _simplex_orbit_complex(action)
         cc.verify()
         action._orbit_complex = cc
     return action._orbit_complex
@@ -828,47 +916,6 @@ def _simplex_orbit_complex(action: VertexAction) -> OrientedChainComplex:
     return OrientedChainComplex(ranks, tuple(boundaries), labels)
 
 
-def _flag_orbit_complex(action: FlagAction) -> OrientedChainComplex:
-    below = action.below
-    reps = below.representatives
-    vertex = {s: i for i, s in enumerate(itertools.chain.from_iterable(action.source.simplices()))}
-    # face_vertex[oid][mask]: vertex of sd(K) at the face of representative oid on mask
-    face_vertex = [[None] + [vertex[_face(rep, m)] for m in range(1, 1 << len(rep))] for rep in reps]
-
-    def label(cell):
-        fv = face_vertex[cell[0]]
-        return tuple(fv[m] for m in cell[1]) + (fv[-1],)
-
-    # in label order, like the least simplices of `_simplex_orbit_complex`: the
-    # unit reduction of the boundary matrices pivots faster on it than on
-    # representative order (nonabelian workload: 1.21 s against 1.00 s)
-    cells = [sorted(level, key=label) for level in action.cells()]
-    labels = tuple(tuple(label(c) for c in level) for level in cells)
-    index = [{cell: j for j, cell in enumerate(level)} for level in cells]
-    tops: dict = {}  # (orbit id, mask) -> the face of that representative on mask `_at_representative`
-    ranks = tuple(len(level) for level in cells)
-    boundaries = [SparseIntMatrix(0, ranks[0])] if ranks else []
-    for k in range(1, len(cells)):
-        rows = index[k - 1]
-        cols = {}
-        for j, (oid, chain) in enumerate(cells[k]):
-            col: dict = {}
-            for i in range(k):
-                row = rows[oid, action._canonical(oid, chain[:i] + chain[i + 1:])]
-                col[row] = col.get(row, 0) + (-1 if i % 2 else 1)
-            # without its top the flag runs up to the face on chain[-1], carried to that face's representative
-            top = tops.get((oid, chain[-1]))
-            if top is None:
-                top = tops[oid, chain[-1]] = action._at_representative(_face(reps[oid], chain[-1]), vertex)
-            top_oid, mask_of = top
-            fv = face_vertex[oid]
-            row = rows[top_oid, action._canonical(top_oid, tuple(mask_of[fv[m]] for m in chain[:-1]))]
-            col[row] = col.get(row, 0) + (-1 if k % 2 else 1)
-            cols[j] = col
-        boundaries.append(SparseIntMatrix.from_columns(ranks[k - 1], ranks[k], cols))
-    return OrientedChainComplex(ranks, tuple(boundaries), labels)
-
-
 def sphere_row(n: int) -> tuple:
     """The Betti numbers of S^{n-1}, over any field."""
     return (2,) if n == 1 else (1,) + (0,) * (n - 2) + (1,)
@@ -889,7 +936,7 @@ def model_betti(action: VertexAction, fields) -> BettiTable:
     return BettiTable(tuple((f, row) for f in fields), None)
 
 
-def orbit_betti(action, field: FieldSpec) -> tuple:
+def orbit_betti(action: VertexAction, field: FieldSpec) -> tuple:
     """Betti numbers of orbit_chain_complex(action) over one field, computed once per field."""
     got = action._orbit_betti.get(field)
     if got is None:
@@ -901,75 +948,25 @@ def orbit_betti(action, field: FieldSpec) -> tuple:
 def fixed_subcomplex(action: VertexAction, handle: SubgroupHandle) -> SimplicialComplex:
     """The fixed set of the subgroup at its admissible subdivision (see `subgroup_action`).
 
-    When the subgroup acts admissibly on X, that is the full subcomplex of
-    X on the vertices it fixes.  Otherwise it lies in sd(X): an element
-    fixes a flag iff it fixes each of its simplices setwise, so its cells
-    are the flags made of simplices that the subgroup fixes setwise, and it
-    is the full subcomplex of sd(X) on those vertices.  Built once per
-    (action, subgroup).
+    The subgroup acts admissibly there, so an element fixes a point of a
+    simplex only if it fixes the simplex pointwise: the fixed set is the
+    full subcomplex on the vertices that the subgroup fixes.  On its starred
+    complex those are the vertices of X it fixes and the barycentres of the
+    starred simplices it maps onto themselves.  Built once per (action,
+    subgroup).
     """
     got = action._fixed.get(handle.indices)
     if got is None:
-        if is_admissible(action.restrict(handle)):
-            k = action.complex
-            got = full_subcomplex(k, _fixed_vertices(action, handle, [(v,) for v in range(k.vertex_count)]))
-        else:
-            sd = shared_subdivision(action.complex)
-            got = full_subcomplex(sd.complex, _fixed_vertices(action, handle, sd.vertex_simplices))
+        on = subgroup_action(action, handle)
+        got = full_subcomplex(on.complex, _fixed_vertices(on))
         action._fixed[handle.indices] = got
     return got
 
 
-def _fixed_vertices(action: VertexAction, handle: SubgroupHandle, vertex_simplices) -> list:
-    """The vertices whose simplices of X (`vertex_simplices`) the subgroup maps onto themselves.
-
-    The subgroup fixes what its generators fix.
-    """
-    gens = [action.elements[i] for i in handle.generators]
-    return [v for v, s in enumerate(vertex_simplices) if all(apply_perm(e, s) == s for e in gens)]
-
-
-def starred_pair(action: VertexAction, handle: SubgroupHandle) -> tuple:
-    """(Y′, F′): X subdivided only where the subgroup H needs it, and H's fixed set there.
-
-    B is the set of simplices that an element of H maps onto themselves
-    without fixing them pointwise: the orbits that H's own orbit pass lists
-    with stabilisers.  Y′ stars the closure U of B under taking cofaces
-    (`derived_subdivision`).  A simplex of Y′ is an unstarred τ joined to the
-    barycentres of a chain σ_1 < … < σ_r in U.  An element that preserves it
-    fixes each barycentre, since their dimensions differ, and preserves τ,
-    which is not in B, so it fixes τ pointwise: H acts on Y′ admissibly.  So
-    F′ = |X|^H is the full subcomplex of Y′ on the vertices that H fixes: the
-    vertices of X that it fixes, and the barycentres of the simplices of U
-    that it maps onto themselves.  U holds no vertex, so X keeps its vertex
-    numbers in Y′.  The cofaces are needed: `derived_subdivision` keeps an
-    unstarred simplex whole, so B alone would leave a simplex of B inside a
-    facet and also cone it off.
-
-    When H acts admissibly on X, B is empty and the pair is X and its
-    fixed subcomplex: nothing is built.  Built anew on each call.
-    """
-    data = action.restrict(handle).simplex_orbit_data()
-    if data.admissible:
-        return action.complex, fixed_subcomplex(action, handle)
-    moved = {s for s, oid in data.orbit_of.items() if oid in data.stabilisers}
-    sd = derived_subdivision(action.complex, _with_cofaces(action.complex, moved))
-    return sd.complex, full_subcomplex(sd.complex, _fixed_vertices(action, handle, sd.vertex_simplices))
-
-
-def _with_cofaces(k: SimplicialComplex, simplices: set) -> set:
-    """The simplices of k that contain one of `simplices`, none of which is a vertex.
-
-    A simplex is in it iff it is one of them or a face one dimension down is
-    in it, so each level is decided from the one below.  An edge's faces are
-    vertices, so the scan starts at the triangles.
-    """
-    out = set(simplices)
-    for level in k.simplices()[2:]:
-        for s in level:
-            if s not in out and any(s[:i] + s[i + 1:] in out for i in range(len(s))):
-                out.add(s)
-    return out
+def _fixed_vertices(action: VertexAction) -> list:
+    """The vertices that the action's generators fix, and with them the whole group."""
+    gens = [action.elements[i] for i in action.generator_indices]
+    return [v for v in range(action.complex.vertex_count) if all(e[v] == v for e in gens)]
 
 
 def conjugacy_classes(action: VertexAction, handle: SubgroupHandle | None = None):

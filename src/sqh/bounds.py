@@ -3,18 +3,17 @@
 Every check computes both sides of an inequality on the given action and
 records the inputs, so a verdict can be recomputed from the stored report.
 A check works on the subgroup's action at its admissible subdivision, given
-by `subgroup_action`: the restricted action itself, or its flag action on
-the first barycentric subdivision, read off the subgroup's own orbit pass
-over the model, so no element is mapped onto a subdivision.  Quotient
-homology comes from the orbit chain complex there, and relative homology of
-the quotient pair from that complex with the fixed cells removed.  The
-space pair (Y, F) of `cyclic_chain` is taken on `starred_pair` instead,
-which subdivides only the simplices that C_p turns.  The
-restricted actions, their flag actions, the Sylow subgroups, the fixed
+by `subgroup_action`: the restricted action itself, or the subgroup on its
+starred complex, which stars only the simplices the subgroup turns and
+their cofaces.  Quotient homology comes from the orbit chain complex there,
+the fixed set is a full subcomplex there, and the relative homology of the
+space pair and of the quotient pair comes from the complex's own chains and
+from the orbit complex with the fixed cells removed.  The restricted
+actions, their starred actions, the Sylow subgroups, the fixed
 subcomplexes, the orbit complexes and their Betti numbers are cached on the
 actions (see `VertexAction`), so the checks share them for as long as the
-action lives, which in `run_scenario` is one scenario; a fixed subcomplex's
-chain complex is cached on that complex.  Relative homology is computed
+action lives, which in `run_scenario` is one scenario; a complex's chain
+complex is cached on that complex.  Relative homology is computed
 inside each check.  A `run_scenario` run that asks for torsion (`snf_cap` >
 0) takes its reported Betti numbers and torsion from the whole group's orbit
 complex as well; only an `snf_cap` 0 run takes its Betti numbers from the
@@ -56,7 +55,6 @@ from .actions import (
     model_betti,
     orbit_betti,
     orbit_chain_complex,
-    starred_pair,
     subgroup_action,
     sylow,
 )
@@ -181,10 +179,11 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
 
     Every term is a Betti number of the same spaces, the pair
     (|X|, |X|^{C_p}) or |X|/C_p, so the triangulation each is computed on
-    does not change it.  b(Y) is the model's.  b(F), b(Q) and b(Q, F) are
-    taken at the admissible subdivision of the C_p action (`subgroup_action`),
-    Q's chains being the orbit chain complex there.  b(Y, F) is taken on
-    `starred_pair`, which subdivides only the simplices that C_p turns.
+    does not change it.  b(Y) is the model's.  b(Y, F), b(F), b(Q) and
+    b(Q, F) are taken on the complex of the C_p action at its admissible
+    subdivision (`subgroup_action`): X, or X starred where C_p turns a
+    simplex.  F is the fixed subcomplex there and Q's chains the orbit
+    chain complex there.
     """
     if not is_prime(p):
         raise InvalidParameter(f"{p} is not prime")
@@ -201,8 +200,7 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
     b_f = _betti_or_zero(fixed, fp, length)
     b_q = _pad(orbit_betti(y_action, fp), length)
     if fixed.facets:
-        y, y_fixed = starred_pair(action, cp_handle)
-        b_rel_yf = _pad(relative_betti(chain_complex(y), y_fixed, [fp]).betti(fp), length)
+        b_rel_yf = _pad(relative_betti(chain_complex(y_action.complex), fixed, [fp]).betti(fp), length)
         # F's simplices are singleton orbits, so they label cells of Q as well
         b_rel_qf = _pad(relative_betti(orbit_chain_complex(y_action), fixed, [fp]).betti(fp), length)
     else:  # relative to an empty F, the pairs are the spaces themselves

@@ -2,7 +2,10 @@ import importlib.util
 import random
 from pathlib import Path
 
+from sqh.actions import sylow
+from sqh.bounds import _least_cp_handle
 from sqh.complexes import SimplicialComplex
+from sqh.homology import prime_factors
 
 
 def octahedron() -> SimplicialComplex:
@@ -37,3 +40,12 @@ def nonabelian_workload() -> list:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.nonabelian_scenarios()
+
+
+def subgroup_handles(action) -> list:
+    """The group, its least C_p for each prime p dividing its order, and its Sylow subgroups."""
+    full = action.full_subgroup()
+    handles = [full]
+    for p in prime_factors(action.order):
+        handles += [_least_cp_handle(action, p), sylow(action, full, p)]
+    return list(dict.fromkeys(handles))

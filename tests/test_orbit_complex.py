@@ -12,10 +12,14 @@ gives the cellular chains of X/G; its Betti numbers (from ranks) and
 torsion must equal those of the oracle's quotient, read off the gcd Smith
 normal form (`snf_oracle`) of that quotient's boundary matrices alone.
 
-The engine reads the orbits of the first subdivision off the orbits of X
-(`flag_action`).  Against the transported action, that route must give the
-same orbit complex, fixed sets and quotients, and its flag orbits must
-number what Burnside's lemma counts from the flags each element fixes.
+An action that is not admissible is carried onto its starred complex Y′,
+X starred only at the simplices it turns and their cofaces
+(`admissible_subdivision`).  Against the action transported onto the whole
+first subdivision sd(X), that route must give the same homology of the
+quotient, the fixed set and the pairs.  The quotient loop reads the orbits
+of sd(X) off the orbits of X (`flag_action`).  Both those flag orbits and
+the orbits on Y′ must number what Burnside's lemma counts from the
+simplices each element fixes.
 """
 
 import itertools
@@ -26,9 +30,10 @@ import pytest
 
 import sqh.scenarios
 
-from conftest import nonabelian_workload, octahedron, rp2_minimal
+from conftest import nonabelian_workload, octahedron, rp2_minimal, subgroup_handles
 from snf_oracle import gcd_smith_normal_form
 from test_acceptance import CORPUS_SCENARIOS
+from test_sharing import S4_ON_S3
 from sqh.actions import (
     admissible_subdivision,
     apply_perm,
@@ -44,7 +49,6 @@ from sqh.actions import (
     orbit_chain_complex,
     quotient_complex,
     subgroup_action,
-    sylow,
 )
 from sqh.complexes import (
     OrientedChainComplex,
@@ -64,10 +68,8 @@ from sqh.homology import (
     ElementaryDivisors,
     SparseIntMatrix,
     betti,
-    prime_factors,
     relative_betti,
 )
-from sqh.bounds import _least_cp_handle
 from sqh.scenarios import (
     DEFAULT_FIELDS,
     Scenario,
@@ -141,17 +143,8 @@ def _assert_routes_agree(oracles, key, action):
     assert (orbit.entries, orbit.torsion) == _snf_homology(chain_complex(quotient))
 
 
-def _subgroup_handles(action):
-    """The group, its least C_p for each prime p dividing its order, and its Sylow subgroups."""
-    full = action.full_subgroup()
-    handles = [full]
-    for p in prime_factors(action.order):
-        handles += [_least_cp_handle(action, p), sylow(action, full, p)]
-    return list(dict.fromkeys(handles))
-
-
 def _subgroup_actions(action):
-    return [action.restrict(h) for h in _subgroup_handles(action)]
+    return [action.restrict(h) for h in subgroup_handles(action)]
 
 
 def _corpus_cases(scenario):
@@ -294,9 +287,8 @@ def _with_orbit_complex(monkeypatch, mutate):
     """Make every orbit chain complex built from now on read mutate(the complex)."""
     import sqh.actions
 
-    for name in ("_simplex_orbit_complex", "_flag_orbit_complex"):
-        orig = getattr(sqh.actions, name)
-        monkeypatch.setattr(sqh.actions, name, lambda action, orig=orig: mutate(orig(action)))
+    orig = sqh.actions._simplex_orbit_complex
+    monkeypatch.setattr(sqh.actions, "_simplex_orbit_complex", lambda action: mutate(orig(action)))
 
 
 def _zero_boundaries(cc):
@@ -358,8 +350,11 @@ QUARTER_TURN = Scenario(
         # no Q row: F_2 divides |G| and is not compared, F_3 is
         (replace(builtin("rp", 2), fields=("Fp:2", "Fp:3")), _zeroed_boundaries,
          "coprime-p oracle: b = (3, 6, 4) over Fp:3, the Lefschetz numbers give (1, 0, 0)"),
+        # not admissible: the orbit complex is taken on the starred complex
+        (S4_ON_S3, _zeroed_boundaries,
+         "Q oracle: b = (13, 35, 35, 12) over Q, the Lefschetz numbers give (1, 0, 0, 0)"),
     ],
-    ids=["chi_quarter_turn_unsigned_permutation", "chi_rp4_one_swap_dropped", "chi_rp2_merge_orbits", "q_rp2_zero_boundaries", "q_lens52_zero_boundaries", "coprime_rp2_zero_boundaries"],
+    ids=["chi_quarter_turn_unsigned_permutation", "chi_rp4_one_swap_dropped", "chi_rp2_merge_orbits", "q_rp2_zero_boundaries", "q_lens52_zero_boundaries", "coprime_rp2_zero_boundaries", "q_s4_zero_boundaries_starred"],
 )
 def test_lefschetz_oracles_reject_a_corrupt_orbit_complex(monkeypatch, scenario, mutate, message):
     """Each mutation passes dd = 0 and betti's own checks, and trips the oracle it names.
@@ -369,11 +364,11 @@ def test_lefschetz_oracles_reject_a_corrupt_orbit_complex(monkeypatch, scenario,
     against the orbit complex.
     """
     scenario = replace(scenario, checks=())  # the checks would read the mutated complex too
-    assert is_admissible(build_model(scenario).action)
     run_scenario(scenario)
     mutate(monkeypatch)
-    corrupt = orbit_chain_complex(build_model(scenario).action)  # verified on the way
-    betti(corrupt, scenario.field_specs(), order=build_model(scenario).action.order)
+    action = build_model(scenario).action
+    corrupt = orbit_chain_complex(admissible_subdivision(action))  # verified on the way
+    betti(corrupt, scenario.field_specs(), order=action.order)
     with pytest.raises(CorruptComplex) as caught:
         run_scenario(scenario)
     assert str(caught.value) == message
@@ -518,29 +513,51 @@ def _fixed_vertices(fixed) -> set:
     return {v for f in fixed.facets for v in f}
 
 
+# the whole group's orbit cells on sd(X) and on its starred complex
+WHOLE_GROUP_CELLS = {
+    "sym3_on_s2": (33, 27),
+    "dihedral_on_s1(3)": (3, 3),
+    "dihedral_on_s1(5)": (3, 3),
+    "oct_rotations_s2": (8, 8),
+    "full_signed_oct_s2": (7, 7),
+    "d4_on_s2": (27, 19),
+    "a4_on_s2": (14, 8),
+    "s4_on_s3": (115, 95),
+    "b4_on_s3": (15, 15),
+    "c3_on_s3": (576, 68),
+}
+
+
 @pytest.mark.parametrize("scenario", NON_ADMISSIBLE, ids=lambda sc: sc.name)
 def test_flag_route_matches_the_transported_route(scenario):
-    """The depth-1 orbit complex, fixed sets and relative homology of each subgroup, with and without transport."""
+    """Each subgroup on its starred complex against the action transported onto sd(X).
+
+    The quotient's Betti numbers and torsion, b(F), b(Y, F) and b(Q, F)
+    agree.  On X the fixed set is the one the transport finds, read
+    through the simplices that the vertices of sd(X) stand for.  The whole
+    group's orbit complex has the cells pinned in WHOLE_GROUP_CELLS.
+    """
     action = build_model(scenario).action
     sd = barycentric_subdivision(action.complex)
     transported = induced_action_on_subdivision(action, sd)
-    for handle in _subgroup_handles(action):
+    for handle in subgroup_handles(action):
         restricted = action.restrict(handle)
-        new = orbit_chain_complex(flag_action(restricted))
+        starred = subgroup_action(action, handle)
+        assert (starred is restricted) == is_admissible(restricted)
+        new = orbit_chain_complex(starred)
         old = orbit_chain_complex(transported.restrict(handle))
-        assert new.ranks == old.ranks
         assert _homology(new, restricted.order) == _homology(old, restricted.order)
+        if restricted is action:
+            assert (sum(old.ranks), sum(new.ranks)) == WHOLE_GROUP_CELLS[scenario.name]
         fixed = fixed_subcomplex(action, handle)
         fixed_old = fixed_subcomplex(transported, handle)
-        if is_admissible(restricted):
-            assert subgroup_action(action, handle) is restricted
-            # the fixed set on X, whose simplices are the vertices of its subdivision
+        assert betti(chain_complex(fixed), FIELDS).entries == betti(chain_complex(fixed_old), FIELDS).entries
+        if starred is restricted:
             assert {sd.vertex_simplices[v] for v in _fixed_vertices(fixed_old)} == set(fixed.simplex_set())
-            continue
-        assert subgroup_action(action, handle) is flag_action(restricted)
-        assert fixed == fixed_old
         if fixed.facets:
-            assert relative_betti(new, fixed, FIELDS).entries == relative_betti(old, fixed_old, FIELDS).entries
+            pairs = [(chain_complex(starred.complex), chain_complex(sd.complex)), (new, old)]
+            for here, there in pairs:
+                assert relative_betti(here, fixed, FIELDS).entries == relative_betti(there, fixed_old, FIELDS).entries
 
 
 def _quotient_or_none(quotient):
@@ -627,21 +644,36 @@ def _fixed_flags(complex_, element) -> list:
     return total
 
 
+def _burnside(counts, order) -> tuple:
+    """Orbits per degree, from the simplices each element fixes, by degree."""
+    sums = [sum(column) for column in zip(*counts)]
+    assert all(n % order == 0 for n in sums)
+    return tuple(n // order for n in sums)
+
+
+def _fixed_simplices(complex_, element) -> list:
+    """The simplices of the complex that a vertex permutation maps onto themselves, by degree."""
+    return [sum(apply_perm(element, s) == s for s in level) for level in complex_.simplices()]
+
+
 @pytest.mark.parametrize("scenario", GROUP_SCENARIOS, ids=lambda sc: sc.name)
 def test_flag_orbits_number_what_burnside_counts(scenario):
-    """Orbits of j-flags = (1/|H|) sum over h of the j-flags h fixes, for the group and its C_p and Sylow subgroups.
+    """Orbits of j-simplices = (1/|H|) sum over h of the j-simplices h fixes, for the group and its C_p and Sylow subgroups.
 
-    Both enumerations are counted: the cells of the depth-1 orbit complex,
-    and the orbit of every flag that the quotient one depth further down
-    reads.
+    On sd(X) both flag enumerations are counted: the flag orbits' counts and
+    the orbit of every flag that the quotient one depth further down reads.
+    On the starred complex Y′ (X itself where H is admissible) the cells of
+    the orbit complex and the orbits of the one orbit pass are counted.
     """
     action = build_model(scenario).action
     for restricted in _subgroup_actions(action):
-        fixed = [_fixed_flags(action.complex, e) for e in restricted.elements]
-        sums = [sum(column) for column in zip(*fixed)]
-        assert all(n % restricted.order == 0 for n in sums)
-        burnside = tuple(n // restricted.order for n in sums)
+        burnside = _burnside([_fixed_flags(action.complex, e) for e in restricted.elements], restricted.order)
         flags = flag_action(restricted)
-        assert orbit_chain_complex(flags).ranks == burnside
         assert tuple(flags.simplex_orbit_data().level_counts()) == burnside
         assert flags.cell_counts() == burnside
+        starred = admissible_subdivision(restricted)
+        # H's elements in H's order, so that a handle of H indexes them on Y′ too
+        assert [e[: action.complex.vertex_count] for e in starred.elements] == list(restricted.elements)
+        on_y = _burnside([_fixed_simplices(starred.complex, e) for e in starred.elements], starred.order)
+        assert orbit_chain_complex(starred).ranks == on_y
+        assert tuple(starred.simplex_orbit_data().level_counts()) == on_y

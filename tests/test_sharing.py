@@ -2,10 +2,14 @@
 
 run_scenario builds the simplicial quotient of the whole group once;
 cyclic_chain_check and transfer_check share the orbit chain complexes
-cached on the action.  No element is ever mapped onto a subdivision: the
-orbits of the first subdivision are read off each group's own orbit pass.
-Each Sylow subgroup is grown once and each fixed subcomplex built once.
-These tests count those constructions and check that results read from the
+cached on the action.  No element is ever mapped onto the first
+subdivision: a subgroup that is not admissible has its elements carried
+onto its starred complex, built once for each set of simplices starred
+(a subgroup that turns what the group turns restricts the group's), and
+the quotient loop reads the orbits of the first subdivision off the
+group's own orbit pass.  Each
+Sylow subgroup is grown once and each fixed subcomplex built once.  These
+tests count those constructions and check that results read from the
 caches equal those of a fresh action.
 """
 
@@ -15,11 +19,11 @@ import sys
 
 import pytest
 
-from conftest import nonabelian_workload, octahedron
+from conftest import nonabelian_workload, octahedron, subgroup_handles
 from test_acceptance import CORPUS_SCENARIOS
-from sqh.actions import FlagAction, VertexAction, close_generators, sylow
+from sqh.actions import VertexAction, admissible_subdivision, close_generators, sylow
 from sqh.bounds import cyclic_chain_check, smith_floyd_check, transfer_check
-from sqh.complexes import SimplicialComplex, chain_complex, shared_subdivision
+from sqh.complexes import SimplicialComplex, chain_complex
 from sqh.homology import F2, SparseIntMatrix, betti, prime_factors
 from sqh.models import SignedPermutation
 from sqh.scenarios import DEFAULT_FIELDS, Scenario, build_model, builtin, run_scenario, sweep_scenarios
@@ -34,10 +38,7 @@ def _record_calls(monkeypatch, attr, when=lambda action: True):
 
     def counting(action, *args, **kwargs):
         if when(action):
-            if isinstance(action, FlagAction):  # known by the complex it subdivides and the group's elements there
-                calls.append((action.source, action.below.elements))
-            else:
-                calls.append((action.complex, action.elements))
+            calls.append((action.complex, action.elements))
         return orig(action, *args, **kwargs)
 
     for name in ("sqh.actions", "sqh.bounds", "sqh.scenarios"):
@@ -225,9 +226,9 @@ def test_chain_complex_verified_once(monkeypatch):
 def test_finished_scenarios_leave_no_action_in_a_reference_cycle():
     """Caches must not refer back to their action or complex, or it outlives its scenario.
 
-    All three scenarios subdivide their model, so the complex's cached
-    subdivision is covered.  s4_on_s3 is not admissible, so its group and
-    the subgroups that are not admissible keep flag actions, and every
+    All three scenarios subdivide their model, so the flag action of the
+    quotient loop is covered.  s4_on_s3 is not admissible, so its group and
+    the subgroups that are not admissible keep starred actions, and every
     check fills the Sylow and fixed-subcomplex caches.
     """
     gc.collect()
@@ -264,11 +265,12 @@ S4_ON_S3 = _signed_scenario("s4_on_s3", 4, [SWAP, CYCLE4])
 B4_ON_S3 = _signed_scenario("b4_on_s3", 4, [SWAP, CYCLE4, FLIP])
 
 
-@pytest.mark.parametrize("scenario", [S4_ON_S3, B4_ON_S3], ids=lambda sc: sc.name)
-def test_model_subdivided_once_per_scenario(monkeypatch, scenario):
-    """Every subgroup's fixed set and orbit complex share the model's subdivision.
+@pytest.mark.parametrize("scenario", nonabelian_workload(), ids=lambda sc: sc.name)
+def test_only_the_quotient_loop_subdivides_the_whole_model(monkeypatch, used_actions, scenario):
+    """Fixed sets and orbit complexes are taken on starred complexes, never on sd(X).
 
-    The quotient loop reads the depth-1 quotient off the model's orbits and builds none.
+    The quotient loop reads the depth-1 quotient off the model's orbits, so
+    sd(X) is built only for a depth-2 quotient, once, from the flag orbits.
     """
     import sqh.complexes
 
@@ -276,22 +278,20 @@ def test_model_subdivided_once_per_scenario(monkeypatch, scenario):
     orig = sqh.complexes.barycentric_subdivision
 
     def counting(k):
-        sources.append(k.f_vector())
+        sources.append(k)
         return orig(k)
 
     monkeypatch.setattr(sqh.complexes, "barycentric_subdivision", counting)
-    run_scenario(scenario)
-    # the 16-cell boundary, whose action is not admissible; nothing else is subdivided
-    assert sources == [(8, 24, 32, 16)]
+    depth = run_scenario(scenario)["subdivisions"]
+    (used,) = used_actions
+    assert sources == ([used.complex] if depth == 2 else [])
 
 
 @pytest.mark.parametrize("scenario", [S4_ON_S3, B4_ON_S3], ids=lambda sc: sc.name)
 def test_cyclic_chain_stars_only_what_c_p_moves(monkeypatch, used_actions, scenario):
-    """b(Y, F) is taken on one starred pair per prime whose C_p turns a simplex, never on sd(X).
-
-    The fixed sets, b(F) and the orbit complexes still use the flag action,
-    which builds sd(X) but no chain complex of it.
-    """
+    """Each starred set U is starred once, and every check on a subgroup that
+    turns exactly U shares that complex: b(Y, F) of the cyclic chain among
+    them, on the C_p's own starred complex."""
     import sqh.actions
 
     starred = []
@@ -304,17 +304,21 @@ def test_cyclic_chain_stars_only_what_c_p_moves(monkeypatch, used_actions, scena
     monkeypatch.setattr(sqh.actions, "derived_subdivision", counting)
     report = run_scenario(scenario)
     (used,) = used_actions
-    assert shared_subdivision(used.complex).complex._chain is None
     # the least C_2 and the least C_3 both turn a simplex of the 16-cell boundary
     cyclic = [c for c in report["checks"] if c["name"] == "cyclic_chain"]
     assert [c["inputs"]["subdivisions"] for c in cyclic] == [1, 1]
-    assert len(starred) == len(set(starred)) == 2
+    handles = [h for h in subgroup_handles(used) if used.restrict(h)._starred is not None]
+    assert len(handles) == 4  # G, Syl_2, the least C_2 and Syl_3, the least C_3
+    # one construction per U: G and Syl_2 turn the same simplices, so Syl_2 restricts G's starred action
+    assert len(starred) == len(set(starred)) == len({id(used.restrict(h)._starred.complex) for h in handles}) == 3
     assert all(k is used.complex for k, _ in starred)
+    (syl_2,) = [h for h in handles if h.order < used.order and used.restrict(h)._starred.complex is used._starred.complex]
+    assert used.restrict(syl_2)._starred is used._starred.restrict(syl_2)
 
 
 @pytest.mark.parametrize("scenario", [S4_ON_S3, B4_ON_S3], ids=lambda sc: sc.name)
 def test_group_never_transported_and_sylow_grown_once(monkeypatch, used_actions, transports, scenario):
-    """The flag action read off the group's own orbit pass serves every check; nothing is transported."""
+    """The group's starred action, its generators carried onto Y′, serves every check on G; nothing is transported."""
     import sqh.actions
 
     grown = []
@@ -327,18 +331,20 @@ def test_group_never_transported_and_sylow_grown_once(monkeypatch, used_actions,
     monkeypatch.setattr(sqh.actions, "_grow_sylow", counting_grow)
     run_scenario(scenario)
     (used,) = used_actions
-    # the 16-cell boundary is not admissible: its orbits of flags come from the group's orbits
+    # the 16-cell boundary is not admissible: G acts on its starred complex
     assert transports == []
-    assert used._flag_action is not None
+    assert used._starred is not None and admissible_subdivision(used) is used._starred
     # smith_floyd and transfer share each Sylow subgroup of G
     assert len(grown) == len(set(grown))
     assert sorted(p for _, _, p in grown) == sorted(prime_factors(used.order))
 
 
 def test_run_scenario_never_transports(transports):
-    """No run maps an element onto a subdivision: not on the corpus, the nonabelian workload or sweep draws.
+    """No run maps an element onto sd(X): not on the corpus, the nonabelian workload or sweep draws.
 
-    The sweep sample holds draws that the quotient loop takes to depth 2.
+    A subgroup that is not admissible has only its generators carried, onto
+    its starred complex Y′, never onto sd(X).  The sweep sample holds draws
+    that the quotient loop takes to depth 2.
     """
     sample, _ = sweep_scenarios(6, 60, 7, DEFAULT_FIELDS, 200_000)
     depths = set()
@@ -351,7 +357,8 @@ def test_run_scenario_never_transports(transports):
 def test_fixed_subcomplex_built_once_per_subgroup(monkeypatch, used_actions):
     """On s4_on_s3, Syl_3 is the least C_3, so smith_floyd and cyclic_chain share its fixed set.
 
-    Each starred pair of `cyclic_chain` builds its own F′, on its own Y′.
+    Each subgroup's fixed set is built once, on its starred complex Y′
+    (Syl_2's is the group's), and none on X or sd(X).
     """
     import sqh.actions
 
@@ -365,10 +372,7 @@ def test_fixed_subcomplex_built_once_per_subgroup(monkeypatch, used_actions):
     monkeypatch.setattr(sqh.actions, "full_subcomplex", counting)
     run_scenario(S4_ON_S3)
     (used,) = used_actions
-    sd = shared_subdivision(used.complex).complex
-    on_sd = [(k, vertices) for k, vertices in builds if k is sd]
-    # Syl_2 (order 8), the least C_2 and Syl_3 = the least C_3
-    assert len(on_sd) == len(set(on_sd)) == 3
-    # F′ of the least C_2 and of the least C_3, each on its starred Y′
-    starred = [k for k, _ in builds if k is not sd]
-    assert len(starred) == len({id(k) for k in starred}) == 2
+    # Syl_2 (order 8), the least C_2 and Syl_3 = the least C_3, none admissible
+    assert len(builds) == len({id(k) for k, _ in builds}) == 3
+    starred = {id(used.restrict(h)._starred.complex) for h in subgroup_handles(used) if h.order < used.order}
+    assert {id(k) for k, _ in builds} == starred

@@ -1,9 +1,11 @@
 """The derived subdivision that stars only what a subgroup moves, against independent oracles.
 
 `derived_subdivision(K, U)` stars an upward-closed set U of simplices of K
-in decreasing dimension, and `starred_pair(action, H)` stars the simplices
-that H turns, with their cofaces, to take b(Y, F) in `cyclic_chain_check`.
-The oracles here share no code with the engine's construction:
+in decreasing dimension.  A subgroup H that is not admissible acts on its
+starred complex Y′, X starred at the simplices H turns and their cofaces
+(`subgroup_action`), and its fixed set F′ is taken there
+(`fixed_subcomplex`); every check on H reads this pair (Y′, F′).  The
+oracles here share no code with the engine's construction:
 
 - the flag complex of the face poset, built from every vertex permutation
   of every facet (the barycentric subdivision as the engine once built it)
@@ -27,8 +29,9 @@ from test_acceptance import CORPUS_SCENARIOS
 from sqh.actions import (
     apply_perm,
     close_generators,
+    fixed_subcomplex,
     is_admissible,
-    starred_pair,
+    subgroup_action,
 )
 from sqh.complexes import (
     SimplicialComplex,
@@ -120,9 +123,14 @@ def _full_subdivision_pair(action, handle):
     return sd.complex, full_subcomplex(sd.complex, fixed)
 
 
+def _starred_pair(action, handle) -> tuple:
+    """(Y′, F′): the complex H acts on at its admissible subdivision, and H's fixed set there."""
+    return subgroup_action(action, handle).complex, fixed_subcomplex(action, handle)
+
+
 def _assert_pair_is_right(action, handle):
-    """Every oracle on `starred_pair(action, handle)`."""
-    y, f = starred_pair(action, handle)
+    """Every oracle on the starred pair of H."""
+    y, f = _starred_pair(action, handle)
     starred = _upward_closure(action.complex, _moved_by_scan(action, handle))
     sd = derived_subdivision(action.complex, starred)
     assert y == sd.complex
@@ -134,6 +142,7 @@ def _assert_pair_is_right(action, handle):
     ]
     on_y = close_generators(y, carried)
     assert on_y.order == handle.order and is_admissible(on_y)
+    assert set(on_y.elements) == set(subgroup_action(action, handle).elements)
     assert f == full_subcomplex(y, [v for v in range(y.vertex_count) if all(e[v] == v for e in on_y.elements)])
     # b(Y′, F′) is b(X, X^H), read on the full first subdivision
     full_y, full_f = _full_subdivision_pair(action, handle)
@@ -173,7 +182,7 @@ def test_starred_pair_sizes_on_the_checked_subgroups(name, sizes):
     got = {}
     for p in prime_factors(action.order):
         handle = _least_cp_handle(action, p)
-        y, _ = starred_pair(action, handle)
+        y, _ = _starred_pair(action, handle)
         if y is not action.complex:
             got[p] = sum(y.f_vector())
     assert got == sizes
@@ -205,10 +214,11 @@ def _assert_extremes(k: SimplicialComplex):
     assert barycentric_subdivision(k).complex.facets == every.complex.facets
 
 
-def _pair_with(monkeypatch, attr, mutant):
-    monkeypatch.setattr(sqh.actions, attr, mutant)
+def _pair_with(monkeypatch, attr, mutant_for):
+    """How many cases the oracles catch with sqh.actions.<attr> replaced by mutant_for(the case's model action)."""
     caught = 0
     for _, action, handle in _cases():  # fresh actions: nothing cached from the engine as it is
+        monkeypatch.setattr(sqh.actions, attr, mutant_for(action))
         try:
             _assert_pair_is_right(action, handle)
         except AssertionError:
@@ -217,14 +227,15 @@ def _pair_with(monkeypatch, attr, mutant):
 
 
 def test_oracles_catch_starring_the_moved_simplices_without_their_cofaces(monkeypatch):
-    assert _pair_with(monkeypatch, "_with_cofaces", lambda k, simplices: set(simplices)) > 0
+    assert _pair_with(monkeypatch, "_with_cofaces", lambda model: lambda k, simplices: set(simplices)) > 0
 
 
 def test_oracles_catch_a_fixed_set_without_the_fixed_barycentres(monkeypatch):
     orig = sqh.actions._fixed_vertices
 
-    def vertices_only(action, handle, vertex_simplices):
-        return [v for v in orig(action, handle, vertex_simplices) if len(vertex_simplices[v]) == 1]
+    def vertices_only(model):
+        # Y′ numbers the vertices of X first, then the barycentres
+        return lambda on: [v for v in orig(on) if v < model.complex.vertex_count]
 
     assert _pair_with(monkeypatch, "_fixed_vertices", vertices_only) > 0
 
@@ -269,7 +280,7 @@ def test_starred_pair_property_on_random_prime_order_subgroups():
         p = primes[pick % len(primes)]
         g = next(i for i in range(1, action.order) if action.element_order(i) == p)
         handle = action.subgroup(action.closure_indices({g}))
-        y, f = starred_pair(action, handle)
+        y, f = _starred_pair(action, handle)
         full_y, full_f = _full_subdivision_pair(action, handle)
         fields = [RATIONALS, FieldSpec(p)]
         assert relative_betti(chain_complex(y), f, fields) == relative_betti(chain_complex(full_y), full_f, fields)

@@ -11,6 +11,7 @@ import sqh.scenarios
 from sqh.actions import make_admissible_and_quotient
 from sqh.complexes import chain_complex
 from sqh.scenarios import DEFAULT_FIELDS, build_model, builtin, report_bytes, sweep_scenarios
+from conftest import nonabelian_workload
 from test_sharing import S4_ON_S3
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -61,15 +62,29 @@ def test_tracer_counts_no_snf_on_a_sweep_scenario():
     assert metrics["homology.snf_skipped"][0] == 0
 
 
-def test_tracer_sees_the_subdivision_and_each_cyclic_chain_on_s4():
+def _traced(scenario):
+    """The tracer's metrics for one run, whose report must equal an untraced run's."""
+    tracer = _spans_module().Tracer()
+    plain = report_bytes(sqh.scenarios.run_scenario(scenario))
+    with tracer.installed():
+        traced = report_bytes(sqh.scenarios.run_scenario(scenario))
+    assert traced == plain
+    return tracer.metrics()
+
+
+def test_tracer_sees_each_cyclic_chain_on_s4():
+    """The cyclic chain runs once per prime.  Each subgroup that is not
+    admissible acts on its starred complex, and the quotient loop stops at
+    depth 1, so the whole model is never subdivided."""
+    metrics = _traced(S4_ON_S3)
+    assert metrics["bounds.cyclic_chain_calls"][0] == 2
+    assert metrics["complexes.subdivide_calls"][0] == 0
+
+
+def test_tracer_sees_the_subdivision_of_a_depth_two_quotient():
     """`barycentric_subdivision` is a call into the derived subdivision, and
     `shared_subdivision` still reaches it through the module, so the model's
-    subdivision stays in the trace; the cyclic chain runs once per prime."""
-    tracer = _spans_module().Tracer()
-    plain = report_bytes(sqh.scenarios.run_scenario(S4_ON_S3))
-    with tracer.installed():
-        traced = report_bytes(sqh.scenarios.run_scenario(S4_ON_S3))
-    assert traced == plain
-    metrics = tracer.metrics()
-    assert metrics["complexes.subdivide_calls"][0] >= 1
-    assert metrics["bounds.cyclic_chain_calls"][0] == 2
+    subdivision, which c3_on_s3's quotient loop builds for its depth-2
+    quotient, stays in the trace."""
+    (scenario,) = [sc for sc in nonabelian_workload() if sc.name == "c3_on_s3"]
+    assert _traced(scenario)["complexes.subdivide_calls"][0] == 1
