@@ -18,9 +18,10 @@ element that maps a simplex onto itself fixes it pointwise.  An action that
 is not admissible is carried onto its starred complex Y′, X starred at the
 simplices it turns and their cofaces (`admissible_subdivision`), and each
 subgroup onto its own.  There its orbit chain complex and its fixed set
-are built like those of any admissible action.  The first barycentric
-subdivision serves only the simplicial quotient loop past depth 0
-(`FlagAction`, `subdivided_quotient`).
+are built like those of any admissible action.  The simplicial quotient
+loop (`make_admissible_and_quotient`) reads sd(X)/G off the orbits on X,
+and for sd²(X)/G carries the group onto sd(X) as it carries it onto Y′
+(`_carried`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .complexes import (
 )
 from .errors import (
     ActionInvalid,
+    CorruptComplex,
     GroupTooLarge,
     InvalidParameter,
     NeedsSubdivision,
@@ -83,9 +85,7 @@ class SimplexOrbits:
       starting at `offsets[k]`, `offsets[-1]` is the orbit count, and the
       first simplex with an id, `representatives[id]`, is its orbit's least.
     - `carrier` maps each simplex to the index in `elements` of an element
-      carrying its orbit's representative onto it.  None means that
-      carriers map vertices by position, as on every subdivision that
-      `FlagAction` describes.
+      carrying its orbit's representative onto it.
     - `stabilisers` maps the id of each orbit whose representative is
       preserved by an element that moves one of its vertices to the
       distinct permutations of the representative's vertex positions that
@@ -96,8 +96,8 @@ class SimplexOrbits:
     orbit_of: dict
     representatives: tuple
     offsets: tuple
-    carrier: dict | None = None
-    elements: tuple = ()
+    carrier: dict
+    elements: tuple
     stabilisers: dict = field(default_factory=dict)
 
     @property
@@ -112,21 +112,16 @@ class SimplexOrbits:
         """The number of orbits of k-simplices, for each k."""
         return [b - a for a, b in zip(self.offsets, self.offsets[1:])]
 
-    def frame(self, simplex) -> tuple:
-        """The vertices of `simplex`, listed as a carrier's images of its representative's vertices."""
-        if self.carrier is None:
-            return simplex
-        e = self.elements[self.carrier[simplex]]
-        return tuple(e[v] for v in self.representatives[self.orbit_of[simplex]])
-
     def is_reversed(self, simplex) -> bool:
         """True iff a carrier lists the simplex's vertices in an odd order.
 
-        Then the simplex's orientation is reversed against its
+        The carrier lists them as its images of the representative's
+        vertices.  Then the simplex's orientation is reversed against its
         representative's.  For an admissible action this does not depend on
         the carrier.
         """
-        return self.carrier is not None and _is_odd(self.frame(simplex))
+        e = self.elements[self.carrier[simplex]]
+        return _is_odd([e[v] for v in self.representatives[self.orbit_of[simplex]]])
 
 
 @dataclass(frozen=True)
@@ -166,15 +161,12 @@ class VertexAction:
     - when the action is not admissible, the action on its starred complex
       (`admissible_subdivision`), its elements carried there in this
       action's order
-    - the action on the first barycentric subdivision (`flag_action`), read
-      off the simplex orbits, so no element is mapped onto the subdivision;
-      it serves the quotient loop past depth 0
     - for an admissible action, its orbit chain complex
       (`orbit_chain_complex`) and that complex's Betti numbers per field
       (`orbit_betti`)
 
-    The starred and flag actions refer to their complexes and orbits, not
-    to this action, so no cache refers back to its owner.
+    The starred action refers to its own complex and elements, not to this
+    action, so no cache refers back to its owner.
     """
 
     __slots__ = (
@@ -192,7 +184,6 @@ class VertexAction:
         "_sylow",
         "_fixed",
         "_starred",
-        "_flag_action",
         "_orbit_complex",
         "_orbit_betti",
     )
@@ -212,7 +203,6 @@ class VertexAction:
         self._sylow: dict = {}
         self._fixed: dict = {}
         self._starred = None
-        self._flag_action = None
         self._orbit_complex = None
         self._orbit_betti: dict = {}
 
@@ -468,10 +458,10 @@ def induced_action_on_subdivision(action: VertexAction, sd: Subdivision) -> Vert
     """Transport the action through a barycentric subdivision of its complex.
 
     Every element is mapped onto every vertex of the subdivision.  The
-    engine never does: the quotient loop reads the orbits of the subdivision
-    off those of the complex (`FlagAction`), and an action that is not
-    admissible carries only its generators onto its starred complex
-    (`admissible_subdivision`).  Tests keep the transport as their oracle.
+    engine never does: it maps only the generators onto a subdivision, and
+    reaches the other elements by composition (`_carried`), onto sd(X) for
+    a depth-2 quotient and onto the starred complex of an action that is
+    not admissible.  Tests keep the transport as their oracle.
     """
     if sd.source != action.complex:
         raise InvalidParameter("subdivision was not built from this action's complex")
@@ -528,137 +518,29 @@ def _chains_below(mask: int) -> tuple:
     return tuple(out)
 
 
-class FlagAction:
-    """A group acting on the first barycentric subdivision sd(K) of a complex K, known from its orbits on K.
+def flag_orbit_counts(data: SimplexOrbits) -> tuple:
+    """The number of orbits of j-simplices of sd(K), for each j, from the orbits on K.
 
-    The vertices of sd(K) are the simplices of K, numbered in the order of
-    `K.simplices()` as in `barycentric_subdivision`, and its simplices are
-    the flags σ_0 < … < σ_j of simplices of K; ascending vertex numbers are
-    ascending dimensions.  A flag's orbit is the orbit of its top simplex
-    σ_j together with the class, under the permutations that Stab(τ)
-    induces on τ's vertices, of the flag carried onto the top's
-    representative τ.  A flag is written there as its chain of faces below
-    τ, each a bit mask of τ's vertex positions, and its orbit as (orbit id
-    of τ, least chain of its class).  An element that preserves a flag fixes
-    each of its simplices, so the action is admissible (Bredon, Introduction
-    to Compact Transformation Groups, Ch. III), and on sd(K) every carrier
-    maps vertices by position, so the next subdivision needs no stabilisers.
-
-    It serves only the simplicial quotient loop past depth 0
-    (`subdivided_quotient`): the orbit counts of sd(K) (`cell_counts`) and
-    the orbit of every flag, which the quotient one depth further down
-    reads.  Orbit complexes and fixed sets are taken on the starred complex
-    instead (`admissible_subdivision`).  `below` holds the orbits on K, and
-    nothing here refers to the action on K.  No element is mapped onto
-    sd(K), and sd(K) itself is built only for `complex` and for the orbit
-    of every flag (`simplex_orbit_data`).  Derived data is cached on the
-    instance: the flag orbits through each representative (`cells`), the
-    orbit of every flag and the action on the next subdivision.
+    A j-simplex of sd(K) is a flag σ_0 < … < σ_j of simplices of K.  Its
+    orbit is the orbit of its top σ_j together with the class of the flag,
+    carried onto the top's representative τ, under the permutations that
+    Stab(τ) induces on τ's vertices.  Where Stab(τ) fixes τ pointwise,
+    every flag below τ is its own class, so those tops count as in
+    `subdivided_f_vector`.  Below any other τ a flag is written as its chain
+    of faces, each a bit mask of τ's vertex positions, and its class is
+    counted at its least chain.
     """
-
-    __slots__ = (
-        "source",
-        "below",
-        "order",
-        "_tables",
-        "_cells",
-        "_simplex_orbits",
-        "_flag_action",
-    )
-
-    def __init__(self, source: SimplicialComplex, below: SimplexOrbits, order: int) -> None:
-        self.source = source
-        self.below = below
-        self.order = order
+    plain = data.level_counts()
+    turned = [0] * len(plain)
+    for oid, perms in data.stabilisers.items():
+        size = len(data.representatives[oid])
+        plain[size - 1] -= 1
         # each stabiliser permutation as the table of its images of bit masks
-        self._tables = {
-            oid: [
-                [sum(1 << p[b] for b in range(len(p)) if m >> b & 1) for m in range(1 << len(p))]
-                for p in perms
-            ]
-            for oid, perms in below.stabilisers.items()
-        }
-        self._cells = None
-        self._simplex_orbits = None
-        self._flag_action = None
-
-    @property
-    def complex(self) -> SimplicialComplex:
-        return shared_subdivision(self.source).complex
-
-    def _canonical(self, oid: int, chain: tuple) -> tuple:
-        """The least chain in the class of `chain` under the stabiliser of representative `oid`."""
-        tables = self._tables.get(oid)
-        if tables is None:
-            return chain
-        return min(tuple(map(t.__getitem__, chain)) for t in tables)
-
-    def cells(self) -> tuple:
-        """The flag orbits of each degree, as (orbit id of the top, least chain), in representative order."""
-        if self._cells is None:
-            levels: list = [[] for _ in range(self.source.dimension + 1)]
-            for oid, rep in enumerate(self.below.representatives):
-                for chain in _chains_below((1 << len(rep)) - 1):
-                    if self._canonical(oid, chain) == chain:
-                        levels[len(chain)].append((oid, chain))
-            self._cells = tuple(tuple(level) for level in levels)
-        return self._cells
-
-    def cell_counts(self) -> tuple:
-        """The number of orbits of j-simplices of sd(K), for each j.
-
-        When the action on K is admissible, Stab(τ) fixes every flag below
-        τ, so the counts follow from the orbit counts of K alone.
-        """
-        if self.below.admissible:
-            return subdivided_f_vector(self.below.level_counts())
-        return tuple(len(level) for level in self.cells())
-
-    def simplex_orbit_data(self) -> SimplexOrbits:
-        """The orbit of every flag, numbered in the order of `complex.simplices()`.
-
-        Carriers map vertices by position, so none is stored.
-        """
-        if self._simplex_orbits is None:
-            sd = shared_subdivision(self.source)
-            simplex_of = sd.vertex_simplices
-            ids: dict = {}
-            orbit_of: dict = {}
-            reps: list = []
-            offsets: list = []
-            tops: dict = {}  # vertex of sd(K) -> its simplex `_at_representative`
-            for level in sd.complex.simplices():
-                offsets.append(len(reps))
-                for flag in level:
-                    top = tops.get(flag[-1])
-                    if top is None:
-                        top = tops[flag[-1]] = self._at_representative(simplex_of[flag[-1]], sd.vertex_of_simplex)
-                    oid, mask_of = top
-                    key = (oid, self._canonical(oid, tuple(map(mask_of.__getitem__, flag[:-1]))))
-                    got = ids.get(key)
-                    if got is None:
-                        got = ids[key] = len(reps)
-                        reps.append(flag)
-                    orbit_of[flag] = got
-            offsets.append(len(reps))
-            self._simplex_orbits = SimplexOrbits(orbit_of, tuple(reps), tuple(offsets))
-        return self._simplex_orbits
-
-    def _at_representative(self, simplex, vertex) -> tuple:
-        """(orbit id of a simplex of K, vertex of sd(K) at each of its faces -> that face's bit mask at the representative).
-
-        `vertex` numbers the simplices of K as the vertices of sd(K).
-        """
-        bit = {w: 1 << b for b, w in enumerate(self.below.frame(simplex))}
-        faces = (_face(simplex, m) for m in range(1, 1 << len(simplex)))
-        return self.below.orbit_of[simplex], {vertex[f]: sum(map(bit.__getitem__, f)) for f in faces}
-
-
-def flag_action(action) -> FlagAction:
-    """The action on the first barycentric subdivision of its complex, from its simplex orbits; built once per action."""
-    if action._flag_action is None:
-        action._flag_action = FlagAction(action.complex, action.simplex_orbit_data(), action.order)
-    return action._flag_action
+        tables = [[sum(1 << p[b] for b in range(size) if m >> b & 1) for m in range(1 << size)] for p in perms]
+        for chain in _chains_below((1 << size) - 1):
+            if min(tuple(map(t.__getitem__, chain)) for t in tables) == chain:
+                turned[len(chain)] += 1
+    return tuple(a + b for a, b in zip(subdivided_f_vector(plain), turned))
 
 
 def subdivided_quotient(action) -> SimplicialComplex:
@@ -669,7 +551,7 @@ def subdivided_quotient(action) -> SimplicialComplex:
     under the same ids.  A facet of sd(X) is a complete flag of faces of a
     facet of X; its image is the set of the flag's orbit ids, and facets in
     one orbit give the same sets, so one facet per orbit is enough.  The
-    orbits of j-simplices of sd(X) number `flag_action(action).cell_counts()[j]`.
+    orbits of j-simplices of sd(X) number `flag_orbit_counts(data)[j]`.
     The quotient is simplicial iff no two of those orbits share an id set,
     that is iff its f-vector reaches that count; otherwise NeedsSubdivision
     is raised, as `quotient_complex` on the action transported to sd(X)
@@ -697,7 +579,7 @@ def subdivided_quotient(action) -> SimplicialComplex:
             ]
         facets.extend(flag for _, flag in flags)
     quotient = SimplicialComplex._from_canonical(data.count, facets)
-    want, got = flag_action(action).cell_counts(), quotient.f_vector()
+    want, got = flag_orbit_counts(data), quotient.f_vector()
     if got != want:
         j = next(j for j in range(len(want)) if got[j] != want[j])
         raise NeedsSubdivision(
@@ -721,53 +603,53 @@ class QuotientResult:
     facets_after: int
 
 
-_MAX_AUTO_SUBDIVISIONS = 3
+def make_admissible_and_quotient(action: VertexAction, simplex_cap: int | None = None) -> QuotientResult:
+    """The quotient sd^k(X)/G at the least depth k where it is simplicial, which is at most 2.
 
-
-def make_admissible_and_quotient(
-    action: VertexAction,
-    subdivisions: str | int = "auto",
-    simplex_cap: int | None = None,
-) -> QuotientResult:
-    """The quotient sd^k(X)/G at the first depth k where it is simplicial.
-
-    With `subdivisions` "auto" the quotient is tried at each depth up to
-    three subdivisions; with an integer it is tried at that depth only.
-    NeedsSubdivision is raised when it is not simplicial at the last depth
-    tried.  At depth 0 `quotient_complex` runs on the action.  At every
-    other depth k, `subdivided_quotient` builds the quotient from the
-    orbits at depth k-1: those of the action itself at depth 1, and those
-    of its flag actions (`flag_action`) below that.  So the depth-k sphere
-    is never built, and no element is mapped onto a subdivision.  Before
-    each depth its size is forecast from the f-vector one depth down
-    (`subdivided_f_vector`), and ResourceCapExceeded is raised when it
-    would pass `simplex_cap`, whether or not that sphere is to be built;
-    None means no cap.
+    Depth 0 is `quotient_complex` of the action.  Depth 1 is
+    `subdivided_quotient` of it, which reads sd(X)/G off the orbits on X,
+    so sd(X) is not built.  Depth 2 carries the group onto sd(X), as
+    `admissible_subdivision` carries it onto Y′ (`_carried`), and takes
+    `subdivided_quotient` of that action.  No depth past 2 is needed.  The
+    vertices of a flag have distinct dimensions, so no element maps one
+    onto another, and sd(X) has Bredon's property (A).  (A) on a complex K
+    makes sd(K) regular, so sd²(X)/G is simplicial (Bredon, Introduction
+    to Compact Transformation Groups, ch. III §1).  A depth-2 quotient that
+    is not simplicial therefore raises CorruptComplex.  Before each depth
+    past 0 the size of that depth's sphere is forecast (`_sphere_size`),
+    and ResourceCapExceeded is raised when it would pass `simplex_cap`,
+    whether or not that sphere is to be built; None means no cap.
     """
-    below = action  # the action at depth count - 1, once count >= 1
-    f_vector = action.complex.f_vector()
-    facet_sizes = [len(f) for f in action.complex.facets]
-    simplices, facets = sum(f_vector), len(facet_sizes)
-    count = 0
-    while True:
-        if subdivisions == "auto" or subdivisions == count:
-            try:
-                quotient = subdivided_quotient(below) if count else quotient_complex(action)[0]
-                return QuotientResult(quotient, count, simplices, facets)
-            except NeedsSubdivision:
-                if subdivisions != "auto" or count >= _MAX_AUTO_SUBDIVISIONS:
-                    raise
-        if count:
-            below = flag_action(below)
+    k = action.complex
+    try:
+        return QuotientResult(quotient_complex(action)[0], 0, *_sphere_size(k, 0))
+    except NeedsSubdivision:
+        pass
+    size = _sphere_size(k, 1, simplex_cap)
+    try:
+        return QuotientResult(subdivided_quotient(action), 1, *size)
+    except NeedsSubdivision:
+        pass
+    size = _sphere_size(k, 2, simplex_cap)
+    try:
+        return QuotientResult(subdivided_quotient(_carried(action, shared_subdivision(k))), 2, *size)
+    except NeedsSubdivision as e:
+        raise CorruptComplex(
+            "the depth-2 quotient is not simplicial, against Bredon (Introduction to Compact "
+            f"Transformation Groups, ch. III §1): {e}"
+        ) from None
+
+
+def _sphere_size(k: SimplicialComplex, depth: int, cap: int | None = None) -> tuple:
+    """(simplices, facets) of sd^depth(k), from k's f-vector; ResourceCapExceeded when the simplices pass `cap`."""
+    f_vector = k.f_vector()
+    for _ in range(depth):
         f_vector = subdivided_f_vector(f_vector)
-        simplices = sum(f_vector)
-        if simplex_cap is not None and simplices > simplex_cap:
-            raise ResourceCapExceeded(
-                f"subdivision would reach {simplices} simplices (cap {simplex_cap})"
-            )
-        count += 1
-        # a facet of X on v vertices becomes v! facets of sd(X), each on v vertices
-        facets = sum(math.factorial(size) ** count for size in facet_sizes)
+    simplices = sum(f_vector)
+    if cap is not None and simplices > cap:
+        raise ResourceCapExceeded(f"subdivision would reach {simplices} simplices (cap {cap})")
+    # a facet of k on v vertices becomes (v!)^depth facets of sd^depth(k)
+    return simplices, sum(math.factorial(len(f)) ** depth for f in k.facets)
 
 
 def admissible_subdivision(action: VertexAction) -> VertexAction:

@@ -22,7 +22,7 @@ each simplex of an upward-closed set, in decreasing dimension.  Its
 vertices stand for the vertices of K and the starred simplices, numbered in
 (size, lex) order.  The barycentric subdivision is the case where every
 simplex is starred (`barycentric_subdivision`, built once per complex by
-`shared_subdivision` for the simplicial quotient loop past depth 0);
+`shared_subdivision` for the simplicial quotient loop's depth-2 quotient);
 `actions.admissible_subdivision` stars only the simplices an action turns,
 with their cofaces.
 """

@@ -74,13 +74,15 @@ def simplex_cap() -> int:
 class Scenario:
     """One run's input.  Every rank is exact, so nothing is random: `seed`
     is a label echoed in the report and seeds nothing, and the JSON form
-    carries `"certified": true`, the only value it accepts.  `snf_cap` > 0
-    asks for torsion, at any size; 0 asks for none (see `run_scenario`)."""
+    carries `"certified": true`, the only value it accepts.  The quotient
+    is taken at the least depth where it is simplicial, at most 2, so no
+    depth is an input: the JSON form carries `"subdivisions": "auto"`, the
+    only value it accepts.  `snf_cap` > 0 asks for torsion, at any size; 0
+    asks for none (see `run_scenario`)."""
 
     name: str
     space: dict                     # exactly one of the three variants
     fields: tuple                   # FieldSpec labels
-    subdivisions: str | int = "auto"
     checks: tuple = ()
     seed: int = 0
     snf_cap: int = DEFAULT_SNF_CAP
@@ -99,14 +101,6 @@ class Scenario:
             raise InvalidParameter(f"field 'checks' lists a check twice: {list(self.checks)}")
         if "cover_e1" in self.checks and self.kind != "character_join":
             raise InvalidParameter(f"field 'checks': cover_e1 needs a character_join space, not {self.kind}")
-        if self.subdivisions != "auto" and (
-            isinstance(self.subdivisions, bool)
-            or not isinstance(self.subdivisions, int)
-            or self.subdivisions < 0
-        ):
-            raise InvalidParameter(
-                f"field 'subdivisions' must be \"auto\" or a nonnegative integer, got {self.subdivisions!r}"
-            )
         if isinstance(self.snf_cap, bool) or not isinstance(self.snf_cap, int) or self.snf_cap < 0:
             raise InvalidParameter(f"field 'snf_cap' must be a nonnegative integer, got {self.snf_cap!r}")
 
@@ -123,7 +117,7 @@ class Scenario:
             "name": self.name,
             "space": self.space,
             "fields": list(self.fields),
-            "subdivisions": self.subdivisions,
+            "subdivisions": "auto",
             "checks": list(self.checks),
             "certified": True,
             "seed": self.seed,
@@ -132,8 +126,19 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
-        """The scenario that `to_json_dict` writes; a key it does not write is refused by name."""
+        """The scenario that `to_json_dict` writes; a key it does not write is refused by name.
+
+        `schema`, `subdivisions` and `certified` may be left out, and each
+        takes only the one value that `to_json_dict` writes.
+        """
         _known_keys(data, _SCENARIO_KEYS, "scenario")
+        if data.get("schema", "scenario_v1") != "scenario_v1":
+            raise InvalidParameter(f"field 'schema' must be \"scenario_v1\", got {data['schema']!r}")
+        if data.get("subdivisions", "auto") != "auto":
+            raise InvalidParameter(
+                "field 'subdivisions' must be \"auto\": the quotient is taken at the least depth "
+                f"where it is simplicial, got {data['subdivisions']!r}"
+            )
         fields = _entry(data, "fields", "scenario")
         if not isinstance(fields, list) or not all(isinstance(f, str) for f in fields):
             raise InvalidParameter("field 'fields' must be a list of labels such as \"Q\" or \"Fp:2\"")
@@ -153,7 +158,6 @@ class Scenario:
             name=_entry(data, "name", "scenario"),
             space=space,
             fields=tuple(fields),
-            subdivisions=data.get("subdivisions", "auto"),
             checks=tuple(checks),
             seed=_integer(data.get("seed", 0), "seed"),
             snf_cap=_integer(data.get("snf_cap", DEFAULT_SNF_CAP), "snf_cap"),
@@ -391,14 +395,14 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     """Execute the full pipeline and return the run report as a dict.
 
     The model is built, then `make_admissible_and_quotient` gives its
-    simplicial quotient at the scenario's depth ("auto" or a forced count),
-    for the report's `subdivisions`, `quotient_f_vector`, `simplices_after`
-    and `facets_after`.  Past the first admissible depth the deepest sphere
-    is never built: its quotient comes from the orbits one depth down, and
-    `simplices_after` and `facets_after` count it exactly.  The simplex cap
-    (`simplex_cap()`) bounds the forecast size of each depth's sphere, the
-    last one included, and the size of every block model (character_join
-    and signed_permutation) before it is built.
+    simplicial quotient at the least depth where it is one, 0, 1 or 2, for
+    the report's `subdivisions`, `quotient_f_vector`, `simplices_after` and
+    `facets_after`.  The sphere at that depth is never built: its quotient
+    comes from the orbits one depth down, and `simplices_after` and
+    `facets_after` count it exactly.  The simplex cap (`simplex_cap()`)
+    bounds the forecast size of each depth's sphere, the last one included,
+    and the size of every block model (character_join and
+    signed_permutation) before it is built.
 
     A run that asks for torsion (`snf_cap` > 0, a switch: no size is
     capped) takes its Betti numbers and torsion from the orbit chain
@@ -421,8 +425,7 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     and a complex whose Betti numbers are not those of S^{n-1} over every
     field, or, when torsion is asked for, whose integral homology is not
     certified torsion-free (`_check_torsion_free`), raises
-    InvalidParameter naming 'complex'.  A quotient that is not simplicial
-    at a forced depth raises NeedsSubdivision, a depth past the cap
+    InvalidParameter naming 'complex'.  A depth past the cap raises
     ResourceCapExceeded.  A budget must be 0 or more seconds.
 
     The named checks follow the quotient, from the one table
@@ -458,7 +461,7 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     stage("model_betti", t0)
 
     t0 = time.perf_counter()
-    res = make_admissible_and_quotient(action, scenario.subdivisions, simplex_cap())
+    res = make_admissible_and_quotient(action, simplex_cap())
     stage("quotient", t0)
 
     t0 = time.perf_counter()

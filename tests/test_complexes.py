@@ -7,7 +7,7 @@ import pytest
 
 from conftest import nonabelian_workload, octahedron, random_small_complex
 from test_acceptance import CORPUS_SCENARIOS, corpus_model
-from sqh.actions import close_generators, flag_action, subdivided_quotient
+from sqh.actions import _carried, close_generators, subdivided_quotient
 from sqh.complexes import (
     EMPTY_COMPLEX,
     SimplicialComplex,
@@ -207,8 +207,8 @@ def derived(monkeypatch):
 
 def _derive(action, depth_two: bool) -> None:
     """sd(X) and the subdivided quotients sd(X)/G and, if asked, sd(sd(X))/G, where they are simplicial."""
-    barycentric_subdivision(action.complex)
-    for a in (action, flag_action(action)) if depth_two else (action,):
+    sd = barycentric_subdivision(action.complex)
+    for a in (action, _carried(action, sd)) if depth_two else (action,):
         try:
             subdivided_quotient(a)
         except NeedsSubdivision:

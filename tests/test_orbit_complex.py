@@ -7,7 +7,9 @@ no orbit data with `make_admissible_and_quotient` or the orbit complex;
 and where `make_admissible_and_quotient` reads the orbits one depth down
 (`subdivided_quotient`), the oracle reads those of the depth-k sphere
 itself.  The reported quotient must equal the oracle's, with the same
-depth and sphere size.  For an admissible action, `orbit_chain_complex`
+depth and sphere size, and the oracle never needs depth 3: sd²(X)/G is
+simplicial (Bredon, Introduction to Compact Transformation Groups, ch.
+III §1).  For an admissible action, `orbit_chain_complex`
 gives the cellular chains of X/G; its Betti numbers (from ranks) and
 torsion must equal those of the oracle's quotient, read off the gcd Smith
 normal form (`snf_oracle`) of that quotient's boundary matrices alone.
@@ -16,10 +18,11 @@ An action that is not admissible is carried onto its starred complex Y′,
 X starred only at the simplices it turns and their cofaces
 (`admissible_subdivision`).  Against the action transported onto the whole
 first subdivision sd(X), that route must give the same homology of the
-quotient, the fixed set and the pairs.  The quotient loop reads the orbits
-of sd(X) off the orbits of X (`flag_action`).  Both those flag orbits and
-the orbits on Y′ must number what Burnside's lemma counts from the
-simplices each element fixes.
+quotient, the fixed set and the pairs.  The quotient loop counts the orbits
+of sd(X) from the orbits of X (`flag_orbit_counts`), and for depth 2 it
+carries the group onto sd(X) (`_carried`).  Both those counts of the flag
+orbits and the orbits on Y′ must number what Burnside's lemma counts from
+the simplices each element fixes.
 """
 
 import itertools
@@ -35,12 +38,13 @@ from snf_oracle import gcd_smith_normal_form
 from test_acceptance import CORPUS_SCENARIOS
 from test_sharing import S4_ON_S3
 from sqh.actions import (
+    _carried,
     admissible_subdivision,
     apply_perm,
     close_generators,
     conjugacy_classes,
     fixed_subcomplex,
-    flag_action,
+    flag_orbit_counts,
     induced_action_on_subdivision,
     is_admissible,
     lefschetz_numbers,
@@ -48,6 +52,7 @@ from sqh.actions import (
     orbit_betti,
     orbit_chain_complex,
     quotient_complex,
+    subdivided_quotient,
     subgroup_action,
 )
 from sqh.complexes import (
@@ -57,6 +62,7 @@ from sqh.complexes import (
     euler_characteristic,
     join,
     polygon,
+    shared_subdivision,
     subdivided_f_vector,
 )
 from sqh.errors import CorruptComplex, NeedsSubdivision
@@ -99,22 +105,21 @@ def _snf_homology(chain) -> tuple:
     return tuple(rows), tuple(divisors[k + 1].torsion() for k in degrees)
 
 
-def _simplicial_oracle(action, subdivisions="auto") -> tuple:
+def _simplicial_oracle(action) -> tuple:
     """(depth, quotient, simplices, facets) of the sphere subdivided until its quotient is simplicial.
 
     Every depth is built: the sphere is subdivided and the action
     transported, and `quotient_complex` is tried on the result, at each
-    depth up to 3 for "auto" and at the forced depth only.
+    depth up to 3.
     """
     depth = 0
     while True:
-        if subdivisions in ("auto", depth):
-            try:
-                quotient, _ = quotient_complex(action)
-                return depth, quotient, sum(action.complex.f_vector()), len(action.complex.facets)
-            except NeedsSubdivision:
-                if subdivisions != "auto" or depth >= 3:
-                    raise
+        try:
+            quotient, _ = quotient_complex(action)
+            return depth, quotient, sum(action.complex.f_vector()), len(action.complex.facets)
+        except NeedsSubdivision:
+            if depth >= 3:
+                raise
         action = induced_action_on_subdivision(action, barycentric_subdivision(action.complex))
         depth += 1
 
@@ -125,16 +130,17 @@ def oracles():
     return {}
 
 
-def _oracle(oracles, key, action, subdivisions="auto") -> tuple:
+def _oracle(oracles, key, action) -> tuple:
     if key not in oracles:
-        oracles[key] = _simplicial_oracle(action, subdivisions)
+        oracles[key] = _simplicial_oracle(action)
     return oracles[key]
 
 
-def _assert_reported_quotient_matches(oracles, key, action, subdivisions="auto"):
-    res = make_admissible_and_quotient(action, subdivisions)
-    got = (res.subdivisions, res.complex, res.simplices_after, res.facets_after)
-    assert got == _oracle(oracles, key, action, subdivisions)
+def _assert_reported_quotient_matches(oracles, key, action):
+    want = _oracle(oracles, key, action)
+    assert want[0] <= 2  # Bredon's bound on the depth
+    res = make_admissible_and_quotient(action)
+    assert (res.subdivisions, res.complex, res.simplices_after, res.facets_after) == want
 
 
 def _assert_routes_agree(oracles, key, action):
@@ -169,10 +175,25 @@ def test_reported_quotient_matches_oracle_on_sweep(oracles):
         _assert_reported_quotient_matches(oracles, key, action)
 
 
-@pytest.mark.parametrize("depth", [1, 2])
-def test_reported_quotient_matches_oracle_at_forced_depth(oracles, depth):
-    action = build_model(builtin("rp", 2)).action
-    _assert_reported_quotient_matches(oracles, ("rp(2)", depth), action, depth)
+def test_a_depth_two_quotient_that_is_not_simplicial_is_corrupt(monkeypatch):
+    """sd²(X)/G is simplicial by Bredon's theorem, so a depth-2 quotient that is not is an engine fault, not bad input.
+
+    The mutation counts one flag orbit too many in the top degree.  Only the
+    quotient loop reads the count, and lens(5,2)'s quotient is not
+    simplicial at depths 0 and 1 either way, so the loop reaches depth 2.
+    """
+    import sqh.actions
+
+    scenario = builtin("lens", 5, 2)
+    assert run_scenario(scenario)["subdivisions"] == 2
+    count = sqh.actions.flag_orbit_counts
+    monkeypatch.setattr(sqh.actions, "flag_orbit_counts", lambda data: (*count(data)[:-1], count(data)[-1] + 1))
+    with pytest.raises(CorruptComplex) as caught:
+        run_scenario(scenario)
+    assert str(caught.value) == (
+        "the depth-2 quotient is not simplicial, against Bredon (Introduction to Compact Transformation "
+        "Groups, ch. III §1): 3-simplices with one orbit-set lie in different orbits (2880 orbit-sets for 2881 orbits)"
+    )
 
 
 @pytest.mark.parametrize("scenario", GROUP_SCENARIOS, ids=lambda sc: sc.name)
@@ -570,54 +591,48 @@ def _quotient_or_none(quotient):
 # the sweep's own guard on a draw's subdivided size
 _ORACLE_GUARD = 200_000
 
+# the quotient loop's route to each depth past 0, taken whether or not the loop would reach it
+_DEPTH_ROUTES = {
+    1: subdivided_quotient,
+    2: lambda action: subdivided_quotient(_carried(action, shared_subdivision(action.complex))),
+}
 
-def _assert_forced_depth_matches(oracles, key, action, depth) -> bool:
-    """The quotient at a forced depth equals the oracle's, or neither is simplicial.
 
-    Returns False, comparing nothing, when the depth-`depth` sphere passes
-    `_ORACLE_GUARD`: an action that is simplicial at depth 0 can reach
-    millions of simplices at depth 2 (a trivial group on a 242-simplex S^5
-    gives 2.9 million, and so does rp(4)), which the oracle takes a minute
-    or more to build.
-    """
-    f_vector = action.complex.f_vector()
+def _oracle_at(action, depth):
+    """The oracle's quotient at this depth alone: the sphere subdivided and the action transported `depth` times."""
     for _ in range(depth):
-        f_vector = subdivided_f_vector(f_vector)
-    if sum(f_vector) > _ORACLE_GUARD:
-        return False
-    got = _quotient_or_none(lambda: make_admissible_and_quotient(action, depth))
-    want = _quotient_or_none(lambda: _oracle(oracles, key, action, depth))
-    if want is None:
-        assert got is None
-    else:
-        assert (got.subdivisions, got.complex, got.simplices_after, got.facets_after) == want
-    return True
+        action = induced_action_on_subdivision(action, barycentric_subdivision(action.complex))
+    return quotient_complex(action)[0]
 
 
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("scenario", CORPUS_SCENARIOS, ids=lambda sc: sc.name)
-def test_forced_depth_quotient_matches_oracle_on_corpus(oracles, scenario, depth):
-    compared = [
-        _assert_forced_depth_matches(oracles, (key, depth), action, depth)
-        for key, action in _corpus_cases(scenario)
-    ]
+def test_forced_depth_quotient_matches_oracle_on_corpus(scenario, depth):
+    """Each depth's route of the quotient loop, forced on every subgroup, equals the oracle at that depth.
+
+    The loop takes a route only where the depth below fails, so forcing it
+    here covers the depth-2 route, the group carried onto sd(X), on every
+    subgroup of the corpus.  At depth 1 the quotient may fail to be
+    simplicial, and then both must fail; at depth 2 it never fails
+    (Bredon).  A subgroup whose depth-`depth` sphere passes `_ORACLE_GUARD`
+    is not compared: an action that is simplicial at depth 0 can reach
+    millions of simplices at depth 2 (rp(4) gives 2.9 million), which the
+    oracle takes a minute or more to build.
+    """
+    compared = []
+    for _, action in _corpus_cases(scenario):
+        f_vector = action.complex.f_vector()
+        for _ in range(depth):
+            f_vector = subdivided_f_vector(f_vector)
+        if sum(f_vector) > _ORACLE_GUARD:
+            compared.append(False)
+            continue
+        want = _quotient_or_none(lambda: _oracle_at(action, depth))
+        assert want is not None or depth == 1
+        assert _quotient_or_none(lambda: _DEPTH_ROUTES[depth](action)) == want
+        compared.append(True)
     # rp(4) is the one corpus sphere past the guard at depth 2
     assert all(compared) != ((scenario.name, depth) == ("rp(4)", 2))
-
-
-@pytest.mark.parametrize("depth", [1, 2])
-def test_forced_depth_quotient_matches_oracle_on_sweep(oracles, depth):
-    compared = sum(
-        _assert_forced_depth_matches(oracles, (key, depth), action, depth) for key, action in _sweep_cases()
-    )
-    # every draw at depth 1, and 47 of the 60 at depth 2
-    assert compared == (60 if depth == 1 else 47)
-
-
-def test_forced_depth_three_matches_oracle():
-    action = build_model(builtin("sym3_on_s2")).action
-    assert not is_admissible(action)
-    _assert_forced_depth_matches({}, "sym3_on_s2", action, 3)
 
 
 def _fixed_flags(complex_, element) -> list:
@@ -660,17 +675,18 @@ def _fixed_simplices(complex_, element) -> list:
 def test_flag_orbits_number_what_burnside_counts(scenario):
     """Orbits of j-simplices = (1/|H|) sum over h of the j-simplices h fixes, for the group and its C_p and Sylow subgroups.
 
-    On sd(X) both flag enumerations are counted: the flag orbits' counts and
-    the orbit of every flag that the quotient one depth further down reads.
-    On the starred complex Y′ (X itself where H is admissible) the cells of
-    the orbit complex and the orbits of the one orbit pass are counted.
+    On sd(X) both routes of the quotient loop are counted: the flag orbits
+    counted from the orbits on X, and the orbits of H carried onto sd(X),
+    which H acts on admissibly (Bredon's property (A)).  On the starred
+    complex Y′ (X itself where H is admissible) the cells of the orbit
+    complex and the orbits of the one orbit pass are counted.
     """
     action = build_model(scenario).action
     for restricted in _subgroup_actions(action):
         burnside = _burnside([_fixed_flags(action.complex, e) for e in restricted.elements], restricted.order)
-        flags = flag_action(restricted)
-        assert tuple(flags.simplex_orbit_data().level_counts()) == burnside
-        assert flags.cell_counts() == burnside
+        assert flag_orbit_counts(restricted.simplex_orbit_data()) == burnside
+        on_sd = _carried(restricted, shared_subdivision(action.complex)).simplex_orbit_data()
+        assert on_sd.admissible and tuple(on_sd.level_counts()) == burnside
         starred = admissible_subdivision(restricted)
         # H's elements in H's order, so that a handle of H indexes them on Y′ too
         assert [e[: action.complex.vertex_count] for e in starred.elements] == list(restricted.elements)

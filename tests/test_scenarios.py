@@ -130,14 +130,6 @@ def test_report_determinism_three_scenarios():
         assert b1 == b2
 
 
-def test_fixed_subdivision_count_scenario():
-    sc = builtin("rp", 2)
-    manual = Scenario.from_json_dict({**sc.to_json_dict(), "subdivisions": 2, "checks": []})
-    report = run_scenario(manual)
-    assert report["subdivisions"] == 2
-    assert betti_row(report, "Fp:2")["betti"] == [1, 1, 1]
-
-
 def test_run_scenario_budget_cap():
     with pytest.raises(ResourceCapExceeded):
         run_scenario(builtin("rp", 2), budget=0.0)
@@ -491,6 +483,10 @@ def _character_join(factors, rotations, signs) -> dict:
         (_replaced(builtin("lens", 5, 2).to_json_dict(), ["a"], "space", "character_join", "invariant_factors"),
          "'invariant_factors[0]'"),
         ({**builtin("rp", 2).to_json_dict(), "subdivisions": True}, "'subdivisions'"),
+        # the depth is no input: the quotient is taken at the least simplicial depth
+        ({**builtin("rp", 2).to_json_dict(), "subdivisions": 0}, "'subdivisions'"),
+        ({**builtin("rp", 2).to_json_dict(), "subdivisions": 2}, "'subdivisions'"),
+        ({**builtin("rp", 2).to_json_dict(), "schema": "nope"}, "'schema'"),
         ({**builtin("rp", 2).to_json_dict(), "certified": "no"}, "'certified'"),
         ({**builtin("rp", 2).to_json_dict(), "certified": False}, "'certified'"),
         ({**builtin("rp", 2).to_json_dict(), "snf_cap": -1}, "'snf_cap'"),
@@ -553,7 +549,8 @@ def _character_join(factors, rotations, signs) -> dict:
     ],
     ids=["seed", "snf_cap", "space", "no_n", "no_perm", "no_complex",
          "perm_str", "perm_float", "generator_str", "facet_str", "factor_str",
-         "subdivisions_bool", "certified_str", "certified_false", "snf_cap_negative", "perm_short",
+         "subdivisions_bool", "subdivisions_zero", "subdivisions_two", "schema_unknown",
+         "certified_str", "certified_false", "snf_cap_negative", "perm_short",
          "name_int", "fields_repeated", "fields_not_canonical", "checks_repeated", "cover_e1_not_character_join",
          "explicit_disc", "explicit_two_edges", "explicit_facet_out_of_range", "explicit_unused_vertex",
          "explicit_no_facets", "n_zero", "n_negative", "signs_short", "perm_repeated",
@@ -570,7 +567,8 @@ def test_cli_malformed_scenario_names_the_field(tmp_path, capsys, monkeypatch, d
     monkeypatch.setattr(sqh.scenarios, "build_model", lambda sc: built.append(sc) or build_model(sc))
     assert _run_scenario_file(tmp_path, data) == 2
     assert named in capsys.readouterr().err
-    if named == "'checks'" or named.startswith(("scenario has", "space has")):  # refused before any model is built
+    # refused before any model is built
+    if named in ("'checks'", "'subdivisions'", "'schema'") or named.startswith(("scenario has", "space has")):
         assert not built
 
 
@@ -703,15 +701,8 @@ def test_cli_signed_permutation_past_the_cap_fails_before_building(tmp_path, spa
     assert named in proc.stderr
 
 
-def test_cli_forced_depth_past_the_cap_exit_code(tmp_path, monkeypatch, capsys):
-    # rp(2)'s first subdivision has 146 simplices, its second 866
-    monkeypatch.setenv("SQH_MAX_SIMPLICES", "146")
-    data = {**builtin("rp", 2).to_json_dict(), "subdivisions": 2}
-    assert _run_scenario_file(tmp_path, data) == 4
-    assert "cap 146" in capsys.readouterr().err
-
-
-def test_cli_forced_depth_without_simplicial_quotient_exit_code(tmp_path, capsys):
-    data = {**builtin("rp", 2).to_json_dict(), "subdivisions": 0}
-    assert _run_scenario_file(tmp_path, data) == 2
-    assert "lie in different orbits" in capsys.readouterr().err
+def test_cli_depth_past_the_cap_exit_code(tmp_path, monkeypatch, capsys):
+    # rp(2)'s quotient is not simplicial at depth 0, and its first subdivision has 146 simplices
+    monkeypatch.setenv("SQH_MAX_SIMPLICES", "145")
+    assert _run_scenario_file(tmp_path, builtin("rp", 2).to_json_dict()) == 4
+    assert "cap 145" in capsys.readouterr().err

@@ -2,13 +2,14 @@
 
 run_scenario builds the simplicial quotient of the whole group once;
 cyclic_chain_check and transfer_check share the orbit chain complexes
-cached on the action.  No element is ever mapped onto the first
-subdivision: a subgroup that is not admissible has its elements carried
-onto its starred complex, built once for each set of simplices starred
-(a subgroup that turns what the group turns restricts the group's), and
-the quotient loop reads the orbits of the first subdivision off the
-group's own orbit pass.  Each
-Sylow subgroup is grown once and each fixed subcomplex built once.  These
+cached on the action.  No action is transported, every element mapped
+onto every vertex of a subdivision: a subgroup that is not admissible has
+its generators carried onto its starred complex, built once for each set
+of simplices starred (a subgroup that turns what the group turns restricts
+the group's), and the quotient loop reads sd(X)/G off the group's own
+orbit pass, and carries the group onto sd(X) the same way for a depth-2
+quotient.  Each Sylow subgroup is grown once and each fixed subcomplex
+built once.  These
 tests count those constructions and check that results read from the
 caches equal those of a fresh action.
 """
@@ -270,7 +271,8 @@ def test_only_the_quotient_loop_subdivides_the_whole_model(monkeypatch, used_act
     """Fixed sets and orbit complexes are taken on starred complexes, never on sd(X).
 
     The quotient loop reads the depth-1 quotient off the model's orbits, so
-    sd(X) is built only for a depth-2 quotient, once, from the flag orbits.
+    sd(X) is built only for a depth-2 quotient, once, for the group carried
+    there.
     """
     import sqh.complexes
 
@@ -343,8 +345,9 @@ def test_run_scenario_never_transports(transports):
     """No run maps an element onto sd(X): not on the corpus, the nonabelian workload or sweep draws.
 
     A subgroup that is not admissible has only its generators carried, onto
-    its starred complex Y′, never onto sd(X).  The sweep sample holds draws
-    that the quotient loop takes to depth 2.
+    its starred complex Y′, and so has the group, onto sd(X), for a depth-2
+    quotient.  The sweep sample holds draws that the quotient loop takes to
+    depth 2.
     """
     sample, _ = sweep_scenarios(6, 60, 7, DEFAULT_FIELDS, 200_000)
     depths = set()
