@@ -50,7 +50,7 @@ from .errors import (
     NeedsSubdivision,
     ResourceCapExceeded,
 )
-from .homology import BettiTable, FieldSpec, SparseIntMatrix, betti, is_prime, p_power_exponent, prime_factors
+from .homology import BettiTable, SparseIntMatrix, betti, is_prime, p_power_exponent, prime_factors
 
 DEFAULT_ELEMENT_CAP = 20000
 
@@ -162,8 +162,8 @@ class VertexAction:
       (`admissible_subdivision`), its elements carried there in this
       action's order
     - for an admissible action, its orbit chain complex
-      (`orbit_chain_complex`) and that complex's Betti numbers per field
-      (`orbit_betti`)
+      (`orbit_chain_complex`), whose matrices keep their ranks per field
+      (see `homology.SparseIntMatrix`)
 
     The starred action refers to its own complex and elements, not to this
     action, so no cache refers back to its owner.
@@ -185,7 +185,6 @@ class VertexAction:
         "_fixed",
         "_starred",
         "_orbit_complex",
-        "_orbit_betti",
     )
 
     def __init__(self, complex: SimplicialComplex, elements, generator_indices) -> None:
@@ -204,7 +203,6 @@ class VertexAction:
         self._fixed: dict = {}
         self._starred = None
         self._orbit_complex = None
-        self._orbit_betti: dict = {}
 
     @property
     def order(self) -> int:
@@ -766,13 +764,11 @@ def orbit_chain_complex(action: VertexAction) -> OrientedChainComplex:
     onto its own orbit's representative.  A subcomplex fixed pointwise by
     the group keeps its simplices as labels, since each is a singleton
     orbit.  An action that is not admissible raises NeedsSubdivision; its
-    `admissible_subdivision` is the action to take.  Built and checked for
-    dd = 0 once per action.
+    `admissible_subdivision` is the action to take.  Built, and so checked
+    for dd = 0, once per action.
     """
     if action._orbit_complex is None:
-        cc = _simplex_orbit_complex(action)
-        cc.verify()
-        action._orbit_complex = cc
+        action._orbit_complex = _simplex_orbit_complex(action)
     return action._orbit_complex
 
 
@@ -816,15 +812,6 @@ def model_betti(action: VertexAction, fields) -> BettiTable:
         return betti(chain_complex(action.complex), fields)
     row = sphere_row(action.complex.dimension + 1)
     return BettiTable(tuple((f, row) for f in fields), None)
-
-
-def orbit_betti(action: VertexAction, field: FieldSpec) -> tuple:
-    """Betti numbers of orbit_chain_complex(action) over one field, computed once per field."""
-    got = action._orbit_betti.get(field)
-    if got is None:
-        got = betti(orbit_chain_complex(action), [field]).betti(field)
-        action._orbit_betti[field] = got
-    return got
 
 
 def fixed_subcomplex(action: VertexAction, handle: SubgroupHandle) -> SimplicialComplex:

@@ -10,15 +10,17 @@ the fixed set is a full subcomplex there, and the relative homology of the
 space pair and of the quotient pair comes from the complex's own chains and
 from the orbit complex with the fixed cells removed.  The restricted
 actions, their starred actions, the Sylow subgroups, the fixed
-subcomplexes, the orbit complexes and their Betti numbers are cached on the
-actions (see `VertexAction`), so the checks share them for as long as the
-action lives, which in `run_scenario` is one scenario; a complex's chain
-complex is cached on that complex.  Relative homology is computed
-inside each check.  A `run_scenario` run that asks for torsion (`snf_cap` >
-0) takes its reported Betti numbers and torsion from the whole group's orbit
-complex as well; only an `snf_cap` 0 run takes its Betti numbers from the
-simplicial quotient.  The model's own Betti numbers, b(Y) in `smith_floyd`
-and `cyclic_chain`, are `model_betti`'s, the row `run_scenario` reports: the
+subcomplexes and the orbit complexes are cached on the actions (see
+`VertexAction`), so the checks share them for as long as the action lives,
+which in `run_scenario` is one scenario; a complex's chain complex is
+cached on that complex, and each matrix keeps its ranks.  Every Betti row
+of a check is `_betti_or_zero` of one chain complex: the fixed set's, an
+orbit complex, or a relative pair built inside the check.  A
+`run_scenario` run that asks for torsion (`snf_cap` > 0) takes its
+reported Betti numbers and torsion from the whole group's orbit complex as
+well; only an `snf_cap` 0 run takes its Betti numbers from the simplicial
+quotient.  The model's own Betti numbers, b(Y) in `smith_floyd` and
+`cyclic_chain`, are `model_betti`'s, the row `run_scenario` reports: the
 sphere's for a block model, computed for an explicit complex.
 
 `CHECKS` is the one table of the checks a scenario can name, in report
@@ -53,14 +55,13 @@ from .actions import (
     fixed_subcomplex,
     is_admissible,
     model_betti,
-    orbit_betti,
     orbit_chain_complex,
     subgroup_action,
     sylow,
 )
-from .complexes import SimplicialComplex, chain_complex
+from .complexes import OrientedChainComplex, chain_complex
 from .errors import InvalidParameter
-from .homology import BettiTable, FieldSpec, betti, is_prime, p_power_exponent, prime_factors, relative_betti
+from .homology import BettiTable, FieldSpec, betti, is_prime, p_power_exponent, prime_factors, relative_chain
 from .models import AbelianCharacterData, cover_e1_total
 
 
@@ -134,8 +135,9 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "inputs": self.inputs, "detail": self.detail}
 
 
-def _betti_or_zero(k: SimplicialComplex, fieldspec: FieldSpec, length: int) -> list:
-    return _pad(betti(chain_complex(k), [fieldspec]).betti(fieldspec), length)
+def _betti_or_zero(chain: OrientedChainComplex, fieldspec: FieldSpec, length: int) -> list:
+    """The complex's Betti numbers over the field, padded with zeros to `length` degrees."""
+    return _pad(betti(chain, [fieldspec]).betti(fieldspec), length)
 
 
 def _model_betti(action: VertexAction, fieldspec: FieldSpec, length: int) -> list:
@@ -158,7 +160,7 @@ def smith_floyd_check(action: VertexAction, p_subgroup: SubgroupHandle, p: int) 
     fixed = fixed_subcomplex(action, p_subgroup)
     subdivisions = int(not is_admissible(action.restrict(p_subgroup)))
     length = action.complex.dimension + 1
-    lhs = sum(_betti_or_zero(fixed, fp, length))
+    lhs = sum(_betti_or_zero(chain_complex(fixed), fp, length))
     rhs = sum(_model_betti(action, fp, length))
     return CheckResult(
         name="smith_floyd",
@@ -197,12 +199,12 @@ def cyclic_chain_check(action: VertexAction, cp_handle: SubgroupHandle, p: int) 
     fixed = fixed_subcomplex(action, cp_handle)
 
     b_y = _model_betti(action, fp, length)
-    b_f = _betti_or_zero(fixed, fp, length)
-    b_q = _pad(orbit_betti(y_action, fp), length)
+    b_f = _betti_or_zero(chain_complex(fixed), fp, length)
+    b_q = _betti_or_zero(orbit_chain_complex(y_action), fp, length)
     if fixed.facets:
-        b_rel_yf = _pad(relative_betti(chain_complex(y_action.complex), fixed, [fp]).betti(fp), length)
+        b_rel_yf = _betti_or_zero(relative_chain(chain_complex(y_action.complex), fixed), fp, length)
         # F's simplices are singleton orbits, so they label cells of Q as well
-        b_rel_qf = _pad(relative_betti(orbit_chain_complex(y_action), fixed, [fp]).betti(fp), length)
+        b_rel_qf = _betti_or_zero(relative_chain(orbit_chain_complex(y_action), fixed), fp, length)
     else:  # relative to an empty F, the pairs are the spaces themselves
         b_rel_yf, b_rel_qf = b_y, b_q
 
@@ -249,8 +251,8 @@ def transfer_check(action: VertexAction, p: int) -> CheckResult:
     full = action.full_subgroup()
     syl = sylow(action, full, p)
     length = action.complex.dimension + 1
-    b_g = _pad(orbit_betti(admissible_subdivision(action), fp), length)
-    b_p = _pad(orbit_betti(subgroup_action(action, syl), fp), length)
+    b_g = _betti_or_zero(orbit_chain_complex(admissible_subdivision(action)), fp, length)
+    b_p = _betti_or_zero(orbit_chain_complex(subgroup_action(action, syl)), fp, length)
     ok = all(x <= y for x, y in zip(b_g, b_p))
     return CheckResult(
         name="transfer",

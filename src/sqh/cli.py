@@ -2,7 +2,8 @@
 
 Every Betti number reported is exact, over Q as over F_p.  Exit codes:
 0 success, 2 bad input (parse/validation), 3 a verified inequality failed
-(diagnostic dump on stderr), 4 resource caps exceeded.
+(diagnostic dump on stderr), 4 resource caps exceeded, 5 an engine fault:
+an engine cross-check failed (the scenario run, if one, on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from .errors import (
     ActionInvalid,
     BoundViolation,
+    CorruptComplex,
     GroupTooLarge,
     InvalidParameter,
     NeedsSubdivision,
@@ -50,8 +52,16 @@ def _cmd_run(args) -> int:
             raise InvalidParameter(f"scenario file {args.file!r} is not UTF-8 text: {e.reason}") from None
         except RecursionError:
             raise InvalidParameter(f"scenario file {args.file!r} nests too deeply to parse") from None
-    scenario = Scenario.from_json_dict(data)
-    report = run_scenario(scenario, with_timings=args.timings, budget=args.budget)
+    return _run_one(Scenario.from_json_dict(data), args)
+
+
+def _run_one(scenario: Scenario, args) -> int:
+    """Run one scenario and emit its report; an engine fault carries the scenario to `main`."""
+    try:
+        report = run_scenario(scenario, with_timings=args.timings, budget=args.budget)
+    except CorruptComplex as e:
+        e.dump = {"scenario": scenario.to_json_dict()}
+        raise
     _emit(report, args.out)
     return 0
 
@@ -74,9 +84,7 @@ def _cmd_builtin(args) -> int:
     if args.emit_scenario:
         _emit(scenario.to_json_dict(), args.out)
         return 0
-    report = run_scenario(scenario, with_timings=args.timings, budget=args.budget)
-    _emit(report, args.out)
-    return 0
+    return _run_one(scenario, args)
 
 
 def _int_at_least(least: int):
@@ -173,6 +181,11 @@ def main(argv=None) -> int:
     except (ResourceCapExceeded, GroupTooLarge) as e:
         sys.stderr.write(f"resource cap exceeded: {e}\n")
         return 4
+    except CorruptComplex as e:
+        sys.stderr.write(f"engine fault: {e}\n")
+        if e.dump:
+            sys.stderr.write(json.dumps(e.dump, sort_keys=True, indent=2) + "\n")
+        return 5
 
 
 if __name__ == "__main__":  # pragma: no cover

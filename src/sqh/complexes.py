@@ -25,12 +25,16 @@ simplex is starred (`barycentric_subdivision`, built once per complex by
 `shared_subdivision` for the simplicial quotient loop's depth-2 quotient);
 `actions.admissible_subdivision` stars only the simplices an action turns,
 with their cofaces.
+
+A chain complex is checked when it is built (`OrientedChainComplex`), so
+every one that exists, orbit complexes and relative pairs included, has
+dd = 0, and nothing downstream checks it again.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CorruptComplex, InvalidParameter
 from .homology import SparseIntMatrix
@@ -182,25 +186,21 @@ class OrientedChainComplex:
 
     boundaries[k] is the matrix of d_k : C_k -> C_{k-1}; boundaries[0] has
     zero rows.  basis_labels[k] lists the k-simplices indexing the columns
-    of d_k, in lexicographic order.
+    of d_k, in lexicographic order.  Construction checks the shapes
+    (InvalidParameter) and dd = 0 (CorruptComplex).
     """
 
     ranks: tuple
     boundaries: tuple
     basis_labels: tuple
-    _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
-    def verify(self) -> None:
-        """Check the shapes and dd = 0; a complex that passed is not checked again."""
-        if self._verified:
-            return
+    def __post_init__(self) -> None:
         for k in range(1, len(self.boundaries)):
             a, b = self.boundaries[k - 1], self.boundaries[k]
-            if b.cols != self.ranks[k] or b.rows != (self.ranks[k - 1] if k >= 1 else 0):
+            if b.cols != self.ranks[k] or b.rows != self.ranks[k - 1]:
                 raise InvalidParameter("boundary matrix shape mismatch")
-            if k >= 1 and not a.compose_is_zero(b):
+            if not a.compose_is_zero(b):
                 raise CorruptComplex(f"boundary composition d_{k-1} d_{k} is nonzero")
-        object.__setattr__(self, "_verified", True)
 
 
 EMPTY_COMPLEX = SimplicialComplex(0, [])
@@ -351,11 +351,11 @@ def full_subcomplex(k: SimplicialComplex, vertices) -> SimplicialComplex:
 
 
 def chain_complex(k: SimplicialComplex) -> OrientedChainComplex:
-    """Oriented simplicial chains of k, built and checked (dd = 0) once per complex.
+    """Oriented simplicial chains of k, built (and so checked) once per complex.
 
-    The complex keeps the result, so its matrices, their check and their
-    unit reductions (see `SparseIntMatrix.unit_reduction`) are shared by
-    every caller for as long as the complex lives.
+    The complex keeps the result, so its matrices, their unit reductions and
+    ranks (see `SparseIntMatrix`) are shared by every caller for as long as
+    the complex lives.
     """
     if k._chain is not None:
         return k._chain
@@ -376,7 +376,5 @@ def chain_complex(k: SimplicialComplex) -> OrientedChainComplex:
                 cols[j] = col
             mat = SparseIntMatrix.from_columns(len(levels[dim - 1]), len(level), cols)
         boundaries.append(mat)
-    cc = OrientedChainComplex(ranks, tuple(boundaries), tuple(levels))
-    cc.verify()
-    k._chain = cc
-    return cc
+    k._chain = OrientedChainComplex(ranks, tuple(boundaries), tuple(levels))
+    return k._chain

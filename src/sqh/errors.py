@@ -2,7 +2,7 @@
 
 Each class corresponds to one error kind named in the module contracts;
 the CLI maps them onto exit codes (2 = bad input, 3 = a verified
-inequality failed, 4 = resource caps).
+inequality failed, 4 = resource caps, 5 = an engine fault).
 """
 
 
@@ -27,7 +27,16 @@ class NeedsSubdivision(SqhError):
 
 
 class CorruptComplex(SqhError):
-    """A chain complex violates the boundary-squares-to-zero invariant."""
+    """An engine fault: one of the engine's own cross-checks failed.
+
+    The message names it: dd = 0, an SNF or rank cross-check, a Lefschetz
+    oracle, or the depth-2 quotient that Bredon's theorem makes simplicial.
+    The CLI sets `dump` to {"scenario": the JSON that replays the run}.
+    """
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.dump: dict = {}
 
 
 class SnfTooLarge(SqhError):

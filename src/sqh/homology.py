@@ -9,23 +9,23 @@ field, so each matrix is first reduced once over Z
 (`SparseIntMatrix.unit_reduction`): m is equivalent to I_u + R + 0 by
 unimodular row and column operations, and the rank of m over Q or F_p is
 u plus the rank of the small residual R there.
-The reduction is cached on the matrix, so every field's rank shares it.
 Over F_p every nonzero entry is a unit, and the same kernel eliminates R
 completely: once for F_p, and for Q modulo primes below 2^31 whose
 product exceeds R's Hadamard bound (see `rank_over_q`).  Every rank is
-exact.
+exact.  A matrix keeps its reduction and each rank taken of it, so a rank
+is taken once per matrix and field, whoever asks: the SNF, any `betti`.
 
 Clearing.  `betti` reduces a chain complex's matrices top-down, and d_k
 leaves out the columns of the k-cells that d_{k+1}'s reduction pivoted on
 (Chen and Kerber, "Persistent Homology Computation with a Twist", EuroCG
 2011; Bauer, Kerber and Reininghaus, "Clear and Compress: Computing
 Persistent Homology in Chunks", 2014).  Over Z this is exact: the +-1
-pivots make that pivot block of d_{k+1} unimodular, dd = 0 is verified
-before any rank is taken, so each cleared column of d_k is an integral
-combination of the kept ones, and d_k is equivalent to I_u + R + 0 with
-the cleared columns the 0 block.  So the ranks over Q and every F_p are
-those of the full matrix, and an empty R still certifies that its
-cokernel is free.
+pivots make that pivot block of d_{k+1} unimodular, dd = 0 holds (every
+chain complex is checked when built), so each cleared column of d_k is an
+integral combination of the kept ones, and d_k is equivalent to
+I_u + R + 0 with the cleared columns the 0 block.  So the ranks over Q
+and every F_p are those of the full matrix, and an empty R still
+certifies that its cokernel is free.
 
 Integral structure comes from the same kernel, by p-adic levels (local
 elimination: Dumas, Saunders and Villard, "On efficient sparse integer
@@ -151,9 +151,9 @@ F5 = FieldSpec(5)
 
 
 class SparseIntMatrix:
-    """Immutable sparse integer matrix, stored column-major."""
+    """Immutable sparse integer matrix, stored column-major; keeps its unit reduction and ranks."""
 
-    __slots__ = ("rows", "cols", "_columns", "_reduction", "_pivot_rows")
+    __slots__ = ("rows", "cols", "_columns", "_reduction", "_pivot_rows", "_ranks")
 
     def __init__(self, rows: int, cols: int, entries=None) -> None:
         self.rows = rows
@@ -171,6 +171,7 @@ class SparseIntMatrix:
         self._columns = columns
         self._reduction = None
         self._pivot_rows = frozenset()
+        self._ranks: dict = {}  # 0 for Q, else p -> the rank there
 
     @classmethod
     def from_columns(cls, rows: int, cols: int, coldict) -> "SparseIntMatrix":
@@ -228,11 +229,17 @@ class SparseIntMatrix:
         """True iff self @ other is the zero matrix."""
         if self.cols != other.rows:
             raise InvalidParameter("shape mismatch in composition")
-        for j in range(other.cols):
-            acc = {}
-            for r, v in other.column(j).items():
-                for r2, v2 in self.column(r).items():
-                    acc[r2] = acc.get(r2, 0) + v * v2
+        columns = self._columns
+        for col in other._columns:
+            if not col:
+                continue
+            acc: dict = {}
+            get = acc.get
+            for r, v in col.items():
+                inner = columns[r]
+                if inner:
+                    for r2, v2 in inner.items():
+                        acc[r2] = get(r2, 0) + v * v2
             if any(acc.values()):
                 return False
         return True
@@ -308,13 +315,11 @@ def _eliminate(m: SparseIntMatrix, p: int = 0, k: int = 1, *, cleared=frozenset(
     prime to p.  For k = 1, R is empty and `pivots` is the rank over F_p.
 
     The columns in `cleared` are left out, as if they were zero, for
-    clearing (Chen and Kerber 2011; Bauer, Kerber and Reininghaus 2014; see
-    the module notes): m is then equivalent to I_pivots + R + 0 only when
-    they are integral combinations of the others, which `betti` makes sure
-    of (see `unit_reduction`).  Over Z, `pivot_rows`, a list, receives the
-    row of each pivot.  Those pivots, +-1 each, are the successive Schur
-    pivots of the submatrix of m on the pivot rows and pivot columns, so
-    its determinant is +-1: the pivots bound a unimodular block of m.
+    clearing (see the module notes and `unit_reduction`).  Over Z,
+    `pivot_rows`, a list, receives the row of each pivot.  Those pivots,
+    +-1 each, are the successive Schur pivots of the submatrix of m on the
+    pivot rows and pivot columns, so its determinant is +-1: the pivots
+    bound a unimodular block of m.
     """
     q = p**k
     rows_map: dict = {}
@@ -407,12 +412,20 @@ def _eliminate(m: SparseIntMatrix, p: int = 0, k: int = 1, *, cleared=frozenset(
     return pivots, residual
 
 
+def _reduced_rank(m: SparseIntMatrix, p: int) -> int:
+    """m's rank over F_p, or over Q for p = 0: its unit pivots over Z plus the residual's rank there."""
+    units, residual = m.unit_reduction()
+    return units + (_eliminate(residual, p)[0] if p else _rank_over_q_modular(residual))
+
+
 def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
-    """Rank over F_p: the unit pivots over Z plus the residual's rank mod p."""
+    """Rank over F_p: the unit pivots over Z plus the residual's rank mod p, kept on m."""
     if not is_prime(p):
         raise InvalidParameter(f"{p} is not prime")
-    units, residual = m.unit_reduction()
-    return units + _eliminate(residual, p)[0]
+    rank = m._ranks.get(p)
+    if rank is None:
+        rank = m._ranks[p] = _reduced_rank(m, p)
+    return rank
 
 
 # The largest primes below 2^31, descending.  2^31 - 1 is prime; the list is
@@ -459,10 +472,12 @@ def rank_over_q(m: SparseIntMatrix) -> int:
     rank mod p exceeds the rank over Q, so the largest is exact (von zur
     Gathen and Gerhard, Modern Computer Algebra, ch. 5).  Primes stop early once the
     rank reaches the smaller of R's numbers of nonzero rows and nonzero
-    columns.
+    columns.  The rank is kept on m, under 0.
     """
-    units, residual = m.unit_reduction()
-    return units + _rank_over_q_modular(residual)
+    rank = m._ranks.get(0)
+    if rank is None:
+        rank = m._ranks[0] = _reduced_rank(m, 0)
+    return rank
 
 
 def _p_adic_levels(m: SparseIntMatrix, p: int, e: int) -> tuple:
@@ -487,14 +502,7 @@ def _p_adic_levels(m: SparseIntMatrix, p: int, e: int) -> tuple:
     return tuple(levels)
 
 
-def _rank(m: SparseIntMatrix, p: int, ranks: dict) -> int:
-    """m's rank over Q (p = 0) or F_p, taken once per `ranks` memo."""
-    if p not in ranks:
-        ranks[p] = rank_mod_p(m, p) if p else rank_over_q(m)
-    return ranks[p]
-
-
-def smith_normal_form(m: SparseIntMatrix, order: int, ranks: dict | None = None) -> ElementaryDivisors:
+def smith_normal_form(m: SparseIntMatrix, order: int) -> ElementaryDivisors:
     """Divisibility chain of m, when `order` annihilates the torsion of m's cokernel.
 
     Every divisor then divides `order`, so its exponent at each prime p of
@@ -504,12 +512,10 @@ def smith_normal_form(m: SparseIntMatrix, order: int, ranks: dict | None = None)
     i-th smallest of the r valuations at p.  Raises CorruptComplex, naming
     p, unless at each p the levels sum to r and level 0 equals
     `rank_mod_p(m, p)`: a factor above p^e, a pivot lost at some level,
-    or one lost by the unit reduction that both ranks share.  `ranks`
-    (0 for Q, else p, to m's rank there) shares those ranks with the
-    caller: each is taken only if it is not there, and stored.
+    or one lost by the unit reduction that both ranks share.  Both ranks
+    stay on m for the caller.
     """
-    ranks = {} if ranks is None else ranks
-    rank = _rank(m, 0, ranks)
+    rank = rank_over_q(m)
     divisors = [1] * rank
     for p, e in prime_factors(order).items():
         levels = _p_adic_levels(m, p, e)
@@ -517,7 +523,7 @@ def smith_normal_form(m: SparseIntMatrix, order: int, ranks: dict | None = None)
             raise CorruptComplex(
                 f"the levels mod {p}^{e + 1} count {sum(levels)} invariant factors, the rank over Q is {rank}"
             )
-        rank_p = _rank(m, p, ranks)
+        rank_p = rank_mod_p(m, p)
         if levels[0] != rank_p:
             raise CorruptComplex(
                 f"level 0 mod {p}^{e + 1} has {levels[0]} pivots, the rank mod {p} is {rank_p}"
@@ -569,19 +575,15 @@ class BettiTable:
 def betti(chain: "OrientedChainComplex", fields, *, order: int = 0) -> BettiTable:
     """Exact Betti numbers of a chain complex over each requested field.
 
-    b_k = rank C_k - rank d_k - rank d_{k+1}, every rank exact (see
-    `rank_mod_p` and `rank_over_q`) and taken once per matrix and field.
-    Once dd = 0 is verified the matrices are reduced over Z top-down, with
-    clearing (Chen and Kerber 2011; Bauer, Kerber and Reininghaus 2014):
-    d_k skips the columns of the k-cells that d_{k+1}'s +-1 reduction
-    pivoted on, which are integral combinations of the others, so no rank
-    changes (`SparseIntMatrix.unit_reduction`); a matrix whose reduction is
-    already cached keeps it.  The SNF's levels eliminate the full matrices.
-    `order` asks for torsion: at 0 no Smith normal form is taken and none
-    is reported.  Above 0 it must annihilate the torsion of
+    b_k = rank C_k - rank d_k - rank d_{k+1}, every rank exact and kept on
+    its matrix (`rank_mod_p`, `rank_over_q`).  The matrices are reduced
+    over Z top-down, with clearing (see the module notes); a matrix whose
+    reduction is already cached keeps it.  The SNF's levels eliminate the
+    full matrices.  `order` asks for torsion: at 0 no Smith normal form is
+    taken and none is reported.  Above 0 it must annihilate the torsion of
     H_*(chain; Z), as |G| does for an orbit complex of a sphere; each
-    boundary matrix gets its SNF (`smith_normal_form`), whose checks tie
-    it to the ranks over Q and at the primes of `order`, and raise
+    boundary matrix gets its SNF (`smith_normal_form`), whose checks tie it
+    to the ranks over Q and at the primes of `order`, and raise
     CorruptComplex naming the prime and the degree.  At each requested
     prime not dividing `order` the ranks must equal the SNF's, the rank
     over Q: torsion at such a prime is more than `order` annihilates.  The
@@ -591,7 +593,6 @@ def betti(chain: "OrientedChainComplex", fields, *, order: int = 0) -> BettiTabl
     fields = tuple(fields)
     if not fields:
         raise InvalidParameter("need at least one field")
-    chain.verify()
     ranks = tuple(chain.ranks)
     boundaries = tuple(chain.boundaries)
     d = len(ranks) - 1
@@ -599,21 +600,20 @@ def betti(chain: "OrientedChainComplex", fields, *, order: int = 0) -> BettiTabl
     for mat in reversed(boundaries):
         mat.unit_reduction(cleared)
         cleared = mat.pivot_rows
-    memos = [{} for _ in boundaries]  # per matrix: 0 (Q) or p -> its rank there
 
     snf = None
     if order:
         snf = []
         for k, mat in enumerate(boundaries):
             try:
-                snf.append(smith_normal_form(mat, order, memos[k]))
+                snf.append(smith_normal_form(mat, order))
             except CorruptComplex as e:
                 raise CorruptComplex(f"SNF of d_{k}: {e}") from None
 
     entries = []
     for field in fields:
-        p = field.p or 0
-        mat_rank = [_rank(mat, p, memo) for mat, memo in zip(boundaries, memos)]
+        p = field.p
+        mat_rank = [rank_mod_p(mat, p) if p else rank_over_q(mat) for mat in boundaries]
         if snf is not None and p and order % p:
             snf_rank = [s.rank_mod(p) for s in snf]
             if snf_rank != mat_rank:
@@ -649,46 +649,30 @@ def relative_betti(chain: "OrientedChainComplex", sub: "SimplicialComplex", fiel
     K may also be an orbit chain complex, whose labels are the orbits'
     least simplices, and L a subcomplex fixed pointwise by the group.
     """
-    return betti(_relative_chain(chain, sub), fields)
+    return betti(relative_chain(chain, sub), fields)
 
 
-def _relative_chain(
-    chain: "OrientedChainComplex", sub: "SimplicialComplex"
-) -> "OrientedChainComplex":
-    """C_*(K)/C_*(L); the index maps it builds are freed before ranks are taken."""
+def relative_chain(chain: "OrientedChainComplex", sub: "SimplicialComplex") -> "OrientedChainComplex":
+    """C_*(K)/C_*(L), for `chain` and `sub` as in `relative_betti`.
+
+    The index maps it builds are freed before ranks are taken.
+    """
     from .complexes import OrientedChainComplex  # local import to avoid a cycle
 
     sub_simplices = sub.simplex_set()
-    keep: list[list[int]] = []
-    index_maps: list[dict] = []
-    for k, labels in enumerate(chain.basis_labels):
-        kept = [j for j, s in enumerate(labels) if s not in sub_simplices]
-        keep.append(kept)
-        index_maps.append({j: i for i, j in enumerate(kept)})
+    keep = [[j for j, s in enumerate(labels) if s not in sub_simplices] for labels in chain.basis_labels]
     # labels are distinct, so every simplex of `sub` must have dropped exactly one
     dropped = sum(len(labels) - len(kept) for labels, kept in zip(chain.basis_labels, keep))
     if dropped != len(sub_simplices):
         known = {s for labels in chain.basis_labels for s in labels}
         stray = min(sub_simplices - known)
         raise InvalidParameter(f"{stray} is not a simplex of the ambient complex")
-    new_ranks = tuple(len(kept) for kept in keep)
-    new_boundaries = []
-    for k in range(len(chain.boundaries)):
-        mat = chain.boundaries[k]
-        rows = new_ranks[k - 1] if k >= 1 else 0
-        cols_out = {}
-        if k >= 1:
-            rmap = index_maps[k - 1]
-            for new_j, old_j in enumerate(keep[k]):
-                col = {}
-                for r, v in mat.column(old_j).items():
-                    if r in rmap:
-                        col[rmap[r]] = v
-                if col:
-                    cols_out[new_j] = col
-        new_boundaries.append(SparseIntMatrix.from_columns(rows, new_ranks[k], cols_out))
-    return OrientedChainComplex(
-        new_ranks,
-        tuple(new_boundaries),
-        tuple(tuple(chain.basis_labels[k][j] for j in keep[k]) for k in range(len(keep))),
-    )
+    new_ranks = tuple(map(len, keep))
+    new_boundaries = [SparseIntMatrix(0, new_ranks[0])] if chain.boundaries else []
+    for k in range(1, len(chain.boundaries)):
+        rmap = {j: i for i, j in enumerate(keep[k - 1])}
+        column = chain.boundaries[k].column
+        cols = {j: {rmap[r]: v for r, v in column(old).items() if r in rmap} for j, old in enumerate(keep[k])}
+        new_boundaries.append(SparseIntMatrix.from_columns(new_ranks[k - 1], new_ranks[k], cols))
+    labels = tuple(tuple(chain.basis_labels[k][j] for j in kept) for k, kept in enumerate(keep))
+    return OrientedChainComplex(new_ranks, tuple(new_boundaries), labels)

@@ -33,13 +33,23 @@ def random_small_complex(rng: random.Random) -> SimplicialComplex:
     return SimplicialComplex(n, facets)
 
 
-def nonabelian_workload() -> list:
-    """The benchmark's nonabelian scenarios, loaded from perfbench/workloads.py as it is."""
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded from its file as it is."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.nonabelian_scenarios()
+    return module
+
+
+def nonabelian_workload() -> list:
+    """The benchmark's nonabelian scenarios, in their listed order."""
+    return _perfbench_workloads().nonabelian_scenarios()
+
+
+def workload_pass(workload: str, seed: int) -> list:
+    """The scenarios of one benchmark pass of `workload` at `seed`, in pass order."""
+    return _perfbench_workloads().scenarios(workload, seed)[0]
 
 
 def subgroup_handles(action) -> list:

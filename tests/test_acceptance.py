@@ -265,9 +265,9 @@ def test_criterion_09_engine_self_consistency():
             ok &= sum((-1) ** k * v for k, v in enumerate(b)) == chi
             if row["torsion"] is not None:
                 snf_checked += 1  # betti() cross-derived this row from SNF
-        # boundary operators recomputed and re-verified from scratch
-        bundle = corpus_model(sc)
-        chain_complex(bundle.action.complex).verify()
+        # dd = 0 of the model's chains: checked when they were built, and again here
+        d = chain_complex(corpus_model(sc).action.complex).boundaries
+        ok &= all(a.compose_is_zero(b) for a, b in zip(d, d[1:]))
     ok &= snf_checked >= len(CORPUS_SCENARIOS)
     _line(9, "dd=0, chi identity per field, SNF cross-check, <=2 subdivisions by Bredon's theorem", ok)
 

@@ -237,19 +237,19 @@ def test_prime_outside_the_order_is_caught_by_the_rank_cross_check():
 
 def test_betti_takes_each_rank_once(monkeypatch):
     """The SNF and the Betti rows share one rank per matrix and field: over
-    Q and F_5, the order's prime, the SNF's ranks are the ones betti reads."""
-    calls = []
-    for name in ("rank_over_q", "rank_mod_p"):
-        original = getattr(homology, name)
-        monkeypatch.setattr(
-            homology, name, lambda m, *p, _f=original, _n=name: calls.append((_n, id(m)) + p) or _f(m, *p)
-        )
+    Q and F_5, the order's prime, the SNF's ranks are the ones betti reads,
+    and a second betti call on the complex takes no rank at all."""
+    runs = []
+    original = homology._reduced_rank
+    monkeypatch.setattr(homology, "_reduced_rank", lambda m, p: runs.append((id(m), p)) or original(m, p))
     chain = _lens52_quotient_chain()
     table = betti(chain, [RATIONALS, F2, F3, F5], order=5)
     assert table.torsion == ((), (5,), (), ())
     n = len(chain.boundaries)
-    assert len(calls) == len(set(calls)) == 4 * n
-    assert sum(1 for c in calls if c[0] == "rank_over_q") == n
+    assert len(runs) == len(set(runs)) == 4 * n
+    assert sum(1 for _, p in runs if p == 0) == n
+    assert betti(chain, [F3, RATIONALS]).entries == table.entries[2::-2]
+    assert len(runs) == 4 * n
 
 
 def test_snf_chain_and_rank_consistency():
@@ -305,9 +305,17 @@ def test_betti_corrupt_complex_detected():
     bad = SparseIntMatrix(12, 8, {(0, 0): 1})  # a 2-cell with a single edge face
     from sqh.complexes import OrientedChainComplex
 
-    broken = OrientedChainComplex(cc.ranks, (cc.boundaries[0], cc.boundaries[1], bad), cc.basis_labels)
-    with pytest.raises(CorruptComplex):
-        betti(broken, [F2])
+    with pytest.raises(CorruptComplex, match="d_1 d_2 is nonzero"):  # refused when it is built
+        OrientedChainComplex(cc.ranks, (cc.boundaries[0], cc.boundaries[1], bad), cc.basis_labels)
+
+
+def test_compose_is_zero_sees_an_entry_in_the_last_column_only():
+    a = from_dense([[1, -1]])
+    # column 0 cancels, columns 1 and 2 are empty: a @ b = [[0, 0, 0, 1]]
+    assert not a.compose_is_zero(from_dense([[1, 0, 0, 1], [1, 0, 0, 0]]))
+    assert a.compose_is_zero(from_dense([[1, 0, 0, 1], [1, 0, 0, 1]]))
+    with pytest.raises(InvalidParameter, match="shape mismatch"):
+        a.compose_is_zero(from_dense([[1]]))
 
 
 def test_relative_betti_pair_octahedron_square():
@@ -695,7 +703,7 @@ def test_cleared_ranks_property_on_complexes_subdivisions_and_pairs():
         for chain in (chain_complex(k), chain_complex(sd), _rebased(chain_complex(k), random.Random(seed))):
             _assert_cleared_betti_is_dense(betti(chain, fields), chain)
         sub = full_subcomplex(k, vertices)
-        pair = homology._relative_chain(chain_complex(k), sub)  # the oracle's copy
+        pair = homology.relative_chain(chain_complex(k), sub)  # the oracle's copy
         _assert_cleared_betti_is_dense(relative_betti(chain_complex(k), sub, fields), pair)
 
     check()

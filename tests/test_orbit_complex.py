@@ -49,7 +49,6 @@ from sqh.actions import (
     is_admissible,
     lefschetz_numbers,
     make_admissible_and_quotient,
-    orbit_betti,
     orbit_chain_complex,
     quotient_complex,
     subdivided_quotient,
@@ -223,7 +222,7 @@ def test_orbit_complex_antipodal_octahedron_is_rp2():
     want = betti(chain_complex(rp2_minimal()), FIELDS, order=2)
     assert (got.entries, got.torsion) == (want.entries, want.torsion)
     assert got.torsion == ((), (2,), ())
-    assert orbit_betti(antipodal, F2) == (1, 1, 1)
+    assert got.betti(F2) == (1, 1, 1)
 
 
 def test_orbit_complex_circle_by_rotation():
@@ -232,7 +231,7 @@ def test_orbit_complex_circle_by_rotation():
     cc = orbit_chain_complex(rotation)
     assert cc.basis_labels == (((0,),), ((0, 1),))
     assert cc.boundaries[1].nnz == 0
-    assert orbit_betti(rotation, RATIONALS) == (1, 1)
+    assert betti(cc, [RATIONALS]).betti(RATIONALS) == (1, 1)
 
 
 def test_orbit_complex_rejects_non_admissible():
@@ -245,7 +244,8 @@ def test_orbit_complex_rejects_non_admissible():
     sub = admissible_subdivision(flip)
     assert sub is not flip and is_admissible(sub)
     assert admissible_subdivision(flip) is sub
-    assert orbit_betti(sub, RATIONALS) == (1, 0)  # the circle folded onto an interval
+    # the circle folded onto an interval
+    assert betti(orbit_chain_complex(sub), [RATIONALS]).betti(RATIONALS) == (1, 0)
 
 
 def _with_orbit_data(monkeypatch, mutate):

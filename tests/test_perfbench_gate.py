@@ -1,10 +1,11 @@
 """The benchmark's correctness gate (perfbench/gate.py) on its seed-7 workloads.
 
 gate.py and workloads.py are loaded from their files as they are.  Every
-seed-7 catalog and nonabelian report must match its recorded reference in
-perfbench/reference.json, torsion included, and the gate must reject
-tampered references, so a change to a reported number fails here and not
-only in a benchmark run.
+seed-7 catalog, nonabelian and sweep report must match its recorded
+reference in perfbench/reference.json, torsion included where both sides
+report it, and the gate must reject tampered references, so a change to a
+reported number, or to the sweep's route, fails here and not only in a
+benchmark run.
 """
 
 import importlib.util
@@ -35,19 +36,23 @@ def workloads():
     return _load("workloads")
 
 
-@pytest.mark.parametrize("workload", ["catalog", "nonabelian"])
+@pytest.mark.parametrize("workload", ["catalog", "nonabelian", "sweep"])
 def test_seed7_reports_match_the_reference(gate, workloads, workload):
     reference = gate.load_reference()
     scenarios, rejected = workloads.scenarios(workload, 7)
-    assert scenarios and rejected == 0
+    assert scenarios and (rejected == 0 or workload == "sweep")
+    if workload == "sweep":
+        assert len(scenarios) == 102
     for sc in scenarios:
         report = run_scenario(sc)
         problems, found = gate.check(sc, report, reference)
         assert found, f"{sc.name}: no recorded reference"
         assert problems == [], sc.name
-        # the gate compares torsion only where both sides report it: here both do
+        # the gate compares torsion only where both sides report it: the sweep
+        # takes none (snf_cap 0) and records none, the other workloads both
         torsion = reference[gate.scenario_key(sc)]["torsion"]
-        assert torsion is not None and gate.invariants(report)["torsion"] == torsion, sc.name
+        assert (torsion is None) == (workload == "sweep"), sc.name
+        assert gate.invariants(report)["torsion"] == torsion, sc.name
         assert gate.tampered_references_fail(sc, report) == [], sc.name
 
 

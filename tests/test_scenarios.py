@@ -388,6 +388,22 @@ def test_bound_violation_dump_replays_the_run(tmp_path, capsys, monkeypatch, che
     assert json.loads(payload)["scenario"] == dump["scenario"]
 
 
+def test_cli_engine_fault_exits_5_with_the_scenario(capsys, monkeypatch):
+    """A failed engine cross-check, here Bredon's depth-2 check on lens(5,2)
+    with one flag orbit too many counted in the top degree, exits 5: the
+    message names the check, and the scenario that replays the run follows."""
+    import sqh.actions
+
+    count = sqh.actions.flag_orbit_counts
+    monkeypatch.setattr(sqh.actions, "flag_orbit_counts", lambda data: (*count(data)[:-1], count(data)[-1] + 1))
+    assert main(["builtin", "lens", "5", "2"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    message, payload = err.split("\n", 1)
+    assert message.startswith("engine fault: the depth-2 quotient is not simplicial, against Bredon")
+    assert Scenario.from_json_dict(json.loads(payload)["scenario"]) == builtin("lens", 5, 2)
+
+
 def test_cli_resource_cap_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("SQH_MAX_SIMPLICES", "10")
     sc_path = tmp_path / "sc.json"

@@ -20,7 +20,7 @@ import sys
 
 import pytest
 
-from conftest import nonabelian_workload, octahedron, subgroup_handles
+from conftest import nonabelian_workload, octahedron, subgroup_handles, workload_pass
 from test_acceptance import CORPUS_SCENARIOS
 from sqh.actions import VertexAction, admissible_subdivision, close_generators, sylow
 from sqh.bounds import cyclic_chain_check, smith_floyd_check, transfer_check
@@ -222,6 +222,28 @@ def test_chain_complex_verified_once(monkeypatch):
     betti(cc, [F2], order=1)
     betti(cc, [F2])
     assert len(calls) == len(cc.boundaries) - 1
+
+
+@pytest.mark.parametrize("workload, runs", [("catalog", 55), ("nonabelian", 248), ("sweep", 1472)])
+def test_each_rank_is_taken_once_per_matrix_and_field(monkeypatch, workload, runs):
+    """Over one seed-7 pass of a benchmark workload the rank kernel runs once
+    per (matrix, field): every later ask, by the SNF, by another `betti`
+    call or by another check, reads the rank kept on the matrix.  Every
+    matrix ranked is kept alive until the count ends, so no id is reused."""
+    import sqh.homology
+
+    ranked, keys = [], []
+    original = sqh.homology._reduced_rank
+
+    def counting(m, p):
+        ranked.append(m)
+        keys.append((id(m), p))
+        return original(m, p)
+
+    monkeypatch.setattr(sqh.homology, "_reduced_rank", counting)
+    for sc in workload_pass(workload, 7):
+        run_scenario(sc)
+    assert len(keys) == len(set(keys)) == runs
 
 
 def test_finished_scenarios_leave_no_action_in_a_reference_cycle():
