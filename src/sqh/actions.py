@@ -19,9 +19,10 @@ is not admissible is carried onto its starred complex Y′, X starred at the
 simplices it turns and their cofaces (`admissible_subdivision`), and each
 subgroup onto its own.  There its orbit chain complex and its fixed set
 are built like those of any admissible action.  The simplicial quotient
-loop (`make_admissible_and_quotient`) reads sd(X)/G off the orbits on X,
-and for sd²(X)/G carries the group onto sd(X) as it carries it onto Y′
-(`_carried`).
+loop (`make_admissible_and_quotient`) reads X/G and sd(X)/G off the orbits
+on X, and for sd²(X)/G carries the group onto sd(X) as it carries it onto
+Y′ (`_carried`).  At every depth one count decides whether the quotient is
+simplicial: one simplex of it per orbit, in each degree (`_require_simplicial`).
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from .complexes import (
     OrientedChainComplex,
     SimplicialComplex,
     Subdivision,
+    barycentric_subdivision,
     chain_complex,
     derived_subdivision,
     full_subcomplex,
-    shared_subdivision,
     subdivided_f_vector,
+    subdivided_size,
 )
 from .errors import (
     ActionInvalid,
@@ -151,8 +153,9 @@ class VertexAction:
     cached on the instance and freed with it:
 
     - multiplication, inverses and element orders
-    - vertex orbits, and the simplex orbits with their carriers and
-      stabilisers, from one pass (`simplex_orbit_data`)
+    - the simplex orbits with their carriers and stabilisers, from one
+      pass (`simplex_orbit_data`); the vertex orbits are its orbits of
+      0-simplices
     - the restricted action of each subgroup, keyed by its sorted element
       indices and generated by the subgroup's generators (`restrict`)
     - the Sylow p-subgroup of each subgroup, keyed by (indices, p) (`sylow`)
@@ -178,7 +181,6 @@ class VertexAction:
         "_mult",
         "_inv",
         "_orders",
-        "_vertex_orbits",
         "_simplex_orbits",
         "_restrictions",
         "_sylow",
@@ -196,7 +198,6 @@ class VertexAction:
         self._mult: dict = {}
         self._inv: dict = {}
         self._orders: dict = {}
-        self._vertex_orbits = None
         self._simplex_orbits = None
         self._restrictions: dict = {}
         self._sylow: dict = {}
@@ -324,23 +325,6 @@ class VertexAction:
             got.block_lengths = self.block_lengths
             self._restrictions[key] = got
         return got
-
-    def vertex_orbits(self):
-        """(projection, orbits): orbit indices ordered by minimal vertex."""
-        if self._vertex_orbits is None:
-            n = self.complex.vertex_count
-            proj = [-1] * n
-            orbits = []
-            for v in range(n):
-                if proj[v] >= 0:
-                    continue
-                members = sorted({e[v] for e in self.elements})
-                oid = len(orbits)
-                for w in members:
-                    proj[w] = oid
-                orbits.append(tuple(members))
-            self._vertex_orbits = (tuple(proj), tuple(orbits))
-        return self._vertex_orbits
 
     def simplex_orbit_data(self) -> SimplexOrbits:
         """The orbits of the group on the simplices of its complex, in one pass.
@@ -471,33 +455,39 @@ def induced_action_on_subdivision(action: VertexAction, sd: Subdivision) -> Vert
 
 
 def quotient_complex(action: VertexAction):
-    """Orbit complex and vertex projection, when the quotient is simplicial.
+    """X/G and the vertex projection, when the quotient is simplicial; NeedsSubdivision otherwise.
 
-    Requires admissibility plus the two regularity conditions: simplex
-    vertices lie in pairwise-distinct orbits, and simplices with the same
-    orbit-set of vertices lie in the same orbit.  Either failure raises
-    NeedsSubdivision.
+    Each vertex projects to its orbit id in the one orbit pass, and X/G is
+    spanned by the facets' images.  It is simplicial iff its f-vector is
+    the orbit count of each degree (`_require_simplicial`): each orbit maps
+    onto a simplex of X/G of its dimension or less, and every simplex is
+    hit, so from the top degree down equal counts force a bijection that
+    keeps dimension.  That is exactly: no simplex has two vertices in one
+    orbit, which also rules out a turned simplex, and simplices with one
+    orbit-set lie in one orbit.  A vertex in no simplex has no orbit, and
+    raises InvalidParameter.
     """
     data = action.simplex_orbit_data()
-    if not data.admissible:
-        raise NeedsSubdivision("action is not admissible")
-    orbit_of = data.orbit_of
-    proj, orbits = action.vertex_orbits()
-    first_orbit_with_key: dict = {}
-    for level in action.complex.simplices():
-        for s in level:
-            key = tuple(sorted(proj[v] for v in s))
-            if len(set(key)) != len(s):
-                raise NeedsSubdivision(f"simplex {s} has two vertices in one orbit")
-            oid = orbit_of[s]
-            prev = first_orbit_with_key.setdefault(key, oid)
-            if prev != oid:
-                raise NeedsSubdivision(
-                    f"simplices with orbit-set {key} lie in different orbits"
-                )
-    facets = {tuple(sorted(proj[v] for v in f)) for f in action.complex.facets}
-    quotient = SimplicialComplex(len(orbits), facets)
+    proj = tuple(data.orbit_of.get((v,), -1) for v in range(action.complex.vertex_count))
+    if -1 in proj:
+        raise InvalidParameter(f"vertex {proj.index(-1)} lies in no simplex of the complex, so it has no orbit")
+    facets = {tuple(sorted({proj[v] for v in f})) for f in action.complex.facets}
+    quotient = SimplicialComplex(len(set(proj)), facets)
+    _require_simplicial(quotient, data.level_counts())
     return quotient, proj
+
+
+def _require_simplicial(quotient: SimplicialComplex, orbit_counts) -> None:
+    """NeedsSubdivision unless the quotient has one j-simplex per orbit of j-simplices, for each j: the rule at every depth."""
+    want = tuple(orbit_counts)
+    got = quotient.f_vector()
+    got += (0,) * (len(want) - len(got))
+    if got != want:
+        j = next(j for j in range(len(want)) if got[j] != want[j])
+        raise NeedsSubdivision(
+            f"{j}-simplices with one orbit-set lie in different orbits "
+            f"({got[j]} orbit-sets for {want[j]} orbits)"
+        )
 
 
 def _face(simplex, mask: int) -> tuple:
@@ -549,12 +539,12 @@ def subdivided_quotient(action) -> SimplicialComplex:
     under the same ids.  A facet of sd(X) is a complete flag of faces of a
     facet of X; its image is the set of the flag's orbit ids, and facets in
     one orbit give the same sets, so one facet per orbit is enough.  The
-    orbits of j-simplices of sd(X) number `flag_orbit_counts(data)[j]`.
-    The quotient is simplicial iff no two of those orbits share an id set,
-    that is iff its f-vector reaches that count; otherwise NeedsSubdivision
+    orbits of j-simplices of sd(X) number `flag_orbit_counts(data)[j]`, and
+    the quotient is simplicial iff its f-vector is that count, the rule of
+    `quotient_complex` (`_require_simplicial`); otherwise NeedsSubdivision
     is raised, as `quotient_complex` on the action transported to sd(X)
     would.  The flags' vertices lie in distinct orbits, since their
-    dimensions differ, and the action on sd(X) is admissible.
+    dimensions differ, so only orbits that share an id set can fail it.
     """
     data = action.simplex_orbit_data()
     orbit_of = data.orbit_of
@@ -577,13 +567,7 @@ def subdivided_quotient(action) -> SimplicialComplex:
             ]
         facets.extend(flag for _, flag in flags)
     quotient = SimplicialComplex._from_canonical(data.count, facets)
-    want, got = flag_orbit_counts(data), quotient.f_vector()
-    if got != want:
-        j = next(j for j in range(len(want)) if got[j] != want[j])
-        raise NeedsSubdivision(
-            f"{j}-simplices with one orbit-set lie in different orbits "
-            f"({got[j]} orbit-sets for {want[j]} orbits)"
-        )
+    _require_simplicial(quotient, flag_orbit_counts(data))
     return quotient
 
 
@@ -606,9 +590,11 @@ def make_admissible_and_quotient(action: VertexAction, simplex_cap: int | None =
 
     Depth 0 is `quotient_complex` of the action.  Depth 1 is
     `subdivided_quotient` of it, which reads sd(X)/G off the orbits on X,
-    so sd(X) is not built.  Depth 2 carries the group onto sd(X), as
+    so sd(X) is not built.  Depth 2 builds sd(X) (`barycentric_subdivision`,
+    once per call, and dropped with it), carries the group there as
     `admissible_subdivision` carries it onto Y′ (`_carried`), and takes
-    `subdivided_quotient` of that action.  No depth past 2 is needed.  The
+    `subdivided_quotient` of that action.  Each depth is decided by the one
+    count of `_require_simplicial`.  No depth past 2 is needed.  The
     vertices of a flag have distinct dimensions, so no element maps one
     onto another, and sd(X) has Bredon's property (A).  (A) on a complex K
     makes sd(K) regular, so sd²(X)/G is simplicial (Bredon, Introduction
@@ -630,7 +616,7 @@ def make_admissible_and_quotient(action: VertexAction, simplex_cap: int | None =
         pass
     size = _sphere_size(k, 2, simplex_cap)
     try:
-        return QuotientResult(subdivided_quotient(_carried(action, shared_subdivision(k))), 2, *size)
+        return QuotientResult(subdivided_quotient(_carried(action, barycentric_subdivision(k))), 2, *size)
     except NeedsSubdivision as e:
         raise CorruptComplex(
             "the depth-2 quotient is not simplicial, against Bredon (Introduction to Compact "
@@ -640,10 +626,7 @@ def make_admissible_and_quotient(action: VertexAction, simplex_cap: int | None =
 
 def _sphere_size(k: SimplicialComplex, depth: int, cap: int | None = None) -> tuple:
     """(simplices, facets) of sd^depth(k), from k's f-vector; ResourceCapExceeded when the simplices pass `cap`."""
-    f_vector = k.f_vector()
-    for _ in range(depth):
-        f_vector = subdivided_f_vector(f_vector)
-    simplices = sum(f_vector)
+    simplices = subdivided_size(k.f_vector(), depth)
     if cap is not None and simplices > cap:
         raise ResourceCapExceeded(f"subdivision would reach {simplices} simplices (cap {cap})")
     # a facet of k on v vertices becomes (v!)^depth facets of sd^depth(k)

@@ -3,8 +3,8 @@
 Simplices are stored as strictly increasing tuples of vertex indices.
 Orientation follows the ascending-vertex convention: the boundary of a
 simplex drops its i-th vertex with sign (-1)^i.  Complexes are immutable
-after construction; derived data (the face lattice, chain complexes, the
-first barycentric subdivision) is cached on the instance.
+after construction; derived data (the face lattice, the chain complex) is
+cached on the instance.
 
 Each complex has one face lattice, built on first use from the top down:
 the k-simplices are the facets with k+1 vertices and the k-faces of the
@@ -21,10 +21,10 @@ There is one subdivision construction, `derived_subdivision`: K starred at
 each simplex of an upward-closed set, in decreasing dimension.  Its
 vertices stand for the vertices of K and the starred simplices, numbered in
 (size, lex) order.  The barycentric subdivision is the case where every
-simplex is starred (`barycentric_subdivision`, built once per complex by
-`shared_subdivision` for the simplicial quotient loop's depth-2 quotient);
-`actions.admissible_subdivision` stars only the simplices an action turns,
-with their cofaces.
+simplex is starred (`barycentric_subdivision`, built by the simplicial
+quotient loop for a depth-2 quotient); `actions.admissible_subdivision`
+stars only the simplices an action turns, with their cofaces.  The size
+of sd^k(K) is read off K's f-vector alone, by `subdivided_size`.
 
 A chain complex is checked when it is built (`OrientedChainComplex`), so
 every one that exists, orbit complexes and relative pairs included, has
@@ -33,7 +33,9 @@ dd = 0, and nothing downstream checks it again.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import CorruptComplex, InvalidParameter
@@ -54,7 +56,7 @@ class SimplicialComplex:
     the sorted tuples and drops the sets, so only one copy is ever held.
     """
 
-    __slots__ = ("vertex_count", "facets", "dimension", "_levels", "_simplices", "_chain", "_subdivision")
+    __slots__ = ("vertex_count", "facets", "dimension", "_levels", "_simplices", "_chain")
 
     def __init__(self, vertex_count: int, facets) -> None:
         if vertex_count < 0:
@@ -88,7 +90,6 @@ class SimplicialComplex:
         self._levels = None
         self._simplices = None
         self._chain = None
-        self._subdivision = None
 
     def _lattice(self) -> list:
         """One set of faces per dimension, each level made from the one above."""
@@ -301,19 +302,6 @@ def barycentric_subdivision(k: SimplicialComplex) -> Subdivision:
     return derived_subdivision(k, k.simplex_set())
 
 
-def shared_subdivision(k: SimplicialComplex) -> Subdivision:
-    """The first barycentric subdivision of k, built once per complex.
-
-    The complex keeps the subdivision's parts, not the `Subdivision`, whose
-    `source` refers back to k: that would be a reference cycle.
-    """
-    if k._subdivision is None:
-        sd = barycentric_subdivision(k)
-        k._subdivision = (sd.complex, sd.vertex_simplices, sd.vertex_of_simplex)
-    sd_complex, vertex_simplices, vertex_of_simplex = k._subdivision
-    return Subdivision(sd_complex, k, vertex_simplices, vertex_of_simplex)
-
-
 def subdivided_f_vector(f_vector) -> tuple:
     """f-vector of the barycentric subdivision, from the f-vector alone.
 
@@ -330,6 +318,27 @@ def subdivided_f_vector(f_vector) -> tuple:
         for j in range(k + 1):
             out[j] += count * blocks[j + 1]
     return tuple(out)
+
+
+def subdivided_size(f_vector, depth: int) -> int:
+    """The simplex count of sd^depth(K), from K's f-vector alone.
+
+    `subdivided_f_vector` is linear, so this is the dot product of the
+    f-vector with the simplices sd^depth makes inside one k-simplex.
+    """
+    return sum(map(operator.mul, f_vector, _unit_totals(depth, len(f_vector))))
+
+
+@functools.cache
+def _unit_totals(depth: int, length: int) -> tuple:
+    """Entry k: the total of sd^depth applied to the k-th unit f-vector, built once per (depth, length)."""
+    totals = []
+    for k in range(length):
+        f = tuple(int(j == k) for j in range(length))
+        for _ in range(depth):
+            f = subdivided_f_vector(f)
+        totals.append(sum(f))
+    return tuple(totals)
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:

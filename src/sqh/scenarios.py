@@ -13,7 +13,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import random
 import time
@@ -31,7 +30,7 @@ from .actions import (
     sphere_row,
 )
 from .bounds import CHECKS, BoundReport, CheckRun, run_checks
-from .complexes import SimplicialComplex, chain_complex, subdivided_f_vector
+from .complexes import SimplicialComplex, chain_complex, polygon, subdivided_size
 from .errors import BoundViolation, CorruptComplex, InvalidParameter, ResourceCapExceeded
 from .homology import F2, F3, F5, BettiTable, FieldSpec, RATIONALS, betti, prime_factors
 from .models import (
@@ -537,123 +536,69 @@ def _builtin_params(name: str, params) -> tuple:
     return params + defaults[len(params) - least:]
 
 
+def _signed_space(n: int, generators) -> dict:
+    """The signed_permutation space on n coordinates with these SignedPermutation generators."""
+    return {"signed_permutation": {"n": n, "generators": [g.to_json_dict() for g in generators]}}
+
+
 def builtin(name: str, *params) -> Scenario:
-    """Resolve a named scenario from the builtin catalog."""
+    """Resolve a named scenario from the builtin catalog.
+
+    Each builtin checks its own parameters and sets its space, and the
+    fields, checks and `snf_cap` where they differ from the common ones.
+    """
     params = _builtin_params(name, params)
+    fields = ("Q", "Fp:2", "Fp:3")
+    checks = GROUP_CHECKS
+    snf_cap = 16384
     if name == "rp":
         (n,) = params
         if not 1 <= n <= 4:
             raise InvalidParameter("rp(n) supports 1 <= n <= 4")
-        anti = SignedPermutation(tuple(range(1, n + 2)), (-1,) * (n + 1))
-        return Scenario(
-            name=f"rp({n})",
-            space={"signed_permutation": {"n": n + 1, "generators": [anti.to_json_dict()]}},
-            fields=("Q", "Fp:2", "Fp:3"),
-            checks=GROUP_CHECKS,
-            snf_cap=16384,
-        )
-    if name == "lens":
+        label = f"rp({n})"
+        space = _signed_space(n + 1, [SignedPermutation(tuple(range(1, n + 2)), (-1,) * (n + 1))])
+    elif name == "lens":
         p, q = params
         if not 2 <= p <= 13:
             raise InvalidParameter("lens(p,q) supports 2 <= p <= 13")
         if math.gcd(p, q) != 1:
             raise InvalidParameter("lens(p,q) needs gcd(p,q) = 1")
-        div_primes = [f"Fp:{ell}" for ell in prime_factors(p)]
+        label = f"lens({p},{q})"
+        space = {"character_join": AbelianCharacterData((p,), ((1,), (q % p,)), ()).to_json_dict()}
         coprime = next(ell for ell in (2, 3, 5) if p % ell != 0)
-        fields = ("Q", *div_primes, f"Fp:{coprime}")
-        return Scenario(
-            name=f"lens({p},{q})",
-            space={
-                "character_join": AbelianCharacterData(
-                    (p,), ((1,), (q % p,)), ()
-                ).to_json_dict()
-            },
-            fields=fields,
-            checks=KNOWN_CHECKS,
-            snf_cap=16384,
-        )
-    if name == "quaternion_q8":
-        gen_i = SignedPermutation((2, 1, 4, 3), (-1, 1, -1, 1))
-        gen_j = SignedPermutation((3, 4, 1, 2), (-1, 1, 1, -1))
-        return Scenario(
-            name="quaternion_q8",
-            space={
-                "signed_permutation": {
-                    "n": 4,
-                    "generators": [gen_i.to_json_dict(), gen_j.to_json_dict()],
-                }
-            },
-            fields=("Q", "Fp:2", "Fp:3"),
-            checks=GROUP_CHECKS,
-            snf_cap=16384,
-        )
-    if name == "sym3_on_s2":
-        swap = SignedPermutation((2, 1, 3), (1, 1, 1))
-        cycle = SignedPermutation((2, 3, 1), (1, 1, 1))
-        return Scenario(
-            name="sym3_on_s2",
-            space={
-                "signed_permutation": {
-                    "n": 3,
-                    "generators": [swap.to_json_dict(), cycle.to_json_dict()],
-                }
-            },
-            fields=("Q", "Fp:2", "Fp:3"),
-            checks=GROUP_CHECKS,
-            snf_cap=16384,
-        )
-    if name == "dihedral_on_s1":
+        fields = ("Q", *(f"Fp:{ell}" for ell in prime_factors(p)), f"Fp:{coprime}")
+        checks = KNOWN_CHECKS
+    elif name == "quaternion_q8":
+        label = name
+        space = _signed_space(4, [
+            SignedPermutation((2, 1, 4, 3), (-1, 1, -1, 1)),
+            SignedPermutation((3, 4, 1, 2), (-1, 1, 1, -1)),
+        ])
+    elif name == "sym3_on_s2":
+        label = name
+        space = _signed_space(3, [SignedPermutation((2, 1, 3), (1, 1, 1)), SignedPermutation((2, 3, 1), (1, 1, 1))])
+    elif name == "dihedral_on_s1":
         (m,) = params
         # the explicit route's cost grows about as m^3
         if not 3 <= m <= DEFAULT_MAX_FACTOR:
             raise InvalidParameter(f"dihedral_on_s1(m) supports 3 <= m <= {DEFAULT_MAX_FACTOR}")
-        rotation = tuple((i + 1) % m for i in range(m))
-        reflection = tuple((-i) % m for i in range(m))
-        from .complexes import polygon
-
-        return Scenario(
-            name=f"dihedral_on_s1({m})",
-            space={
-                "explicit": {
-                    "complex": polygon(m).to_json_dict(),
-                    "generators": [list(rotation), list(reflection)],
-                }
-            },
-            fields=("Q", "Fp:2", "Fp:3"),
-            checks=GROUP_CHECKS,
-        )
-    if name == "trivial_sphere":
+        label = f"dihedral_on_s1({m})"
+        rotation = [(i + 1) % m for i in range(m)]
+        reflection = [(-i) % m for i in range(m)]
+        space = {"explicit": {"complex": polygon(m).to_json_dict(), "generators": [rotation, reflection]}}
+        snf_cap = DEFAULT_SNF_CAP
+    else:  # trivial_sphere
         (n,) = params
         if n < 1:
             raise InvalidParameter("trivial_sphere(n) needs n >= 1")
-        return Scenario(
-            name=f"trivial_sphere({n})",
-            space={"signed_permutation": {"n": n, "generators": []}},
-            fields=("Q", "Fp:2", "Fp:3", "Fp:5"),
-            checks=GROUP_CHECKS,
-            snf_cap=16384,
-        )
+        label = f"trivial_sphere({n})"
+        space = _signed_space(n, [])
+        fields = ("Q", "Fp:2", "Fp:3", "Fp:5")
+    return Scenario(name=label, space=space, fields=fields, checks=checks, snf_cap=snf_cap)
 
 
 # ---------------------------------------------------------------------------
 # randomized abelian sweep
-
-@functools.cache
-def _subdivided_totals(depth: int, length: int) -> tuple:
-    """Entry k: the simplices of sd^depth(X) interior to one k-simplex of X.
-
-    `subdivided_f_vector` is linear in the f-vector, so the entry is the
-    total of sd^depth applied to the k-th unit f-vector.  Built once per
-    (depth, length), on first use.
-    """
-    totals = []
-    for k in range(length):
-        f = tuple(int(j == k) for j in range(length))
-        for _ in range(depth):
-            f = subdivided_f_vector(f)
-        totals.append(sum(f))
-    return tuple(totals)
-
 
 def predicted_model_size(data: AbelianCharacterData) -> int:
     """Simplex count of the model after its forecast subdivisions.
@@ -661,15 +606,13 @@ def predicted_model_size(data: AbelianCharacterData) -> int:
     One subdivision suffices when every rotation block's polygon is at
     least twice the character order (shift-agreement on flags), that is,
     when no rotation order is 3 or more; otherwise two are forecast.  The
-    count is the dot product of the model's f-vector (`join_f_vector`) with
-    the simplices that each k-simplex contributes at that depth
-    (`_subdivided_totals`, read off `subdivided_f_vector`).  The pipeline
+    count is `subdivided_size` of the model's f-vector (`join_f_vector`) at
+    that depth, the helper that sizes every subdivision.  The pipeline
     still verifies the preconditions at each level, so an optimistic
     forecast only costs a redraw.
     """
     depth = 2 if any(d >= 3 for d in data.rotation_orders) else 1
-    f = join_f_vector(data.block_lengths)
-    return sum(map(operator.mul, f, _subdivided_totals(depth, len(f))))
+    return subdivided_size(join_f_vector(data.block_lengths), depth)
 
 
 @functools.lru_cache(maxsize=16)

@@ -18,6 +18,7 @@ from sqh.complexes import (
     join,
     polygon,
     subdivided_f_vector,
+    subdivided_size,
     zero_sphere,
 )
 from sqh.errors import InvalidParameter, NeedsSubdivision
@@ -141,7 +142,10 @@ def test_subdivided_f_vector_matches_subdivision():
     for k in [*models, *(random_small_complex(rng) for _ in range(20))]:
         sd = barycentric_subdivision(k).complex
         assert subdivided_f_vector(k.f_vector()) == sd.f_vector()
+        assert subdivided_size(k.f_vector(), 0) == sum(k.f_vector())
+        assert subdivided_size(k.f_vector(), 1) == sum(sd.f_vector())
         forecast = subdivided_f_vector(sd.f_vector())
+        assert subdivided_size(k.f_vector(), 2) == sum(forecast)
         if sum(forecast) <= SECOND_LEVEL_MAX_SIMPLICES:
             assert forecast == barycentric_subdivision(sd).complex.f_vector()
 

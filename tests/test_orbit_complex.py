@@ -1,11 +1,13 @@
 """The reported quotient and the orbit chain complex, checked against a simplicial oracle.
 
 The oracle subdivides the whole sphere and transports the action k times,
-then takes `quotient_complex` of the result, trying depths 0 to 3 until
-the quotient is simplicial.  It builds its own subdivisions, so it shares
-no orbit data with `make_admissible_and_quotient` or the orbit complex;
-and where `make_admissible_and_quotient` reads the orbits one depth down
-(`subdivided_quotient`), the oracle reads those of the depth-k sphere
+then takes the quotient of the result by the regularity scan
+(`_scan_quotient`), trying depths 0 to 3 until the quotient is simplicial.
+It builds its own subdivisions, so it shares no orbit data with
+`make_admissible_and_quotient` or the orbit complex, and it decides
+whether a quotient is simplicial by its own rule, not the engine's orbit
+count; where `make_admissible_and_quotient` reads the orbits one depth
+down (`subdivided_quotient`), the oracle reads those of the depth-k sphere
 itself.  The reported quotient must equal the oracle's, with the same
 depth and sphere size, and the oracle never needs depth 3: sd²(X)/G is
 simplicial (Bredon, Introduction to Compact Transformation Groups, ch.
@@ -59,12 +61,12 @@ from sqh.complexes import (
     barycentric_subdivision,
     chain_complex,
     euler_characteristic,
+    SimplicialComplex,
     join,
     polygon,
-    shared_subdivision,
-    subdivided_f_vector,
+    subdivided_size,
 )
-from sqh.errors import CorruptComplex, NeedsSubdivision
+from sqh.errors import CorruptComplex, InvalidParameter, NeedsSubdivision
 from sqh.homology import (
     F2,
     F3,
@@ -104,23 +106,44 @@ def _snf_homology(chain) -> tuple:
     return tuple(rows), tuple(divisors[k + 1].torsion() for k in degrees)
 
 
+def _scan_quotient(action):
+    """(X/G, vertex projection) by the regularity scan, or None where X/G is not simplicial.
+
+    The vertex orbits are read off the elements.  X/G is simplicial iff no
+    simplex has two vertices in one orbit and simplices with one orbit-set
+    of vertices lie in one orbit, which every simplex is scanned for.  Only
+    the simplex orbits themselves come from the orbit pass.
+    """
+    orbit_of = action.simplex_orbit_data().orbit_of
+    proj = [-1] * action.complex.vertex_count
+    count = 0
+    for v in range(len(proj)):
+        if proj[v] < 0:
+            for w in {e[v] for e in action.elements}:
+                proj[w] = count
+            count += 1
+    first_orbit_with_key: dict = {}
+    for level in action.complex.simplices():
+        for s in level:
+            key = tuple(sorted(proj[v] for v in s))
+            if len(set(key)) != len(s) or first_orbit_with_key.setdefault(key, orbit_of[s]) != orbit_of[s]:
+                return None
+    facets = {tuple(sorted(proj[v] for v in f)) for f in action.complex.facets}
+    return SimplicialComplex(count, facets), tuple(proj)
+
+
 def _simplicial_oracle(action) -> tuple:
     """(depth, quotient, simplices, facets) of the sphere subdivided until its quotient is simplicial.
 
     Every depth is built: the sphere is subdivided and the action
-    transported, and `quotient_complex` is tried on the result, at each
-    depth up to 3.
+    transported, and the scan is tried on the result, at each depth up to 3.
     """
-    depth = 0
-    while True:
-        try:
-            quotient, _ = quotient_complex(action)
-            return depth, quotient, sum(action.complex.f_vector()), len(action.complex.facets)
-        except NeedsSubdivision:
-            if depth >= 3:
-                raise
+    for depth in range(4):
+        got = _scan_quotient(action)
+        if got is not None:
+            return depth, got[0], sum(action.complex.f_vector()), len(action.complex.facets)
         action = induced_action_on_subdivision(action, barycentric_subdivision(action.complex))
-        depth += 1
+    raise AssertionError("the quotient is not simplicial at depth 3")
 
 
 @pytest.fixture(scope="module")
@@ -591,18 +614,13 @@ def _quotient_or_none(quotient):
 # the sweep's own guard on a draw's subdivided size
 _ORACLE_GUARD = 200_000
 
-# the quotient loop's route to each depth past 0, taken whether or not the loop would reach it
-_DEPTH_ROUTES = {
-    1: subdivided_quotient,
-    2: lambda action: subdivided_quotient(_carried(action, shared_subdivision(action.complex))),
-}
-
 
 def _oracle_at(action, depth):
-    """The oracle's quotient at this depth alone: the sphere subdivided and the action transported `depth` times."""
+    """The scan's quotient at this depth alone, or None: the sphere subdivided and the action transported `depth` times."""
     for _ in range(depth):
         action = induced_action_on_subdivision(action, barycentric_subdivision(action.complex))
-    return quotient_complex(action)[0]
+    got = _scan_quotient(action)
+    return None if got is None else got[0]
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -620,19 +638,73 @@ def test_forced_depth_quotient_matches_oracle_on_corpus(scenario, depth):
     oracle takes a minute or more to build.
     """
     compared = []
+    sd = None
     for _, action in _corpus_cases(scenario):
-        f_vector = action.complex.f_vector()
-        for _ in range(depth):
-            f_vector = subdivided_f_vector(f_vector)
-        if sum(f_vector) > _ORACLE_GUARD:
+        if subdivided_size(action.complex.f_vector(), depth) > _ORACLE_GUARD:
             compared.append(False)
             continue
-        want = _quotient_or_none(lambda: _oracle_at(action, depth))
+        want = _oracle_at(action, depth)
         assert want is not None or depth == 1
-        assert _quotient_or_none(lambda: _DEPTH_ROUTES[depth](action)) == want
+        if depth == 1:
+            got = _quotient_or_none(lambda: subdivided_quotient(action))
+        else:  # the loop's depth-2 route: the group carried onto sd(X), built once for every subgroup
+            sd = sd or barycentric_subdivision(action.complex)
+            got = subdivided_quotient(_carried(action, sd))
+        assert got == want
         compared.append(True)
     # rp(4) is the one corpus sphere past the guard at depth 2
     assert all(compared) != ((scenario.name, depth) == ("rp(4)", 2))
+
+
+# models of at most this many simplices also give their subgroups' actions on sd(X)
+_SCAN_SD_GUARD = 200
+
+
+def _scan_cases() -> list:
+    """The actions on which the engine's count rule is compared with the scan.
+
+    Each model of the corpus, the catalog, the nonabelian workload and the
+    first 200 seed-7 sweep draws, restricted to the group, its least C_p
+    and its Sylow subgroups; each of those on its starred complex where it
+    is not admissible; and each transported onto sd(X) for the models of
+    at most `_SCAN_SD_GUARD` simplices.
+    """
+    catalog = [builtin("lens", 7, 2), builtin("lens", 5, 2), builtin("rp", 4), builtin("quaternion_q8")]
+    named = {sc.name: sc for sc in [*CORPUS_SCENARIOS, *catalog, *nonabelian_workload()]}
+    draws = sweep_scenarios(6, 200, 7, DEFAULT_FIELDS, 200_000)[0]
+    out = []
+    for sc in [*named.values(), *draws]:
+        action = build_model(sc).action
+        small = sum(action.complex.f_vector()) <= _SCAN_SD_GUARD
+        sd = barycentric_subdivision(action.complex) if small else None
+        for restricted in _subgroup_actions(action):
+            out.append(restricted)
+            if not is_admissible(restricted):
+                out.append(admissible_subdivision(restricted))
+            if small:
+                out.append(induced_action_on_subdivision(restricted, sd))
+    return out
+
+
+def test_the_orbit_count_decides_as_the_scan_does():
+    """`quotient_complex` gives the scan's complex and projection, or both refuse, on every case.
+
+    The engine's rule is one orbit count per degree; the scan checks each
+    simplex's vertex orbits and orbit-set.  Both outcomes occur often.
+    """
+    outcomes = []
+    for action in _scan_cases():
+        want = _scan_quotient(action)
+        assert _quotient_or_none(lambda: quotient_complex(action)) == want
+        outcomes.append(want is not None)
+    assert len(outcomes) == 671 and sum(outcomes) == 396
+
+
+def test_quotient_names_a_vertex_in_no_simplex():
+    """The orbit pass never sees such a vertex, so it has no orbit to project to."""
+    triangle = close_generators(SimplicialComplex(4, [(0, 1, 2)]), [(1, 2, 0, 3)])
+    with pytest.raises(InvalidParameter, match="vertex 3 lies in no simplex"):
+        quotient_complex(triangle)
 
 
 def _fixed_flags(complex_, element) -> list:
@@ -682,10 +754,11 @@ def test_flag_orbits_number_what_burnside_counts(scenario):
     complex and the orbits of the one orbit pass are counted.
     """
     action = build_model(scenario).action
+    sd = barycentric_subdivision(action.complex)
     for restricted in _subgroup_actions(action):
         burnside = _burnside([_fixed_flags(action.complex, e) for e in restricted.elements], restricted.order)
         assert flag_orbit_counts(restricted.simplex_orbit_data()) == burnside
-        on_sd = _carried(restricted, shared_subdivision(action.complex)).simplex_orbit_data()
+        on_sd = _carried(restricted, sd).simplex_orbit_data()
         assert on_sd.admissible and tuple(on_sd.level_counts()) == burnside
         starred = admissible_subdivision(restricted)
         # H's elements in H's order, so that a handle of H indexes them on Y′ too

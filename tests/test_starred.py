@@ -18,6 +18,7 @@ oracles here share no code with the engine's construction:
 - b(X, X^H) on the full first subdivision
 """
 
+import functools
 import itertools
 import random
 
@@ -40,7 +41,6 @@ from sqh.complexes import (
     chain_complex,
     derived_subdivision,
     full_subcomplex,
-    shared_subdivision,
 )
 from sqh.homology import RATIONALS, FieldSpec, prime_factors, relative_betti
 from sqh.models import SignedPermutation, signed_permutation_action
@@ -115,9 +115,13 @@ def _cases():
 CASES = _cases()
 
 
+# sd(X) of each model, built once for all of its subgroups' cases
+_full_subdivision = functools.cache(barycentric_subdivision)
+
+
 def _full_subdivision_pair(action, handle):
     """(sd X, X^H) with the fixed set found by mapping every simplex of X."""
-    sd = shared_subdivision(action.complex)
+    sd = _full_subdivision(action.complex)
     gens = [action.elements[i] for i in handle.generators]
     fixed = [v for v, s in enumerate(sd.vertex_simplices) if all(apply_perm(e, s) == s for e in gens)]
     return sd.complex, full_subcomplex(sd.complex, fixed)

@@ -82,9 +82,9 @@ def test_tracer_sees_each_cyclic_chain_on_s4():
 
 
 def test_tracer_sees_the_subdivision_of_a_depth_two_quotient():
-    """`barycentric_subdivision` is a call into the derived subdivision, and
-    `shared_subdivision` still reaches it through the module, so the model's
-    subdivision, which c3_on_s3's quotient loop builds to carry the group
-    there for its depth-2 quotient, stays in the trace."""
+    """The quotient loop calls `barycentric_subdivision` through `sqh.actions`,
+    one of the modules the tracer patches, so the model's subdivision, which
+    c3_on_s3's quotient loop builds to carry the group there for its depth-2
+    quotient, stays in the trace."""
     (scenario,) = [sc for sc in nonabelian_workload() if sc.name == "c3_on_s3"]
     assert _traced(scenario)["complexes.subdivide_calls"][0] == 1
