@@ -4,11 +4,11 @@ Groups are stored by their full element list, and each group or subgroup
 carries a small generating set.  Group work runs on generators (Seress,
 Permutation Group Algorithms, 2003): closures are breadth-first searches
 over right multiplication by the generators, a subset is a subgroup when the
-closure of a greedily picked generating set stays inside it, normality is
-tested by conjugating those generators by the group's, commutativity and
-the center by commuting with generators, and conjugacy classes are orbits
-under conjugation by generators.  Only `best_abelian_normal_subgroup`
-searches exhaustively, over unions of conjugacy classes, and `all_subgroups`
+closure of a greedily picked generating set stays inside it, commutativity
+and the center are tested by commuting with generators, and conjugacy
+classes are orbits under conjugation by generators.  Only
+`best_abelian_normal_subgroup` searches exhaustively, over unions of
+conjugacy classes, which are normal by construction, and `all_subgroups`
 (a reference for tests) enumerates the whole lattice.  Element order is
 breadth-first over words in the generators, so every least-index tie-break
 is reproducible.
@@ -130,13 +130,13 @@ class SimplexOrbits:
 class SubgroupHandle:
     """Element indices of a subgroup inside an ambient VertexAction, with a generating set.
 
-    `generators` are ambient indices that generate the subgroup; they are a
-    choice, so handles of one subgroup compare equal whatever they hold.
+    `generators` are ambient indices that generate the subgroup, abelian iff
+    they commute; they are a choice, so handles of one subgroup compare
+    equal whatever they hold.
     """
 
     indices: tuple
     order: int
-    is_normal: bool
     is_abelian: bool
     via_fallback: bool = False
     generators: tuple = field(default=(), compare=False, repr=False)
@@ -149,8 +149,9 @@ class VertexAction:
     group.  `block_lengths` is set by `models.block_model` on the actions
     it builds, and kept by their restrictions: the lengths of the polygons
     (L >= 3) and vertex pairs (L = 2) whose join is the complex.  It is
-    None for any other complex.  Instances are immutable; derived data is
-    cached on the instance and freed with it:
+    None for any other complex.  Instances are immutable and have no JSON
+    form: a scenario's space is the one way in (`scenarios.build_model`).
+    Derived data is cached on the instance and freed with it:
 
     - multiplication, inverses and element orders
     - the simplex orbits with their carriers and stabilisers, from one
@@ -269,19 +270,9 @@ class VertexAction:
         return tuple(sorted(self._span(sorted(set(seed)))[0]))
 
     def _handle(self, indices: tuple, generators) -> SubgroupHandle:
-        """The handle of the subgroup with these sorted indices and generators.
-
-        H is normal iff each generator of G conjugates each generator of H
-        into H, and abelian iff its generators commute.
-        """
-        members = set(indices)
-        normal = all(
-            self.mult(self.mult(g, h), self.inv(g)) in members
-            for g in self.generator_indices
-            for h in generators
-        )
+        """The handle of the subgroup with these sorted indices and generators."""
         abelian = all(self.mult(a, b) == self.mult(b, a) for a in generators for b in generators)
-        return SubgroupHandle(indices, len(indices), normal, abelian, generators=tuple(generators))
+        return SubgroupHandle(indices, len(indices), abelian, generators=tuple(generators))
 
     def subgroup(self, indices) -> SubgroupHandle:
         """The subgroup on these element indices (the identity is added).
@@ -300,10 +291,8 @@ class VertexAction:
         return self.subgroup([0])
 
     def full_subgroup(self) -> SubgroupHandle:
-        """The whole group: closed and normal by construction, abelian iff its generators commute."""
-        gens = self.generator_indices
-        abelian = all(self.mult(a, b) == self.mult(b, a) for a in gens for b in gens)
-        return SubgroupHandle(tuple(range(self.order)), self.order, True, abelian, generators=gens)
+        """The whole group, closed by construction, on the action's generators."""
+        return self._handle(tuple(range(self.order)), self.generator_indices)
 
     def restrict(self, handle: SubgroupHandle) -> "VertexAction":
         """The subgroup acting on the same complex, built once per subgroup.
@@ -369,12 +358,6 @@ class VertexAction:
                 orbit_of, tuple(reps), tuple(offsets), carrier, self.elements, stabilisers
             )
         return self._simplex_orbits
-
-    def to_json_dict(self) -> dict:
-        return {
-            "complex": self.complex.to_json_dict(),
-            "generators": [list(self.elements[i]) for i in self.generator_indices],
-        }
 
     def __repr__(self):
         return f"VertexAction(order={self.order}, on {self.complex!r})"
@@ -821,16 +804,16 @@ def _fixed_vertices(action: VertexAction) -> list:
     return [v for v in range(action.complex.vertex_count) if all(e[v] == v for e in gens)]
 
 
-def conjugacy_classes(action: VertexAction, handle: SubgroupHandle | None = None):
-    """Conjugacy classes of the subgroup (default: full group), sorted by least member.
+def conjugacy_classes(action: VertexAction):
+    """Conjugacy classes of the group, sorted by least member.
 
-    Each class is an orbit under conjugation by the subgroup's generators.
+    Each class is an orbit under conjugation by the group's generators.  A
+    subgroup's classes are those of its restriction (`VertexAction.restrict`).
     """
-    handle = handle if handle is not None else action.full_subgroup()
-    conjugators = [(g, action.inv(g)) for g in handle.generators]
-    remaining = set(handle.indices)
+    conjugators = [(g, action.inv(g)) for g in action.generator_indices]
+    remaining = set(range(action.order))
     classes = []
-    for i in handle.indices:
+    for i in range(action.order):
         if i not in remaining:
             continue
         cls = {i}
@@ -1000,12 +983,11 @@ def best_abelian_normal_subgroup(action: VertexAction) -> SubgroupHandle:
     return best
 
 
-def all_subgroups(action: VertexAction, handle: SubgroupHandle | None = None):
-    """Every subgroup of the given subgroup (default: full group), by closure BFS.
+def all_subgroups(action: VertexAction):
+    """Every subgroup of the group, by closure BFS.
 
     Exponential in general; intended for the tiny groups in the corpus.
     """
-    base = handle if handle is not None else action.full_subgroup()
     trivial = action.subgroup([0]).indices
     seen = {trivial}
     frontier = [trivial]
@@ -1013,13 +995,11 @@ def all_subgroups(action: VertexAction, handle: SubgroupHandle | None = None):
         next_frontier = []
         for idx in frontier:
             iset = set(idx)
-            for g in base.indices:
+            for g in range(action.order):
                 if g in iset:
                     continue
                 new_idx = action.closure_indices(iset | {g})
-                if len(new_idx) > base.order:
-                    continue
-                if set(new_idx) <= set(base.indices) and new_idx not in seen:
+                if new_idx not in seen:
                     seen.add(new_idx)
                     next_frontier.append(new_idx)
         frontier = next_frontier

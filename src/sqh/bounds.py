@@ -478,16 +478,19 @@ def evaluate_all(obs: ScenarioObservation, checks=()) -> BoundReport:
 
 @dataclass(frozen=True)
 class CheckRun:
-    """What the checks read of one run: the model's action, the sphere's
-    ambient n, the Betti tables of the quotient and of the model, and the
-    character data of a character_join model (None for other models)."""
+    """What the checks read of one run: the model's action, the Betti
+    tables of the quotient and of the model, and the character data of a
+    character_join model (None for other models)."""
 
     scenario_id: str
     action: VertexAction
-    ambient_n: int
     quotient_table: BettiTable
     model_table: BettiTable
     char_data: AbelianCharacterData | None = None
+
+    @property
+    def ambient_n(self) -> int:  # the sphere is S^{n-1}
+        return self.action.complex.dimension + 1
 
     @functools.cached_property
     def full(self) -> SubgroupHandle:

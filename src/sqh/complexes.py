@@ -137,10 +137,6 @@ class SimplicialComplex:
     def to_json_dict(self) -> dict:
         return {"vertex_count": self.vertex_count, "facets": [list(f) for f in self.facets]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SimplicialComplex":
-        return cls(data["vertex_count"], data["facets"])
-
 
 def _maximal(simplex_set) -> tuple:
     """Drop every set contained in a strictly larger one; return lex-sorted tuples.

@@ -250,14 +250,6 @@ class SparseIntMatrix:
             out[r][c] = v
         return out
 
-    def to_json_dict(self) -> dict:
-        entries = sorted(((c, r, v) for r, c, v in self.iter_entries()))
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[r, c, v] for c, r, v in entries],
-        }
-
     def __repr__(self):
         return f"SparseIntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 

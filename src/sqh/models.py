@@ -6,7 +6,8 @@ each one; `join_f_vector` forecasts its size before it is built.  Signed
 permutations permute n vertex pairs (the cross-polytope boundary), and
 finite abelian groups given by exact character data rotate their polygons
 and swap their pairs in place.  The same character data drives the exact
-local torus model of the block cover and its E1 page count.
+local torus model of the block cover and its E1 page count.  A model holds
+only its action and its data, which `scenarios.build_model` reads from JSON.
 """
 
 from __future__ import annotations
@@ -184,16 +185,8 @@ class AbelianCharacterData:
         return self.rotation_count + self.sign_count
 
     @property
-    def ambient_dimension(self) -> int:
-        return 2 * self.rotation_count + self.sign_count
-
-    @property
     def group_order(self) -> int:
         return prod(self.invariant_factors)
-
-    def polygon_length(self, j: int) -> int:
-        """Least multiple of the character order d that is >= 3: d, or d + 2 for d = 1, 2."""
-        return self.block_lengths[j]
 
     def sign_bit(self, k: int, gen: int) -> int:
         return self.sign_characters[k][gen] & 1
@@ -201,7 +194,7 @@ class AbelianCharacterData:
     def rotation_steps(self, j: int, gen: int) -> int:
         """Rotation of generator `gen` on polygon j, in steps; the length is a
         multiple of the character's order, so the division is exact."""
-        length = self.polygon_length(j)
+        length = self.block_lengths[j]
         return self.rotation_characters[j][gen] * length // self.invariant_factors[gen] % length
 
     def to_json_dict(self) -> dict:
@@ -211,21 +204,12 @@ class AbelianCharacterData:
             "sign_characters": [list(c) for c in self.sign_characters],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AbelianCharacterData":
-        return cls(
-            tuple(data["invariant_factors"]),
-            tuple(tuple(c) for c in data["rotation_characters"]),
-            tuple(tuple(c) for c in data["sign_characters"]),
-        )
-
 
 @dataclass(frozen=True)
 class SphereModel:
-    """A group acting on a sphere model, and the character data it was built from, if any."""
+    """A group acting on a sphere model S^{n-1}, n = dimension + 1, and its character data, if any."""
 
     action: VertexAction
-    ambient_n: int
     char_data: AbelianCharacterData | None = None
 
     @property
@@ -248,26 +232,7 @@ def character_join_model(data: AbelianCharacterData) -> SphereModel:
         + [(r + k, data.sign_bit(k, gen)) for k in range(data.sign_count)]
         for gen in range(data.factor_count)
     ]
-    return SphereModel(block_model(data.block_lengths, generators), data.ambient_dimension, data)
-
-
-@dataclass(frozen=True)
-class BlockCoverIndex:
-    """A nonempty subset J of the blocks, split into rotation/sign counts."""
-
-    indices: tuple  # 1-based block indices, sorted
-    a: int          # rotation blocks in J
-    b: int          # sign blocks in J
-
-    @classmethod
-    def from_data(cls, data: AbelianCharacterData, indices) -> "BlockCoverIndex":
-        idx = tuple(sorted(set(int(i) for i in indices)))
-        if not idx:
-            raise InvalidParameter("J must be nonempty")
-        if idx[0] < 1 or idx[-1] > data.block_count:
-            raise InvalidParameter(f"block indices must lie in 1..{data.block_count}")
-        a = sum(1 for i in idx if i <= data.rotation_count)
-        return cls(idx, a, len(idx) - a)
+    return SphereModel(block_model(data.block_lengths, generators), data)
 
 
 def _gf2_rank(vectors) -> int:
@@ -292,19 +257,24 @@ def _sign_image_order(data: AbelianCharacterData, sign_blocks) -> int:
     return 1 << _gf2_rank(vectors)
 
 
-def local_model_betti(data: AbelianCharacterData, cover_index) -> tuple:
+def local_model_betti(data: AbelianCharacterData, indices) -> tuple:
     """Exact per-degree Betti numbers of the cover piece U_J, over any field.
 
-    U_J is a disjoint union of c_J tori of dimension a(J), where c_J is
-    the number of orbits of the sign-pattern translation action: all
-    orbits have the size of the sign-character image, so
-    c_J = 2^b / |image|.
+    J is a nonempty set of block indices in 1..`block_count` (InvalidParameter
+    otherwise), a of them rotation blocks and b sign blocks.  U_J is a
+    disjoint union of c_J tori of dimension a, where c_J is the number of
+    orbits of the sign-pattern translation action: all orbits have the size
+    of the sign-character image, so c_J = 2^b / |image|.
     """
-    if not isinstance(cover_index, BlockCoverIndex):
-        cover_index = BlockCoverIndex.from_data(data, cover_index)
-    sign_blocks = [i - 1 - data.rotation_count for i in cover_index.indices if i > data.rotation_count]
-    components = (1 << cover_index.b) // _sign_image_order(data, sign_blocks)
-    return tuple(components * comb(cover_index.a, q) for q in range(cover_index.a + 1))
+    idx = sorted(set(indices))
+    if not idx:
+        raise InvalidParameter("J must be nonempty")
+    if idx[0] < 1 or idx[-1] > data.block_count:
+        raise InvalidParameter(f"block indices must lie in 1..{data.block_count}")
+    sign_blocks = [i - 1 - data.rotation_count for i in idx if i > data.rotation_count]
+    a = len(idx) - len(sign_blocks)
+    components = (1 << len(sign_blocks)) // _sign_image_order(data, sign_blocks)
+    return tuple(components * comb(a, q) for q in range(a + 1))
 
 
 @dataclass(frozen=True)
@@ -322,9 +292,9 @@ def cover_e1_total(data: AbelianCharacterData) -> CoverE1Report:
     total = 0
     for mask in range(1, 1 << n_blocks):
         indices = tuple(i + 1 for i in range(n_blocks) if mask >> i & 1)
-        ci = BlockCoverIndex.from_data(data, indices)
-        bs = local_model_betti(data, ci)
+        bs = local_model_betti(data, indices)
         sub = sum(bs)
-        rows.append((indices, ci.a, ci.b, bs, sub))
+        b = sum(i > data.rotation_count for i in indices)
+        rows.append((indices, len(indices) - b, b, bs, sub))
         total += sub
     return CoverE1Report(total, tuple(rows))

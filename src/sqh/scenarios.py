@@ -32,7 +32,7 @@ from .actions import (
 from .bounds import CHECKS, BoundReport, CheckRun, run_checks
 from .complexes import SimplicialComplex, chain_complex, polygon, subdivided_size
 from .errors import BoundViolation, CorruptComplex, InvalidParameter, ResourceCapExceeded
-from .homology import F2, F3, F5, BettiTable, FieldSpec, RATIONALS, betti, prime_factors
+from .homology import BettiTable, FieldSpec, betti, prime_factors
 from .models import (
     DEFAULT_MAX_BLOCKS,
     DEFAULT_MAX_FACTOR,
@@ -72,12 +72,12 @@ def simplex_cap() -> int:
 @dataclass(frozen=True)
 class Scenario:
     """One run's input.  Every rank is exact, so nothing is random: `seed`
-    is a label echoed in the report and seeds nothing, and the JSON form
-    carries `"certified": true`, the only value it accepts.  The quotient
-    is taken at the least depth where it is simplicial, at most 2, so no
-    depth is an input: the JSON form carries `"subdivisions": "auto"`, the
-    only value it accepts.  `snf_cap` > 0 asks for torsion, at any size; 0
-    asks for none (see `run_scenario`)."""
+    is an integer label echoed in the report and seeds nothing, and the
+    JSON form carries `"certified": true`, the only value it accepts.  The
+    quotient is taken at the least depth where it is simplicial, at most 2,
+    so no depth is an input: the JSON form carries `"subdivisions": "auto"`,
+    the only value it accepts.  `snf_cap` > 0 asks for torsion, at any
+    size; 0 asks for none (see `run_scenario`)."""
 
     name: str
     space: dict                     # exactly one of the three variants
@@ -100,6 +100,7 @@ class Scenario:
             raise InvalidParameter(f"field 'checks' lists a check twice: {list(self.checks)}")
         if "cover_e1" in self.checks and self.kind != "character_join":
             raise InvalidParameter(f"field 'checks': cover_e1 needs a character_join space, not {self.kind}")
+        _integer(self.seed, "seed")
         if isinstance(self.snf_cap, bool) or not isinstance(self.snf_cap, int) or self.snf_cap < 0:
             raise InvalidParameter(f"field 'snf_cap' must be a nonnegative integer, got {self.snf_cap!r}")
 
@@ -139,7 +140,7 @@ class Scenario:
                 f"where it is simplicial, got {data['subdivisions']!r}"
             )
         fields = _entry(data, "fields", "scenario")
-        if not isinstance(fields, list) or not all(isinstance(f, str) for f in fields):
+        if not isinstance(fields, list):
             raise InvalidParameter("field 'fields' must be a list of labels such as \"Q\" or \"Fp:2\"")
         space = _entry(data, "space", "scenario")
         if not isinstance(space, dict):
@@ -158,16 +159,18 @@ class Scenario:
             space=space,
             fields=tuple(fields),
             checks=tuple(checks),
-            seed=_integer(data.get("seed", 0), "seed"),
-            snf_cap=_integer(data.get("snf_cap", DEFAULT_SNF_CAP), "snf_cap"),
+            seed=data.get("seed", 0),
+            snf_cap=data.get("snf_cap", DEFAULT_SNF_CAP),
         )
 
 
 def _check_field_labels(fields) -> None:
-    """InvalidParameter naming 'fields' unless the labels are nonempty, canonical and distinct."""
+    """InvalidParameter naming 'fields' unless the labels are nonempty, canonical and distinct strings."""
     if not fields:
         raise InvalidParameter("field 'fields' must be nonempty")
     for label in fields:
+        if not isinstance(label, str):
+            raise InvalidParameter(f"field 'fields' must hold labels such as \"Q\" or \"Fp:2\", got {label!r}")
         try:
             canonical = FieldSpec.parse(label).label()
         except InvalidParameter as e:
@@ -247,7 +250,7 @@ def build_model(scenario: Scenario) -> SphereModel:
             except InvalidParameter as e:
                 raise InvalidParameter(f"{kind} generator {i}: {e}") from None
         join_f_vector(itertools.repeat(2, n), simplex_cap())  # n may be far past any cap
-        return SphereModel(signed_permutation_action(n, gens), n)
+        return SphereModel(signed_permutation_action(n, gens))
     raw = _entry(payload, "complex", kind)
     _known_keys(raw, ("vertex_count", "facets"), f"{kind} complex")
     complex_ = SimplicialComplex(
@@ -265,8 +268,7 @@ def build_model(scenario: Scenario) -> SphereModel:
             f"field 'vertex_count' is {complex_.vertex_count}, but vertex {unused} lies in no facet"
         )
     gens = _integer_lists(_entry(payload, "generators", kind), "generators")
-    action = close_generators(complex_, gens)
-    return SphereModel(action, complex_.dimension + 1)
+    return SphereModel(close_generators(complex_, gens))
 
 
 def _list(value, key: str):
@@ -448,13 +450,14 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     t0 = time.perf_counter()
     bundle = build_model(scenario)
     action = bundle.action
+    n = action.complex.dimension + 1  # the model is S^{n-1}
     stage("build_model", t0)
 
     fields = scenario.field_specs()
     t0 = time.perf_counter()
     model_table = model_betti(action, fields)
     if scenario.kind == "explicit":
-        _check_sphere(bundle.ambient_n, model_table)
+        _check_sphere(n, model_table)
         if scenario.snf_cap:
             _check_torsion_free(chain_complex(action.complex))
     stage("model_betti", t0)
@@ -464,10 +467,10 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     stage("quotient", t0)
 
     t0 = time.perf_counter()
-    quotient_table = _quotient_table(action, bundle.ambient_n, res.complex, scenario, fields)
+    quotient_table = _quotient_table(action, n, res.complex, scenario, fields)
     stage("quotient_betti", t0)
 
-    run = CheckRun(scenario.name, action, bundle.ambient_n, quotient_table, model_table, bundle.char_data)
+    run = CheckRun(scenario.name, action, quotient_table, model_table, bundle.char_data)
     check_results, bound_report = run_checks(run, scenario.checks, stage)
     ledger_json = bound_report.to_json() if bound_report else None
     checks_json = [c.to_json() for c in check_results]
@@ -484,7 +487,7 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
         "scenario": scenario.to_json_dict(),
         "model": {
             "kind": scenario.kind,
-            "ambient_n": bundle.ambient_n,
+            "ambient_n": n,
             "group_order": run.full.order,
             "kernel_order": bundle.kernel_order,
             "is_abelian": run.full.is_abelian,
@@ -524,16 +527,15 @@ BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
 
 
 def _builtin_params(name: str, params) -> tuple:
-    """The builtin's parameters with defaults filled in; a wrong count is invalid input."""
+    """The builtin's parameters with defaults filled in; a wrong count or a non-integer is invalid input."""
     if name not in BUILTIN_PARAMS:
         raise InvalidParameter(f"unknown builtin {name!r}")
     names, defaults = BUILTIN_PARAMS[name]
     least = len(names) - len(defaults)
-    params = tuple(int(p) for p in params)
     if not least <= len(params) <= len(names):
         usage = " ".join([name, *names[:least], *(f"[{n}]" for n in names[least:])])
         raise InvalidParameter(f"builtin {name} expects `{usage}`, got {len(params)} parameters")
-    return params + defaults[len(params) - least:]
+    return tuple(_integer(p, key) for key, p in zip(names, params)) + defaults[len(params) - least:]
 
 
 def _signed_space(n: int, generators) -> dict:

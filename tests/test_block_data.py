@@ -54,7 +54,7 @@ def _forecast_oracle(data) -> int:
     """
     orders = [lcm(*(m // gcd(a, m) for a, m in zip(ch, data.invariant_factors))) for ch in data.rotation_characters]
     f = subdivided_f_vector(join_f_vector(data.block_lengths))
-    if any(data.polygon_length(j) < 2 * d and d > 1 for j, d in enumerate(orders)):
+    if any(data.block_lengths[j] < 2 * d and d > 1 for j, d in enumerate(orders)):
         f = subdivided_f_vector(f)
     return sum(f)
 
@@ -102,7 +102,7 @@ def test_character_draws_past_n_max_8_stay_within_the_block_cap():
         for _ in range(200):
             data = random_character_data(rng, 10)
             assert data.block_count <= DEFAULT_MAX_BLOCKS
-            assert data.ambient_dimension <= 10
+            assert 2 * data.rotation_count + data.sign_count <= 10
 
 
 def test_field_labels_parse_to_one_field_each():

@@ -23,7 +23,7 @@ from sqh.complexes import (
 )
 from sqh.errors import InvalidParameter, NeedsSubdivision
 from sqh.homology import RATIONALS, betti
-from sqh.scenarios import build_model
+from sqh.scenarios import Scenario, build_model
 
 
 def brute_chain_counts(k: SimplicialComplex):
@@ -366,9 +366,11 @@ def test_out_of_range_facet_rejected():
 
 
 def test_json_round_trip_bit_exact():
+    """A complex's JSON is read back by `build_model`, the one reader, as an explicit space."""
     k = join(polygon(3), zero_sphere())
     blob = json.dumps(k.to_json_dict(), sort_keys=True)
-    k2 = SimplicialComplex.from_json_dict(json.loads(blob))
+    space = {"explicit": {"complex": json.loads(blob), "generators": []}}
+    k2 = build_model(Scenario(name="k", space=space, fields=("Q",))).action.complex
     assert k2 == k
     assert json.dumps(k2.to_json_dict(), sort_keys=True) == blob
 

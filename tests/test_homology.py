@@ -363,12 +363,6 @@ def test_betti_table_serialization():
     assert rows[0]["certified"] is True
 
 
-def test_sparse_matrix_json_sorted_by_column_then_row():
-    m = from_dense([[0, 2], [3, 0]])
-    blob = m.to_json_dict()
-    assert blob["entries"] == [[1, 0, 3], [0, 1, 2]]
-
-
 # -- the unit reduction shared by every field's rank -------------------------
 
 def _normalize_int_row(row: dict) -> None:

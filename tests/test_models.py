@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from sqh.actions import is_admissible, make_admissible_and_quotient
@@ -11,7 +13,6 @@ from sqh.errors import InvalidParameter
 from sqh.homology import F2, F3, F5, RATIONALS, betti
 from sqh.models import (
     AbelianCharacterData,
-    BlockCoverIndex,
     SignedPermutation,
     character_join_model,
     cover_e1_total,
@@ -19,6 +20,7 @@ from sqh.models import (
     local_model_betti,
     signed_permutation_action,
 )
+from sqh.scenarios import Scenario, build_model
 
 
 def quotient_betti(action, fields):
@@ -126,7 +128,7 @@ def test_character_join_lens_model_structure():
     assert model.kernel_order == 1
     assert model.action.complex.vertex_count == 10
     assert len(model.action.complex.facets) == 25
-    assert model.ambient_n == 4
+    assert model.action.complex.dimension == 3  # S^3
     g = model.action.elements[1]
     assert all(g[v] != v for v in range(10))
 
@@ -195,12 +197,13 @@ def test_local_model_betti_mixed_surjective_sign():
 
 def test_block_cover_index_validation():
     data = AbelianCharacterData((2,), ((1,),), ((1,),))
-    ci = BlockCoverIndex.from_data(data, (1, 2))
-    assert (ci.a, ci.b) == (1, 1)
+    assert [(j, a, b) for j, a, b, _, _ in cover_e1_total(data).per_j] == [((1,), 1, 0), ((2,), 0, 1), ((1, 2), 1, 1)]
     with pytest.raises(InvalidParameter):
-        BlockCoverIndex.from_data(data, ())
+        local_model_betti(data, ())
     with pytest.raises(InvalidParameter):
-        BlockCoverIndex.from_data(data, (3,))
+        local_model_betti(data, (3,))
+    with pytest.raises(InvalidParameter):
+        local_model_betti(data, (0, 1))
 
 
 def test_cover_e1_single_rotation_block():
@@ -231,8 +234,9 @@ def test_cover_e1_pieces_bounded_by_2_pow_j():
 
 
 def test_character_data_json_round_trip():
+    """Character data's JSON is read back by `build_model`, the one reader, as a character_join space."""
     data = AbelianCharacterData((4, 2), ((1, 1),), ((0, 1),))
-    blob = data.to_json_dict()
-    assert AbelianCharacterData.from_json_dict(blob) == data
+    blob = json.loads(json.dumps(data.to_json_dict()))
+    assert build_model(Scenario(name="d", space={"character_join": blob}, fields=("Q",))).char_data == data
     sp = SignedPermutation((2, 1), (-1, 1))
     assert SignedPermutation.from_json_dict(sp.to_json_dict()) == sp

@@ -425,7 +425,7 @@ def test_lefschetz_numbers_of_free_actions():
         bundle = build_model(scenario)
         lefschetz = lefschetz_numbers(bundle.action)
         assert len(lefschetz) == bundle.action.order > 1
-        assert lefschetz[0] == 1 + (-1) ** (bundle.ambient_n - 1)
+        assert lefschetz[0] == 1 + (-1) ** bundle.action.complex.dimension
         assert set(lefschetz[1:]) == {0}
     assert lefschetz_numbers(build_model(builtin("trivial_sphere", 1)).action) == (2,)
 

@@ -1,6 +1,7 @@
 """Report bytes pinned by sha256 on the acceptance corpus, the nonabelian
-workload and the first 20 draws of the seed-7 sweep, and the scenario JSON
-of builtins at parameters the corpus does not use.
+workload, the first 20 draws of the seed-7 sweep and the benchmark's seed-7
+sweep pass (its anchor included), and the scenario JSON of builtins at
+parameters the corpus does not use.
 
 The digests in report_digests.json were taken from a known-good engine.  A
 change that moves any report byte fails here and prints the new digests;
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import nonabelian_workload
+from conftest import nonabelian_workload, workload_pass
 from sqh.scenarios import DEFAULT_FIELDS, builtin, report_bytes, run_scenario, sweep_scenarios
 from test_acceptance import CORPUS_SCENARIOS, corpus_report
 
@@ -25,12 +26,14 @@ def _reports(group: str) -> list:
         return [(sc.name, corpus_report(sc)) for sc in CORPUS_SCENARIOS]
     if group == "nonabelian":
         scenarios = nonabelian_workload()
+    elif group == "sweep_pass":
+        scenarios = workload_pass("sweep", 7)
     else:  # the stream is drawn in order, so these are the first 20 of any longer sweep
         scenarios = sweep_scenarios(6, 20, 7, DEFAULT_FIELDS, 200_000)[0]
     return [(sc.name, run_scenario(sc)) for sc in scenarios]
 
 
-@pytest.mark.parametrize("group", ["corpus", "nonabelian", "sweep"])
+@pytest.mark.parametrize("group", ["corpus", "nonabelian", "sweep", "sweep_pass"])
 def test_report_digests_are_pinned(group):
     digests = {name: hashlib.sha256(report_bytes(report)).hexdigest() for name, report in _reports(group)}
     changed = {name: d for name, d in digests.items() if PINNED[group].get(name) != d}

@@ -181,7 +181,7 @@ def test_sweep_generator_distribution_shape():
         assert 1 <= data.factor_count <= 3
         assert all(2 <= m <= 12 for m in data.invariant_factors)
         assert 1 <= data.block_count
-        assert data.ambient_dimension <= 6
+        assert 2 * data.rotation_count + data.sign_count <= 6
 
 
 def test_sweep_small_run():
@@ -334,6 +334,32 @@ def test_builtin_parameter_defaults():
     assert builtin("trivial_sphere").name == "trivial_sphere(3)"
     with pytest.raises(InvalidParameter):
         builtin("lens", 5, 2, 1)
+
+
+@pytest.mark.parametrize("params, named", [
+    (("rp", 2.7), "'n'"),
+    (("rp", "x"), "'n'"),
+    (("rp", True), "'n'"),
+    (("lens", 5, 2.0), "'q'"),
+    (("dihedral_on_s1", None), "'m'"),
+])
+def test_builtin_parameter_that_is_not_an_integer_is_refused(params, named):
+    with pytest.raises(InvalidParameter, match=named):
+        builtin(*params)
+
+
+@pytest.mark.parametrize("seed", ["x", 1.5, True])
+def test_scenario_seed_that_is_not_an_integer_is_refused(seed):
+    """The seed is checked where a scenario is made, so every scenario that runs can be replayed from its JSON."""
+    with pytest.raises(InvalidParameter, match="'seed'"):
+        Scenario(name="a", space=builtin("rp", 2).space, fields=("Q",), seed=seed)
+
+
+def test_field_label_that_is_not_a_string_is_refused():
+    with pytest.raises(InvalidParameter, match="'fields'"):
+        Scenario(name="a", space=builtin("rp", 2).space, fields=("Q", 5))
+    with pytest.raises(InvalidParameter, match="'fields'"):
+        sweep(n_max=2, samples=0, seed=0, fields=("Q", 5))
 
 
 def test_cli_emit_scenario(capsys):
