@@ -15,20 +15,22 @@ subcomplexes and the orbit complexes are cached on the actions (see
 which in `run_scenario` is one scenario; a complex's chain complex is
 cached on that complex, and each matrix keeps its ranks.  Every Betti row
 of a check is `_betti_or_zero` of one chain complex: the fixed set's, an
-orbit complex, or a relative pair built inside the check.  A
-`run_scenario` run that asks for torsion (`snf_cap` > 0) takes its
-reported Betti numbers and torsion from the whole group's orbit complex as
-well; only an `snf_cap` 0 run takes its Betti numbers from the simplicial
-quotient.  The model's own Betti numbers, b(Y) in `smith_floyd` and
-`cyclic_chain`, are `model_betti`'s, the row `run_scenario` reports: the
-sphere's for a block model, computed for an explicit complex.
+orbit complex, or a relative pair built inside the check.  The table a
+`run_scenario` run reports comes from the whole group's orbit complex
+with torsion (`snf_cap` > 0), from the simplicial quotient without, and
+passes the Lefschetz oracles either way.  The model's own Betti numbers,
+b(Y) in `smith_floyd` and `cyclic_chain`, are `model_betti`'s, the row
+`run_scenario` reports: the sphere's for a block model, computed for an
+explicit complex.
 
 `CHECKS` is the one table of the checks a scenario can name, in report
-order, and `run_checks` runs it.  Each inequality is written once, in the
-row of `evaluate_all` that restates it; the `abelian_bound` and `cover_e1`
-CheckResults are read off those rows.  A failed hard verdict means either
-an engine bug or a genuine counterexample: `evaluate_all` reports it, and
-`run_scenario` aborts the run on it with a dump that replays the scenario.
+order; `run_checks` runs it on a `CheckRun`, and the ledger,
+`evaluate_all`, reads that run and their results.  Each inequality is
+written once, in the row of `evaluate_all` that restates it; the
+`abelian_bound` and `cover_e1` CheckResults are read off those rows.  A
+failed hard verdict means either an engine bug or a genuine
+counterexample: `evaluate_all` reports it, and `run_scenario` aborts the
+run on it with a dump that replays the scenario.
 
 The ledger's JSON is `bound_report_v2`.  A bound holds over every field, so
 what it states (`BoundForm`: hardness, value, display, exact form, inputs)
@@ -44,7 +46,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import time
 from dataclasses import dataclass, fields as dataclass_fields
 
 from .actions import (
@@ -263,19 +264,35 @@ def transfer_check(action: VertexAction, p: int) -> CheckResult:
 
 
 @dataclass(frozen=True)
-class ScenarioObservation:
-    """Everything evaluate_all needs, assembled by the harness."""
+class CheckRun:
+    """What the checks and the ledger read of one run: the model's action,
+    the Betti tables of the quotient and of the model, and the character
+    data of a character_join model (None for other models).  n, |G| and
+    the group's abelianness are read off the action."""
 
     scenario_id: str
-    ambient_n: int                 # the sphere is S^{n-1}
-    group_order: int               # effective acting group
-    is_abelian: bool
+    action: VertexAction
     quotient_table: BettiTable
-    model_table: BettiTable        # Betti of the unquotiented model (homotopy-invariant)
-    abelian_normal_order: int
-    abelian_via_fallback: bool
-    block_count: int | None = None
-    cover_e1: int | None = None
+    model_table: BettiTable
+    char_data: AbelianCharacterData | None = None
+
+    @property
+    def ambient_n(self) -> int:  # the sphere is S^{n-1}
+        return self.action.complex.dimension + 1
+
+    @functools.cached_property
+    def full(self) -> SubgroupHandle:
+        return self.action.full_subgroup()
+
+    @functools.cached_property
+    def primes(self) -> list:
+        """The primes of |G|, or [2] for the trivial group."""
+        return list(prime_factors(self.full.order)) or [2]
+
+    @functools.cached_property
+    def cover(self):
+        """The E1 page of the block cover (`cover_e1_total`), taken once."""
+        return cover_e1_total(self.char_data)
 
 
 @dataclass(frozen=True)
@@ -412,19 +429,21 @@ def _cover_e1_row(label: str, total: int, cover: int, block_count: int, n: int, 
     )
 
 
-def evaluate_all(obs: ScenarioObservation, checks=()) -> BoundReport:
-    """Evaluate every applicable bound for the observation, per field.
+def evaluate_all(run: CheckRun, checks=()) -> BoundReport:
+    """Evaluate every applicable bound on the run, per field.
 
     Hard rows restate theorems; soft rows (the J(n)=(n+1)! fallback and the
     direct constant-comparison of the two published forms) are
     informational.  The report is returned whatever it finds: a failed
-    check or hard row leaves `all_passed` False and is named in `failures`,
-    and `run_scenario` aborts on it.
+    check (of `checks`, the run's CheckResults) or hard row leaves
+    `all_passed` False and is named in `failures`, and `run_scenario`
+    aborts on it.
     """
-    n = obs.ambient_n
+    n = run.ambient_n
     d = n - 1
-    order = obs.group_order
-    q_order = order // obs.abelian_normal_order
+    order = run.full.order
+    normal = best_abelian_normal_subgroup(run.action)
+    q_order = order // normal.order
     q = max(1, q_order)
     p_g = min(prime_factors(order), default=2)
     r = p_power_exponent(order, p_g) or None  # |G| = p_g^r with r >= 1, else None
@@ -432,22 +451,22 @@ def evaluate_all(obs: ScenarioObservation, checks=()) -> BoundReport:
     rows = []
     shared: dict = {}  # the parts each bound's rows share across the fields
     row = functools.partial(_row, shared=shared)
-    for f in obs.quotient_table.fields():
+    for f in run.quotient_table.fields():
         label = f.label()
-        total = obs.quotient_table.total(f)
-        peak = obs.quotient_table.max_betti(f)
-        k = obs.model_table.max_betti(f)
+        total = run.quotient_table.total(f)
+        peak = run.quotient_table.max_betti(f)
+        k = run.model_table.max_betti(f)
         at_p_g = not f.is_rationals and f.p == p_g
-        rows.append(_abelian_3n_row(label, total, n, obs.is_abelian, shared))
-        if obs.cover_e1 is not None:
-            rows.append(_cover_e1_row(label, total, obs.cover_e1, obs.block_count, n, shared))
+        rows.append(_abelian_3n_row(label, total, n, run.full.is_abelian, shared))
+        if run.char_data:
+            rows.append(_cover_e1_row(label, total, run.cover.total, run.char_data.block_count, n, shared))
         rows.append(row("cyclic", label, peak, cyclic_bound(d, k), f"3*({d}+1)*{k}", {"d": d, "k": k},
                         applicable=at_p_g and r == 1))
         rows.append(row("pgroup", label, peak, pgroup_bound(d, k, r) if r else None,
                         f"(3*({d}+1))^{r}*{k}" if r else None, {"d": d, "k": k, "r": r},
                         applicable=at_p_g and r is not None))
         if f.is_rationals:
-            rows.append(row("finite_transfer", label, total, obs.model_table.total(f),
+            rows.append(row("finite_transfer", label, total, run.model_table.total(f),
                             "char-0 transfer: total b(Y/G) <= total b(Y)", {"order": order}))
         else:
             fb = finite_bound(d, k, order, f.p)
@@ -457,8 +476,8 @@ def evaluate_all(obs: ScenarioObservation, checks=()) -> BoundReport:
                             passed=peak <= fb.integer_form and _within(peak, fb.real_form)))
         rows.append(row("jordan_combined", label, total, jordan_combined_bound(n, q),
                         f"{n}*3^{n}*{q}^(log2(3*{n}))",
-                        {"n": n, "q_order": q_order, "abelian_normal_order": obs.abelian_normal_order,
-                         "via_fallback": obs.abelian_via_fallback}))
+                        {"n": n, "q_order": q_order, "abelian_normal_order": normal.order,
+                         "via_fallback": normal.via_fallback}))
         rows.append(row("jordan_combined_jn", label, total, jordan_combined_bound(n, jn),
                         f"{n}*3^{n}*({n}+1)!^(log2(3*{n})) [heuristic-for-small-n]", {"n": n, "J_n": jn},
                         hard=False))
@@ -469,42 +488,11 @@ def evaluate_all(obs: ScenarioObservation, checks=()) -> BoundReport:
             rows.append(row("thm13_direct_instantiation", label, peak, direct,
                             f"({d}+1)*3^{d+1}*({d}+2)!^(log2(3*{d}+3)) [open-question comparison]", {"k": d},
                             hard=False))
-    return BoundReport(obs.scenario_id, tuple(rows), tuple(checks))
+    return BoundReport(run.scenario_id, tuple(rows), tuple(checks))
 
 
 # ---------------------------------------------------------------------------
 # the table of checks
-
-
-@dataclass(frozen=True)
-class CheckRun:
-    """What the checks read of one run: the model's action, the Betti
-    tables of the quotient and of the model, and the character data of a
-    character_join model (None for other models)."""
-
-    scenario_id: str
-    action: VertexAction
-    quotient_table: BettiTable
-    model_table: BettiTable
-    char_data: AbelianCharacterData | None = None
-
-    @property
-    def ambient_n(self) -> int:  # the sphere is S^{n-1}
-        return self.action.complex.dimension + 1
-
-    @functools.cached_property
-    def full(self) -> SubgroupHandle:
-        return self.action.full_subgroup()
-
-    @functools.cached_property
-    def primes(self) -> list:
-        """The primes of |G|, or [2] for the trivial group."""
-        return list(prime_factors(self.full.order)) or [2]
-
-    @functools.cached_property
-    def cover(self):
-        """The E1 page of the block cover (`cover_e1_total`), taken once."""
-        return cover_e1_total(self.char_data)
 
 
 def _least_cp_handle(action: VertexAction, p: int) -> SubgroupHandle:
@@ -553,49 +541,22 @@ def _cover_e1(run: CheckRun) -> list:
     return out
 
 
-def _evaluate_all(run: CheckRun, checks: tuple) -> BoundReport:
-    normal = best_abelian_normal_subgroup(run.action)
-    obs = ScenarioObservation(
-        run.scenario_id, run.ambient_n, run.full.order, run.full.is_abelian, run.quotient_table, run.model_table,
-        abelian_normal_order=normal.order,
-        abelian_via_fallback=normal.via_fallback,
-        block_count=run.char_data.block_count if run.char_data else None,
-        cover_e1=run.cover.total if run.char_data else None,
-    )
-    return evaluate_all(obs, checks)
-
-
-# Every check a scenario can name, in report order, and the code that
-# produces its CheckResults from the run; smith_floyd, cyclic_chain and
-# transfer give one per prime of |G| (or of [2]).  The last entry is the
-# ledger: "evaluate_all" turns the run and the other checks' results into
-# the BoundReport.  cover_e1 needs a character_join model (`Scenario`
-# refuses it on any other).
+# Every check a scenario can name but the ledger, in report order, and the
+# code that produces its CheckResults from the run; smith_floyd,
+# cyclic_chain and transfer give one per prime of |G| (or of [2]).  cover_e1
+# needs a character_join model (`Scenario` refuses it on any other).
 CHECKS = {
     "abelian_bound": _abelian_bound,
     "smith_floyd": _smith_floyd,
     "cyclic_chain": _cyclic_chain,
     "transfer": _transfer,
     "cover_e1": _cover_e1,
-    "evaluate_all": _evaluate_all,
 }
 
 
-def run_checks(run: CheckRun, names, stage) -> tuple:
-    """(CheckResults, BoundReport or None): the named checks in table order,
-    then the ledger when "evaluate_all" is named.
+def run_checks(run: CheckRun, names) -> tuple:
+    """The CheckResults of the named checks, in table order.
 
-    `stage(name, t0)` closes a timing stage begun at t0: "checks" after the
-    CheckResults, always, and "evaluate_all" after the ledger when it runs.
     Nothing is raised on a failed verdict; `run_scenario` decides.
     """
-    *checks, (ledger_name, ledger) = CHECKS.items()
-    t0 = time.perf_counter()
-    results = tuple(r for name, produce in checks if name in names for r in produce(run))
-    stage("checks", t0)
-    if ledger_name not in names:
-        return results, None
-    t0 = time.perf_counter()
-    report = ledger(run, results)
-    stage(ledger_name, t0)
-    return results, report
+    return tuple(r for name, produce in CHECKS.items() if name in names for r in produce(run))

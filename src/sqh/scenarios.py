@@ -29,7 +29,7 @@ from .actions import (
     orbit_chain_complex,
     sphere_row,
 )
-from .bounds import CHECKS, BoundReport, CheckRun, run_checks
+from .bounds import CHECKS, BoundReport, CheckRun, evaluate_all, run_checks
 from .complexes import SimplicialComplex, chain_complex, polygon, subdivided_size
 from .errors import BoundViolation, CorruptComplex, InvalidParameter, ResourceCapExceeded
 from .homology import BettiTable, FieldSpec, betti, prime_factors
@@ -50,7 +50,8 @@ DEFAULT_FIELDS = ("Q", "Fp:2", "Fp:3", "Fp:5")
 # Its default and its integer type are kept from when it bounded the
 # matrices whose Smith normal form was taken, so old scenario JSON reads.
 DEFAULT_SNF_CAP = 5000
-KNOWN_CHECKS = tuple(CHECKS)
+# the checks of `bounds.CHECKS`, then the ledger, which `run_scenario` runs after them
+KNOWN_CHECKS = (*CHECKS, "evaluate_all")
 # every check but cover_e1, which needs a character_join model
 GROUP_CHECKS = tuple(c for c in KNOWN_CHECKS if c != "cover_e1")
 
@@ -93,7 +94,7 @@ class Scenario:
         _known_keys(self.space, tuple(_SPACE_KEYS), "space")
         if len(self.space) != 1:
             raise InvalidParameter("space must contain exactly one variant")
-        for c in self.checks:
+        for c in _list(self.checks, "checks"):
             if c not in KNOWN_CHECKS:
                 raise InvalidParameter(f"unknown check {c!r}")
         if len(set(self.checks)) != len(self.checks):
@@ -139,17 +140,13 @@ class Scenario:
                 "field 'subdivisions' must be \"auto\": the quotient is taken at the least depth "
                 f"where it is simplicial, got {data['subdivisions']!r}"
             )
-        fields = _entry(data, "fields", "scenario")
-        if not isinstance(fields, list):
-            raise InvalidParameter("field 'fields' must be a list of labels such as \"Q\" or \"Fp:2\"")
+        fields = _list(_entry(data, "fields", "scenario"), "fields")
         space = _entry(data, "space", "scenario")
         if not isinstance(space, dict):
             raise InvalidParameter(
                 "field 'space' must be an object holding one of character_join, signed_permutation, explicit"
             )
-        checks = data.get("checks", [])
-        if not isinstance(checks, list):
-            raise InvalidParameter("field 'checks' must be a list of check names")
+        checks = _list(data.get("checks", []), "checks")
         if data.get("certified", True) is not True:
             raise InvalidParameter(
                 f"field 'certified' must be true, as every rational rank is certified, got {data['certified']!r}"
@@ -165,8 +162,8 @@ class Scenario:
 
 
 def _check_field_labels(fields) -> None:
-    """InvalidParameter naming 'fields' unless the labels are nonempty, canonical and distinct strings."""
-    if not fields:
+    """InvalidParameter naming 'fields' unless they are a nonempty list or tuple of canonical, distinct labels."""
+    if not _list(fields, "fields"):
         raise InvalidParameter("field 'fields' must be nonempty")
     for label in fields:
         if not isinstance(label, str):
@@ -290,23 +287,26 @@ def _integer_lists(value, key: str) -> tuple:
 def _quotient_table(
     action: VertexAction, n: int, quotient: SimplicialComplex, scenario: Scenario, fields
 ) -> BettiTable:
-    """H_*(X/G) over each field, by one of two routes.
+    """H_*(X/G) over each field, from one of two chain complexes.
 
     With torsion asked for (`snf_cap` > 0, a switch), the Betti numbers and
     the torsion both come from the orbit chain complex at the admissible
     subdivision, `orbit_chain_complex(admissible_subdivision(action))`,
     which the checks share, and the simplicial quotient is not read.  |G|
     annihilates that complex's torsion, by the transfer, so it is the order
-    `betti` takes.  The Lefschetz oracles (`_check_lefschetz_oracles`) then
-    check that table against the model and the group alone.  With `snf_cap` 0, as in the sweep, the Betti numbers
-    come from the simplicial quotient and no torsion is taken; that route
-    stays until the sweep moves to the orbit complex too (ROADMAP item 1).
+    `betti` takes.  With `snf_cap` 0, as in the sweep, the Betti numbers
+    come from the simplicial quotient's chain complex and no torsion is
+    taken (order 0); that route stays until the sweep moves to the orbit
+    complex too (ROADMAP item 1).  Either way the Lefschetz oracles
+    (`_check_lefschetz_oracles`) then check the table and the complex's
+    cells against the model and the group alone.
     """
-    if scenario.snf_cap == 0:
-        return betti(chain_complex(quotient), fields)
-    orbit = orbit_chain_complex(admissible_subdivision(action))
-    table = betti(orbit, fields, order=action.order)
-    _check_lefschetz_oracles(action, n, orbit.ranks, table)
+    if scenario.snf_cap:
+        chain, order = orbit_chain_complex(admissible_subdivision(action)), action.order
+    else:
+        chain, order = chain_complex(quotient), 0
+    table = betti(chain, fields, order=order)
+    _check_lefschetz_oracles(action, n, chain.ranks, table)
     return table
 
 
@@ -323,8 +323,10 @@ def _check_lefschetz_oracles(action: VertexAction, n: int, cells, table: BettiTa
     oracles read the model and the group, no orbit data:
 
     - chi oracle: the sum of L(g) over G is |G| times the Euler
-      characteristic of the orbit complex, the alternating sum of its
-      `cells` per degree.  It catches merged or split orbits.
+      characteristic of X/G, the alternating sum of the `cells` per degree
+      of the complex the table was taken on, whose cells are orbits: the
+      orbit complex, or the simplicial quotient of sd^k X.  It catches
+      merged or split orbits.
     - Q oracle: the Q row is (1, 0, ..., 0, t), where t, the dimension of
       the invariants in H_{n-1}(X; Q), is (1/|G|) times the sum of
       (-1)^{n-1} (L(g) - 1) over G; for n = 1 the row is the mean of L.
@@ -407,15 +409,11 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
 
     A run that asks for torsion (`snf_cap` > 0, a switch: no size is
     capped) takes its Betti numbers and torsion from the orbit chain
-    complex at the admissible subdivision,
-    `orbit_chain_complex(admissible_subdivision(action))`, which the checks
-    share, with `action.order` as the order that annihilates its torsion;
-    no rank of the simplicial quotient is taken.  The Lefschetz oracles
-    check the table against the model and the group alone, and raise
-    CorruptComplex naming the one that fails (see
-    `_check_lefschetz_oracles`).  An `snf_cap` of 0 asks for no torsion:
-    the Betti numbers come from the simplicial quotient, no SNF is taken,
-    and no orbit complex is built for them (see `_quotient_table`).
+    complex at the admissible subdivision, which the checks share; a run
+    with `snf_cap` 0 takes its Betti numbers alone from the simplicial
+    quotient (see `_quotient_table`).  On either route the Lefschetz
+    oracles check the table against the model and the group alone, and
+    raise CorruptComplex naming the one that fails.
 
     The model's Betti numbers (`model_betti`) are taken before its
     quotient.  A character_join or signed_permutation model is a join of
@@ -430,7 +428,11 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     ResourceCapExceeded.  A budget must be 0 or more seconds.
 
     The named checks follow the quotient, from the one table
-    `bounds.CHECKS` (`run_checks`), and `evaluate_all` last.  When a check
+    `bounds.CHECKS` (`run_checks`), on the run's `CheckRun`.  When the
+    scenario names `evaluate_all`, the ledger reads that `CheckRun` and the
+    CheckResults last.  With `with_timings`, the report's `timing` holds
+    each stage in run order: build_model, model_betti, quotient,
+    quotient_betti, checks, and evaluate_all when it runs.  When a check
     or a hard `evaluate_all` row fails, this raises the run's one
     BoundViolation, naming them.  Its dump is always {"scenario", "checks",
     "bound_report"}: the scenario's JSON, which `Scenario.from_json_dict`
@@ -471,7 +473,14 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     stage("quotient_betti", t0)
 
     run = CheckRun(scenario.name, action, quotient_table, model_table, bundle.char_data)
-    check_results, bound_report = run_checks(run, scenario.checks, stage)
+    t0 = time.perf_counter()
+    check_results = run_checks(run, scenario.checks)
+    stage("checks", t0)
+    bound_report = None
+    if "evaluate_all" in scenario.checks:
+        t0 = time.perf_counter()
+        bound_report = evaluate_all(run, check_results)
+        stage("evaluate_all", t0)
     ledger_json = bound_report.to_json() if bound_report else None
     checks_json = [c.to_json() for c in check_results]
     failures = (bound_report or BoundReport(scenario.name, (), check_results)).failures
@@ -699,12 +708,16 @@ def sweep(
     """Run the randomized abelian sweep and return the summary report.
 
     The field labels are checked up front, by the rules of `Scenario`, so a
-    sweep of no samples refuses them too.  `jobs` bounds the worker
+    sweep of no samples refuses them too; so are `samples`, an integer of 0
+    or more, and `jobs`, an integer of 1 or more.  `jobs` bounds the worker
     processes, which are also no more than the scenarios or the CPUs.
     """
     _check_field_labels(fields)
     if not 1 <= n_max <= 6:
         raise InvalidParameter(f"sweep needs 1 <= n_max <= 6, got {n_max}")
+    for key, value, least in (("samples", samples, 0), ("jobs", jobs, 1)):
+        if _integer(value, key) < least:
+            raise InvalidParameter(f"field {key!r} must be {least} or more, got {value}")
     scenarios, rejected = sweep_scenarios(n_max, samples, seed, fields, max_model_simplices)
     # a process pool forks all of its workers at the first submit
     workers = min(jobs, len(scenarios), os.cpu_count() or 1)

@@ -7,7 +7,7 @@ from conftest import nonabelian_workload, octahedron
 from sqh.actions import close_generators, make_admissible_and_quotient
 from sqh.bounds import (
     CheckResult,
-    ScenarioObservation,
+    CheckRun,
     _row,
     abelian_bound,
     cyclic_bound,
@@ -21,10 +21,10 @@ from sqh.bounds import (
     thm13_constant,
     transfer_check,
 )
-from sqh.complexes import chain_complex
+from sqh.complexes import SimplicialComplex, chain_complex
 from sqh.errors import InvalidParameter
 from sqh.homology import F2, F3, F5, RATIONALS, betti
-from sqh.models import AbelianCharacterData, character_join_model, cover_e1_total
+from sqh.models import AbelianCharacterData, character_join_model
 from sqh.scenarios import DEFAULT_FIELDS, builtin, report_bytes, run_scenario, sweep_scenarios
 
 
@@ -169,33 +169,19 @@ def test_transfer_s3_both_primes():
     assert r5.inputs["sylow_order"] == 1
 
 
-def observation_for(action, n, fields, scenario_id, data=None):
-    from sqh.actions import best_abelian_normal_subgroup
-
+def observation_for(action, fields, scenario_id, data=None):
+    """The CheckRun of the action: its quotient's table and its model's, and the character data if any."""
     res = make_admissible_and_quotient(action)
     quotient_table = betti(chain_complex(res.complex), fields, order=action.order)
     model_table = betti(chain_complex(action.complex), fields, order=1)
-    full = action.full_subgroup()
-    normal = best_abelian_normal_subgroup(action)
-    cover = cover_e1_total(data).total if data is not None else None
-    return ScenarioObservation(
-        scenario_id=scenario_id,
-        ambient_n=n,
-        group_order=full.order,
-        is_abelian=full.is_abelian,
-        quotient_table=quotient_table,
-        model_table=model_table,
-        abelian_normal_order=normal.order,
-        abelian_via_fallback=normal.via_fallback,
-        block_count=data.block_count if data is not None else None,
-        cover_e1=cover,
-    )
+    return CheckRun(scenario_id, action, quotient_table, model_table, data)
 
 
 def test_evaluate_all_lens51():
     data = AbelianCharacterData((5,), ((1,), (1,)), ())
     model = character_join_model(data)
-    obs = observation_for(model.action, 4, [RATIONALS, F5], "lens(5,1)", data=data)
+    obs = observation_for(model.action, [RATIONALS, F5], "lens(5,1)", data=data)
+    assert obs.ambient_n == 4
     report = evaluate_all(obs)
     assert report.all_passed
     by_name = {(e.name, e.field): e for e in report.evaluations}
@@ -208,7 +194,7 @@ def test_evaluate_all_lens51():
 
 
 def test_evaluate_all_rp2():
-    obs = observation_for(antipodal_action(), 3, [RATIONALS, F2], "rp(2)")
+    obs = observation_for(antipodal_action(), [RATIONALS, F2], "rp(2)")
     report = evaluate_all(obs)
     assert report.all_passed
     by_name = {(e.name, e.field): e for e in report.evaluations}
@@ -224,7 +210,7 @@ def test_evaluate_all_rp2():
 
 def test_evaluate_all_trivial_group_on_s2():
     a = close_generators(octahedron(), [])
-    obs = observation_for(a, 3, [RATIONALS, F2], "trivial_sphere(3)")
+    obs = observation_for(a, [RATIONALS, F2], "trivial_sphere(3)")
     report = evaluate_all(obs)
     assert report.all_passed
     by_name = {(e.name, e.field): e for e in report.evaluations}
@@ -236,18 +222,12 @@ def test_evaluate_all_marks_failed_rows():
     """An impossible observation is reported, not raised: `run_scenario` aborts on it."""
     from sqh.homology import BettiTable
 
-    obs = observation_for(antipodal_action(), 3, [F2], "rp(2)")
+    obs = observation_for(antipodal_action(), [F2], "rp(2)")
     fake_quotient = BettiTable(((F2, (9, 9, 9)),), None)  # impossible observation
-    broken = ScenarioObservation(
-        scenario_id="broken",
-        ambient_n=1,
-        group_order=obs.group_order,
-        is_abelian=True,
-        quotient_table=fake_quotient,
-        model_table=obs.model_table,
-        abelian_normal_order=obs.abelian_normal_order,
-        abelian_via_fallback=False,
-    )
+    # the antipodal action on S^0: order 2, n = 1
+    s0 = close_generators(SimplicialComplex(2, [(0,), (1,)]), [(1, 0)])
+    broken = CheckRun("broken", s0, fake_quotient, obs.model_table)
+    assert (broken.ambient_n, broken.full.order, broken.full.is_abelian) == (1, 2, True)
     report = evaluate_all(broken)
     assert report.all_passed is False
     failed = sorted(e.name for e in report.evaluations if e.form.hard and e.applicable and e.passed is False)
@@ -263,7 +243,7 @@ def test_evaluate_all_marks_failed_rows():
 def test_report_includes_soft_rows_and_checks():
     a = antipodal_action()
     chk = smith_floyd_check(a, a.full_subgroup(), 2)
-    obs = observation_for(a, 3, [F2], "rp(2)")
+    obs = observation_for(a, [F2], "rp(2)")
     report = evaluate_all(obs, checks=(chk,))
     names = {e.name for e in report.evaluations}
     assert "jordan_combined_jn" in names
@@ -310,14 +290,14 @@ def test_bound_report_v2_loses_no_fact(monkeypatch, group):
     import sqh.scenarios
 
     ledgers = []
-    orig = sqh.scenarios.run_checks
+    orig = sqh.scenarios.evaluate_all
 
     def keeping(*args):
-        results, ledger = orig(*args)
+        ledger = orig(*args)
         ledgers.append(ledger)
-        return results, ledger
+        return ledger
 
-    monkeypatch.setattr(sqh.scenarios, "run_checks", keeping)
+    monkeypatch.setattr(sqh.scenarios, "evaluate_all", keeping)
     if group == "builtin":
         scenarios = [builtin("lens", 7, 2), builtin("quaternion_q8")]
     elif group == "nonabelian":

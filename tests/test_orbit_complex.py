@@ -82,6 +82,7 @@ from sqh.scenarios import (
     Scenario,
     build_model,
     builtin,
+    report_bytes,
     run_scenario,
     sweep_scenarios,
 )
@@ -416,6 +417,38 @@ def test_lefschetz_oracles_reject_a_corrupt_orbit_complex(monkeypatch, scenario,
     with pytest.raises(CorruptComplex) as caught:
         run_scenario(scenario)
     assert str(caught.value) == message
+
+
+def test_a_raised_q_rank_is_never_silent_on_the_sweep(monkeypatch):
+    """A sweep table, taken on the simplicial quotient without torsion, passes the Lefschetz oracles too.
+
+    The fault raises the Q rank by one on every matrix of at least 3 columns
+    that is not at full rank.  On the first 40 seed-7 draws no report it
+    changes is returned: each such run raises, and the Q oracle names the
+    fault on some of them.
+    """
+    from sqh import homology
+
+    draws = sweep_scenarios(6, 40, 7, DEFAULT_FIELDS, 200_000)[0]
+    clean = [report_bytes(run_scenario(sc)) for sc in draws]
+    orig = homology._reduced_rank
+
+    def raised(m, p):
+        rank = orig(m, p)
+        return rank + 1 if p == 0 and m.cols >= 3 and rank < min(m.rows, m.cols) else rank
+
+    monkeypatch.setattr(homology, "_reduced_rank", raised)
+    silent, caught = [], []
+    for sc, want in zip(draws, clean):
+        try:
+            got = report_bytes(run_scenario(sc))
+        except CorruptComplex as e:
+            caught.append(str(e))
+            continue
+        if got != want:
+            silent.append(sc.name)
+    assert silent == []
+    assert any(message.startswith("Q oracle") for message in caught)
 
 
 def test_lefschetz_numbers_of_free_actions():

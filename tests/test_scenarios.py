@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -362,6 +363,37 @@ def test_field_label_that_is_not_a_string_is_refused():
         sweep(n_max=2, samples=0, seed=0, fields=("Q", 5))
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    ({"checks": "transfer"}, "'checks'"),
+    ({"fields": "Q"}, "'fields'"),
+    ({"fields": "Fp:2"}, "'fields'"),
+], ids=["checks_string", "fields_q", "fields_fp2"])
+def test_scenario_checks_or_fields_that_are_not_a_list_are_refused(kwargs, named):
+    """A string is refused as a whole, by its field, not read label by label or stored."""
+    with pytest.raises(InvalidParameter, match=f"field {named} must be a list, got"):
+        Scenario(**{"name": "a", "space": builtin("rp", 2).space, "fields": ("Q",), **kwargs})
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"fields": "Q"}, "'fields' must be a list, got 'Q'"),
+    ({"samples": -3}, "'samples'"),
+    ({"samples": 2.5}, "'samples'"),
+    ({"samples": True}, "'samples'"),
+    ({"jobs": 0}, "'jobs'"),
+    ({"jobs": -5}, "'jobs'"),
+    ({"jobs": 1.5}, "'jobs'"),
+    ({"jobs": True}, "'jobs'"),
+], ids=["fields_string", "samples_negative", "samples_float", "samples_bool", "jobs_zero", "jobs_negative",
+        "jobs_float", "jobs_bool"])
+def test_sweep_refuses_a_malformed_argument_before_drawing(monkeypatch, kwargs, named):
+    def no_draw(*args):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(sqh.scenarios, "sweep_scenarios", no_draw)
+    with pytest.raises(InvalidParameter, match=named):
+        sweep(**{"n_max": 2, "samples": 2, "seed": 0, "jobs": 1, **kwargs})
+
+
 def test_cli_emit_scenario(capsys):
     assert main(["builtin", "lens", "7", "2", "--emit-scenario"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -386,7 +418,6 @@ def test_cli_bound_violation_exit_code(tmp_path, capsys, monkeypatch):
 def test_bound_violation_dump_replays_the_run(tmp_path, capsys, monkeypatch, checks):
     """A failed check aborts the run with one dump shape, with or without evaluate_all,
     and the dump's scenario reads back as the scenario that failed."""
-    import dataclasses
 
     import sqh.bounds
 
@@ -435,6 +466,19 @@ def test_cli_resource_cap_exit_code(tmp_path, monkeypatch):
     sc_path = tmp_path / "sc.json"
     sc_path.write_text(json.dumps(builtin("lens", 3, 1).to_json_dict()))
     assert main(["run", str(sc_path)]) == 4
+
+
+@pytest.mark.parametrize("checks, stages", [
+    (None, ("build_model", "model_betti", "quotient", "quotient_betti", "checks", "evaluate_all")),
+    (("abelian_bound", "transfer"), ("build_model", "model_betti", "quotient", "quotient_betti", "checks")),
+], ids=["with_ledger", "without_ledger"])
+def test_timing_stages_in_run_order(checks, stages):
+    sc = builtin("lens", 5, 2)
+    if checks is not None:
+        sc = dataclasses.replace(sc, checks=checks)
+    timing = run_scenario(sc, with_timings=True)["timing"]
+    assert tuple(timing) == stages
+    assert all(t >= 0 for t in timing.values())
 
 
 def test_cli_timings_flag(tmp_path, capsys):
