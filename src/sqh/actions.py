@@ -2,16 +2,21 @@
 
 Groups are stored by their full element list, and each group or subgroup
 carries a small generating set.  Group work runs on generators (Seress,
-Permutation Group Algorithms, 2003): closures are breadth-first searches
-over right multiplication by the generators, a subset is a subgroup when the
-closure of a greedily picked generating set stays inside it, commutativity
-and the center are tested by commuting with generators, and conjugacy
-classes are orbits under conjugation by generators.  Only
+Permutation Group Algorithms, 2003) and on element indices (Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, ch. 4).  The closure is a
+breadth-first search over left multiplication by the generators, and it
+keeps what it computes as a table (`CayleyTable`): the index of g∘w for
+every generator g and element w, and each element's word in the
+generators.  Products, inverses and conjugates are read off that table, so
+no vertex tuple is composed after the closure: a subset is a subgroup when
+the closure of a greedily picked generating set stays inside it,
+commutativity and the center are tested by commuting with generators,
+conjugacy classes are orbits under conjugation by generators, and an
+element's order is the lcm of its cycle lengths.  Only
 `best_abelian_normal_subgroup` searches exhaustively, over unions of
 conjugacy classes, which are normal by construction, and `all_subgroups`
-(a reference for tests) enumerates the whole lattice.  Element order is
-breadth-first over words in the generators, so every least-index tie-break
-is reproducible.
+(a reference for tests) enumerates the whole lattice.  Element order is breadth-first over words in the
+generators, so every least-index tie-break is reproducible.
 
 Quotients and fixed sets are taken where the action is admissible: an
 element that maps a simplex onto itself fixes it pointwise.  An action that
@@ -21,8 +26,10 @@ subgroup onto its own.  There its orbit chain complex and its fixed set
 are built like those of any admissible action.  The simplicial quotient
 loop (`make_admissible_and_quotient`) reads X/G and sd(X)/G off the orbits
 on X, and for sd²(X)/G carries the group onto sd(X) as it carries it onto
-Y′ (`_carried`).  At every depth one count decides whether the quotient is
-simplicial: one simplex of it per orbit, in each degree (`_require_simplicial`).
+Y′ (`_carried`).  A carried action has the same elements in the same order,
+so it shares its source's table.  At every depth one count decides whether
+the quotient is simplicial: one simplex of it per orbit, in each degree
+(`_require_simplicial`).
 """
 
 from __future__ import annotations
@@ -142,18 +149,62 @@ class SubgroupHandle:
     generators: tuple = field(default=(), compare=False, repr=False)
 
 
+class CayleyTable:
+    """Left multiplication by a group's generators, on element indices.
+
+    `left[k][w]` is the index of g_k∘w, for the k-th generator g_k of the
+    action and each element w.  `words[i]` lists the generator positions
+    a_1, …, a_m of element i's breadth-first word, i = g_{a_m}∘…∘g_{a_1}:
+    the word of the element a search first reached i from, and the generator
+    it took.  The inverses of all elements are taken once, when first asked
+    for.  Actions with the same elements in the same order and the same
+    generators share one table.
+    """
+
+    __slots__ = ("left", "words", "_inverses")
+
+    def __init__(self, left) -> None:
+        self.left = tuple(tuple(row) for row in left)
+        words: list = [None] * (len(self.left[0]) if self.left else 1)
+        words[0] = ()
+        reached = [0]
+        for w in reached:
+            for k, row in enumerate(self.left):
+                y = row[w]
+                if words[y] is None:
+                    words[y] = words[w] + (k,)
+                    reached.append(y)
+        self.words = tuple(words)
+        self._inverses = None
+
+    def inverses(self) -> tuple:
+        """The index of each element's inverse: its word undone, last letter first."""
+        if self._inverses is None:
+            undo = [_inverse(row) for row in self.left]
+            out = []
+            for word in self.words:
+                x = 0
+                for k in reversed(word):
+                    x = undo[k][x]
+                out.append(x)
+            self._inverses = tuple(out)
+        return self._inverses
+
+
 class VertexAction:
     """A finite group realized as simplicial vertex permutations.
 
     elements[0] is the identity, and `generator_indices` generate the
-    group.  `block_lengths` is set by `models.block_model` on the actions
+    group.  `table` is its `CayleyTable` on those generators: products and
+    inverses are read off it, and the closure that found the elements built
+    it.  `block_lengths` is set by `models.block_model` on the actions
     it builds, and kept by their restrictions: the lengths of the polygons
     (L >= 3) and vertex pairs (L = 2) whose join is the complex.  It is
     None for any other complex.  Instances are immutable and have no JSON
     form: a scenario's space is the one way in (`scenarios.build_model`).
     Derived data is cached on the instance and freed with it:
 
-    - multiplication, inverses and element orders
+    - element orders, and the inverses on the table
     - the simplex orbits with their carriers and stabilisers, from one
       pass (`simplex_orbit_data`); the vertex orbits are its orbits of
       0-simplices
@@ -177,10 +228,8 @@ class VertexAction:
         "complex",
         "elements",
         "generator_indices",
+        "table",
         "block_lengths",
-        "_index",
-        "_mult",
-        "_inv",
         "_orders",
         "_simplex_orbits",
         "_restrictions",
@@ -190,14 +239,12 @@ class VertexAction:
         "_orbit_complex",
     )
 
-    def __init__(self, complex: SimplicialComplex, elements, generator_indices) -> None:
+    def __init__(self, complex: SimplicialComplex, elements, generator_indices, table: CayleyTable) -> None:
         self.complex = complex
         self.elements = tuple(tuple(e) for e in elements)
         self.generator_indices = tuple(generator_indices)
+        self.table = table
         self.block_lengths = None
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        self._mult: dict = {}
-        self._inv: dict = {}
         self._orders: dict = {}
         self._simplex_orbits = None
         self._restrictions: dict = {}
@@ -211,28 +258,29 @@ class VertexAction:
         return len(self.elements)
 
     def mult(self, i: int, j: int) -> int:
-        key = (i, j)
-        got = self._mult.get(key)
-        if got is None:
-            got = self._index[_compose(self.elements[i], self.elements[j])]
-            self._mult[key] = got
-        return got
+        """The index of element i after element j: i's word, applied to j through the table."""
+        left = self.table.left
+        for k in self.table.words[i]:
+            j = left[k][j]
+        return j
 
     def inv(self, i: int) -> int:
-        got = self._inv.get(i)
-        if got is None:
-            got = self._index[_inverse(self.elements[i])]
-            self._inv[i] = got
-        return got
+        return self.table.inverses()[i]
 
     def element_order(self, i: int) -> int:
+        """The lcm of the cycle lengths of element i: the elements are distinct permutations."""
         got = self._orders.get(i)
         if got is None:
-            n, j = 1, i
-            while j != 0:
-                j = self.mult(j, i)
-                n += 1
-            got = n
+            e = self.elements[i]
+            got, seen = 1, set()
+            for v in e:
+                if v not in seen:
+                    n, x = 0, v
+                    while x not in seen:
+                        seen.add(x)
+                        x = e[x]
+                        n += 1
+                    got = math.lcm(got, n)
             self._orders[i] = got
         return got
 
@@ -298,7 +346,8 @@ class VertexAction:
         """The subgroup acting on the same complex, built once per subgroup.
 
         Its elements keep their order in this action, and its generators are
-        the handle's.  The full group restricts to this action itself.
+        the handle's; its table is read off this one.  The full group
+        restricts to this action itself.
         """
         key = handle.indices
         if len(key) == self.order:
@@ -310,6 +359,7 @@ class VertexAction:
                 self.complex,
                 [self.elements[i] for i in key],
                 tuple(position[g] for g in handle.generators),
+                CayleyTable([position[self.mult(g, i)] for i in key] for g in handle.generators),
             )
             got.block_lengths = self.block_lengths
             self._restrictions[key] = got
@@ -318,10 +368,11 @@ class VertexAction:
     def simplex_orbit_data(self) -> SimplexOrbits:
         """The orbits of the group on the simplices of its complex, in one pass.
 
-        Every element maps each orbit's representative.  The first element
-        to reach a simplex becomes its carrier.  An element that maps the
-        representative onto itself while moving a vertex adds its
-        permutation of the representative's vertices to the stabiliser's.
+        Every element maps each orbit's representative, the elements read
+        by vertex column.  The first element to reach a simplex becomes its
+        carrier.  An element that maps the representative onto itself while
+        moving a vertex adds its permutation of the representative's
+        vertices to the stabiliser's.
         So admissibility is decided on representatives only: if g preserves
         a simplex setwise but moves a vertex, so does every conjugate of g on
         the rest of the orbit.  Orientation signs are read off the carriers
@@ -329,6 +380,7 @@ class VertexAction:
         pass is made for them.
         """
         if self._simplex_orbits is None:
+            columns = tuple(zip(*self.elements))  # columns[v][i]: element i's image of v
             orbit_of: dict = {}
             carrier: dict = {}
             reps: list = []
@@ -341,18 +393,19 @@ class VertexAction:
                         continue
                     oid = len(reps)
                     reps.append(s)
+                    identity = tuple(range(len(s)))
                     moved = set()
-                    for i, e in enumerate(self.elements):
-                        img = tuple(sorted([e[v] for v in s]))
+                    for i, image in enumerate(zip(*[columns[v] for v in s])):
+                        img = tuple(sorted(image))
                         if img not in orbit_of:
                             orbit_of[img] = oid
                             carrier[img] = i
                         elif img == s:
-                            perm = tuple(s.index(e[v]) for v in s)
-                            if perm != tuple(range(len(s))):
+                            perm = tuple(map(s.index, image))
+                            if perm != identity:
                                 moved.add(perm)
                     if moved:
-                        stabilisers[oid] = (tuple(range(len(s))), *sorted(moved))
+                        stabilisers[oid] = (identity, *sorted(moved))
             offsets.append(len(reps))
             self._simplex_orbits = SimplexOrbits(
                 orbit_of, tuple(reps), tuple(offsets), carrier, self.elements, stabilisers
@@ -374,8 +427,9 @@ def close_generators(complex: SimplicialComplex, generators) -> VertexAction:
     lattice, and costs O(F) set lookups per generator for F facets.
 
     New words extend on the right (apply the old word first, then the
-    generator), so the element order is the BFS word order.  A group of
-    more than DEFAULT_ELEMENT_CAP elements raises GroupTooLarge.
+    generator), so the element order is the BFS word order.  Every product
+    g∘w the search composes is kept as the action's `CayleyTable`.  A group
+    of more than DEFAULT_ELEMENT_CAP elements raises GroupTooLarge.
     """
     n = complex.vertex_count
     facets = set(complex.facets)
@@ -392,23 +446,18 @@ def close_generators(complex: SimplicialComplex, generators) -> VertexAction:
     identity = tuple(range(n))
     elements = [identity]
     seen = {identity: 0}
-    frontier = [identity]
-    gen_indices = []
-    while frontier:
-        next_frontier = []
-        for w in frontier:
-            for g in gens:
-                img = _compose(g, w)
-                if img not in seen:
-                    seen[img] = len(elements)
-                    elements.append(img)
-                    next_frontier.append(img)
-                    if len(elements) > DEFAULT_ELEMENT_CAP:
-                        raise GroupTooLarge(f"closure exceeds cap {DEFAULT_ELEMENT_CAP}")
-        frontier = next_frontier
-    for g in gens:
-        gen_indices.append(seen[g])
-    return VertexAction(complex, elements, tuple(gen_indices))
+    left: list = [[] for _ in gens]
+    for w in elements:  # in the order found, which is breadth-first
+        for row, g in zip(left, gens):
+            img = _compose(g, w)
+            i = seen.get(img)
+            if i is None:
+                i = seen[img] = len(elements)
+                elements.append(img)
+                if len(elements) > DEFAULT_ELEMENT_CAP:
+                    raise GroupTooLarge(f"closure exceeds cap {DEFAULT_ELEMENT_CAP}")
+            row.append(i)
+    return VertexAction(complex, elements, tuple(seen[g] for g in gens), CayleyTable(left))
 
 
 def is_admissible(action) -> bool:
@@ -434,7 +483,7 @@ def induced_action_on_subdivision(action: VertexAction, sd: Subdivision) -> Vert
     new_elements = []
     for e in action.elements:
         new_elements.append(tuple(index[apply_perm(e, s)] for s in sd.vertex_simplices))
-    return VertexAction(sd.complex, new_elements, action.generator_indices)
+    return VertexAction(sd.complex, new_elements, action.generator_indices, action.table)
 
 
 def quotient_complex(action: VertexAction):
@@ -658,28 +707,27 @@ def _carried(action: VertexAction, sd: Subdivision) -> VertexAction:
     """The action's elements carried onto a subdivision natural in its complex, in the action's order.
 
     Each generator sends the vertex that stands for a simplex to the vertex
-    that stands for its image.  A search over the elements of X reaches each
-    other element from an earlier one by a generator, so it costs one
-    composition on the subdivision.
+    that stands for its image.  A search over the action's table reaches
+    each other element from an earlier one by a generator, so it costs one
+    composition on the subdivision.  The carried action has the same
+    elements in the same order and the same generators, so it shares the
+    table.
     """
     index = sd.vertex_of_simplex
     gens = [
-        (action.elements[g], tuple(index[apply_perm(action.elements[g], s)] for s in sd.vertex_simplices))
+        tuple(index[apply_perm(action.elements[g], s)] for s in sd.vertex_simplices)
         for g in action.generator_indices
     ]
     carried = [None] * action.order
     carried[0] = tuple(range(len(sd.vertex_simplices)))
-    frontier = [0]
-    while frontier:
-        reached = []
-        for w in frontier:
-            for x, y in gens:
-                i = action._index[_compose(x, action.elements[w])]
-                if carried[i] is None:
-                    carried[i] = _compose(y, carried[w])
-                    reached.append(i)
-        frontier = reached
-    return VertexAction(sd.complex, carried, action.generator_indices)
+    reached = [0]
+    for w in reached:
+        for row, y in zip(action.table.left, gens):
+            i = row[w]
+            if carried[i] is None:
+                carried[i] = _compose(y, carried[w])
+                reached.append(i)
+    return VertexAction(sd.complex, carried, action.generator_indices, action.table)
 
 
 def _with_cofaces(k: SimplicialComplex, simplices: set) -> set:
@@ -807,10 +855,13 @@ def _fixed_vertices(action: VertexAction) -> list:
 def conjugacy_classes(action: VertexAction):
     """Conjugacy classes of the group, sorted by least member.
 
-    Each class is an orbit under conjugation by the group's generators.  A
-    subgroup's classes are those of its restriction (`VertexAction.restrict`).
+    Each class is an orbit under conjugation by the group's generators, on
+    element indices: g∘x is a read of the table, and (g∘x)∘g⁻¹ is
+    (g∘(g∘x)⁻¹)⁻¹, two more reads after the inverses.  A subgroup's classes
+    are those of its restriction (`VertexAction.restrict`).
     """
-    conjugators = [(g, action.inv(g)) for g in action.generator_indices]
+    inv = action.table.inverses()
+    conjugations = [[inv[row[inv[y]]] for y in row] for row in action.table.left]
     remaining = set(range(action.order))
     classes = []
     for i in range(action.order):
@@ -820,8 +871,8 @@ def conjugacy_classes(action: VertexAction):
         queue = [i]
         while queue:
             x = queue.pop()
-            for g, g_inv in conjugators:
-                y = action.mult(action.mult(g, x), g_inv)
+            for conjugate in conjugations:
+                y = conjugate[x]
                 if y not in cls:
                     cls.add(y)
                     queue.append(y)
@@ -835,18 +886,20 @@ def lefschetz_numbers(action: VertexAction) -> tuple:
 
     L(g) is the alternating trace of g on H_*(X; Q).  On a block model
     (`block_lengths` set), X is S^{n-1} by construction and g acts on
-    H_{n-1}(X; Q) by det g, so L(g) = 1 + (-1)^{n-1} det g, with det g read
-    off the element and the blocks (`block_determinant`); for n = 1 that
-    counts the points of S^0 that g fixes.  On any other complex L(g) comes
-    from the simplex scan, `_lefschetz_scan`, which is also the tests'
-    oracle for the determinant.  Only the complex, its blocks and the group
-    are read, no orbit data.
+    H_{n-1}(X; Q) by det g, so L(g) = 1 + (-1)^{n-1} det g; for n = 1 that
+    counts the points of S^0 that g fixes.  det is a homomorphism, so it is
+    read off the generators and the blocks (`block_determinant`) and
+    multiplied along each element's word in the table.  On any other
+    complex L(g) comes from the simplex scan, `_lefschetz_scan`, which is
+    also the tests' oracle for the determinant.  Only the complex, its
+    blocks and the group are read, no orbit data.
     """
     lengths = action.block_lengths
     if lengths is None:
         return _lefschetz_scan(action)
     sign = (-1) ** action.complex.dimension
-    return tuple(1 + sign * block_determinant(e, lengths) for e in action.elements)
+    dets = [block_determinant(action.elements[g], lengths) for g in action.generator_indices]
+    return tuple(1 + sign * math.prod(map(dets.__getitem__, word)) for word in action.table.words)
 
 
 def block_determinant(element, lengths) -> int:
@@ -944,7 +997,7 @@ _CLASS_ENUM_CAP = 14
 
 
 def best_abelian_normal_subgroup(action: VertexAction) -> SubgroupHandle:
-    """A normal abelian subgroup of maximal order.
+    """A normal abelian subgroup of maximal order, the least indices among those.
 
     Every normal abelian subgroup is the closure of a union of pairwise
     elementwise-commuting conjugacy classes, so enumerating those unions
@@ -959,7 +1012,8 @@ def best_abelian_normal_subgroup(action: VertexAction) -> SubgroupHandle:
         return replace(center(action, full), via_fallback=True)
     m = len(classes)
     # classes commute elementwise iff one member of the first commutes with
-    # the second: the first's other members are its conjugates
+    # the second: the first's other members are its conjugates.  Pairwise
+    # commuting classes generate an abelian subgroup.
     commute = [
         [all(action.mult(ci[0], b) == action.mult(b, ci[0]) for b in cj) for cj in classes]
         for ci in classes
@@ -969,17 +1023,9 @@ def best_abelian_normal_subgroup(action: VertexAction) -> SubgroupHandle:
         chosen = [i for i in range(m) if mask >> i & 1]
         if any(not commute[i][j] for i in chosen for j in chosen):
             continue
-        seed = set()
-        for i in chosen:
-            seed.update(classes[i])
-        idx = action.closure_indices(seed)
-        if len(idx) > best.order or (len(idx) == best.order and idx < best.indices):
-            cand = action.subgroup(idx)
-            if cand.is_abelian:
-                if cand.order > best.order or (
-                    cand.order == best.order and cand.indices < best.indices
-                ):
-                    best = cand
+        idx = action.closure_indices([x for i in chosen for x in classes[i]])
+        if (-len(idx), idx) < (-best.order, best.indices):
+            best = action.subgroup(idx)
     return best
 
 

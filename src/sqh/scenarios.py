@@ -652,12 +652,22 @@ def random_character_data(rng: random.Random, n_max: int) -> AbelianCharacterDat
     return AbelianCharacterData(ms, rot, sgn)
 
 
+def _check_sweep_size(n_max, samples) -> None:
+    """InvalidParameter unless n_max is an integer from 1 to 6 and samples one of 0 or more."""
+    if not 1 <= _integer(n_max, "n_max") <= 6:
+        raise InvalidParameter(f"sweep needs 1 <= n_max <= 6, got {n_max}")
+    if _integer(samples, "samples") < 0:
+        raise InvalidParameter(f"field 'samples' must be 0 or more, got {samples}")
+
+
 def sweep_scenarios(n_max: int, samples: int, seed: int, fields, max_model_simplices: int):
     """Deterministic scenario stream for the sweep; oversized draws are redrawn.
 
-    Every draw is forecast at 2 or more simplices, so a smaller guard would
-    redraw forever and is rejected.
+    `n_max` must be an integer from 1 to 6 and `samples` one of 0 or more
+    (`_check_sweep_size`).  Every draw is forecast at 2 or more simplices,
+    so a smaller guard would redraw forever and is rejected.
     """
+    _check_sweep_size(n_max, samples)
     if max_model_simplices < 2:
         raise InvalidParameter(f"max_model_simplices must be at least 2, got {max_model_simplices}")
     rng = random.Random(seed)
@@ -708,16 +718,15 @@ def sweep(
     """Run the randomized abelian sweep and return the summary report.
 
     The field labels are checked up front, by the rules of `Scenario`, so a
-    sweep of no samples refuses them too; so are `samples`, an integer of 0
-    or more, and `jobs`, an integer of 1 or more.  `jobs` bounds the worker
-    processes, which are also no more than the scenarios or the CPUs.
+    sweep of no samples refuses them too; so are `n_max` and `samples`, by
+    the stream's own rule (`_check_sweep_size`), and `jobs`, an integer of 1
+    or more, all before any draw.  `jobs` bounds the worker processes, which
+    are also no more than the scenarios or the CPUs.
     """
     _check_field_labels(fields)
-    if not 1 <= n_max <= 6:
-        raise InvalidParameter(f"sweep needs 1 <= n_max <= 6, got {n_max}")
-    for key, value, least in (("samples", samples, 0), ("jobs", jobs, 1)):
-        if _integer(value, key) < least:
-            raise InvalidParameter(f"field {key!r} must be {least} or more, got {value}")
+    _check_sweep_size(n_max, samples)
+    if _integer(jobs, "jobs") < 1:
+        raise InvalidParameter(f"field 'jobs' must be 1 or more, got {jobs}")
     scenarios, rejected = sweep_scenarios(n_max, samples, seed, fields, max_model_simplices)
     # a process pool forks all of its workers at the first submit
     workers = min(jobs, len(scenarios), os.cpu_count() or 1)

@@ -347,10 +347,23 @@ def test_full_subgroup_equals_checked_subgroup(scenario):
     assert action.full_subgroup() == action.subgroup(range(action.order))
 
 
-def test_full_subgroup_b4_is_nonabelian():
+def test_full_subgroup_b4_is_nonabelian(monkeypatch):
     action = b4_action()
+    composed = []
+    compose = actions._compose
+    monkeypatch.setattr(actions, "_compose", lambda a, b: composed.append(1) or compose(a, b))
+    products = []
+    mult = actions.VertexAction.mult
+    monkeypatch.setattr(actions.VertexAction, "mult", lambda self, i, j: products.append(1) or mult(self, i, j))
     full = action.full_subgroup()
     assert (full.order, full.is_abelian) == (384, False)
     # only the generator pairs were multiplied, not |G|^2 products
-    assert len(action._mult) <= 2 * len(action.generator_indices) ** 2
+    assert len(products) <= 2 * len(action.generator_indices) ** 2
+    conjugacy_classes(action)
+    for p in (2, 3):
+        sylow(action, full, p)
+    center(action, full)
+    best_abelian_normal_subgroup(action)
+    # after the closure, group work reads the table and composes no vertex tuple
+    assert composed == []
     assert full == action.subgroup(range(action.order))

@@ -6,7 +6,9 @@ definition, on every distinct group of the acceptance corpus and of the
 benchmark's nonabelian workload.  The subgroups compared are those of
 `all_subgroups` for groups of order up to 48.  For B_4 (order 384), whose
 lattice `all_subgroups` does not enumerate in minutes, they are seeded
-random closures.
+random closures.  The table arithmetic these oracles use is itself checked
+against composition of the vertex tuples, on random subgroups of B_3 and
+B_4 and on their restricted and carried actions.
 """
 
 import random
@@ -16,14 +18,21 @@ import pytest
 from test_acceptance import CORPUS_SCENARIOS
 from test_perfbench_gate import _load
 from sqh.actions import (
+    _carried,
+    admissible_subdivision,
     all_subgroups,
     best_abelian_normal_subgroup,
+    block_determinant,
     center,
     conjugacy_classes,
+    is_admissible,
+    lefschetz_numbers,
     sylow,
 )
+from sqh.complexes import barycentric_subdivision
 from sqh.errors import InvalidParameter
 from sqh.homology import prime_factors
+from sqh.models import SignedPermutation, signed_permutation_action
 from sqh.scenarios import build_model
 
 ALL_SUBGROUPS_MAX_ORDER = 48
@@ -194,3 +203,69 @@ def test_best_abelian_normal_subgroup_matches_brute_force(name, action):
 
     best = min((h for h in all_subgroups(action) if normal(h) and h.is_abelian), key=lambda h: (-h.order, h.indices))
     assert (got.indices, normal(got), got.is_abelian) == (best.indices, True, True)
+
+
+def _hyperoctahedral(n: int):
+    """B_n, every signed permutation of n axes, on the boundary of the n-cross-polytope."""
+    gens = [SignedPermutation((2, 1, *range(3, n + 1)), (1,) * n),
+            SignedPermutation((*range(2, n + 1), 1), (1,) * n),
+            SignedPermutation(tuple(range(1, n + 1)), (-1,) + (1,) * (n - 1))]
+    return signed_permutation_action(n, gens)
+
+
+HYPEROCTAHEDRAL = {n: _hyperoctahedral(n) for n in (3, 4)}
+
+
+def _composed(a, b) -> tuple:
+    """The vertex permutation a after b, composed on the tuples."""
+    return tuple(a[x] for x in b)
+
+
+def _table_matches_tuples(action, samples) -> None:
+    """Table products, inverses, orders and classes equal those of the vertex tuples, at sampled elements."""
+    elements = action.elements
+    index = {e: i for i, e in enumerate(elements)}
+    identity = elements[0]
+    for i, j in samples:
+        i, j = i % action.order, j % action.order
+        assert action.mult(i, j) == index[_composed(elements[i], elements[j])]
+        inverse = elements[action.inv(i)]
+        assert _composed(inverse, elements[i]) == identity
+        power, order = elements[i], 1
+        while power != identity:
+            power, order = _composed(power, elements[i]), order + 1
+        assert action.element_order(i) == order
+    classes = conjugacy_classes(action)
+    assert sorted(x for c in classes for x in c) == list(range(action.order))
+    for cls in classes[:: max(1, len(classes) // 4)]:
+        x = elements[cls[-1]]
+        brute = {index[_composed(_composed(g, x), tuple(sorted(range(len(g)), key=g.__getitem__)))] for g in elements}
+        assert tuple(sorted(brute)) == cls
+
+
+def test_table_arithmetic_matches_vertex_composition():
+    """On random subgroups of B_3 and B_4, and on their restricted and carried actions,
+    the table's arithmetic is that of the vertex tuples, and det is `block_determinant`'s."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    subdivisions = {n: barycentric_subdivision(a.complex) for n, a in HYPEROCTAHEDRAL.items()}
+    seeds = st.lists(st.integers(1, 10**6), min_size=1, max_size=3)
+    pairs = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=6)
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.sampled_from(sorted(HYPEROCTAHEDRAL)), seeds, pairs)
+    def check(n, seed, samples):
+        action = HYPEROCTAHEDRAL[n]
+        handle = action.subgroup(action.closure_indices(s % action.order for s in seed))
+        restricted = action.restrict(handle)
+        carried = [_carried(restricted, subdivisions[n])]
+        if not is_admissible(restricted):
+            carried.append(admissible_subdivision(restricted))
+        for a in (restricted, *carried):
+            _table_matches_tuples(a, samples)
+        assert all(a.table is restricted.table for a in carried)
+        sign = (-1) ** (n - 1)
+        for a in (action, restricted):
+            assert lefschetz_numbers(a) == tuple(1 + sign * block_determinant(e, a.block_lengths) for e in a.elements)
+
+    check()

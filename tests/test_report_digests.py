@@ -1,7 +1,8 @@
 """Report bytes pinned by sha256 on the acceptance corpus, the nonabelian
-workload, the first 20 draws of the seed-7 sweep and the benchmark's seed-7
-sweep pass (its anchor included), and the scenario JSON of builtins at
-parameters the corpus does not use.
+workload, the first 20 draws of the seed-7 sweep, the benchmark's seed-7
+sweep pass (its anchor included) and two large groups on S^4 (B_5, of order
+3840, the largest under the element cap, and S_5), and the scenario JSON of
+builtins at parameters the corpus does not use.
 
 The digests in report_digests.json were taken from a known-good engine.  A
 change that moves any report byte fails here and prints the new digests;
@@ -15,10 +16,34 @@ from pathlib import Path
 import pytest
 
 from conftest import nonabelian_workload, workload_pass
-from sqh.scenarios import DEFAULT_FIELDS, builtin, report_bytes, run_scenario, sweep_scenarios
+from sqh.scenarios import DEFAULT_FIELDS, Scenario, builtin, report_bytes, run_scenario, sweep_scenarios
 from test_acceptance import CORPUS_SCENARIOS, corpus_report
 
 PINNED = json.loads((Path(__file__).resolve().parent / "report_digests.json").read_text())
+
+
+def _signed(perm, signs=None) -> dict:
+    return {"perm": list(perm), "signs": list(signs or (1,) * len(perm))}
+
+
+# the group work grows with |G|, so these check it where it is largest
+LARGE_GROUPS = (
+    ("b5_on_s4", [_signed((2, 1, 3, 4, 5)), _signed((2, 3, 4, 5, 1)), _signed((1, 2, 3, 4, 5), (-1, 1, 1, 1, 1))]),
+    ("s5_on_s4", [_signed((2, 1, 3, 4, 5)), _signed((2, 3, 4, 5, 1))]),
+)
+
+
+def large_group_scenarios() -> list:
+    return [
+        Scenario(
+            name=name,
+            space={"signed_permutation": {"n": 5, "generators": gens}},
+            fields=("Q", "Fp:2", "Fp:3"),
+            checks=("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "evaluate_all"),
+            snf_cap=16384,
+        )
+        for name, gens in LARGE_GROUPS
+    ]
 
 
 def _reports(group: str) -> list:
@@ -28,12 +53,14 @@ def _reports(group: str) -> list:
         scenarios = nonabelian_workload()
     elif group == "sweep_pass":
         scenarios = workload_pass("sweep", 7)
+    elif group == "large_groups":
+        scenarios = large_group_scenarios()
     else:  # the stream is drawn in order, so these are the first 20 of any longer sweep
         scenarios = sweep_scenarios(6, 20, 7, DEFAULT_FIELDS, 200_000)[0]
     return [(sc.name, run_scenario(sc)) for sc in scenarios]
 
 
-@pytest.mark.parametrize("group", ["corpus", "nonabelian", "sweep", "sweep_pass"])
+@pytest.mark.parametrize("group", ["corpus", "nonabelian", "sweep", "sweep_pass", "large_groups"])
 def test_report_digests_are_pinned(group):
     digests = {name: hashlib.sha256(report_bytes(report)).hexdigest() for name, report in _reports(group)}
     changed = {name: d for name, d in digests.items() if PINNED[group].get(name) != d}

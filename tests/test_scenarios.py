@@ -270,6 +270,23 @@ def test_sweep_caps_n_max():
         sweep(n_max=0, samples=1, seed=0)
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda: sweep(2.5, 1, 0), "'n_max'"),
+    (lambda: sweep(True, 1, 0), "'n_max'"),
+    (lambda: sweep_scenarios(2.5, 1, 0, ("Q",), 1000), "'n_max'"),
+    (lambda: sweep_scenarios(True, 1, 0, ("Q",), 1000), "'n_max'"),
+    (lambda: sweep_scenarios(7, 1, 0, ("Q",), 1000), "n_max <= 6"),
+    (lambda: sweep_scenarios(2, 2.5, 0, ("Q",), 1000), "'samples'"),
+    (lambda: sweep_scenarios(2, True, 0, ("Q",), 1000), "'samples'"),
+    (lambda: sweep_scenarios(2, -1, 0, ("Q",), 1000), "'samples'"),
+], ids=["sweep_n_max_float", "sweep_n_max_bool", "stream_n_max_float", "stream_n_max_bool", "stream_n_max_seven",
+        "stream_samples_float", "stream_samples_bool", "stream_samples_negative"])
+def test_sweep_stream_checks_n_max_and_samples(call, named):
+    """The stream refuses what `sweep` refuses: no float or bool is used as a count, and no negative is read as 0."""
+    with pytest.raises(InvalidParameter, match=named):
+        call()
+
+
 def test_cli_run_and_out(tmp_path, capsys):
     sc_path = tmp_path / "sc.json"
     sc_path.write_text(json.dumps(builtin("rp", 2).to_json_dict()))
