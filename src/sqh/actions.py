@@ -563,7 +563,7 @@ def flag_orbit_counts(data: SimplexOrbits) -> tuple:
     return tuple(a + b for a, b in zip(subdivided_f_vector(plain), turned))
 
 
-def subdivided_quotient(action) -> SimplicialComplex:
+def subdivided_quotient(action, cap: int | None = None, depth: int = 1) -> SimplicialComplex:
     """sd(X)/G for an action on X, built from the simplex orbits of X alone.
 
     The vertices of sd(X) are the simplices of X in the order of
@@ -577,8 +577,12 @@ def subdivided_quotient(action) -> SimplicialComplex:
     is raised, as `quotient_complex` on the action transported to sd(X)
     would.  The flags' vertices lie in distinct orbits, since their
     dimensions differ, so only orbits that share an id set can fail it.
+    Past `cap` simplices by that count it raises ResourceCapExceeded unbuilt.
     """
     data = action.simplex_orbit_data()
+    counts = flag_orbit_counts(data)
+    if cap is not None and sum(counts) > cap:
+        raise ResourceCapExceeded(f"the depth-{depth} quotient would have {sum(counts)} simplices (cap {cap})")
     orbit_of = data.orbit_of
     facets = []
     seen = set()
@@ -599,17 +603,13 @@ def subdivided_quotient(action) -> SimplicialComplex:
             ]
         facets.extend(flag for _, flag in flags)
     quotient = SimplicialComplex._from_canonical(data.count, facets)
-    _require_simplicial(quotient, flag_orbit_counts(data))
+    _require_simplicial(quotient, counts)
     return quotient
 
 
 @dataclass(frozen=True)
 class QuotientResult:
-    """The simplicial quotient of the sphere at depth `subdivisions`, and that sphere's size.
-
-    `simplices_after` and `facets_after` count the depth-`subdivisions`
-    sphere exactly, whether or not it was built.
-    """
+    """The simplicial quotient at depth `subdivisions`, and the exact size of the sphere at that depth, built or not."""
 
     complex: SimplicialComplex
     subdivisions: int
@@ -620,35 +620,38 @@ class QuotientResult:
 def make_admissible_and_quotient(action: VertexAction, simplex_cap: int | None = None) -> QuotientResult:
     """The quotient sd^k(X)/G at the least depth k where it is simplicial, which is at most 2.
 
-    Depth 0 is `quotient_complex` of the action.  Depth 1 is
-    `subdivided_quotient` of it, which reads sd(X)/G off the orbits on X,
-    so sd(X) is not built.  Depth 2 builds sd(X) (`barycentric_subdivision`,
-    once per call, and dropped with it), carries the group there as
-    `admissible_subdivision` carries it onto Y′ (`_carried`), and takes
-    `subdivided_quotient` of that action.  Each depth is decided by the one
-    count of `_require_simplicial`.  No depth past 2 is needed.  The
-    vertices of a flag have distinct dimensions, so no element maps one
-    onto another, and sd(X) has Bredon's property (A).  (A) on a complex K
-    makes sd(K) regular, so sd²(X)/G is simplicial (Bredon, Introduction
-    to Compact Transformation Groups, ch. III §1).  A depth-2 quotient that
-    is not simplicial therefore raises CorruptComplex.  Before each depth
-    past 0 the size of that depth's sphere is forecast (`_sphere_size`),
-    and ResourceCapExceeded is raised when it would pass `simplex_cap`,
-    whether or not that sphere is to be built; None means no cap.
+    Depth 0 is `quotient_complex` of the action, and depth 1 is
+    `subdivided_quotient` of it, read off the orbits on X.  Depth 2 builds
+    sd(X) once, carries the group there (`_carried`) and takes
+    `subdivided_quotient` of that action.  The one count of
+    `_require_simplicial` decides each depth.  A flag's vertices have
+    distinct dimensions, so sd(X) has Bredon's property (A), which makes
+    sd²(X)/G simplicial (Bredon, Introduction to Compact Transformation
+    Groups, ch. III §1): a depth-2 quotient that is not raises CorruptComplex.
+
+    `simplex_cap` (None: none) bounds what is built, and ResourceCapExceeded
+    names what would pass it.  Past depth 0, |sd(X)| is checked first.  It
+    bounds the depth-1 quotient, the sd(X) of depth 2, and each Y′ of the
+    group or a subgroup: Y′ is built only where X/G is not simplicial, and
+    τ∗b(σ_1…σ_r) ↦ (the prefixes of τ) < σ_1 < … < σ_r injects it into sd(X).
+    `subdivided_quotient` checks each quotient by its orbit count before it
+    is built.  A carried action, onto sd(X) or Y′, holds |G| × |X| vertex images.
     """
     k = action.complex
     try:
         return QuotientResult(quotient_complex(action)[0], 0, *_sphere_size(k, 0))
     except NeedsSubdivision:
         pass
-    size = _sphere_size(k, 1, simplex_cap)
+    size = _sphere_size(k, 1)
+    if simplex_cap is not None and size[0] > simplex_cap:
+        raise ResourceCapExceeded(f"sd(X) would have {size[0]} simplices (cap {simplex_cap})")
     try:
-        return QuotientResult(subdivided_quotient(action), 1, *size)
+        return QuotientResult(subdivided_quotient(action, simplex_cap), 1, *size)
     except NeedsSubdivision:
         pass
-    size = _sphere_size(k, 2, simplex_cap)
     try:
-        return QuotientResult(subdivided_quotient(_carried(action, barycentric_subdivision(k))), 2, *size)
+        sd_action = _carried(action, barycentric_subdivision(k))
+        return QuotientResult(subdivided_quotient(sd_action, simplex_cap, 2), 2, *_sphere_size(k, 2))
     except NeedsSubdivision as e:
         raise CorruptComplex(
             "the depth-2 quotient is not simplicial, against Bredon (Introduction to Compact "
@@ -656,13 +659,10 @@ def make_admissible_and_quotient(action: VertexAction, simplex_cap: int | None =
         ) from None
 
 
-def _sphere_size(k: SimplicialComplex, depth: int, cap: int | None = None) -> tuple:
-    """(simplices, facets) of sd^depth(k), from k's f-vector; ResourceCapExceeded when the simplices pass `cap`."""
-    simplices = subdivided_size(k.f_vector(), depth)
-    if cap is not None and simplices > cap:
-        raise ResourceCapExceeded(f"subdivision would reach {simplices} simplices (cap {cap})")
+def _sphere_size(k: SimplicialComplex, depth: int) -> tuple:
+    """(simplices, facets) of sd^depth(k), counted from k's f-vector: nothing is built."""
     # a facet of k on v vertices becomes (v!)^depth facets of sd^depth(k)
-    return simplices, sum(math.factorial(len(f)) ** depth for f in k.facets)
+    return subdivided_size(k.f_vector(), depth), sum(math.factorial(len(f)) ** depth for f in k.facets)
 
 
 def admissible_subdivision(action: VertexAction) -> VertexAction:

@@ -38,7 +38,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .errors import CorruptComplex, InvalidParameter
+from .errors import CorruptComplex, InvalidParameter, ResourceCapExceeded
 from .homology import SparseIntMatrix
 
 
@@ -91,17 +91,33 @@ class SimplicialComplex:
         self._simplices = None
         self._chain = None
 
-    def _lattice(self) -> list:
-        """One set of faces per dimension, each level made from the one above."""
+    def _lattice(self, cap: int | None = None) -> list:
+        """One set of faces per dimension, each level made from the one above.
+
+        Given `cap`, the build stops with ResourceCapExceeded as soon as the
+        largest facet's faces, or the simplices made so far, pass it.
+        """
         if self._levels is None:
+            size = self.dimension + 1
+            if cap is not None and (1 << size) - 1 > cap:
+                raise ResourceCapExceeded(f"a facet of the complex has {size} vertices, so 2^{size} - 1 faces (cap {cap})")
             levels = [set() for _ in range(self.dimension + 1)]
             for f in self.facets:
                 levels[len(f) - 1].add(f)
             combinations = itertools.combinations
             for k in range(self.dimension, 0, -1):
                 below = levels[k - 1]
+                if cap is None:  # no count in the loop every derived complex takes
+                    for s in levels[k]:
+                        below.update(combinations(s, k))
+                    continue
+                others = sum(map(len, levels)) - len(below)
                 for s in levels[k]:
                     below.update(combinations(s, k))
+                    if others + len(below) > cap:
+                        raise ResourceCapExceeded(
+                            f"the complex's face lattice already has {others + len(below)} simplices (cap {cap})"
+                        )
             self._levels = levels
         return self._levels
 
@@ -120,8 +136,9 @@ class SimplicialComplex:
         """Every simplex, in a new frozenset."""
         return frozenset(itertools.chain.from_iterable(self._faces()))
 
-    def f_vector(self) -> tuple:
-        return tuple(map(len, self._faces()))
+    def f_vector(self, cap: int | None = None) -> tuple:
+        """Simplices per dimension; a face lattice built for it is refused past `cap` simplices (`_lattice`)."""
+        return tuple(map(len, self._simplices if self._simplices is not None else self._lattice(cap)))
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):

@@ -57,7 +57,7 @@ GROUP_CHECKS = tuple(c for c in KNOWN_CHECKS if c != "cover_e1")
 
 
 def simplex_cap() -> int:
-    """Post-subdivision simplex budget; SQH_MAX_SIMPLICES overrides."""
+    """The most simplices of any complex a run builds (see `run_scenario`); SQH_MAX_SIMPLICES overrides."""
     raw = os.environ.get("SQH_MAX_SIMPLICES")
     if raw is None:
         return DEFAULT_SIMPLEX_CAP
@@ -219,7 +219,9 @@ def build_model(scenario: Scenario) -> SphereModel:
     refused by name, as `Scenario.from_json_dict` refuses the scenario's.
     The size of a character_join or signed_permutation model, a join of
     blocks, is forecast (`join_f_vector`) against `simplex_cap()` before
-    any join is built.
+    any join is built.  An explicit complex's face lattice is counted
+    against it as it is built (`SimplicialComplex.f_vector`), before the
+    group is closed.
     """
     kind = scenario.kind
     payload = scenario.space[kind]
@@ -264,6 +266,7 @@ def build_model(scenario: Scenario) -> SphereModel:
         raise InvalidParameter(
             f"field 'vertex_count' is {complex_.vertex_count}, but vertex {unused} lies in no facet"
         )
+    complex_.f_vector(simplex_cap())
     gens = _integer_lists(_entry(payload, "generators", kind), "generators")
     return SphereModel(close_generators(complex_, gens))
 
@@ -403,9 +406,10 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     `facets_after`.  The sphere at that depth is never built: its quotient
     comes from the orbits one depth down, and `simplices_after` and
     `facets_after` count it exactly.  The simplex cap (`simplex_cap()`)
-    bounds the forecast size of each depth's sphere, the last one included,
-    and the size of every block model (character_join and
-    signed_permutation) before it is built.
+    bounds each complex the run builds, and ResourceCapExceeded names the
+    one that would pass it: the model (a block model before its join is
+    built, an explicit complex as its face lattice is), sd(X), which also
+    bounds each starred Y′, or a depth's quotient.  sd²(X) is never built.
 
     A run that asks for torsion (`snf_cap` > 0, a switch: no size is
     capped) takes its Betti numbers and torsion from the orbit chain
@@ -424,8 +428,7 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     and a complex whose Betti numbers are not those of S^{n-1} over every
     field, or, when torsion is asked for, whose integral homology is not
     certified torsion-free (`_check_torsion_free`), raises
-    InvalidParameter naming 'complex'.  A depth past the cap raises
-    ResourceCapExceeded.  A budget must be 0 or more seconds.
+    InvalidParameter naming 'complex'.  A budget must be 0 or more seconds.
 
     The named checks follow the quotient, from the one table
     `bounds.CHECKS` (`run_checks`), on the run's `CheckRun`.  When the

@@ -1,7 +1,9 @@
 """Report bytes pinned by sha256 on the acceptance corpus, the nonabelian
 workload, the first 20 draws of the seed-7 sweep, the benchmark's seed-7
-sweep pass (its anchor included) and two large groups on S^4 (B_5, of order
-3840, the largest under the element cap, and S_5), and the scenario JSON of
+sweep pass (its anchor included), large groups on S^4 (B_5, of order 3840,
+the largest under the element cap, S_5, the rotation groups of B_5 and D_5
+and B_5's Coxeter element), six seeded subgroups of B_5 whose sd²(X),
+which no depth builds, is past the simplex cap, and the scenario JSON of
 builtins at parameters the corpus does not use.
 
 The digests in report_digests.json were taken from a known-good engine.  A
@@ -30,10 +32,29 @@ def _signed(perm, signs=None) -> dict:
 LARGE_GROUPS = (
     ("b5_on_s4", [_signed((2, 1, 3, 4, 5)), _signed((2, 3, 4, 5, 1)), _signed((1, 2, 3, 4, 5), (-1, 1, 1, 1, 1))]),
     ("s5_on_s4", [_signed((2, 1, 3, 4, 5)), _signed((2, 3, 4, 5, 1))]),
+    # W+(B5), of order 1920: a rotation of the first two axes and the 5-cycle
+    ("b5_rotations_on_s4", [_signed((2, 1, 3, 4, 5), (-1, 1, 1, 1, 1)), _signed((2, 3, 4, 5, 1))]),
+    # W+(D5), of order 960: even permutations and even sign changes
+    ("d5_rotations_on_s4", [
+        _signed((2, 3, 1, 4, 5)), _signed((2, 3, 4, 5, 1)), _signed((1, 2, 3, 4, 5), (-1, -1, 1, 1, 1)),
+    ]),
+    # B5's Coxeter element, of order 10: e1 -> e2 -> ... -> e5 -> -e1
+    ("b5_coxeter_on_s4", [_signed((2, 3, 4, 5, 1), (-1, 1, 1, 1, 1))]),
+)
+
+# two-generator subgroups of B5, draws 8, 11, 16, 24, 30 and 35 of random.Random(33)
+# (each generator a random.sample of the axes, then a random choice of each sign)
+B5_SUBGROUPS = (
+    ("b5_subgroup_8", [_signed((2, 3, 1, 4, 5), (1, 1, -1, -1, -1)), _signed((3, 2, 1, 5, 4), (1, 1, -1, 1, -1))]),
+    ("b5_subgroup_11", [_signed((4, 5, 3, 2, 1), (-1, -1, 1, -1, 1)), _signed((1, 5, 4, 3, 2), (-1, -1, 1, -1, 1))]),
+    ("b5_subgroup_16", [_signed((2, 3, 1, 4, 5), (-1, -1, -1, -1, -1)), _signed((3, 1, 2, 4, 5), (-1, -1, 1, 1, -1))]),
+    ("b5_subgroup_24", [_signed((5, 3, 4, 2, 1), (1, 1, -1, -1, -1)), _signed((5, 2, 3, 4, 1), (1, 1, -1, 1, -1))]),
+    ("b5_subgroup_30", [_signed((3, 4, 1, 2, 5), (-1, -1, 1, -1, -1)), _signed((2, 1, 5, 4, 3), (1, 1, -1, -1, 1))]),
+    ("b5_subgroup_35", [_signed((4, 3, 2, 1, 5), (-1, -1, 1, 1, 1)), _signed((5, 3, 1, 4, 2), (1, 1, -1, 1, 1))]),
 )
 
 
-def large_group_scenarios() -> list:
+def large_group_scenarios(groups=LARGE_GROUPS) -> list:
     return [
         Scenario(
             name=name,
@@ -42,7 +63,7 @@ def large_group_scenarios() -> list:
             checks=("abelian_bound", "smith_floyd", "cyclic_chain", "transfer", "evaluate_all"),
             snf_cap=16384,
         )
-        for name, gens in LARGE_GROUPS
+        for name, gens in groups
     ]
 
 
@@ -55,13 +76,16 @@ def _reports(group: str) -> list:
         scenarios = workload_pass("sweep", 7)
     elif group == "large_groups":
         scenarios = large_group_scenarios()
+    elif group == "b5_subgroups":
+        scenarios = large_group_scenarios(B5_SUBGROUPS)
     else:  # the stream is drawn in order, so these are the first 20 of any longer sweep
         scenarios = sweep_scenarios(6, 20, 7, DEFAULT_FIELDS, 200_000)[0]
     return [(sc.name, run_scenario(sc)) for sc in scenarios]
 
 
-@pytest.mark.parametrize("group", ["corpus", "nonabelian", "sweep", "sweep_pass", "large_groups"])
-def test_report_digests_are_pinned(group):
+@pytest.mark.parametrize("group", ["corpus", "nonabelian", "sweep", "sweep_pass", "large_groups", "b5_subgroups"])
+def test_report_digests_are_pinned(group, monkeypatch):
+    monkeypatch.delenv("SQH_MAX_SIMPLICES", raising=False)
     digests = {name: hashlib.sha256(report_bytes(report)).hexdigest() for name, report in _reports(group)}
     changed = {name: d for name, d in digests.items() if PINNED[group].get(name) != d}
     assert digests.keys() == PINNED[group].keys() and not changed, (

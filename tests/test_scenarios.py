@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -21,7 +22,8 @@ from sqh.scenarios import (
     sweep,
     sweep_scenarios,
 )
-from sqh.models import AbelianCharacterData
+from sqh.models import AbelianCharacterData, block_model
+from test_report_digests import large_group_scenarios
 import random
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
@@ -772,6 +774,12 @@ _LIMITED_MAIN = (
 )
 
 
+def _boundary_of_simplex(n: int) -> dict:
+    """∂Δ^n on n + 1 vertices, as explicit facets, with the trivial group: 2^(n+1) - 2 simplices."""
+    facets = [list(f) for f in itertools.combinations(range(n + 1), n)]
+    return {"explicit": {"complex": {"vertex_count": n + 1, "facets": facets}, "generators": []}}
+
+
 def _cross_polytope_40(perm) -> dict:
     """rp(2) moved to the 40-cross-polytope: 2^40 facets and 3^40 - 1 simplices."""
     return {"signed_permutation": {"n": 40, "generators": [{"perm": perm, "signs": [1] * len(perm)}]}}
@@ -787,8 +795,13 @@ def _cross_polytope_40(perm) -> dict:
          4, "simplices (cap 2000000)"),
         # 3^(10^12) - 1 simplices: neither that count nor a list of 10^12 blocks fits in memory
         ({"signed_permutation": {"n": 10**12, "generators": []}}, 4, "simplices (cap 2000000)"),
+        # 2^30 - 2 simplices, and a face lattice of more than 1 GB
+        (_boundary_of_simplex(29), 4, "faces (cap 2000000)"),
+        # one facet of 2^20000 - 1 faces, a count past the digits an int may print
+        ({"explicit": {"complex": {"vertex_count": 20000, "facets": [list(range(20000))]}, "generators": []}},
+         4, "2^20000 - 1 faces (cap 2000000)"),
     ],
-    ids=["short_perm", "valid_perm", "character_join", "many_blocks"],
+    ids=["short_perm", "valid_perm", "character_join", "many_blocks", "explicit_lattice", "explicit_facet"],
 )
 def test_cli_signed_permutation_past_the_cap_fails_before_building(tmp_path, space, code, named):
     data = {**builtin("rp", 2).to_json_dict(), "space": space}
@@ -809,3 +822,55 @@ def test_cli_depth_past_the_cap_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SQH_MAX_SIMPLICES", "145")
     assert _run_scenario_file(tmp_path, builtin("rp", 2).to_json_dict()) == 4
     assert "cap 145" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap, code, named", [
+    (62, 0, None),
+    (61, 4, "the complex's face lattice already has 62 simplices (cap 61)"),
+    (30, 4, "a facet of the complex has 5 vertices, so 2^5 - 1 faces (cap 30)"),
+], ids=["within", "lattice_count", "largest_facet"])
+def test_cli_explicit_face_lattice_is_counted_against_the_cap(tmp_path, monkeypatch, capsys, cap, code, named):
+    # ∂Δ^5 has 62 simplices, and each of its facets 31
+    monkeypatch.setenv("SQH_MAX_SIMPLICES", str(cap))
+    data = {**builtin("rp", 2).to_json_dict(), "space": _boundary_of_simplex(5)}
+    assert _run_scenario_file(tmp_path, data) == code
+    if named:
+        assert named in capsys.readouterr().err
+
+
+def _large_group(name: str) -> dict:
+    return next(sc for sc in large_group_scenarios() if sc.name == name).to_json_dict()
+
+
+@pytest.mark.parametrize("name, size, named", [
+    # |sd(X)| of the 5-cross-polytope, which bounds the depth-1 quotient, sd(X) and every Y′
+    ("b5_rotations_on_s4", 24482, "sd(X) would have 24482 simplices"),
+    # the depth-2 quotient, counted before it is built; sd²(X), which is not built, has 2911682
+    ("b5_coxeter_on_s4", 291169, "the depth-2 quotient would have 291169 simplices"),
+])
+def test_cli_cap_names_the_complex_the_run_builds(tmp_path, monkeypatch, capsys, name, size, named):
+    monkeypatch.setenv("SQH_MAX_SIMPLICES", str(size))
+    assert _run_scenario_file(tmp_path, _large_group(name)) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("SQH_MAX_SIMPLICES", str(size - 1))
+    assert _run_scenario_file(tmp_path, _large_group(name)) == 4
+    assert f"{named} (cap {size - 1})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lengths, generators, named", [
+    # the Heisenberg group mod 3 on a join of three triangles: sd(X) is built, its quotient is not
+    ((3, 3, 3), [[(0, 0), (1, 1), (2, 2)], [(1, 0), (2, 0), (0, 0)]],
+     "the depth-2 quotient would have 4734216 simplices (cap 2000000)"),
+    # C_7 ⋊ C_3 on a join of three heptagons: sd(X) itself is past the cap
+    ((7, 7, 7), [[(0, 1), (1, 2), (2, 4)], [(1, 0), (2, 0), (0, 0)]],
+     "sd(X) would have 2259964 simplices (cap 2000000)"),
+], ids=["heisenberg_mod_3", "c7_by_c3"])
+def test_cli_block_groups_past_the_cap_name_what_would_be_built(
+    tmp_path, monkeypatch, capsys, lengths, generators, named
+):
+    monkeypatch.delenv("SQH_MAX_SIMPLICES", raising=False)
+    action = block_model(lengths, generators)
+    gens = [list(action.elements[g]) for g in action.generator_indices]
+    space = {"explicit": {"complex": action.complex.to_json_dict(), "generators": gens}}
+    assert _run_scenario_file(tmp_path, {**builtin("rp", 2).to_json_dict(), "space": space}) == 4
+    assert named in capsys.readouterr().err

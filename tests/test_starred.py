@@ -41,10 +41,11 @@ from sqh.complexes import (
     chain_complex,
     derived_subdivision,
     full_subcomplex,
+    subdivided_size,
 )
 from sqh.homology import RATIONALS, FieldSpec, prime_factors, relative_betti
 from sqh.models import SignedPermutation, signed_permutation_action
-from sqh.scenarios import build_model
+from sqh.scenarios import build_model, run_scenario
 
 
 def _flag_oracle(k: SimplicialComplex) -> Subdivision:
@@ -290,3 +291,22 @@ def test_starred_pair_property_on_random_prime_order_subgroups():
         assert relative_betti(chain_complex(y), f, fields) == relative_betti(chain_complex(full_y), full_f, fields)
 
     check()
+
+
+def test_every_starred_complex_a_run_builds_fits_in_sd_of_x(monkeypatch):
+    """|Y′| ≤ |sd(X)| for the group and every subgroup a run stars, so the cap's check of sd(X) bounds them.
+
+    τ∗b(σ_1…σ_r) ↦ (the prefixes of τ) < σ_1 < … < σ_r injects Y′ into sd(X).
+    """
+    sizes = []
+    derived = sqh.actions.derived_subdivision
+
+    def recorded(k, starred):
+        sub = derived(k, starred)
+        sizes.append((sum(sub.complex.f_vector()), subdivided_size(k.f_vector(), 1)))
+        return sub
+
+    monkeypatch.setattr(sqh.actions, "derived_subdivision", recorded)
+    for sc in CORPUS_SCENARIOS + nonabelian_workload():
+        run_scenario(sc)
+    assert len(sizes) > 10 and all(starred <= sd for starred, sd in sizes), sizes
