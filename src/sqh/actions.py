@@ -497,12 +497,15 @@ def quotient_complex(action: VertexAction):
     keeps dimension.  That is exactly: no simplex has two vertices in one
     orbit, which also rules out a turned simplex, and simplices with one
     orbit-set lie in one orbit.  A vertex in no simplex has no orbit, and
-    raises InvalidParameter.
+    raises InvalidParameter.  For the trivial group X/1 is X itself, under
+    the identity projection, so its face lattice and chains are X's.
     """
     data = action.simplex_orbit_data()
     proj = tuple(data.orbit_of.get((v,), -1) for v in range(action.complex.vertex_count))
     if -1 in proj:
         raise InvalidParameter(f"vertex {proj.index(-1)} lies in no simplex of the complex, so it has no orbit")
+    if action.order == 1:
+        return action.complex, proj
     facets = {tuple(sorted({proj[v] for v in f})) for f in action.complex.facets}
     quotient = SimplicialComplex(len(set(proj)), facets)
     _require_simplicial(quotient, data.level_counts())
@@ -779,8 +782,12 @@ def orbit_chain_complex(action: VertexAction) -> OrientedChainComplex:
     the group keeps its simplices as labels, since each is a singleton
     orbit.  An action that is not admissible raises NeedsSubdivision; its
     `admissible_subdivision` is the action to take.  Built, and so checked
-    for dd = 0, once per action.
+    for dd = 0, once per action.  The trivial group's orbits are the
+    simplices in the same order, with the same signs, so its orbit complex
+    is `chain_complex` of X, with the ranks X's matrices keep.
     """
+    if action.order == 1:
+        return chain_complex(action.complex)
     if action._orbit_complex is None:
         action._orbit_complex = _simplex_orbit_complex(action)
     return action._orbit_complex

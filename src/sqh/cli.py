@@ -4,6 +4,11 @@ Every Betti number reported is exact, over Q as over F_p.  Exit codes:
 0 success, 2 bad input (parse/validation), 3 a verified inequality failed
 (diagnostic dump on stderr), 4 resource caps exceeded, 5 an engine fault:
 an engine cross-check failed (the scenario run, if one, on stderr).
+
+The CLI only parses: a flag becomes an int, a float or, for `--fields`, a
+comma split.  The engine checks each value and names the field it refuses:
+`sweep` its `jobs`, `sweep_scenarios` every other sweep input,
+`run_scenario` the budget, `Scenario` and `build_model` a scenario file.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ def _cmd_sweep(args) -> int:
         n_max=args.n_max,
         samples=args.samples,
         seed=args.seed,
-        fields=args.fields,
+        fields=tuple(args.fields.split(",")),
         jobs=args.jobs,
         max_model_simplices=args.max_model_simplices,
     )
@@ -87,40 +92,6 @@ def _cmd_builtin(args) -> int:
     return _run_one(scenario, args)
 
 
-def _int_at_least(least: int):
-    """An argparse type: an integer >= least, or an error that argparse reports with the flag."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        return value
-
-    return parse
-
-
-def _field_labels(text: str) -> tuple:
-    """An argparse type: comma-separated field labels, none of them empty."""
-    labels = tuple(text.split(","))
-    if "" in labels:
-        raise argparse.ArgumentTypeError(f"expected labels such as Q,Fp:2, got {text!r}")
-    return labels
-
-
-def _seconds(text: str) -> float:
-    """An argparse type: a number of seconds >= 0; NaN is refused."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more seconds, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqh",
@@ -128,40 +99,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a scenario file")
+    # the flags of `run` and `builtin`, which both run one scenario (`_run_one`)
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--out", default=None)
+    run_flags.add_argument("--timings", action="store_true", help="include per-stage timings")
+    run_flags.add_argument("--budget", type=float, default=None, help="wall-clock budget (s)")
+
+    p_run = sub.add_parser("run", parents=[run_flags], help="run a scenario file")
     p_run.add_argument("file")
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--timings", action="store_true", help="include per-stage timings")
-    p_run.add_argument("--budget", type=_seconds, default=None, help="wall-clock budget (s)")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="randomized abelian bound sweep")
-    p_sweep.add_argument("--n-max", type=_int_at_least(1), default=4, dest="n_max")
-    p_sweep.add_argument("--samples", type=_int_at_least(0), default=50)
+    p_sweep.add_argument("--n-max", type=int, default=4)
+    p_sweep.add_argument("--samples", type=int, default=50)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument(
-        "--fields", type=_field_labels, default=DEFAULT_FIELDS, help="comma-separated labels, e.g. Q,Fp:2"
-    )
-    p_sweep.add_argument(
-        "--jobs", type=_int_at_least(1), default=1, help="worker processes, at most one per CPU and sample"
-    )
+    p_sweep.add_argument("--fields", default=",".join(DEFAULT_FIELDS), help="comma-separated labels, e.g. Q,Fp:2")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU and sample")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument(
-        "--max-model-simplices",
-        type=_int_at_least(2),
-        default=200_000,
-        dest="max_model_simplices",
-        help="size guard for the scenario generator",
-    )
+    p_sweep.add_argument("--max-model-simplices", type=int, default=200_000, help="size guard for the scenario generator")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_builtin = sub.add_parser("builtin", help=f"catalog: {', '.join(BUILTIN_NAMES)}")
+    p_builtin = sub.add_parser("builtin", parents=[run_flags], help=f"catalog: {', '.join(BUILTIN_NAMES)}")
     p_builtin.add_argument("name")
     p_builtin.add_argument("params", nargs="*", type=int)
-    p_builtin.add_argument("--emit-scenario", action="store_true", dest="emit_scenario")
-    p_builtin.add_argument("--out", default=None)
-    p_builtin.add_argument("--timings", action="store_true")
-    p_builtin.add_argument("--budget", type=_seconds, default=None)
+    p_builtin.add_argument("--emit-scenario", action="store_true")
     p_builtin.set_defaults(func=_cmd_builtin)
     return parser
 

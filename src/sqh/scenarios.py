@@ -10,7 +10,6 @@ default report stays reproducible).
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
@@ -102,8 +101,7 @@ class Scenario:
         if "cover_e1" in self.checks and self.kind != "character_join":
             raise InvalidParameter(f"field 'checks': cover_e1 needs a character_join space, not {self.kind}")
         _integer(self.seed, "seed")
-        if isinstance(self.snf_cap, bool) or not isinstance(self.snf_cap, int) or self.snf_cap < 0:
-            raise InvalidParameter(f"field 'snf_cap' must be a nonnegative integer, got {self.snf_cap!r}")
+        _at_least(self.snf_cap, "snf_cap", 0)
 
     @property
     def kind(self) -> str:
@@ -212,6 +210,13 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _at_least(value, key: str, least: int) -> int:
+    """An integer, not a bool, of `least` or more, or InvalidParameter naming `key`."""
+    if _integer(value, key) < least:
+        raise InvalidParameter(f"field {key!r} must be {least} or more, got {value}")
+    return value
+
+
 def build_model(scenario: Scenario) -> SphereModel:
     """The scenario's sphere model, its values checked as they come from JSON.
 
@@ -248,7 +253,7 @@ def build_model(scenario: Scenario) -> SphereModel:
                 gens.append(SignedPermutation.from_json_dict(entries))
             except InvalidParameter as e:
                 raise InvalidParameter(f"{kind} generator {i}: {e}") from None
-        join_f_vector(itertools.repeat(2, n), simplex_cap())  # n may be far past any cap
+        join_f_vector((2 for _ in range(n)), simplex_cap())  # n may be far past any cap, or an index
         return SphereModel(signed_permutation_action(n, gens))
     raw = _entry(payload, "complex", kind)
     _known_keys(raw, ("vertex_count", "facets"), f"{kind} complex")
@@ -428,7 +433,12 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     and a complex whose Betti numbers are not those of S^{n-1} over every
     field, or, when torsion is asked for, whose integral homology is not
     certified torsion-free (`_check_torsion_free`), raises
-    InvalidParameter naming 'complex'.  A budget must be 0 or more seconds.
+    InvalidParameter naming 'complex'.
+
+    This function is the one check of `budget`: None for none, else an int
+    or float of 0 or more seconds, not a bool or NaN, or InvalidParameter
+    naming 'budget' before the model is built.  The scenario's own fields
+    are checked by `Scenario` and `build_model`.
 
     The named checks follow the quotient, from the one table
     `bounds.CHECKS` (`run_checks`), on the run's `CheckRun`.  When the
@@ -442,8 +452,8 @@ def run_scenario(scenario: Scenario, with_timings: bool = False, budget: float |
     reads back to replay the run, the CheckResults, and the BoundReport
     (None unless `evaluate_all` is named).
     """
-    if budget is not None and not budget >= 0:
-        raise InvalidParameter(f"budget must be 0 or more seconds, got {budget}")
+    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float)) or not budget >= 0):
+        raise InvalidParameter(f"field 'budget' must be 0 or more seconds, got {budget!r}")
     t_start = time.perf_counter()
     timings = {}
 
@@ -655,24 +665,23 @@ def random_character_data(rng: random.Random, n_max: int) -> AbelianCharacterDat
     return AbelianCharacterData(ms, rot, sgn)
 
 
-def _check_sweep_size(n_max, samples) -> None:
-    """InvalidParameter unless n_max is an integer from 1 to 6 and samples one of 0 or more."""
-    if not 1 <= _integer(n_max, "n_max") <= 6:
-        raise InvalidParameter(f"sweep needs 1 <= n_max <= 6, got {n_max}")
-    if _integer(samples, "samples") < 0:
-        raise InvalidParameter(f"field 'samples' must be 0 or more, got {samples}")
-
-
 def sweep_scenarios(n_max: int, samples: int, seed: int, fields, max_model_simplices: int):
     """Deterministic scenario stream for the sweep; oversized draws are redrawn.
 
-    `n_max` must be an integer from 1 to 6 and `samples` one of 0 or more
-    (`_check_sweep_size`).  Every draw is forecast at 2 or more simplices,
-    so a smaller guard would redraw forever and is rejected.
+    This is the one check of the stream's inputs, made before the first
+    draw, so a stream of no samples refuses a malformed one too, with
+    InvalidParameter naming it.  Each count is an integer, not a bool:
+    `n_max` from 1 to 6, `samples` 0 or more and `max_model_simplices` 2 or
+    more, since every draw is forecast at 2 or more simplices and a smaller
+    guard would redraw forever.  `seed` is any integer, and the field
+    labels follow the rules of `Scenario` (`_check_field_labels`).
     """
-    _check_sweep_size(n_max, samples)
-    if max_model_simplices < 2:
-        raise InvalidParameter(f"max_model_simplices must be at least 2, got {max_model_simplices}")
+    if not 1 <= _integer(n_max, "n_max") <= 6:
+        raise InvalidParameter(f"field 'n_max' must satisfy 1 <= n_max <= 6, got {n_max}")
+    _at_least(samples, "samples", 0)
+    _integer(seed, "seed")
+    _check_field_labels(fields)
+    _at_least(max_model_simplices, "max_model_simplices", 2)
     rng = random.Random(seed)
     out = []
     rejected = 0
@@ -720,16 +729,12 @@ def sweep(
 ) -> dict:
     """Run the randomized abelian sweep and return the summary report.
 
-    The field labels are checked up front, by the rules of `Scenario`, so a
-    sweep of no samples refuses them too; so are `n_max` and `samples`, by
-    the stream's own rule (`_check_sweep_size`), and `jobs`, an integer of 1
-    or more, all before any draw.  `jobs` bounds the worker processes, which
-    are also no more than the scenarios or the CPUs.
+    `jobs`, an integer of 1 or more, is checked here, and every other input
+    by the stream (`sweep_scenarios`), all before any draw.  `jobs` bounds
+    the worker processes, which are also no more than the scenarios or the
+    CPUs.
     """
-    _check_field_labels(fields)
-    _check_sweep_size(n_max, samples)
-    if _integer(jobs, "jobs") < 1:
-        raise InvalidParameter(f"field 'jobs' must be 1 or more, got {jobs}")
+    _at_least(jobs, "jobs", 1)
     scenarios, rejected = sweep_scenarios(n_max, samples, seed, fields, max_model_simplices)
     # a process pool forks all of its workers at the first submit
     workers = min(jobs, len(scenarios), os.cpu_count() or 1)

@@ -272,6 +272,25 @@ def test_orbit_complex_rejects_non_admissible():
     assert betti(orbit_chain_complex(sub), [RATIONALS]).betti(RATIONALS) == (1, 0)
 
 
+@pytest.mark.parametrize(
+    "complex_", [octahedron(), rp2_minimal(), polygon(5), join(polygon(4), polygon(3))],
+    ids=["octahedron", "rp2", "pentagon", "join"],
+)
+def test_trivial_group_quotient_and_orbit_complex_are_the_complex_itself(complex_):
+    """X/1 is X under the identity projection, and its orbit complex is X's own
+    chain complex, with the basis, labels and matrices the orbit route builds."""
+    from sqh.actions import _simplex_orbit_complex
+
+    trivial = close_generators(complex_, [])
+    assert quotient_complex(trivial) == (complex_, tuple(range(complex_.vertex_count)))
+    assert quotient_complex(trivial)[0] is complex_
+    cc = orbit_chain_complex(trivial)
+    assert cc is chain_complex(complex_)
+    built = _simplex_orbit_complex(trivial)
+    assert (built.ranks, built.basis_labels) == (cc.ranks, cc.basis_labels)
+    assert [m.to_dense() for m in built.boundaries] == [m.to_dense() for m in cc.boundaries]
+
+
 def _with_orbit_data(monkeypatch, mutate):
     """Make the orbit complex of an action on the model read mutate(the action's orbit data).
 

@@ -408,9 +408,71 @@ def test_sweep_refuses_a_malformed_argument_before_drawing(monkeypatch, kwargs, 
     def no_draw(*args):
         raise AssertionError("a draw was made")
 
-    monkeypatch.setattr(sqh.scenarios, "sweep_scenarios", no_draw)
+    monkeypatch.setattr(sqh.scenarios, "random_character_data", no_draw)
     with pytest.raises(InvalidParameter, match=named):
         sweep(**{"n_max": 2, "samples": 2, "seed": 0, "jobs": 1, **kwargs})
+
+
+# values that no outside keyword should take at face value
+_POOL = (None, True, 1.5, float("nan"), "x", -1, [], 10**30)
+# each outside keyword of `sweep`, `sweep_scenarios` and `run_scenario`: a cheap valid value,
+# and the positions in _POOL of the values it accepts (10**30 samples is valid, so it is not drawn)
+_KEYWORDS = {
+    "n_max": (1, ()),
+    "samples": (1, (7,)),
+    "seed": (0, (5, 7)),
+    "fields": (("Q",), ()),
+    "jobs": (1, (7,)),
+    "max_model_simplices": (200_000, (7,)),
+    "budget": (None, (0, 2, 7)),
+}
+_STREAM_KEYWORDS = ("n_max", "samples", "seed", "fields", "max_model_simplices")
+_OUTSIDE_CALLS = {
+    "sweep": (
+        (*_STREAM_KEYWORDS, "jobs"),
+        lambda kw: sweep(**{k: kw[k] for k in (*_STREAM_KEYWORDS, "jobs")}),
+    ),
+    "sweep_scenarios": (_STREAM_KEYWORDS, lambda kw: sweep_scenarios(*(kw[k] for k in _STREAM_KEYWORDS))),
+    "run_scenario": (("budget",), lambda kw: run_scenario(builtin("rp", 1), budget=kw["budget"])),
+}
+
+
+def test_every_outside_keyword_is_accepted_or_refused_by_name():
+    """Each keyword, drawn from _POOL with the others valid, either runs or raises
+    InvalidParameter naming it; no other exception escapes.  `samples` stays at 0
+    or 1, so no process pool starts, whatever `jobs` is."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cases = [(name, key) for name, (keys, _) in _OUTSIDE_CALLS.items() for key in keys]
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(st.sampled_from(cases), st.sampled_from(range(len(_POOL))), st.sampled_from((0, 1)))
+    def check(case, index, samples):
+        name, keyword = case
+        hypothesis.assume(not (keyword == "samples" and index == 7))
+        kwargs = {k: valid for k, (valid, _) in _KEYWORDS.items()}
+        kwargs.update({"samples": samples, keyword: _POOL[index]})
+        call = _OUTSIDE_CALLS[name][1]
+        if index in _KEYWORDS[keyword][1]:
+            call(kwargs)
+        else:
+            with pytest.raises(InvalidParameter, match=f"field '{keyword}'"):
+                call(kwargs)
+
+    check()
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: sweep(2, 0, 0, max_model_simplices="x"), "'max_model_simplices'"),
+    (lambda: sweep_scenarios(2, 0, 0, ("Q",), 2.5), "'max_model_simplices'"),
+    (lambda: sweep(2, 0, "x"), "'seed'"),
+    (lambda: run_scenario(builtin("rp", 2), budget="1"), "'budget'"),
+    (lambda: run_scenario(builtin("rp", 2), budget=True), "'budget'"),
+], ids=["sweep_guard_string", "stream_guard_float", "sweep_seed_string", "run_budget_string", "run_budget_bool"])
+def test_python_api_refuses_what_the_cli_parser_used_to(call, named):
+    """Values the CLI's argparse types once refused before the engine saw them."""
+    with pytest.raises(InvalidParameter, match=named):
+        call()
 
 
 def test_cli_emit_scenario(capsys):
@@ -733,16 +795,16 @@ def _exit_code(argv) -> int:
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["sweep", "--n-max", "0"], "--n-max"),
-        (["sweep", "--samples", "-1"], "--samples"),
-        (["sweep", "--jobs", "0"], "--jobs"),
+        (["sweep", "--n-max", "0"], "'n_max'"),
+        (["sweep", "--samples", "-1"], "'samples'"),
+        (["sweep", "--jobs", "0"], "'jobs'"),
         (["run", "{tmp_path}"], "{tmp_path}"),
-        (["sweep", "--max-model-simplices", "1"], "--max-model-simplices"),
-        (["builtin", "rp", "2", "--budget", "-1"], "--budget"),
-        (["builtin", "rp", "2", "--budget", "nan"], "--budget"),
-        (["run", "{tmp_path}", "--budget", "-1"], "--budget"),
-        (["run", "{tmp_path}", "--budget", "nan"], "--budget"),
-        (["sweep", "--fields", ""], "--fields"),
+        (["sweep", "--max-model-simplices", "1"], "'max_model_simplices'"),
+        (["builtin", "rp", "2", "--budget", "-1"], "'budget'"),
+        (["builtin", "rp", "2", "--budget", "nan"], "'budget'"),
+        (["run", "{scenario}", "--budget", "-1"], "'budget'"),
+        (["run", "{scenario}", "--budget", "nan"], "'budget'"),
+        (["sweep", "--fields", ""], "'fields'"),
         # refused before any scenario is built, so also with no samples
         (["sweep", "--samples", "0", "--fields", "Fp:4"], "'fields'"),
         (["sweep", "--samples", "0", "--fields", "Q,Q"], "'fields'"),
@@ -755,9 +817,44 @@ def _exit_code(argv) -> int:
          "sweep_fields_not_canonical"],
 )
 def test_cli_malformed_argument_names_it(tmp_path, capsys, argv, named):
-    argv = [a.format(tmp_path=tmp_path) for a in argv]
+    """The CLI only parses, so a value in range for argparse is refused by the engine, which names its field."""
+    scenario = tmp_path / "sc.json"
+    scenario.write_text(json.dumps(builtin("rp", 2).to_json_dict()))
+    argv = [a.format(tmp_path=tmp_path, scenario=scenario) for a in argv]
     assert _exit_code(argv) == 2
     assert named.format(tmp_path=tmp_path) in capsys.readouterr().err
+
+
+def test_sweep_bounds_of_n_max_come_from_one_check(capsys):
+    """n_max = 0 and n_max = 7 are refused by the same check, with the same message."""
+    messages = []
+    for n_max in ("0", "7"):
+        assert _exit_code(["sweep", "--n-max", n_max]) == 2
+        messages.append(capsys.readouterr().err.replace(n_max, "N"))
+    assert messages[0] == messages[1] == "invalid input: field 'n_max' must satisfy 1 <= n_max <= 6, got N\n"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "{scenario}", "--budget", "nan"], "'budget'"),
+        (["sweep", "--n-max", "0"], "'n_max'"),
+        (["builtin", "rp", "2", "--budget", "-1"], "'budget'"),
+    ],
+    ids=["run", "sweep", "builtin"],
+)
+def test_cli_entry_point_refuses_a_malformed_flag(tmp_path, argv, named):
+    """`python -m sqh.cli`, as a user runs it: exit 2, the field named, and no traceback."""
+    scenario = tmp_path / "sc.json"
+    scenario.write_text(json.dumps(builtin("rp", 2).to_json_dict()))
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqh.cli", *(a.format(scenario=scenario) for a in argv)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("raw", ["-5", "abc"], ids=["negative", "not_an_integer"])
@@ -780,6 +877,40 @@ def _boundary_of_simplex(n: int) -> dict:
     return {"explicit": {"complex": {"vertex_count": n + 1, "facets": facets}, "generators": []}}
 
 
+@pytest.mark.parametrize("snf_cap", [0, 16384], ids=["no_torsion", "torsion"])
+def test_trivial_group_quotient_is_the_model_ranked_once(monkeypatch, snf_cap):
+    """X/1 is X: for an explicit ∂Δ^6 with no generators the quotient's table is
+    taken on the model's own chain complex, and each boundary matrix is reduced
+    over Z once, for the model and the quotient alike."""
+    import collections
+
+    import sqh.actions
+    import sqh.homology
+
+    chains = {"model": [], "quotient": []}
+    reduced = collections.Counter()
+    for module, key in ((sqh.actions, "model"), (sqh.scenarios, "quotient")):
+        def recording(chain, fields, _betti=module.betti, _key=key, **kwargs):
+            chains[_key].append(chain)
+            return _betti(chain, fields, **kwargs)
+
+        monkeypatch.setattr(module, "betti", recording)
+    eliminate = sqh.homology._eliminate
+
+    def counting(m, *args, **kwargs):
+        if kwargs.get("pivot_rows") is not None:  # the unit reduction over Z
+            reduced[id(m)] += 1
+        return eliminate(m, *args, **kwargs)
+
+    monkeypatch.setattr(sqh.homology, "_eliminate", counting)
+    data = {**builtin("rp", 2).to_json_dict(), "space": _boundary_of_simplex(6), "checks": [], "snf_cap": snf_cap}
+    report = run_scenario(Scenario.from_json_dict(data))
+    (model,), (quotient,) = chains["model"], chains["quotient"]
+    assert quotient is model
+    assert reduced == {id(m): 1 for m in model.boundaries}
+    assert report["quotient_f_vector"] == list(model.ranks)
+
+
 def _cross_polytope_40(perm) -> dict:
     """rp(2) moved to the 40-cross-polytope: 2^40 facets and 3^40 - 1 simplices."""
     return {"signed_permutation": {"n": 40, "generators": [{"perm": perm, "signs": [1] * len(perm)}]}}
@@ -795,13 +926,16 @@ def _cross_polytope_40(perm) -> dict:
          4, "simplices (cap 2000000)"),
         # 3^(10^12) - 1 simplices: neither that count nor a list of 10^12 blocks fits in memory
         ({"signed_permutation": {"n": 10**12, "generators": []}}, 4, "simplices (cap 2000000)"),
+        # more blocks than a C index can count
+        ({"signed_permutation": {"n": 10**30, "generators": []}}, 4, "simplices (cap 2000000)"),
         # 2^30 - 2 simplices, and a face lattice of more than 1 GB
         (_boundary_of_simplex(29), 4, "faces (cap 2000000)"),
         # one facet of 2^20000 - 1 faces, a count past the digits an int may print
         ({"explicit": {"complex": {"vertex_count": 20000, "facets": [list(range(20000))]}, "generators": []}},
          4, "2^20000 - 1 faces (cap 2000000)"),
     ],
-    ids=["short_perm", "valid_perm", "character_join", "many_blocks", "explicit_lattice", "explicit_facet"],
+    ids=["short_perm", "valid_perm", "character_join", "many_blocks", "blocks_past_an_index", "explicit_lattice",
+         "explicit_facet"],
 )
 def test_cli_signed_permutation_past_the_cap_fails_before_building(tmp_path, space, code, named):
     data = {**builtin("rp", 2).to_json_dict(), "space": space}
